@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .costs import (
     expected_cost_derivatives,
-    expected_gen_cost,
+    expected_cost_table,
     fit_polynomial_to_merit_curve,
-    marginal_expected_cost,
     merit_order_cost,
 )
 from .dispatch import solve_dispatch
@@ -63,7 +61,7 @@ def deterministic_variant(system, realized):
     return dataclasses.replace(system, net_load=net)
 
 
-def simulate_price_scenarios(system, n_scenarios, seed, threads=None):
+def simulate_price_scenarios(system, n_scenarios, seed):
     """Solve the deterministic multi-period dispatch on each realized
     net-load trajectory and record the energy prices.
 
@@ -84,7 +82,7 @@ def simulate_price_scenarios(system, n_scenarios, seed, threads=None):
             raise SolverError(f"price scenario {i} failed: {sol.status}", status=sol.status)
         return sol.lam
 
-    lam = np.array(parallel_map(solve_one, range(n_scenarios), threads))
+    lam = np.array([solve_one(i) for i in range(n_scenarios)])
     return PriceScenarioSet(lam=lam, seed=seed, source="monte-carlo-dispatch", clipped=clipped)
 
 
@@ -347,23 +345,19 @@ def clear_with_bids(system, bids, tol=1e-8):
             lin[b_ofs[t] + s] = -price
 
     poly = system.poly
+    table = expected_cost_table(poly, moments_list)
 
     def value(x):
-        total = float(lin @ x)
-        for t in quad_idx:
-            total += expected_gen_cost(poly, float(x[t]), 1.0, moments_list[t])
-        return total
+        return float(lin @ x) + float(np.sum(expected_cost_derivatives(table, x[:T], 1.0)[0]))
 
     def grad(x):
         out = lin.copy()
-        for t in quad_idx:
-            out[t] += marginal_expected_cost(poly, float(x[t]), 1.0, moments_list[t])
+        out[:T] += expected_cost_derivatives(table, x[:T], 1.0)[1]
         return out
 
     def hess(x):
         H = np.zeros((n, n))
-        for t in quad_idx:
-            H[t, t] = expected_cost_derivatives(poly, float(x[t]), 1.0, moments_list[t])[3]
+        H[quad_idx, quad_idx] = expected_cost_derivatives(table, x[:T], 1.0)[3]
         return H
 
     eq_rows, eq_rhs, eq_tags = [], [], []
@@ -504,7 +498,7 @@ def comparison_system(system, retire_frac=0.0):
 
 
 def compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.0,
-                       grid_size=21, threads=None, n_batches=10,
+                       grid_size=21, n_batches=10,
                        price_mode="mean"):
     """Welfare-priced vs profit-maximizing storage on common scenarios.
 
@@ -527,7 +521,7 @@ def compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.0,
     if welfare.status != "optimal":
         raise SolverError(f"welfare dispatch failed: {welfare.status}", status=welfare.status)
 
-    prices = simulate_price_scenarios(base, n_scenarios, seed, threads=threads)
+    prices = simulate_price_scenarios(base, n_scenarios, seed)
     mean_path = prices.mean_path()
     if price_mode == "mean":
         vf = dp_value_function(mean_path, st, grid_size=grid_size)

@@ -47,8 +47,6 @@ EXIT_THEORY = 3
 def _add_common(parser):
     parser.add_argument("--out", default="run_out", help="output directory")
     parser.add_argument("--config", default=None, help="key=value config file; flags override")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (default: STORAGE_PRICER_THREADS or cores)")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--synthetic", action="store_true", help="use the synthetic test system")
     parser.add_argument("--fleet-csv", default=None)
@@ -120,21 +118,25 @@ def _apply_config_file(args, argv):
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        overrides[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if not hasattr(args, key):
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r} for {args.command}")
+        overrides[key] = (lineno, value)
     # config supplies defaults; explicit flags win
     given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in overrides.items():
-        if key in given or not hasattr(args, key):
+    for key, (lineno, value) in overrides.items():
+        if key in given:
             continue
         current = getattr(args, key)
         if isinstance(current, bool):
             setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
-        else:
-            setattr(args, key, value)
+            continue
+        convert = type(current) if isinstance(current, (int, float)) else str
+        try:
+            setattr(args, key, convert(value))
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}:{lineno}: {key} expects {convert.__name__}, got {value!r}") from None
     return args
 
 
@@ -269,7 +271,7 @@ def _cmd_baseline(args, outdir):
     import csv as _csv
 
     system = _system_from_args(args)
-    prices = simulate_price_scenarios(system, args.scenarios, args.seed, threads=args.threads)
+    prices = simulate_price_scenarios(system, args.scenarios, args.seed)
     mean_path = prices.mean_path()
     vf = dp_value_function(mean_path, system.storage, grid_size=args.grid_size)
     bids = bids_from_value(vf, system.storage, prices=mean_path)
@@ -295,7 +297,7 @@ def _cmd_compare(args, outdir):
     system = _system_from_args(args)
     out = compare_mechanisms(system, n_scenarios=args.scenarios, seed=args.seed,
                              retire_frac=args.retire_frac, grid_size=args.grid_size,
-                             threads=args.threads, price_mode=args.price_mode)
+                             price_mode=args.price_mode)
     export_metrics_csv(out, outdir / "metrics.csv")
     export_summary_json(out, outdir / "summary.json")
     s = out["summary"]
@@ -309,11 +311,11 @@ def _cmd_sweep(args, outdir):
     system = _system_from_args(args)
     if args.axis == "soc":
         grid = np.linspace(0.0, system.storage.e_max, args.points)
-        sweep = soc_sweep(system, grid, threads=args.threads)
+        sweep = soc_sweep(system, grid)
         export_sweep_csv(sweep, outdir / "sweep.csv")
     elif args.axis == "sigma":
         grid = np.linspace(0.5, 2.0, args.points)
-        sweep = sigma_sweep(system, grid, threads=args.threads)
+        sweep = sigma_sweep(system, grid)
         export_sweep_csv(sweep, outdir / "sweep.csv")
     else:
         import csv as _csv

@@ -140,56 +140,56 @@ class StorageSpec:
             raise DomainError("storage marginal cost must be >= 0")
 
 
-def _binom_terms(coeffs, g, phi, moments, dg=0, dphi=0):
-    """Mixed partial d^(dg+dphi) E[G(g + phi d)] / dg^dg dphi^dphi, closed form.
+# (d/dg, d/dphi) orders of the six outputs of expected_cost_derivatives
+DERIVATIVES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
-    E[G(g + phi d)] = sum_i C_i sum_k C(i,k) g^(i-k) phi^k E[d^k]; derivatives
-    just lower the powers with falling factorials.
+
+def expected_cost_table(poly, moments_list):
+    """Everything ``expected_cost_derivatives`` needs besides the point.
+
+    E[G(g + phi d)] = sum_i c_i sum_k C(i,k) g^(i-k) phi^k E[d^k], and each
+    derivative lowers the powers with falling factorials.  For every output
+    the table lists the terms (coefficient, power of g, power of phi, moment
+    order) in that order, plus raw[t, k] = E[d_t^k] for every period.
     """
-    total = 0.0
-    for i, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        for k in range(i + 1):
-            pg, pp = i - k, k
-            fg = 1.0
-            for _ in range(dg):
-                fg *= pg
-                pg -= 1
-            fp = 1.0
-            for _ in range(dphi):
-                fp *= pp
-                pp -= 1
-            if fg == 0.0 or fp == 0.0:
-                continue
-            mk = gaussian_raw_moment(moments, k)
-            total += c * math.comb(i, k) * fg * fp * (g**pg) * (phi**pp) * mk
-    return total
+    terms = tuple(
+        tuple((c * math.comb(i, k) * math.perm(i - k, dg) * math.perm(k, dphi), i - k - dg, k - dphi, k)
+              for i, c in enumerate(poly.coeffs) if c != 0.0
+              for k in range(i + 1) if math.perm(i - k, dg) and math.perm(k, dphi))
+        for dg, dphi in DERIVATIVES)
+    raw = np.array([[gaussian_raw_moment(m, k) for k in range(MAX_DEGREE + 1)] for m in moments_list])
+    return terms, raw
 
 
-def expected_gen_cost(poly, g, phi, moments):
-    """Expected generator cost E[G(g + phi d)] with Gaussian raw moments."""
-    if not (0.0 <= phi <= 1.0):
-        raise DomainError(f"reserve ratio must lie in [0, 1], got {phi}")
-    return _binom_terms(poly.coeffs, g, phi, moments)
+def _powers(v):
+    """v**0 .. v**MAX_DEGREE elementwise with Python's float power: numpy's
+    vectorised power differs from it in the last bit on a few percent of
+    inputs, and dispatch duals on degenerate systems follow the last bit."""
+    flat = v.ravel().tolist()
+    return [np.ones_like(v), v] + [np.array([x**k for x in flat]).reshape(v.shape)
+                                   for k in range(2, MAX_DEGREE + 1)]
 
 
-def marginal_expected_cost(poly, g, phi, moments):
-    """d E[G(g + phi d)] / dg — the marginal-cost map used by the pricing results."""
-    if not (0.0 <= phi <= 1.0):
-        raise DomainError(f"reserve ratio must lie in [0, 1], got {phi}")
-    return _binom_terms(poly.coeffs, g, phi, moments, dg=1)
+def expected_cost_derivatives(table, g, phi):
+    """Value, d/dg, d/dphi, d2/dg2, d2/dg dphi and d2/dphi2 of E[G(g + phi d_t)].
 
-
-def expected_cost_derivatives(poly, g, phi, moments):
-    """Value, gradient, and Hessian of E[G(g + phi d)] in (g, phi)."""
-    f = _binom_terms(poly.coeffs, g, phi, moments)
-    dg = _binom_terms(poly.coeffs, g, phi, moments, dg=1)
-    dp = _binom_terms(poly.coeffs, g, phi, moments, dphi=1)
-    dgg = _binom_terms(poly.coeffs, g, phi, moments, dg=2)
-    dgp = _binom_terms(poly.coeffs, g, phi, moments, dg=1, dphi=1)
-    dpp = _binom_terms(poly.coeffs, g, phi, moments, dphi=2)
-    return f, dg, dp, dgg, dgp, dpp
+    ``table`` comes from ``expected_cost_table``; ``g`` and ``phi`` broadcast
+    against its period axis (shape (..., T)), and every output has their
+    broadcast shape.  The reserve ratio is clamped into [0, 1] here.  Terms
+    are summed in the closed form's order, so every output equals the
+    scalar formula bit for bit.
+    """
+    terms, raw = table
+    g, phi = np.broadcast_arrays(np.asarray(g, float), np.clip(phi, 0.0, 1.0))
+    gp, pp = _powers(g), _powers(phi)
+    shape = np.broadcast_shapes(g.shape, raw.shape[:1])
+    out = []
+    for output_terms in terms:
+        total = np.zeros(shape)
+        for coef, a, b, k in output_terms:
+            total += coef * gp[a] * pp[b] * raw[:, k]
+        out.append(total)
+    return tuple(out)
 
 
 def expected_storage_cost(storage, p, psi, mu):
@@ -204,20 +204,23 @@ def expected_storage_cost(storage, p, psi, mu):
 def check_expected_cost_convexity(poly, moments_list, g_lo, g_hi, n_grid=15):
     """Convexity gate: Hessian of E[G] PSD over a (g, phi) grid for each period.
 
-    Raises DomainError on failure; dispatch refuses such polynomials.
+    Raises DomainError at the first failing point (period, then g, then phi);
+    dispatch refuses such polynomials.
     """
-    for moments in moments_list:
-        for g in np.linspace(g_lo, g_hi, n_grid):
-            for phi in np.linspace(0.0, 1.0, 7):
-                _, _, _, dgg, dgp, dpp = expected_cost_derivatives(poly, float(g), float(phi), moments)
-                tr = dgg + dpp
-                det = dgg * dpp - dgp * dgp
-                scale = max(1.0, abs(dgg), abs(dpp))
-                if tr < -1e-9 * scale or det < -1e-9 * scale * scale:
-                    raise DomainError(
-                        f"expected cost not convex at g={g:.4g}, phi={phi:.3g} "
-                        f"(trace={tr:.4g}, det={det:.4g})"
-                    )
+    g = np.linspace(g_lo, g_hi, n_grid)[:, None, None]
+    phi = np.linspace(0.0, 1.0, 7)[None, :, None]
+    *_, dgg, dgp, dpp = expected_cost_derivatives(
+        expected_cost_table(poly, moments_list), g, phi)
+    tr = dgg + dpp
+    det = dgg * dpp - dgp * dgp
+    scale = np.maximum(1.0, np.maximum(np.abs(dgg), np.abs(dpp)))
+    bad = np.argwhere(((tr < -1e-9 * scale) | (det < -1e-9 * scale * scale)).transpose(2, 0, 1))
+    if bad.size:
+        t, i, j = bad[0]
+        raise DomainError(
+            f"expected cost not convex at g={g[i, 0, 0]:.4g}, phi={phi[0, j, 0]:.3g} "
+            f"(trace={tr[i, j, t]:.4g}, det={det[i, j, t]:.4g})"
+        )
 
 
 def merit_order_cost(fleet, q):

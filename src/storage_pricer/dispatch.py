@@ -28,12 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .costs import (
-    check_expected_cost_convexity,
-    expected_cost_derivatives,
-    expected_gen_cost,
-    marginal_expected_cost,
-)
+from .costs import check_expected_cost_convexity, expected_cost_derivatives, expected_cost_table
 from .errors import DomainError
 from .reformulation import build_deterministic_constraints, make_period_quantiles
 from .solver import OPTIMAL, ConvexProgram, solve_convex
@@ -290,6 +285,7 @@ def build_dispatch(system, validate_convexity=True):
 
     # --- objective callbacks -----------------------------------------------
     poly = system.poly
+    table = expected_cost_table(poly, moments_list)
     M = storage.marginal_cost if has_storage else 0.0
     mus = np.array([m.mu for m in moments_list])
     g_idx = np.array([layout.of("g", t) for t in range(1, T + 1)])
@@ -298,43 +294,32 @@ def build_dispatch(system, validate_convexity=True):
         psi_idx = np.array([layout.of("psi", t) for t in range(1, T + 1)])
         phi_idx = np.array([layout.of("phi", t) for t in range(1, T + 1)])
 
+    def kernel(x):
+        return expected_cost_derivatives(table, x[g_idx], x[phi_idx] if has_storage else 1.0)
+
     def value(x):
-        total = 0.0
-        for k in range(T):
-            phi = float(x[phi_idx[k]]) if has_storage else 1.0
-            phi_c = min(max(phi, 0.0), 1.0)
-            total += expected_gen_cost(poly, float(x[g_idx[k]]), phi_c, moments_list[k])
+        total = float(np.sum(kernel(x)[0]))
         if has_storage:
             total += M * float(np.sum(x[p_idx]) + mus @ x[psi_idx])
         return total
 
     def grad(x):
+        _, dg, dp, *_ = kernel(x)
         out = np.zeros(n)
-        for k in range(T):
-            phi = float(x[phi_idx[k]]) if has_storage else 1.0
-            phi_c = min(max(phi, 0.0), 1.0)
-            _, dg, dp, *_ = expected_cost_derivatives(poly, float(x[g_idx[k]]), phi_c, moments_list[k])
-            out[g_idx[k]] = dg
-            if has_storage:
-                out[phi_idx[k]] = dp
+        out[g_idx] = dg
         if has_storage:
+            out[phi_idx] = dp
             out[p_idx] += M
             out[psi_idx] += M * mus
         return out
 
     def hess(x):
+        *_, dgg, dgp, dpp = kernel(x)
         H = np.zeros((n, n))
-        for k in range(T):
-            phi = float(x[phi_idx[k]]) if has_storage else 1.0
-            phi_c = min(max(phi, 0.0), 1.0)
-            _, _, _, dgg, dgp, dpp = expected_cost_derivatives(
-                poly, float(x[g_idx[k]]), phi_c, moments_list[k])
-            i = g_idx[k]
-            H[i, i] = dgg
-            if has_storage:
-                j = phi_idx[k]
-                H[i, j] = H[j, i] = dgp
-                H[j, j] = dpp
+        H[g_idx, g_idx] = dgg
+        if has_storage:
+            H[g_idx, phi_idx] = H[phi_idx, g_idx] = dgp
+            H[phi_idx, phi_idx] = dpp
         return H
 
     program = ConvexProgram(
@@ -452,15 +437,16 @@ def verify_equilibrium(solution, system, tol=1e-8):
     b_rows = np.full(T, np.nan)
     p_rows = np.full(T, np.nan)
     e_rows = np.full(T, np.nan)
+    moments_list = [system.net_load.moments(t) for t in range(1, T + 1)]
+    _, dE_dg, dE_dphi, *_ = expected_cost_derivatives(
+        expected_cost_table(system.poly, moments_list), solution.g, solution.phi)
 
     for t in range(1, T + 1):
-        m = system.net_load.moments(t)
+        m = moments_list[t - 1]
         q = solution.quantiles[t]
         lam, th, pi = solution.lam[t - 1], solution.theta[t - 1], solution.pi[t - 1]
         nu_lo, nu_hi = solution.dual("nu_lo", t), solution.dual("nu_hi", t)
-        phi_t = solution.phi[t - 1]
-        gen_rows[t - 1] = (marginal_expected_cost(system.poly, float(solution.g[t - 1]), float(min(max(phi_t, 0), 1)), m)
-                           - lam - nu_lo + nu_hi)
+        gen_rows[t - 1] = dE_dg[t - 1] - lam - nu_lo + nu_hi
         if not has_storage:
             continue
         eta, M = storage.eta, storage.marginal_cost
@@ -476,9 +462,7 @@ def verify_equilibrium(solution, system, tol=1e-8):
         if system.storage_reserve and f"psi[{t}]" not in solution.pinned:
             k_phi = solution.dual("kappa_phi_hi", t) - solution.dual("kappa_phi_lo", t)
             k_psi = solution.dual("kappa_psi_hi", t) - solution.dual("kappa_psi_lo", t)
-            dE_dphi = expected_cost_derivatives(system.poly, float(solution.g[t - 1]),
-                                                float(min(max(phi_t, 0), 1)), m)[2]
-            phi_rows[t - 1] = dE_dphi - pi - nu_lo * q.gen.d_hat + nu_hi * q.gen.d_tilde + k_phi
+            phi_rows[t - 1] = dE_dphi[t - 1] - pi - nu_lo * q.gen.d_hat + nu_hi * q.gen.d_tilde + k_phi
             psi_rows[t - 1] = (M * m.mu - pi - a_hi * q.power.d_hat + be_hi * q.power.d_tilde
                                + i_lo * q.soc.d_tilde / eta - i_hi * q.soc.d_hat * eta + k_psi)
 

@@ -164,14 +164,12 @@ def synth_test_system(
     )
 
 
-def sample_net_load(net_load, n, seed, threads=1):
+def sample_net_load(net_load, n, seed):
     """n independent net-load trajectories D_t + d_t, (n, T) matrix.
 
     Per-period errors are drawn independently; each scenario uses its own
     RNG stream derived from (seed, scenario index), so the matrix is
-    reproducible row by row regardless of n or the worker count.  Drawing
-    is cheap, so workers default to one; pass ``threads`` to spread very
-    large batches.
+    reproducible row by row regardless of n.
     """
     if n < 1:
         raise DomainError(f"need n >= 1 scenarios, got {n}")
@@ -184,9 +182,7 @@ def sample_net_load(net_load, n, seed, threads=1):
         rng = np.random.default_rng([seed, i])
         return D + mu + sigma * standardized_draws(net_load.model, T, rng)
 
-    from ._parallel import parallel_map
-
-    return np.array(parallel_map(draw, range(n), threads))
+    return np.array([draw(i) for i in range(n)])
 
 
 def sample_errors(net_load, n, seed):

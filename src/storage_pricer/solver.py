@@ -116,6 +116,22 @@ def _step_to_boundary(v, dv, cap=1.0):
     return min(cap, float(np.min(-v[neg] / dv[neg])))
 
 
+def _lu_factor(K):
+    """LU factors of K, or None when a pivot is zero or not finite.
+
+    ``lu_factor`` only warns on an exactly singular matrix, and solving with
+    such factors returns NaN, so the pivots are checked here instead.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(K)
+    except (scipy.linalg.LinAlgError, ValueError):
+        return None
+    pivots = np.diag(lu[0])
+    return lu if np.all(np.isfinite(pivots) & (pivots != 0.0)) else None
+
+
 def _polish_solve(prog, x0, active):
     """Newton on the equality-constrained KKT system of a fixed active set."""
     Ga = prog.G[active]
@@ -141,15 +157,12 @@ def _polish_solve(prog, x0, active):
         K[: prog.n, : prog.n] += 1e-14 * max(1.0, float(np.linalg.norm(H, np.inf))) * np.eye(prog.n)
         K[prog.n :, prog.n :] -= 1e-13 * np.eye(p + ka)
         rhs = np.concatenate([-gx, prog.b - prog.A @ xx, ha - Ga @ xx])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                lu = scipy.linalg.lu_factor(K)
-                sol = scipy.linalg.lu_solve(lu, rhs)
-                for _ in range(3):
-                    sol += scipy.linalg.lu_solve(lu, rhs - K0 @ sol)
-        except (scipy.linalg.LinAlgError, ValueError):
+        lu = _lu_factor(K)
+        if lu is None:
             return None
+        sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        for _ in range(3):
+            sol += scipy.linalg.lu_solve(lu, rhs - K0 @ sol, check_finite=False)
         if not np.all(np.isfinite(sol)):
             return None
         xx = xx + sol[: prog.n]
@@ -289,11 +302,12 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
             K[n:, n:] = -1e-12 * np.eye(p)
         if not np.all(np.isfinite(K)):
             break
-        try:
-            lu = scipy.linalg.lu_factor(K)
-        except (scipy.linalg.LinAlgError, ValueError):
+        lu = _lu_factor(K)
+        if lu is None:
             K[:n, :n] += 1e-6 * np.eye(n)
-            lu = scipy.linalg.lu_factor(K)
+            lu = _lu_factor(K)
+        if lu is None:
+            break
 
         def newton(r_c):
             if m:
@@ -301,9 +315,11 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
             else:
                 rhs1 = -r_d
             rhs = np.concatenate([rhs1, -r_p])
-            sol = scipy.linalg.lu_solve(lu, rhs)
+            # non-finite steps surface as a non-finite iterate, which ends
+            # the loop at the next finiteness check
+            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
             # one round of iterative refinement on the reduced system
-            sol -= scipy.linalg.lu_solve(lu, K @ sol - rhs)
+            sol -= scipy.linalg.lu_solve(lu, K @ sol - rhs, check_finite=False)
             dx, dy = sol[:n], sol[n:]
             if m:
                 ds = -r_g - prog.G @ dx

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
-from .costs import marginal_expected_cost
+from .costs import expected_cost_derivatives, expected_cost_table
 from .dispatch import solve_dispatch
 from .errors import DegenerateQuantileError, DomainError, UnsupportedDegreeError
 
@@ -128,9 +127,16 @@ def theta_sigma_derivative(poly, g, phi, moments, eta):
     return sigma * (6.0 * c[3] * phi**2 + 24.0 * c[4] * g * phi**2 + 24.0 * c[4] * phi**3 * mu) / eta
 
 
+def _marginal_cost(poly, g, phi, moments):
+    """d E[G(g + phi d)] / dg at one point."""
+    return float(expected_cost_derivatives(expected_cost_table(poly, [moments]), g, phi)[1][0])
+
+
 def interior_charging_theta(poly, g, phi, moments, eta):
     """Opportunity price in the interior-charging case: marginal cost / eta."""
-    return marginal_expected_cost(poly, g, phi, moments) / eta
+    if not (0.0 <= phi <= 1.0):
+        raise DomainError(f"reserve ratio must lie in [0, 1], got {phi}")
+    return _marginal_cost(poly, g, phi, moments) / eta
 
 
 def jensen_gap(poly, g, phi, moments, eta, samples=100_000, seed=0):
@@ -271,22 +277,20 @@ def _sweep_point_records(solution, period):
     """theta dual plus the analytic sup/inf variants at the designated period."""
     system = solution.system
     t = period
-    m = system.net_load.moments(t)
-    phi = float(min(max(solution.phi[t - 1], 0.0), 1.0))
-    H = marginal_expected_cost(system.poly, float(solution.g[t - 1]), phi, m)
+    H = _marginal_cost(system.poly, solution.g[t - 1], solution.phi[t - 1],
+                       system.net_load.moments(t))
     eta, M = system.storage.eta, system.storage.marginal_cost
     sup_theta = H / eta
     inf_theta = eta * (H - M)
     return float(solution.theta[t - 1]), sup_theta, inf_theta
 
 
-def soc_sweep(system, soc_grid, period=1, tol=1e-8, threads=None):
+def soc_sweep(system, soc_grid, period=1, tol=1e-8):
     """Solve the dispatch across initial-SoC values and record the
     opportunity price at a designated period.
 
-    Grid points solve independently (optionally in parallel) and merge in
-    axis order.  Verdict: the theta sequence is non-increasing within
-    1e-6 * max|theta|.
+    Grid points solve independently, in axis order.  Verdict: the theta
+    sequence is non-increasing within 1e-6 * max|theta|.
     """
     grid = np.asarray(sorted(float(v) for v in soc_grid))
     st = system.storage
@@ -301,7 +305,7 @@ def soc_sweep(system, soc_grid, period=1, tol=1e-8, threads=None):
             raise DomainError(f"sweep solve failed at e0={e0}: {sol.status}")
         return (*_sweep_point_records(sol, period), classify_period(sol, period))
 
-    records = parallel_map(solve_point, grid, threads)
+    records = [solve_point(e0) for e0 in grid]
     thetas, sups, infs, cases = (list(v) for v in zip(*records))
     thetas = np.array(thetas)
     band = 1e-6 * max(1.0, float(np.max(np.abs(thetas))))
@@ -314,7 +318,7 @@ def soc_sweep(system, soc_grid, period=1, tol=1e-8, threads=None):
     )
 
 
-def sigma_sweep(system, scale_grid, period=1, tol=1e-8, nu_threshold=1e-4, threads=None):
+def sigma_sweep(system, scale_grid, period=1, tol=1e-8, nu_threshold=1e-4):
     """Solve the dispatch across sigma scale factors.
 
     Grid points where the generator lower bound binds (nu_lo dual above
@@ -334,7 +338,7 @@ def sigma_sweep(system, scale_grid, period=1, tol=1e-8, nu_threshold=1e-4, threa
         nu_lo_max = max((v for v in sol.duals.get("nu_lo", {}).values()), default=0.0)
         return (*_sweep_point_records(sol, period), classify_period(sol, period), nu_lo_max)
 
-    records = parallel_map(solve_point, grid, threads)
+    records = [solve_point(scale) for scale in grid]
     thetas, sups, infs, cases, nu_maxima = (list(v) for v in zip(*records))
     excluded = [i for i, v in enumerate(nu_maxima) if v > nu_threshold]
     thetas = np.array(thetas)

@@ -443,7 +443,7 @@ def test_criterion_10_welfare_dominance():
     # the ex-post evaluation
     system = synth_test_system(seed=0, fit_degree=3)
     out = compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.2,
-                             grid_size=21, threads=4, n_batches=10)
+                             grid_size=21, n_batches=10)
     elapsed = time.monotonic() - t0
     s = out["summary"]
     cost_ok = s["welfare"]["system_cost"] <= s["bidding"]["system_cost"] * (1 + 1e-9)

@@ -41,15 +41,15 @@ def storage(p_max=20.0, e_max=80.0, eta=1.0, M=0.0, e_init=40.0):
 
 def test_zero_sigma_scenarios_identical():
     system = small_system().with_sigma_scale(0.0)
-    prices = simulate_price_scenarios(system, 4, seed=1, threads=1)
+    prices = simulate_price_scenarios(system, 4, seed=1)
     assert np.allclose(prices.lam, prices.lam[0], atol=1e-9)
     assert prices.clipped == ()
 
 
 def test_seeded_scenarios_reproducible():
     system = small_system(horizon=6)
-    a = simulate_price_scenarios(system, 5, seed=3, threads=1)
-    b = simulate_price_scenarios(system, 5, seed=3, threads=2)
+    a = simulate_price_scenarios(system, 5, seed=3)
+    b = simulate_price_scenarios(system, 5, seed=3)
     assert np.array_equal(a.lam, b.lam)
 
 
@@ -58,7 +58,7 @@ def test_quadratic_price_mean_matches_price_at_mean_load():
     scenario-mean price equals the price at the mean load to MC accuracy."""
     system = small_system(horizon=6, storage_ratio=0.0)
     n = 500
-    prices = simulate_price_scenarios(system, n, seed=7, threads=4)
+    prices = simulate_price_scenarios(system, n, seed=7)
     ref = solve_dispatch(system.with_sigma_scale(0.0), verify=False).lam
     for t in range(6):
         se = float(np.std(prices.lam[:, t])) / np.sqrt(n)
@@ -298,7 +298,7 @@ def test_clearing_horizon_mismatch():
 def comparison():
     system = small_system(horizon=12)
     return compare_mechanisms(system, n_scenarios=40, seed=11, retire_frac=0.2,
-                              grid_size=15, threads=4, n_batches=8)
+                              grid_size=15, n_batches=8)
 
 
 def test_comparison_welfare_system_cost_not_higher(comparison):
@@ -319,7 +319,7 @@ def test_comparison_deterministic_systems_agree():
     """With no uncertainty there is nothing to exploit: both mechanisms
     reduce to the same deterministic dispatch costs."""
     system = small_system(horizon=6).with_sigma_scale(0.0)
-    out = compare_mechanisms(system, n_scenarios=3, seed=2, grid_size=15, threads=1)
+    out = compare_mechanisms(system, n_scenarios=3, seed=2, grid_size=15)
     s = out["summary"]
     assert s["welfare"]["system_cost"] == pytest.approx(s["bidding"]["system_cost"], rel=2e-3)
 
@@ -333,13 +333,12 @@ def test_per_scenario_value_function_mode():
     from storage_pricer.baseline import comparison_system
 
     base = comparison_system(system)
-    prices = simulate_price_scenarios(base, 3, seed=5, threads=1)
+    prices = simulate_price_scenarios(base, 3, seed=5)
     vf_mean = dp_value_function(prices.mean_path(), base.storage, grid_size=15)
     vf_scen = dp_value_function_per_scenario(prices, base.storage, grid_size=15)
     for t in range(len(vf_mean.values)):
         assert vf_scen.values[t] == pytest.approx(vf_mean.values[t], abs=1e-9)
-    out = compare_mechanisms(system, n_scenarios=3, seed=5, grid_size=15,
-                             threads=1, price_mode="per-scenario")
+    out = compare_mechanisms(system, n_scenarios=3, seed=5, grid_size=15, price_mode="per-scenario")
     assert out["summary"]["n_scenarios"] == 3
 
 
@@ -347,9 +346,19 @@ def test_comparison_self_deltas_zero():
     """The same schedule evaluated twice on the same draws yields identical
     metrics (self-comparison gives zero deltas)."""
     system = small_system(horizon=6)
-    out = compare_mechanisms(system, n_scenarios=4, seed=3, grid_size=15, threads=1)
+    out = compare_mechanisms(system, n_scenarios=4, seed=3, grid_size=15)
     rows = [r for r in out["table"] if r["mechanism"] == "welfare"]
-    again = compare_mechanisms(system, n_scenarios=4, seed=3, grid_size=15, threads=1)
+    again = compare_mechanisms(system, n_scenarios=4, seed=3, grid_size=15)
     rows2 = [r for r in again["table"] if r["mechanism"] == "welfare"]
     for a, b in zip(rows, rows2):
         assert a == b
+
+
+def test_comparison_clears_scenario_seed_five():
+    """Bid clearing for scenario seed 5 of the default cubic system meets an
+    exactly singular KKT matrix; the regularised retry carries it through."""
+    system = synth_test_system(fit_degree=3)
+    out = compare_mechanisms(system, n_scenarios=4, seed=5, retire_frac=0.2)
+    assert out["cleared"]["status"] == "optimal"
+    s = out["summary"]
+    assert s["welfare"]["system_cost"] <= s["bidding"]["system_cost"]

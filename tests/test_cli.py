@@ -90,7 +90,7 @@ def test_fit_dist_command(tmp_path):
 def test_compare_schema(tmp_path):
     out = tmp_path / "c"
     code = run(["compare", *SMALL, "--scenarios", "6", "--retire-frac", "0.2",
-                "--grid-size", "15", "--threads", "2", "--out", str(out)])
+                "--grid-size", "15", "--out", str(out)])
     assert code == 0
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header == "mechanism,scenario,storage_profit,gen_cost,system_cost,payment"
@@ -112,6 +112,29 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert code == 0
     manifest2 = json.loads((out2 / "manifest.json").read_text())
     assert manifest2["config"]["epsilon"] == 0.05
+
+
+@pytest.mark.parametrize("line,needle", [("threads = 4", "unknown key 'threads'"),
+                                          ("epsilon = five", "epsilon expects float")])
+def test_config_file_bad_line_exits_one(tmp_path, capsys, line, needle):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"horizon = 6\nsynthetic = true\n{line}\n")
+    code = run(["dispatch", "--config", str(cfg), "--out", str(tmp_path / "a")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: " in err and needle in err
+
+
+def test_singular_kkt_exits_two(tmp_path, monkeypatch):
+    """A KKT matrix that stays singular after the regularised retry ends the
+    solve with a status, reported as a solver failure, not a raw scipy error."""
+    import scipy.linalg
+
+    def singular(K, *args, **kwargs):
+        return np.zeros_like(K), np.arange(K.shape[0], dtype=np.int32)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
+    assert run(["dispatch", *SMALL, "--out", str(tmp_path / "s")]) == 2
 
 
 def test_inputs_not_mutated(tmp_path):

@@ -1,34 +1,130 @@
-"""Cost-model tests: expected-cost closed forms vs Monte Carlo / finite
-differences, merit-order stacking, and polynomial fitting."""
+"""Cost-model tests: the expected-cost kernel vs its scalar closed form,
+Monte Carlo and finite differences, merit-order stacking, and polynomial
+fitting."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storage_pricer.costs import (
+    DERIVATIVES,
     CostPolynomial,
     FleetCurve,
     Segment,
     StorageSpec,
     check_expected_cost_convexity,
-    expected_gen_cost,
+    expected_cost_derivatives,
+    expected_cost_table,
     expected_storage_cost,
     fit_polynomial_to_merit_curve,
     load_fleet_csv,
-    marginal_expected_cost,
     merit_order_cost,
 )
-from storage_pricer.distributions import ErrorMoments
+from storage_pricer.distributions import ErrorMoments, gaussian_raw_moment
 from storage_pricer.errors import DomainError, SchemaError, UnsupportedDegreeError
+from storage_pricer.theory import interior_charging_theta
 
 
 def poly(coeffs, g_min=0.0, g_max=50.0):
     return CostPolynomial(tuple(coeffs), g_min=g_min, g_max=g_max)
 
 
+def expected_cost(p, g, phi, moments):
+    """The kernel's six outputs (value, two gradients, three Hessian entries)
+    at one point of a one-period table."""
+    return [float(v[0]) for v in expected_cost_derivatives(expected_cost_table(p, [moments]), g, phi)]
+
+
 # ---------------------------------------------------------------------------
-# expected_gen_cost
+# scalar oracle: the closed form term by term
+# ---------------------------------------------------------------------------
+
+
+def oracle(coeffs, g, phi, moments, dg=0, dphi=0):
+    """d^(dg+dphi) E[G(g + phi d)] / dg^dg dphi^dphi for Python floats g, phi,
+    from E[G(g + phi d)] = sum_i c_i sum_k C(i,k) g^(i-k) phi^k E[d^k]."""
+    total = 0.0
+    for i, c in enumerate(coeffs):
+        if c == 0.0:
+            continue
+        for k in range(i + 1):
+            fg, fp = math.perm(i - k, dg), math.perm(k, dphi)  # falling factorials
+            if fg == 0 or fp == 0:
+                continue
+            total += (c * math.comb(i, k) * fg * fp * g ** (i - k - dg) * phi ** (k - dphi)
+                      * gaussian_raw_moment(moments, k))
+    return total
+
+
+def oracle_gate(p, moments_list, g_lo, g_hi, n_grid=15):
+    """The convexity gate as a loop over periods, then g, then phi."""
+    for moments in moments_list:
+        for g in np.linspace(g_lo, g_hi, n_grid):
+            for phi in np.linspace(0.0, 1.0, 7):
+                dgg, dgp, dpp = (oracle(p.coeffs, float(g), float(phi), moments, *d)
+                                 for d in DERIVATIVES[3:])
+                tr = dgg + dpp
+                det = dgg * dpp - dgp * dgp
+                scale = max(1.0, abs(dgg), abs(dpp))
+                if tr < -1e-9 * scale or det < -1e-9 * scale * scale:
+                    raise DomainError(
+                        f"expected cost not convex at g={g:.4g}, phi={phi:.3g} "
+                        f"(trace={tr:.4g}, det={det:.4g})"
+                    )
+
+
+def gate_message(gate, *args):
+    try:
+        gate(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+moments_st = st.builds(ErrorMoments, st.floats(-5.0, 5.0),
+                       st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(degree=st.integers(1, 4), data=st.data())
+def test_kernel_matches_scalar_oracle(degree, data):
+    """All six outputs for every period, on g outside the polynomial's
+    domain [0, 20] and phi outside [0, 1] (clamped), over one extra axis.
+    The kernel sums the same terms in the same order, so it is exact."""
+    coeffs = [data.draw(st.floats(0.0, 10.0)) * 10.0**-i for i in range(degree + 1)]
+    p = CostPolynomial(tuple(coeffs), g_min=0.0, g_max=20.0)
+    T = data.draw(st.integers(1, 4))
+    moments = [data.draw(moments_st) for _ in range(T)]
+    g = np.array(data.draw(st.lists(st.floats(-40.0, 60.0), min_size=2 * T, max_size=2 * T)))
+    phi = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=2 * T, max_size=2 * T)))
+    g, phi = g.reshape(2, T), phi.reshape(2, T)
+    out = expected_cost_derivatives(expected_cost_table(p, moments), g, phi)
+    for k, (dg, dphi) in enumerate(DERIVATIVES):
+        assert out[k].shape == (2, T)
+        for r in range(2):
+            for t in range(T):
+                phi_c = min(max(float(phi[r, t]), 0.0), 1.0)
+                ref = oracle(p.coeffs, float(g[r, t]), phi_c, moments[t], dg, dphi)
+                assert out[k][r, t] == ref, (k, r, t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(c=st.tuples(st.floats(0.0, 10.0), st.floats(-0.5, 0.5), st.floats(-0.05, 0.05),
+                   st.floats(-0.005, 0.005)),
+       degree=st.integers(1, 4),
+       moments=st.lists(moments_st, min_size=1, max_size=3))
+def test_convexity_gate_matches_looped_oracle(c, degree, moments):
+    p = SimpleNamespace(coeffs=(0.0,) + c[:degree])
+    ours = gate_message(check_expected_cost_convexity, p, moments, 0.0, 20.0)
+    assert ours == gate_message(oracle_gate, p, moments, 0.0, 20.0)
+
+
+# ---------------------------------------------------------------------------
+# expected cost
 # ---------------------------------------------------------------------------
 
 
@@ -42,20 +138,20 @@ def test_expected_cost_deterministic_collapse():
         p = CostPolynomial(tuple(coeffs), g_min=0.0, g_max=10.0)
         g = float(rng.uniform(0, 10))
         phi = float(rng.uniform(0, 1))
-        assert expected_gen_cost(p, g, phi, zero) == pytest.approx(p.value(g), rel=1e-12, abs=1e-12)
+        assert expected_cost(p, g, phi, zero)[0] == pytest.approx(p.value(g), rel=1e-12, abs=1e-12)
 
 
 def test_expected_cost_with_mean_shift_collapse():
     # sigma = 0 but mu != 0: expectation is G(g + phi mu) exactly.
     p = poly([1.0, 2.0, 0.3])
     m = ErrorMoments(mu=4.0, sigma=0.0)
-    assert expected_gen_cost(p, 2.0, 0.5, m) == pytest.approx(p.value(2.0 + 0.5 * 4.0), rel=1e-12)
+    assert expected_cost(p, 2.0, 0.5, m)[0] == pytest.approx(p.value(2.0 + 0.5 * 4.0), rel=1e-12)
 
 
 def test_expected_cost_quadratic_monte_carlo():
     # Oracle: E[(1+d)^2] with d ~ N(0,1) is 2 exactly; MC cross-check.
     p = poly([0.0, 0.0, 1.0])
-    got = expected_gen_cost(p, 1.0, 1.0, ErrorMoments(0.0, 1.0))
+    got = expected_cost(p, 1.0, 1.0, ErrorMoments(0.0, 1.0))[0]
     assert got == pytest.approx(2.0, rel=1e-12)
     rng = np.random.default_rng(0)
     d = rng.normal(0, 1, 2_000_000)
@@ -65,13 +161,14 @@ def test_expected_cost_quadratic_monte_carlo():
 
 def test_expected_cost_cubic_odd_moments_vanish():
     p = CostPolynomial((0.0, 0.0, 0.0, 1.0), g_min=0.0, g_max=10.0)
-    got = expected_gen_cost(p, 0.0, 1.0, ErrorMoments(0.0, 1.0))
+    got = expected_cost(p, 0.0, 1.0, ErrorMoments(0.0, 1.0))[0]
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_expected_cost_rejects_bad_phi():
+    # the kernel clamps phi; the public entry that takes a user phi rejects it
     with pytest.raises(DomainError):
-        expected_gen_cost(poly([0, 1]), 1.0, 1.5, ErrorMoments(0, 1))
+        interior_charging_theta(poly([0, 1]), 1.0, 1.5, ErrorMoments(0, 1), 1.0)
 
 
 def test_degree_cap_enforced():
@@ -93,29 +190,29 @@ def test_storage_cost_examples():
 
 
 # ---------------------------------------------------------------------------
-# marginal_expected_cost vs central finite differences
+# marginal expected cost vs central finite differences
 # ---------------------------------------------------------------------------
 
 
 def fd_marginal(p, g, phi, moments):
     h = 1e-4 * max(1.0, abs(g))
-    return (expected_gen_cost(p, g + h, phi, moments) - expected_gen_cost(p, g - h, phi, moments)) / (2 * h)
+    return (expected_cost(p, g + h, phi, moments)[0] - expected_cost(p, g - h, phi, moments)[0]) / (2 * h)
 
 
 def test_marginal_linear_poly():
-    assert marginal_expected_cost(poly([0.0, 1.0]), 3.3, 0.7, ErrorMoments(1, 5)) == pytest.approx(1.0)
+    assert expected_cost(poly([0.0, 1.0]), 3.3, 0.7, ErrorMoments(1, 5))[1] == pytest.approx(1.0)
 
 
 def test_marginal_quadratic_frozen():
     # FD oracle of 2(g + phi mu) at g=3, phi=1, mu=1 -> 8.
-    got = marginal_expected_cost(poly([0, 0, 1]), 3.0, 1.0, ErrorMoments(1.0, 5.0))
+    got = expected_cost(poly([0, 0, 1]), 3.0, 1.0, ErrorMoments(1.0, 5.0))[1]
     assert got == pytest.approx(8.0, rel=1e-12)
 
 
 def test_marginal_cubic_frozen():
     # FD oracle of 3(g^2 + 2 g phi mu + phi^2 (mu^2 + sigma^2)) at g=0, phi=1 -> 3.
     p = CostPolynomial((0, 0, 0, 1.0), g_min=0.0, g_max=10.0)
-    got = marginal_expected_cost(p, 0.0, 1.0, ErrorMoments(0.0, 1.0))
+    got = expected_cost(p, 0.0, 1.0, ErrorMoments(0.0, 1.0))[1]
     assert got == pytest.approx(3.0, rel=1e-12)
 
 
@@ -128,7 +225,7 @@ def test_marginal_matches_fd_randomized():
         g = float(rng.uniform(0, 20))
         phi = float(rng.uniform(0, 1))
         m = ErrorMoments(float(rng.normal(0, 2)), float(rng.uniform(0, 3)))
-        got = marginal_expected_cost(p, g, phi, m)
+        got = expected_cost(p, g, phi, m)[1]
         ref = fd_marginal(p, g, phi, m)
         assert got == pytest.approx(ref, rel=1e-6, abs=1e-9)
 

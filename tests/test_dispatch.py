@@ -257,17 +257,17 @@ def test_equilibrium_detects_perturbed_price():
 
 
 def test_interior_generator_lambda_equals_marginal_cost():
-    from storage_pricer.costs import marginal_expected_cost
+    from storage_pricer.costs import expected_cost_derivatives, expected_cost_table
     from storage_pricer.distributions import ErrorMoments
 
     system = storage_system([80.0, 120.0, 100.0], sigma=3.0, eta=0.9, M=5.0)
     sol = solve_dispatch(system)
+    table = expected_cost_table(system.poly, [ErrorMoments(0.0, 3.0)] * 3)
+    marg = expected_cost_derivatives(table, sol.g, sol.phi)[1]
     for t in range(3):
         assert sol.dual("nu_lo", t + 1) <= 1e-7
         assert sol.dual("nu_hi", t + 1) <= 1e-7
-        marg = marginal_expected_cost(system.poly, float(sol.g[t]),
-                                      float(sol.phi[t]), ErrorMoments(0.0, 3.0))
-        assert sol.lam[t] == pytest.approx(marg, abs=1e-6)
+        assert sol.lam[t] == pytest.approx(marg[t], abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

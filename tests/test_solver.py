@@ -162,6 +162,25 @@ def test_iteration_cap_returns_best_iterate():
     assert np.isfinite(res.max_residual)
 
 
+def test_singular_kkt_ends_with_status(monkeypatch):
+    """lu_factor only warns on an exactly singular matrix; a zero pivot in
+    both the factorisation and its regularised retry ends the solve with a
+    status instead of a NaN step."""
+    import scipy.linalg
+
+    calls = []
+
+    def singular(K, *args, **kwargs):
+        calls.append(K.shape)
+        return np.zeros_like(K), np.arange(K.shape[0], dtype=np.int32)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
+    prog = quadratic_program(np.eye(2), np.ones(2), G=-np.eye(2), h=np.zeros(2))
+    res = solve_convex(prog)
+    assert res.status in (ITER_LIMIT, INFEASIBLE)
+    assert len(calls) >= 2
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
