@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .costs import (
     expected_cost_derivatives,
@@ -33,7 +34,7 @@ from .dispatch import solve_dispatch
 from .errors import ConfigurationError, DomainError, SolverError
 from .reformulation import make_period_quantiles
 from .scenarios import sample_net_load
-from .solver import ConvexProgram, solve_convex
+from .solver import ConvexProgram, csr_from_triplets, solve_convex
 
 _EVAL_SEED_OFFSET = 1_000_003
 
@@ -337,7 +338,7 @@ def clear_with_bids(system, bids, tol=1e-8):
     n = pos + T
 
     lin = np.zeros(n)
-    quad_idx = list(range(T))
+    quad_idx = np.arange(T)
     for t in range(T):
         for s, (_, price) in enumerate(p_segs[t]):
             lin[p_ofs[t] + s] = price
@@ -356,103 +357,65 @@ def clear_with_bids(system, bids, tol=1e-8):
         return out
 
     def hess(x):
-        H = np.zeros((n, n))
-        H[quad_idx, quad_idx] = expected_cost_derivatives(table, x[:T], 1.0)[3]
-        return H
+        dgg = expected_cost_derivatives(table, x[:T], 1.0)[3]
+        return sp.coo_array((dgg, (quad_idx, quad_idx)), shape=(n, n))
 
-    eq_rows, eq_rhs, eq_tags = [], [], []
+    # Rows are collected as (row, column, value) triplets; each row is given
+    # as terms (columns, coefficient).
+    p_cols = [range(p_ofs[t], p_ofs[t] + len(p_segs[t])) for t in range(T)]
+    b_cols = [range(b_ofs[t], b_ofs[t] + len(b_segs[t])) for t in range(T)]
+
+    def add(ijv, rhs_list, terms, rhs):
+        ijv.extend((len(rhs_list), j, c) for cols, c in terms for j in cols)
+        rhs_list.append(rhs)
+
+    eq_ijv, eq_rhs, eq_tags = [], [], []
     D = np.asarray(system.net_load.forecast)
     for t in range(T):
-        row = np.zeros(n)
-        row[t] = 1.0
-        row[p_ofs[t]: p_ofs[t] + len(p_segs[t])] = 1.0
-        row[b_ofs[t]: b_ofs[t] + len(b_segs[t])] = -1.0
-        eq_rows.append(row)
-        eq_rhs.append(float(D[t]))
+        add(eq_ijv, eq_rhs, [([t], 1.0), (p_cols[t], 1.0), (b_cols[t], -1.0)], float(D[t]))
         eq_tags.append(("balance", t + 1))
     for t in range(T):
-        row = np.zeros(n)
-        row[e_of + t] = 1.0
-        rhs = 0.0
-        if t == 0:
-            rhs = st.e_init
-        else:
-            row[e_of + t - 1] = -1.0
-        row[p_ofs[t]: p_ofs[t] + len(p_segs[t])] = 1.0 / st.eta
-        row[b_ofs[t]: b_ofs[t] + len(b_segs[t])] = -st.eta
-        eq_rows.append(row)
-        eq_rhs.append(rhs)
+        terms = [([e_of + t], 1.0)] + ([([e_of + t - 1], -1.0)] if t else [])
+        terms += [(p_cols[t], 1.0 / st.eta), (b_cols[t], -st.eta)]
+        add(eq_ijv, eq_rhs, terms, st.e_init if t == 0 else 0.0)
         eq_tags.append(("soc", t + 1))
     if system.terminal in ("periodic", "fixed"):
-        row = np.zeros(n)
-        row[e_of + T - 1] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(st.e_init if system.terminal == "periodic" else float(system.terminal_value))
+        add(eq_ijv, eq_rhs, [([e_of + T - 1], 1.0)],
+            st.e_init if system.terminal == "periodic" else float(system.terminal_value))
         eq_tags.append(("terminal", T + 1))
 
-    ineq_rows, ineq_rhs = [], []
+    ineq_ijv, ineq_rhs = [], []
 
-    def add_ineq(row, rhs):
-        ineq_rows.append(row)
-        ineq_rhs.append(rhs)
+    def add_ineq(terms, rhs):
+        add(ineq_ijv, ineq_rhs, terms, rhs)
 
     for t in range(T):
         q = quantiles[t + 1]
         # generator bounds with the whole reserve (phi = 1)
-        row = np.zeros(n)
-        row[t] = -1.0
-        add_ineq(row, -(system.g_min - q.gen.d_hat))
-        row = np.zeros(n)
-        row[t] = 1.0
-        add_ineq(row, system.g_max - q.gen.d_tilde)
+        add_ineq([([t], -1.0)], -(system.g_min - q.gen.d_hat))
+        add_ineq([([t], 1.0)], system.g_max - q.gen.d_tilde)
         # segment boxes
-        for s, (width, _) in enumerate(p_segs[t]):
-            row = np.zeros(n)
-            row[p_ofs[t] + s] = 1.0
-            add_ineq(row, width)
-            row = np.zeros(n)
-            row[p_ofs[t] + s] = -1.0
-            add_ineq(row, 0.0)
-        for s, (width, _) in enumerate(b_segs[t]):
-            row = np.zeros(n)
-            row[b_ofs[t] + s] = 1.0
-            add_ineq(row, width)
-            row = np.zeros(n)
-            row[b_ofs[t] + s] = -1.0
-            add_ineq(row, 0.0)
+        for segs, ofs in ((p_segs[t], p_ofs[t]), (b_segs[t], b_ofs[t])):
+            for s, (width, _) in enumerate(segs):
+                add_ineq([([ofs + s], 1.0)], width)
+                add_ineq([([ofs + s], -1.0)], 0.0)
         # aggregate power caps
-        row = np.zeros(n)
-        row[p_ofs[t]: p_ofs[t] + len(p_segs[t])] = 1.0
-        add_ineq(row, st.p_max)
-        row = np.zeros(n)
-        row[b_ofs[t]: b_ofs[t] + len(b_segs[t])] = 1.0
-        add_ineq(row, st.p_max)
+        add_ineq([(p_cols[t], 1.0)], st.p_max)
+        add_ineq([(b_cols[t], 1.0)], st.p_max)
         # SoC band (psi = 0): p/eta <= e_t,  e_t <= E - b*eta
-        row = np.zeros(n)
-        row[p_ofs[t]: p_ofs[t] + len(p_segs[t])] = 1.0 / st.eta
         if t == 0:
-            add_ineq(row, st.e_init)
+            add_ineq([(p_cols[t], 1.0 / st.eta)], st.e_init)
+            add_ineq([(b_cols[t], st.eta)], st.e_max - st.e_init)
         else:
-            row[e_of + t - 1] = -1.0
-            add_ineq(row, 0.0)
-        row = np.zeros(n)
-        row[b_ofs[t]: b_ofs[t] + len(b_segs[t])] = st.eta
-        if t == 0:
-            add_ineq(row, st.e_max - st.e_init)
-        else:
-            row[e_of + t - 1] = 1.0
-            add_ineq(row, st.e_max)
-    row = np.zeros(n)
-    row[e_of + T - 1] = -1.0
-    add_ineq(row, 0.0)
-    row = np.zeros(n)
-    row[e_of + T - 1] = 1.0
-    add_ineq(row, st.e_max)
+            add_ineq([(p_cols[t], 1.0 / st.eta), ([e_of + t - 1], -1.0)], 0.0)
+            add_ineq([(b_cols[t], st.eta), ([e_of + t - 1], 1.0)], st.e_max)
+    add_ineq([([e_of + T - 1], -1.0)], 0.0)
+    add_ineq([([e_of + T - 1], 1.0)], st.e_max)
 
     program = ConvexProgram(
         n=n, value=value, grad=grad, hess=hess,
-        A=np.array(eq_rows), b=np.array(eq_rhs),
-        G=np.array(ineq_rows), h=np.array(ineq_rhs),
+        A=csr_from_triplets(eq_ijv, (len(eq_rhs), n)), b=np.array(eq_rhs),
+        G=csr_from_triplets(ineq_ijv, (len(ineq_rhs), n)), h=np.array(ineq_rhs),
         quadratic=poly.degree <= 2,
     )
     result = solve_convex(program, tol=tol)

@@ -1,6 +1,6 @@
 """Two-stage chance-constrained economic dispatch with price extraction.
 
-Assembles the reformulated dispatch as a dense convex program, solves it
+Assembles the reformulated dispatch as a sparse convex program, solves it
 with the interior-point engine, and reads the three price series out of the
 equality duals:
 
@@ -27,11 +27,12 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 from .costs import check_expected_cost_convexity, expected_cost_derivatives, expected_cost_table
 from .errors import DomainError
 from .reformulation import build_deterministic_constraints, make_period_quantiles
-from .solver import OPTIMAL, ConvexProgram, solve_convex
+from .solver import OPTIMAL, ConvexProgram, csr_from_triplets, solve_convex
 
 if TYPE_CHECKING:
     from .scenarios import NetLoadModel
@@ -198,13 +199,11 @@ def build_dispatch(system, validate_convexity=True):
     D = np.asarray(system.net_load.forecast, dtype=float)
 
     # --- equalities -------------------------------------------------------
-    eq_rows, eq_rhs, eq_tags = [], [], []
+    # Rows are collected as (row, column, value) triplets.
+    eq_ijv, eq_rhs, eq_tags = [], [], []
 
     def add_eq(coeffs, rhs, tag):
-        row = np.zeros(n)
-        for name, c in coeffs.items():
-            row[layout.index[name]] = c
-        eq_rows.append(row)
+        eq_ijv.extend((len(eq_rhs), layout.index[name], c) for name, c in coeffs.items())
         eq_rhs.append(rhs)
         eq_tags.append(tag)
 
@@ -239,16 +238,14 @@ def build_dispatch(system, validate_convexity=True):
             add_eq({name: 1.0}, value, ("pin", name))
 
     # --- inequalities -----------------------------------------------------
-    ineq_rows, ineq_rhs, ineq_tags = [], [], []
+    ineq_ijv, ineq_rhs, ineq_tags = [], [], []
 
     def add_ineq(coeffs, rhs, tag):
-        row = np.zeros(n)
         for name, c in coeffs.items():
             if name == "e[1]":
                 rhs = rhs - c * storage.e_init
                 continue
-            row[layout.index[name]] = c
-        ineq_rows.append(row)
+            ineq_ijv.append((len(ineq_rhs), layout.index[name], c))
         ineq_rhs.append(rhs)
         ineq_tags.append(tag)
 
@@ -289,10 +286,14 @@ def build_dispatch(system, validate_convexity=True):
     M = storage.marginal_cost if has_storage else 0.0
     mus = np.array([m.mu for m in moments_list])
     g_idx = np.array([layout.of("g", t) for t in range(1, T + 1)])
+    h_rows = h_cols = g_idx
     if has_storage:
         p_idx = np.array([layout.of("p", t) for t in range(1, T + 1)])
         psi_idx = np.array([layout.of("psi", t) for t in range(1, T + 1)])
         phi_idx = np.array([layout.of("phi", t) for t in range(1, T + 1)])
+        # Hessian entries in the order g/g, g/phi, phi/g, phi/phi
+        h_rows = np.concatenate([g_idx, g_idx, phi_idx, phi_idx])
+        h_cols = np.concatenate([g_idx, phi_idx, g_idx, phi_idx])
 
     def kernel(x):
         return expected_cost_derivatives(table, x[g_idx], x[phi_idx] if has_storage else 1.0)
@@ -315,19 +316,13 @@ def build_dispatch(system, validate_convexity=True):
 
     def hess(x):
         *_, dgg, dgp, dpp = kernel(x)
-        H = np.zeros((n, n))
-        H[g_idx, g_idx] = dgg
-        if has_storage:
-            H[g_idx, phi_idx] = H[phi_idx, g_idx] = dgp
-            H[phi_idx, phi_idx] = dpp
-        return H
+        vals = np.concatenate([dgg, dgp, dgp, dpp]) if has_storage else dgg
+        return sp.coo_array((vals, (h_rows, h_cols)), shape=(n, n))
 
     program = ConvexProgram(
         n=n, value=value, grad=grad, hess=hess,
-        A=np.array(eq_rows) if eq_rows else None,
-        b=np.array(eq_rhs) if eq_rhs else None,
-        G=np.array(ineq_rows) if ineq_rows else None,
-        h=np.array(ineq_rhs) if ineq_rhs else None,
+        A=csr_from_triplets(eq_ijv, (len(eq_rhs), n)), b=np.array(eq_rhs, dtype=float),
+        G=csr_from_triplets(ineq_ijv, (len(ineq_rhs), n)), h=np.array(ineq_rhs, dtype=float),
         quadratic=poly.degree <= 2,
     )
     return DispatchBuild(program=program, layout=layout, system=system,

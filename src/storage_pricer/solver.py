@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver with certified KKT residuals.
+"""Sparse primal-dual interior-point solver with certified KKT residuals.
 
 Solves   min f(x)  s.t.  A x = b,  G x <= h
 for smooth convex f supplied as (value, gradient, Hessian) callbacks.
@@ -17,16 +17,21 @@ degree-3/4 objectives the same steps damped only against residual-merit
 divergence (the step tracks the central path rather than descending the
 residual norm).  A final active-set polish re-solves the equality-
 constrained KKT system and pushes residuals toward machine precision.
-Everything is dense; the target scale is a few thousand variables at most.
+
+Everything is sparse.  The constraint matrices are CSR arrays, and each
+Newton system is the statically regularised (quasi-definite) KKT matrix,
+assembled in CSC form and factored with ``scipy.sparse.linalg.splu``.
+Multi-period dispatches couple periods only through the SoC recursion, so
+the factor stays banded and the cost grows about linearly with the horizon.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from .errors import DomainError
 
@@ -36,9 +41,26 @@ UNBOUNDED = "unbounded"
 ITER_LIMIT = "iter_limit"
 
 
+def _csr(M):
+    """M (dense, nested lists or any scipy.sparse format) as a float CSR array."""
+    return sp.csr_array(M if sp.issparse(M) else np.atleast_2d(np.asarray(M, dtype=float)),
+                        dtype=float)
+
+
+def csr_from_triplets(ijv, shape):
+    """CSR array of ``shape`` from a sequence of (row, column, value) triplets."""
+    i, j, v = zip(*ijv) if ijv else ((), (), ())
+    return sp.csr_array((np.array(v, dtype=float), (np.array(i, dtype=np.intp), np.array(j, dtype=np.intp))),
+                        shape=shape)
+
+
 @dataclass
 class ConvexProgram:
-    """Smooth convex objective plus dense linear constraints."""
+    """Smooth convex objective plus sparse linear constraints.
+
+    ``A`` and ``G`` are stored as CSR arrays; dense input is converted once
+    here.  ``hess`` may return a dense array or any scipy.sparse matrix.
+    """
 
     n: int
     value: callable
@@ -51,9 +73,9 @@ class ConvexProgram:
     quadratic: bool = False   # constant Hessian: enables undamped steps
 
     def __post_init__(self):
-        self.A = np.zeros((0, self.n)) if self.A is None else np.atleast_2d(np.asarray(self.A, float))
+        self.A = sp.csr_array((0, self.n)) if self.A is None else _csr(self.A)
         self.b = np.zeros(0) if self.b is None else np.atleast_1d(np.asarray(self.b, float))
-        self.G = np.zeros((0, self.n)) if self.G is None else np.atleast_2d(np.asarray(self.G, float))
+        self.G = sp.csr_array((0, self.n)) if self.G is None else _csr(self.G)
         self.h = np.zeros(0) if self.h is None else np.atleast_1d(np.asarray(self.h, float))
         if self.A.shape != (self.b.size, self.n):
             raise DomainError(f"equality block shape mismatch: A {self.A.shape}, b {self.b.shape}")
@@ -62,13 +84,13 @@ class ConvexProgram:
 
 
 def quadratic_program(Q, c, A=None, b=None, G=None, h=None):
-    """Convenience constructor for min 0.5 x^T Q x + c^T x."""
-    Q = np.asarray(Q, dtype=float)
+    """Convenience constructor for min 0.5 x^T Q x + c^T x (Q dense or sparse)."""
+    Q = _csr(Q)
     c = np.asarray(c, dtype=float)
     n = c.size
     return ConvexProgram(
         n=n,
-        value=lambda x: float(0.5 * x @ Q @ x + c @ x),
+        value=lambda x: float(0.5 * x @ (Q @ x) + c @ x),
         grad=lambda x: Q @ x + c,
         hess=lambda x: Q,
         A=A, b=b, G=G, h=h, quadratic=True,
@@ -116,58 +138,79 @@ def _step_to_boundary(v, dv, cap=1.0):
     return min(cap, float(np.min(-v[neg] / dv[neg])))
 
 
-def _lu_factor(K):
-    """LU factors of K, or None when a pivot is zero or not finite.
+def _kkt(top, B, lower):
+    """CSC matrix [[top, B^T], [B, -lower * I]]."""
+    k = B.shape[0]
+    return sp.block_array([[top, B.T], [B, sp.diags_array(np.full(k, -lower), shape=(k, k))]],
+                          format="csc")
 
-    ``lu_factor`` only warns on an exactly singular matrix, and solving with
-    such factors returns NaN, so the pivots are checked here instead.
+
+def _factor(K):
+    """Sparse LU factors of the CSC matrix K, or None when a pivot is zero
+    or not finite.
+
+    ``splu`` raises on an exactly singular matrix, but solving with factors
+    whose pivots are not finite returns NaN, so the pivots are checked here.
     """
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(K)
-    except (scipy.linalg.LinAlgError, ValueError):
+        lu = scipy.sparse.linalg.splu(K)
+    except RuntimeError:
         return None
-    pivots = np.diag(lu[0])
+    pivots = lu.U.diagonal()
     return lu if np.all(np.isfinite(pivots) & (pivots != 0.0)) else None
+
+
+def _hess_norm(H):
+    """The objective scale the static regularisation is taken relative to."""
+    return max(1.0, float(scipy.sparse.linalg.norm(H, np.inf)))
+
+
+def _min_norm_point(A, b):
+    """Least-norm x minimising ||A x - b||, or None when the factorisation fails.
+
+    Factors the regularised system [I A^T; A -1e-12 I] and refines against
+    the pure one, so rank-deficient and inconsistent A are handled alike.
+    """
+    n = A.shape[1]
+    eye = sp.eye_array(n, format="csr")
+    K0 = _kkt(eye, A, 0.0)
+    lu = _factor(_kkt(eye, A, 1e-12))
+    if lu is None:
+        return None
+    rhs = np.concatenate([np.zeros(n), b])
+    sol = lu.solve(rhs)
+    for _ in range(3):
+        sol += lu.solve(rhs - K0 @ sol)
+    return sol[:n] if np.all(np.isfinite(sol[:n])) else None
 
 
 def _polish_solve(prog, x0, active):
     """Newton on the equality-constrained KKT system of a fixed active set."""
-    Ga = prog.G[active]
+    B = sp.vstack([prog.A, prog.G[active]], format="csr")
     ha = prog.h[active]
-    p = prog.A.shape[0]
-    ka = int(np.sum(active))
+    n, p = prog.n, prog.A.shape[0]
     xx = x0.copy()
     yy = np.zeros(p)
-    za = np.zeros(ka)
+    za = np.zeros(ha.size)
     for _ in range(3):
-        H = prog.hess(xx)
+        H = _csr(prog.hess(xx))
         gx = prog.grad(xx)
-        K0 = np.zeros((prog.n + p + ka, prog.n + p + ka))
-        K0[: prog.n, : prog.n] = H
-        K0[: prog.n, prog.n : prog.n + p] = prog.A.T
-        K0[prog.n : prog.n + p, : prog.n] = prog.A
-        K0[: prog.n, prog.n + p :] = Ga.T
-        K0[prog.n + p :, : prog.n] = Ga
         # Factor a lightly regularized copy (redundant active rows make K0
         # singular), then refine against the pure system so the
         # regularization does not leak into the active-row residuals.
-        K = K0.copy()
-        K[: prog.n, : prog.n] += 1e-14 * max(1.0, float(np.linalg.norm(H, np.inf))) * np.eye(prog.n)
-        K[prog.n :, prog.n :] -= 1e-13 * np.eye(p + ka)
-        rhs = np.concatenate([-gx, prog.b - prog.A @ xx, ha - Ga @ xx])
-        lu = _lu_factor(K)
+        K0 = _kkt(H, B, 0.0)
+        lu = _factor(_kkt(H + 1e-14 * _hess_norm(H) * sp.eye_array(n), B, 1e-13))
         if lu is None:
             return None
-        sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        rhs = np.concatenate([-gx, np.concatenate([prog.b, ha]) - B @ xx])
+        sol = lu.solve(rhs)
         for _ in range(3):
-            sol += scipy.linalg.lu_solve(lu, rhs - K0 @ sol, check_finite=False)
+            sol += lu.solve(rhs - K0 @ sol)
         if not np.all(np.isfinite(sol)):
             return None
-        xx = xx + sol[: prog.n]
-        yy = sol[prog.n : prog.n + p]
-        za = sol[prog.n + p :]
+        xx = xx + sol[:n]
+        yy = sol[n : n + p]
+        za = sol[n + p :]
     return xx, yy, za
 
 
@@ -175,10 +218,16 @@ def _polish(prog, x, y, z, s, tol):
     """Active-set refinement from a near-optimal interior-point iterate.
 
     Starts from a complementarity-based guess and iterates: solve the
-    equality-constrained KKT system, drop rows with clearly negative
-    multipliers, add rows the candidate violates.  Degenerate faces leave
-    weakly-active rows with near-zero multipliers, which is fine.  Returns
-    an improved iterate or None when no consistent active set is found.
+    equality-constrained KKT system, drop rows with negative multipliers,
+    add rows the candidate violates.  Degenerate faces leave weakly-active
+    rows with near-zero multipliers, which is fine.  Returns an improved
+    iterate or None when no consistent active set is found.
+
+    A row is dropped as soon as its multiplier is negative beyond rounding.
+    Linearly dependent active rows (kappa_phi_lo and kappa_psi_hi are tied
+    by the reserve row phi + psi = 1) split one multiplier between them in a
+    way the factorisation decides, e.g. +-1.5e-8; keeping the negative half
+    and clipping it to zero later would leave that much stationarity error.
     """
     m = prog.h.size
     if m == 0:
@@ -197,7 +246,7 @@ def _polish(prog, x, y, z, s, tol):
         viol = prog.G @ xx - prog.h
         add = (viol > 10 * tol * scale_h) & ~active
         drop = np.zeros(m, dtype=bool)
-        drop[active] = za < -10 * tol
+        drop[active] = za < -1e-12
         if not np.any(add) and not np.any(drop):
             break
         active = (active | add) & ~drop
@@ -227,14 +276,15 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
     n, p, m = prog.n, prog.A.shape[0], prog.G.shape[0]
 
     # Equality consistency gate: if Ax = b has no solution at all, stop here.
+    # A failed factorisation of the start-point system ends the solve too.
     if p:
-        x_ls, *_ = np.linalg.lstsq(prog.A, prog.b, rcond=None)
-        if np.linalg.norm(prog.A @ x_ls - prog.b, np.inf) > 1e-8 * (1.0 + np.linalg.norm(prog.b, np.inf)):
-            return SolveResult(x_ls, np.zeros(p), np.zeros(m), np.zeros(m), INFEASIBLE,
+        x = _min_norm_point(prog.A, prog.b)
+        if x is None or np.linalg.norm(prog.A @ x - prog.b, np.inf) > 1e-8 * (1.0 + np.linalg.norm(prog.b, np.inf)):
+            return SolveResult(np.zeros(n) if x is None else x, np.zeros(p), np.zeros(m), np.zeros(m),
+                               ITER_LIMIT if x is None else INFEASIBLE,
                                {"stationarity": np.inf, "primal_eq": np.inf,
                                 "primal_ineq": np.inf, "complementarity": np.inf},
                                np.nan, 0)
-        x = x_ls
     else:
         x = np.zeros(n)
 
@@ -247,6 +297,7 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
         s = np.zeros(0)
         z = np.zeros(0)
     y = np.zeros(p)
+    GT = prog.G.T.tocsr()
 
     best = None
     best_mu = np.inf
@@ -254,7 +305,7 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
     stall = 0
     it = 0
     for it in range(1, iter_cap + 1):
-        H = prog.hess(x)
+        H = _csr(prog.hess(x))
         r_d, r_p, r_g, comp = _residuals(prog, x, y, z, s)
         if not all(np.all(np.isfinite(v)) for v in (x, y, z, s, r_d, r_p, r_g)):
             break
@@ -290,36 +341,31 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
                 break
 
         w = np.minimum(z / np.maximum(s, 1e-300), 1e18) if m else np.zeros(0)
-        K11 = H + (prog.G.T * w) @ prog.G if m else H.copy()
+        K11 = H + (GT @ sp.diags_array(w)) @ prog.G if m else H
         # regularize on the objective scale only; the barrier term GtWG is
         # meant to be stiff near active rows and must not inflate reg
-        reg = 1e-11 * max(1.0, float(np.linalg.norm(H, np.inf)))
-        K = np.zeros((n + p, n + p))
-        K[:n, :n] = K11 + reg * np.eye(n)
-        if p:
-            K[:n, n:] = prog.A.T
-            K[n:, :n] = prog.A
-            K[n:, n:] = -1e-12 * np.eye(p)
-        if not np.all(np.isfinite(K)):
+        reg = 1e-11 * _hess_norm(H)
+        K = _kkt(K11 + reg * sp.eye_array(n), prog.A, 1e-12)
+        if not np.all(np.isfinite(K.data)):
             break
-        lu = _lu_factor(K)
+        lu = _factor(K)
         if lu is None:
-            K[:n, :n] += 1e-6 * np.eye(n)
-            lu = _lu_factor(K)
+            K = (K + sp.diags_array(np.concatenate([np.full(n, 1e-6), np.zeros(p)]))).tocsc()
+            lu = _factor(K)
         if lu is None:
             break
 
         def newton(r_c):
             if m:
-                rhs1 = -r_d - prog.G.T @ ((-r_c + z * r_g) / s)
+                rhs1 = -r_d - GT @ ((-r_c + z * r_g) / s)
             else:
                 rhs1 = -r_d
             rhs = np.concatenate([rhs1, -r_p])
             # non-finite steps surface as a non-finite iterate, which ends
             # the loop at the next finiteness check
-            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+            sol = lu.solve(rhs)
             # one round of iterative refinement on the reduced system
-            sol -= scipy.linalg.lu_solve(lu, K @ sol - rhs, check_finite=False)
+            sol -= lu.solve(K @ sol - rhs)
             dx, dy = sol[:n], sol[n:]
             if m:
                 ds = -r_g - prog.G @ dx
@@ -426,15 +472,14 @@ def _phase1_min_violation(prog):
     Returns the optimal t of  min t  s.t.  A x = b,  G x - h <= t,  t >= -1.
     Strictly feasible by construction, so the IPM always converges on it.
     """
-    n, m = prog.n, prog.G.shape[0]
-    G1 = np.hstack([prog.G, -np.ones((m, 1))])
-    G1 = np.vstack([G1, np.concatenate([np.zeros(n), [-1.0]])])
+    n, m, p = prog.n, prog.G.shape[0], prog.A.shape[0]
+    G1 = sp.block_array([[prog.G, np.full((m, 1), -1.0)],
+                         [None, sp.csr_array(([-1.0], ([0], [0])), shape=(1, 1))]], format="csr")
     h1 = np.concatenate([prog.h, [1.0]])
-    A1 = np.hstack([prog.A, np.zeros((prog.A.shape[0], 1))]) if prog.A.shape[0] else None
+    A1 = sp.hstack([prog.A, sp.csr_array((p, 1))], format="csr")
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    aux = quadratic_program(np.zeros((n + 1, n + 1)), c, A=A1, b=prog.b if prog.A.shape[0] else None,
-                            G=G1, h=h1)
+    aux = quadratic_program(sp.csr_array((n + 1, n + 1)), c, A=A1, b=prog.b, G=G1, h=h1)
     res = solve_convex(aux, tol=1e-9, iter_cap=100, _diagnose=False)
     if res.status not in (OPTIMAL, ITER_LIMIT):
         return np.inf

@@ -128,12 +128,17 @@ def test_config_file_bad_line_exits_one(tmp_path, capsys, line, needle):
 def test_singular_kkt_exits_two(tmp_path, monkeypatch):
     """A KKT matrix that stays singular after the regularised retry ends the
     solve with a status, reported as a solver failure, not a raw scipy error."""
-    import scipy.linalg
+    import scipy.sparse
+    import scipy.sparse.linalg
 
-    def singular(K, *args, **kwargs):
-        return np.zeros_like(K), np.arange(K.shape[0], dtype=np.int32)
+    class ZeroPivotLU:
+        def __init__(self, K):
+            self.U = scipy.sparse.csc_array(K.shape)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
+        def solve(self, rhs):
+            return np.full_like(rhs, np.nan)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", ZeroPivotLU)
     assert run(["dispatch", *SMALL, "--out", str(tmp_path / "s")]) == 2
 
 

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from storage_pricer.costs import CostPolynomial, FleetCurve, Segment, StorageSpec
 from storage_pricer.dispatch import (
@@ -185,17 +186,14 @@ def _resolve_with_fixed_pattern(system, sol):
     pattern: p pinned to zero in charging periods, b in the others."""
     build = build_dispatch(system)
     prog = build.program
-    extra = []
-    for t in range(1, system.horizon + 1):
-        name = "p" if sol.b[t - 1] > sol.p[t - 1] else "b"
-        row = np.zeros(prog.n)
-        row[build.layout.of(name, t)] = 1.0
-        extra.append(row)
+    T = system.horizon
+    cols = [build.layout.of("p" if sol.b[t - 1] > sol.p[t - 1] else "b", t) for t in range(1, T + 1)]
+    extra = scipy.sparse.csr_array((np.ones(T), (np.arange(T), cols)), shape=(T, prog.n))
     from storage_pricer.solver import ConvexProgram, solve_convex
 
     fixed = ConvexProgram(
         n=prog.n, value=prog.value, grad=prog.grad, hess=prog.hess,
-        A=np.vstack([prog.A] + extra), b=np.concatenate([prog.b, np.zeros(len(extra))]),
+        A=scipy.sparse.vstack([prog.A, extra]), b=np.concatenate([prog.b, np.zeros(T)]),
         G=prog.G, h=prog.h, quadratic=prog.quadratic)
     return solve_convex(fixed, tol=1e-8)
 

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from storage_pricer.errors import DomainError
 from storage_pricer.solver import (
@@ -162,23 +164,47 @@ def test_iteration_cap_returns_best_iterate():
     assert np.isfinite(res.max_residual)
 
 
-def test_singular_kkt_ends_with_status(monkeypatch):
-    """lu_factor only warns on an exactly singular matrix; a zero pivot in
-    both the factorisation and its regularised retry ends the solve with a
-    status instead of a NaN step."""
-    import scipy.linalg
+class ZeroPivotLU:
+    """Stand-in for splu factors with an exactly zero pivot."""
 
+    def __init__(self, K):
+        self.U = scipy.sparse.csc_array(K.shape)
+
+    def solve(self, rhs):
+        return np.full_like(rhs, np.nan)
+
+
+def test_singular_kkt_ends_with_status(monkeypatch):
+    """Factors with a zero pivot in both the factorisation and its
+    regularised retry end the solve with a status instead of a NaN step."""
     calls = []
 
     def singular(K, *args, **kwargs):
         calls.append(K.shape)
-        return np.zeros_like(K), np.arange(K.shape[0], dtype=np.int32)
+        return ZeroPivotLU(K)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     prog = quadratic_program(np.eye(2), np.ones(2), G=-np.eye(2), h=np.zeros(2))
     res = solve_convex(prog)
     assert res.status in (ITER_LIMIT, INFEASIBLE)
     assert len(calls) >= 2
+
+
+def test_exactly_singular_kkt_ends_with_status(monkeypatch):
+    """splu raises on an exactly singular matrix, in the start-point solve as
+    well as in the Newton system; either way the solve ends with a status."""
+    calls = []
+
+    def singular(K, *args, **kwargs):
+        calls.append(K.shape)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    ineq = quadratic_program(np.eye(2), np.ones(2), G=-np.eye(2), h=np.zeros(2))
+    assert solve_convex(ineq).status in (ITER_LIMIT, INFEASIBLE)
+    assert len(calls) >= 2
+    eq = quadratic_program(np.eye(2), np.ones(2), A=[[1.0, 1.0]], b=[1.0])
+    assert solve_convex(eq).status == ITER_LIMIT
 
 
 # ---------------------------------------------------------------------------

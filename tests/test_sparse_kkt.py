@@ -1,0 +1,423 @@
+"""The sparse KKT solve path against a dense oracle, the active-set polish on
+dependent rows, and a long horizon.
+
+``dense_solve_convex`` below is the dense interior-point solver the sparse
+path replaced, kept here as the reference: the same Mehrotra iteration, the
+same regularisations and the same polish, with dense LU factors, a dense
+``lstsq`` start point and ``G^T W G`` formed densely.  Its polish drops
+active rows whose multiplier is negative beyond rounding, like the solver's.
+"""
+
+import time
+import warnings
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from storage_pricer.dispatch import _extract_solution, build_dispatch, solve_dispatch
+from storage_pricer.scenarios import synth_test_system
+from storage_pricer.solver import (
+    INFEASIBLE,
+    ITER_LIMIT,
+    OPTIMAL,
+    UNBOUNDED,
+    SolveResult,
+    quadratic_program,
+    solve_convex,
+)
+from storage_pricer.theory import verify_price_coupling
+
+# ---------------------------------------------------------------------------
+# dense oracle
+# ---------------------------------------------------------------------------
+
+
+def _dense(M):
+    return M.toarray() if scipy.sparse.issparse(M) else np.atleast_2d(np.asarray(M, dtype=float))
+
+
+class DenseProgram:
+    """A program's data with dense A, G and Hessian."""
+
+    def __init__(self, prog):
+        self.n, self.b, self.h = prog.n, prog.b, prog.h
+        self.A, self.G = _dense(prog.A), _dense(prog.G)
+        self.value, self.grad, self.quadratic = prog.value, prog.grad, prog.quadratic
+        self._hess = prog.hess
+
+    def hess(self, x):
+        return _dense(self._hess(x))
+
+
+def _lu_factor(K):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(K)
+    pivots = np.diag(lu[0])
+    return lu if np.all(np.isfinite(pivots) & (pivots != 0.0)) else None
+
+
+def _residuals(prog, x, y, z, s):
+    r_d = prog.grad(x) + prog.A.T @ y + prog.G.T @ z
+    return r_d, prog.A @ x - prog.b, prog.G @ x + s - prog.h, s * z
+
+
+def _report(prog, x, y, z, s):
+    r_d, r_p, r_g, comp = _residuals(prog, x, y, z, s)
+    return {
+        "stationarity": float(np.linalg.norm(r_d, np.inf)) if r_d.size else 0.0,
+        "primal_eq": float(np.linalg.norm(r_p, np.inf)) if r_p.size else 0.0,
+        "primal_ineq": float(np.linalg.norm(r_g, np.inf)) if r_g.size else 0.0,
+        "complementarity": float(np.max(np.abs(comp))) if comp.size else 0.0,
+    }
+
+
+def _merit(prog, x, y, z, s, mu):
+    r_d, r_p, r_g, comp = _residuals(prog, x, y, z, s)
+    pieces = [r_d, r_p, r_g] + ([comp - mu] if comp.size else [])
+    return float(np.sqrt(sum(float(v @ v) for v in pieces)))
+
+
+def _step_to_boundary(v, dv):
+    neg = dv < 0
+    return min(1.0, float(np.min(-v[neg] / dv[neg]))) if np.any(neg) else 1.0
+
+
+def _polish_solve(prog, x0, active):
+    Ga, ha = prog.G[active], prog.h[active]
+    n, p, ka = prog.n, prog.A.shape[0], int(np.sum(active))
+    xx, yy, za = x0.copy(), np.zeros(p), np.zeros(ka)
+    for _ in range(3):
+        H = prog.hess(xx)
+        K0 = np.zeros((n + p + ka, n + p + ka))
+        K0[:n, :n] = H
+        K0[:n, n:n + p] = prog.A.T
+        K0[n:n + p, :n] = prog.A
+        K0[:n, n + p:] = Ga.T
+        K0[n + p:, :n] = Ga
+        K = K0.copy()
+        K[:n, :n] += 1e-14 * max(1.0, float(np.linalg.norm(H, np.inf))) * np.eye(n)
+        K[n:, n:] -= 1e-13 * np.eye(p + ka)
+        rhs = np.concatenate([-prog.grad(xx), prog.b - prog.A @ xx, ha - Ga @ xx])
+        lu = _lu_factor(K)
+        if lu is None:
+            return None
+        sol = scipy.linalg.lu_solve(lu, rhs)
+        for _ in range(3):
+            sol += scipy.linalg.lu_solve(lu, rhs - K0 @ sol)
+        if not np.all(np.isfinite(sol)):
+            return None
+        xx, yy, za = xx + sol[:n], sol[n:n + p], sol[n + p:]
+    return xx, yy, za
+
+
+def _polish(prog, x, z, s, tol):
+    m = prog.h.size
+    if m == 0:
+        out = _polish_solve(prog, x, np.zeros(0, dtype=bool))
+        return None if out is None else (out[0], out[1], np.zeros(0), np.zeros(0))
+    scale_h = 1.0 + np.abs(prog.h)
+    active = (z > s) | (s <= 1e3 * tol * scale_h)
+    for _ in range(8):
+        out = _polish_solve(prog, x, active)
+        if out is None:
+            return None
+        xx, yy, za = out
+        add = (prog.G @ xx - prog.h > 10 * tol * scale_h) & ~active
+        drop = np.zeros(m, dtype=bool)
+        drop[active] = za < -1e-12
+        if not np.any(add) and not np.any(drop):
+            break
+        active = (active | add) & ~drop
+    else:
+        return None
+    if za.size and np.min(za) < -10 * tol:
+        return None
+    zz = np.zeros(m)
+    zz[active] = np.maximum(za, 0.0)
+    ss = prog.h - prog.G @ xx
+    if np.min(ss) < -10 * tol:
+        return None
+    return xx, yy, zz, np.maximum(ss, 0.0)
+
+
+def _phase1_min_violation(prog):
+    n, m, p = prog.n, prog.G.shape[0], prog.A.shape[0]
+    G1 = np.vstack([np.hstack([prog.G, -np.ones((m, 1))]), np.concatenate([np.zeros(n), [-1.0]])])
+    A1 = np.hstack([prog.A, np.zeros((p, 1))])
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    aux = quadratic_program(np.zeros((n + 1, n + 1)), c, A=A1, b=prog.b, G=G1,
+                            h=np.concatenate([prog.h, [1.0]]))
+    res = dense_solve_convex(aux, tol=1e-9, iter_cap=100, _diagnose=False)
+    return float(res.x[-1]) if res.status in (OPTIMAL, ITER_LIMIT) else np.inf
+
+
+def dense_solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
+    """The dense reference solver; same contract as ``solve_convex``."""
+    prog = DenseProgram(program)
+    n, p, m = prog.n, prog.A.shape[0], prog.G.shape[0]
+    x = np.zeros(n)
+    if p:
+        x, *_ = np.linalg.lstsq(prog.A, prog.b, rcond=None)
+        if np.linalg.norm(prog.A @ x - prog.b, np.inf) > 1e-8 * (1.0 + np.linalg.norm(prog.b, np.inf)):
+            inf = {k: np.inf for k in ("stationarity", "primal_eq", "primal_ineq", "complementarity")}
+            return SolveResult(x, np.zeros(p), np.zeros(m), np.zeros(m), INFEASIBLE, inf, np.nan, 0)
+    raw = prog.h - prog.G @ x
+    s = raw + max(0.0, -float(np.min(raw))) + max(1.0, 0.01 * float(np.linalg.norm(prog.h, np.inf))) \
+        if m else np.zeros(0)
+    z, y = np.ones(m), np.zeros(p)
+    best, best_mu, status, stall, it = None, np.inf, ITER_LIMIT, 0, 0
+    for it in range(1, iter_cap + 1):
+        H = prog.hess(x)
+        r_d, r_p, r_g, comp = _residuals(prog, x, y, z, s)
+        if not all(np.all(np.isfinite(v)) for v in (x, y, z, s, r_d, r_p, r_g)):
+            break
+        mu = float(np.mean(comp)) if m else 0.0
+        res_now = max(float(np.linalg.norm(r_d, np.inf)),
+                      float(np.linalg.norm(r_p, np.inf)) if p else 0.0,
+                      float(np.linalg.norm(r_g, np.inf)) if m else 0.0,
+                      float(np.max(comp)) if m else 0.0)
+        improved = False
+        if best is None or res_now < 0.999 * best[0]:
+            best, improved = (res_now, x.copy(), y.copy(), z.copy(), s.copy()), True
+        if mu < 0.999 * best_mu:
+            best_mu, improved = mu, True
+        stall = 0 if improved else stall + 1
+        if stall >= 30:
+            break
+        if res_now <= tol:
+            status = OPTIMAL
+            break
+        if np.linalg.norm(x, np.inf) > 1e13 or prog.value(x) < -1e18:
+            feas = max(float(np.linalg.norm(r_p, np.inf)) if p else 0.0,
+                       float(np.max(np.maximum(prog.G @ x - prog.h, 0.0))) if m else 0.0)
+            if feas <= 1e-5 * (1.0 + float(np.linalg.norm(prog.h, np.inf)) if m else 1.0):
+                status = UNBOUNDED
+                break
+        w = np.minimum(z / np.maximum(s, 1e-300), 1e18)
+        K = np.zeros((n + p, n + p))
+        K[:n, :n] = H + (prog.G.T * w) @ prog.G + 1e-11 * max(1.0, float(np.linalg.norm(H, np.inf))) * np.eye(n)
+        K[:n, n:] = prog.A.T
+        K[n:, :n] = prog.A
+        K[n:, n:] = -1e-12 * np.eye(p)
+        if not np.all(np.isfinite(K)):
+            break
+        lu = _lu_factor(K)
+        if lu is None:
+            K[:n, :n] += 1e-6 * np.eye(n)
+            lu = _lu_factor(K)
+        if lu is None:
+            break
+
+        def newton(r_c):
+            rhs = np.concatenate([-r_d - prog.G.T @ ((-r_c + z * r_g) / s) if m else -r_d, -r_p])
+            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+            sol -= scipy.linalg.lu_solve(lu, K @ sol - rhs, check_finite=False)
+            dx, dy = sol[:n], sol[n:]
+            ds = -r_g - prog.G @ dx
+            return dx, dy, (-r_c - z * ds) / s if m else np.zeros(0), ds
+
+        if m:
+            dxa, dya, dza, dsa = newton(comp)
+            ap, ad = _step_to_boundary(s, dsa), _step_to_boundary(z, dza)
+            mu_aff = float((s + ap * dsa) @ (z + ad * dza)) / m
+            sigma = np.clip((mu_aff / mu) ** 3 if mu > 0 else 0.1, 1e-8, 0.9999)
+            dx, dy, dz, ds = newton(comp + dsa * dza - sigma * mu)
+            frac = min(0.9999, max(0.995, 1.0 - 10.0 * mu))
+            ap = _step_to_boundary(s, ds) * frac if np.any(ds < 0) else 1.0
+            ad = _step_to_boundary(z, dz) * frac if np.any(dz < 0) else 1.0
+        else:
+            dx, dy, dz, ds = newton(np.zeros(0))
+            ap = ad = 1.0
+            sigma, mu = 0.0, 0.0
+        if prog.quadratic:
+            x, s, y, z = x + ap * dx, s + ap * ds, y + ad * dy, z + ad * dz
+        else:
+            target_mu = sigma * mu if m else 0.0
+            m0 = _merit(prog, x, y, z, s, target_mu)
+            scale_k, cand = 1.0, None
+            for _ in range(16):
+                cand = (x + scale_k * ap * dx, y + scale_k * ad * dy,
+                        z + scale_k * ad * dz, s + scale_k * ap * ds)
+                if not m or (np.min(cand[3]) > 0 and np.min(cand[2]) > 0):
+                    if _merit(prog, *cand, target_mu) <= 10.0 * m0:
+                        break
+                scale_k *= 0.5
+            x, y, z, s = cand
+    if status != OPTIMAL and best is not None:
+        _, x, y, z, s = best
+    if status in (OPTIMAL, ITER_LIMIT) and best is not None and best[0] <= np.sqrt(tol):
+        polished = _polish(prog, x, z, s, tol)
+        if polished is not None and max(_report(prog, *polished).values()) < max(_report(prog, x, y, z, s).values()):
+            x, y, z, s = polished
+        if max(_report(prog, x, y, z, s).values()) <= tol:
+            status = OPTIMAL
+    if status == ITER_LIMIT and m and _diagnose:
+        if _phase1_min_violation(prog) > 1e-7 * (1.0 + float(np.linalg.norm(prog.h, np.inf))):
+            status = INFEASIBLE
+    report = _report(prog, x, y, z, s)
+    if status == OPTIMAL and max(report.values()) > 10 * tol:
+        status = ITER_LIMIT
+    degenerate = ()
+    if m and status == OPTIMAL:
+        thr = np.sqrt(tol)
+        degenerate = tuple(int(i) for i in np.where((s <= thr * (1.0 + np.abs(prog.h))) & (z <= thr))[0])
+    return SolveResult(x=x, eq_duals=y, ineq_duals=z, slacks=s, status=status, residuals=report,
+                       objective=float(prog.value(x)), iterations=it, degenerate_rows=degenerate)
+
+
+# ---------------------------------------------------------------------------
+# small QPs: sparse against dense
+# ---------------------------------------------------------------------------
+
+QP_KINDS = ("feasible", "rank_deficient", "inconsistent", "infeasible")
+
+
+def small_qp(kind, n, p, m, seed):
+    """A strictly convex QP of the given kind from one seed.
+
+    feasible: random equalities and inequalities that x0 satisfies strictly;
+    rank_deficient: the last equality is a combination of the others;
+    inconsistent: as rank_deficient, with that row's rhs moved off;
+    infeasible: two inequality rows that no x satisfies together.
+    """
+    rng = np.random.default_rng(seed)
+    L = rng.normal(size=(n, n))
+    Q = L @ L.T + 0.5 * np.eye(n)
+    x0 = rng.normal(size=n)
+    A = rng.normal(size=(p, n))
+    if kind in ("rank_deficient", "inconsistent"):
+        A = np.vstack([A, rng.normal(size=p) @ A])
+    b = A @ x0
+    if kind == "inconsistent":
+        b[-1] += 1.0 + abs(b[-1])
+    G = rng.normal(size=(m, n))
+    h = G @ x0 + rng.uniform(0.1, 2.0, size=m)
+    if kind == "infeasible":
+        v = rng.normal(size=n)
+        G = np.vstack([G, v, -v])
+        h = np.concatenate([h, [v @ x0 - 1.0, -(v @ x0)]])
+    return quadratic_program(Q, rng.normal(size=n), A=A, b=b, G=G, h=h)
+
+
+EXPECTED_STATUS = {"feasible": OPTIMAL, "rank_deficient": OPTIMAL,
+                   "inconsistent": INFEASIBLE, "infeasible": INFEASIBLE}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(QP_KINDS), n=st.integers(1, 6), p=st.integers(0, 3),
+       m=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_small_qp_matches_dense_oracle(kind, n, p, m, seed):
+    prog = small_qp(kind, n, min(p, n), m, seed)
+    got, want = solve_convex(prog), dense_solve_convex(prog)
+    assert got.status == want.status == EXPECTED_STATUS[kind]
+    if want.status != OPTIMAL:
+        return
+    assert got.max_residual <= 1e-7 and want.max_residual <= 1e-7
+    np.testing.assert_allclose(got.x, want.x, rtol=1e-8, atol=1e-8)
+    assert got.objective == pytest.approx(want.objective, rel=1e-8, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# T=24 dispatch battery: sparse against dense
+# ---------------------------------------------------------------------------
+
+
+def pool_system(index, master_seed=2024):
+    """The 24-period battery-style system the day24 benchmark pool draws as
+    ``index`` (master seed 2024): degree 2, 2, 2, 3, 3 by position."""
+    rng = np.random.default_rng([master_seed, index])
+    total_cap = float(rng.uniform(8_000, 25_000))
+    return synth_test_system(
+        n_gens=int(rng.integers(16, 77)), total_cap_mw=total_cap,
+        avg_load_mw=float(rng.uniform(0.45, 0.65)) * total_cap,
+        renewable_ratio=float(rng.uniform(0.1, 0.5)),
+        storage_ratio=float(rng.uniform(0.1, 0.3)),
+        duration_h=float(rng.uniform(2.0, 8.0)),
+        eta=float(rng.uniform(0.85, 0.999)),
+        marginal_cost=float(rng.uniform(5.0, 40.0)),
+        e_init_ratio=float(rng.uniform(0.2, 0.8)),
+        epsilon=(0.01, 0.05, 0.1)[index % 3], horizon=24,
+        seed=int(rng.integers(0, 10_000)), fit_degree=(2, 2, 2, 3, 3)[index % 5],
+        g_min_ratio=float(rng.uniform(0.25, 0.35)))
+
+
+def unique_eq_duals(prog, result):
+    """Per equality row: is its dual the same at every KKT multiplier of the
+    result's primal point?
+
+    The multipliers solve A^T y + G_act^T z = -grad f over the active rows.
+    A row's dual is unique when no null direction of [A^T G_act^T] moves it.
+    ``SolveResult.degenerate_rows`` cannot tell: it lists weakly active rows,
+    and every system of this battery has some.
+    """
+    active = result.slacks <= 1e-7 * (1.0 + np.abs(prog.h))
+    M = np.hstack([prog.A.toarray().T, prog.G.toarray()[active].T])
+    _, sv, vt = np.linalg.svd(M)
+    null = vt[int(np.sum(sv > 1e-9 * sv[0])):]
+    return np.all(np.abs(null[:, :prog.A.shape[0]]) <= 1e-9, axis=0)
+
+
+def test_dispatch_battery_matches_dense_oracle():
+    """lambda and the objective match everywhere; theta and pi match to 1e-8
+    of their scale on every period where they are unique.  Where they are not
+    (systems 2 and 11 here), certified solves differ by up to 1e-5."""
+    compared = {"lam": 0, "theta": 0, "pi": 0}
+    for i in range(12):
+        build = build_dispatch(pool_system(i, master_seed=424))
+        raw = dense_solve_convex(build.program)
+        got = _extract_solution(build, solve_convex(build.program), 1e-8)
+        want = _extract_solution(build, raw, 1e-8)
+        assert got.status == want.status == OPTIMAL, i
+        assert max(got.residuals.values()) <= 1e-7, i
+        assert got.objective == pytest.approx(want.objective, rel=1e-8), i
+        unique = dict(zip(build.eq_tags, unique_eq_duals(build.program, raw)))
+        for name, kind in (("lam", "balance"), ("theta", "soc"), ("pi", "reserve")):
+            a, b = getattr(got, name), getattr(want, name)
+            rows = np.array([unique[(kind, t)] for t in range(1, len(b) + 1)])
+            assert name != "lam" or rows.all(), i
+            scale = max(1.0, float(np.max(np.abs(b))))
+            assert np.all(np.abs(a - b)[rows] <= 1e-8 * scale), (i, name)
+            compared[name] += int(rows.sum())
+    # theta is unique on 216 of the 288 periods here, pi on 34
+    assert compared["lam"] == 12 * 24 and compared["theta"] > 0 and compared["pi"] > 0
+# ---------------------------------------------------------------------------
+# polish on linearly dependent active rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("index", [26, 78, 161, 174])
+def test_polish_on_dependent_reserve_rows(index):
+    """kappa_phi_lo and kappa_psi_hi are tied through phi + psi = 1.  When
+    both are active the polish splits one multiplier between them, e.g.
+    +-1.5e-8; the negative half must be dropped, not clipped, or the polish
+    is rejected and the unpolished iterate sits elsewhere on the dual face
+    (theta off by 34% on system 78).  Which pool systems split that way
+    depends on the factorisation's ordering: 26, 161 and 174 do with the
+    sparse path, 78 did in a prototype with another assembly order."""
+    sol = solve_dispatch(pool_system(index))
+    assert sol.status == OPTIMAL
+    assert max(sol.residuals.values()) <= 1e-10
+    assert sol.equilibrium["ok"]
+
+
+# ---------------------------------------------------------------------------
+# long horizon
+# ---------------------------------------------------------------------------
+
+
+def test_month_horizon_solves():
+    system = synth_test_system(horizon=720, fit_degree=3)
+    t0 = time.monotonic()
+    sol = solve_dispatch(system)
+    elapsed = time.monotonic() - t0
+    assert sol.status == OPTIMAL
+    assert max(sol.residuals.values()) <= 1e-7
+    assert sol.equilibrium["ok"]
+    assert verify_price_coupling(sol)["ok"]
+    assert elapsed <= 60.0, f"T=720 solve took {elapsed:.1f}s"
