@@ -25,9 +25,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .costs import (
-    expected_cost_derivatives,
     expected_cost_table,
     fit_polynomial_to_merit_curve,
+    memoized_derivatives,
     merit_order_cost,
 )
 from .dispatch import solve_dispatch
@@ -346,18 +346,18 @@ def clear_with_bids(system, bids, tol=1e-8):
             lin[b_ofs[t] + s] = -price
 
     poly = system.poly
-    table = expected_cost_table(poly, moments_list)
+    derivatives = memoized_derivatives(expected_cost_table(poly, moments_list))
 
     def value(x):
-        return float(lin @ x) + float(np.sum(expected_cost_derivatives(table, x[:T], 1.0)[0]))
+        return float(lin @ x) + float(np.sum(derivatives(x[:T], 1.0)[0]))
 
     def grad(x):
         out = lin.copy()
-        out[:T] += expected_cost_derivatives(table, x[:T], 1.0)[1]
+        out[:T] += derivatives(x[:T], 1.0)[1]
         return out
 
     def hess(x):
-        dgg = expected_cost_derivatives(table, x[:T], 1.0)[3]
+        dgg = derivatives(x[:T], 1.0)[3]
         return sp.coo_array((dgg, (quad_idx, quad_idx)), shape=(n, n))
 
     # Rows are collected as (row, column, value) triplets; each row is given
@@ -497,11 +497,11 @@ def compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.0,
     draws = np.clip(draws, base.g_min, base.g_max)
 
     def metrics(schedule_p, schedule_b, lam):
+        g_real = np.clip(draws - schedule_p + schedule_b, 0.0, base.fleet.total_capacity)
+        period_costs = merit_order_cost(base.fleet, g_real).tolist()
         rows = []
         for i in range(n_scenarios):
-            g_real = draws[i] - schedule_p + schedule_b
-            g_real = np.clip(g_real, 0.0, base.fleet.total_capacity)
-            gen_cost = float(sum(merit_order_cost(base.fleet, float(gq)) for gq in g_real))
+            gen_cost = float(sum(period_costs[i]))
             storage_cost = float(st.marginal_cost * np.sum(schedule_p))
             profit = float(np.sum(lam * (schedule_p - schedule_b))
                            - st.marginal_cost * np.sum(schedule_p))

@@ -308,6 +308,11 @@ def _cmd_compare(args, outdir):
 
 
 def _cmd_sweep(args, outdir):
+    if args.axis in ("storage-capacity", "renewable") and any(
+            (args.fleet_csv, args.load_csv, args.errors_csv)):
+        raise ConfigurationError(
+            f"sweep --axis {args.axis} synthesises a system at every point; "
+            "it takes --synthetic, not a CSV source")
     system = _system_from_args(args)
     if args.axis == "soc":
         grid = np.linspace(0.0, system.storage.e_max, args.points)
@@ -327,9 +332,12 @@ def _cmd_sweep(args, outdir):
             writer.writerow(["axis_value", "mean_lambda", "mean_theta",
                              "total_reserve_cost", "system_cost"])
             for v in values:
+                ratios = {"storage_ratio": args.storage_ratio,
+                          "renewable_ratio": args.renewable_ratio, key: float(v)}
                 sysv = synth_test_system(
                     epsilon=args.epsilon, horizon=args.horizon, seed=args.seed,
-                    fit_degree=args.fit_degree, **{key: float(v)})
+                    fit_degree=args.fit_degree,
+                    storage_reserve=not args.no_storage_reserve, **ratios)
                 sol = solve_dispatch(sysv)
                 if sol.status != "optimal":
                     raise SolverError(f"sweep point {v} failed: {sol.status}")

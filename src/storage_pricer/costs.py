@@ -192,6 +192,27 @@ def expected_cost_derivatives(table, g, phi):
     return tuple(out)
 
 
+def memoized_derivatives(table):
+    """``expected_cost_derivatives`` of ``table`` as a function of (g, phi)
+    that reuses its last outputs while the point is unchanged.
+
+    A solver asks for the value, gradient and Hessian at the same iterate;
+    all three then come from one evaluation.  The last point is kept as a
+    copy, so changing the caller's array in place gives fresh values.  The
+    outputs are shared between calls and must not be modified.
+    """
+    last = None
+
+    def derivatives(g, phi):
+        nonlocal last
+        if last is None or not (np.array_equal(g, last[0]) and np.array_equal(phi, last[1])):
+            last = (np.array(g, dtype=float), np.array(phi, dtype=float),
+                    expected_cost_derivatives(table, g, phi))
+        return last[2]
+
+    return derivatives
+
+
 def expected_storage_cost(storage, p, psi, mu):
     """Expected storage cost M (p + psi mu)."""
     if not (0.0 <= psi <= 1.0):
@@ -226,19 +247,36 @@ def check_expected_cost_convexity(poly, moments_list, g_lo, g_hi, n_grid=15):
 def merit_order_cost(fleet, q):
     """Exact fleet cost of producing q MW by stacking segments in merit order.
 
+    ``q`` is one output or an array of outputs; the cost has its shape.
     Segment constants are incurred only for segments that actually run.
+
+    Stacking subtracts one segment capacity after another from the output;
+    the remainders are accumulated in that order, so the cost equals the
+    segment-by-segment sum bit for bit.  (Subtracting a cumulative capacity
+    instead moves the last bits, and polynomial fits and the prices of
+    dual-degenerate dispatches follow them.)
     """
-    if q < -1e-9 or q > fleet.total_capacity + 1e-9:
-        raise DomainError(f"output {q} outside [0, {fleet.total_capacity}]")
-    remaining = min(max(q, 0.0), fleet.total_capacity)
-    total = 0.0
-    for seg in fleet.segments:
-        if remaining <= 0.0:
-            break
-        x = min(remaining, seg.capacity)
-        total += seg.cost(x)
-        remaining -= x
-    return total
+    q = np.asarray(q, dtype=float)
+    cap = fleet.total_capacity
+    outside = (q < -1e-9) | (q > cap + 1e-9)
+    if np.any(outside):
+        raise DomainError(f"output {float(q[outside].flat[0])} outside [0, {cap}]")
+    segs = fleet.segments
+    caps = np.array([s.capacity for s in segs])
+    # left[:, j]: what is still to produce when segment j comes up, if every
+    # segment below it ran in full
+    left = np.empty((q.size, len(segs)))
+    left[:, 0] = np.clip(q, 0.0, cap).ravel()
+    left[:, 1:] = caps[:-1]
+    left = np.subtract.accumulate(left, axis=1)
+    partial = left < caps
+    k = np.where(partial.any(axis=1), np.argmax(partial, axis=1), len(segs))  # segments in full
+    below = np.cumsum([0.0] + [s.cost(s.capacity) for s in segs])
+    j = np.minimum(k, len(segs) - 1)
+    x = left[np.arange(q.size), j]
+    c0, c1, c2 = np.array([(s.c0, s.c1, s.c2) for s in segs])[j].T
+    out = below[k] + np.where((k < len(segs)) & (x > 0.0), c0 + c1 * x + c2 * x * x, 0.0)
+    return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
 
 def fit_polynomial_to_merit_curve(fleet, degree, n_grid=200, domain=None):
@@ -255,7 +293,7 @@ def fit_polynomial_to_merit_curve(fleet, degree, n_grid=200, domain=None):
     if cap <= 0:
         raise DomainError("degenerate fleet with zero capacity")
     grid = np.linspace(0.0, cap, n_grid)
-    y = np.array([merit_order_cost(fleet, float(qq)) for qq in grid])
+    y = merit_order_cost(fleet, grid)
     # Vandermonde least squares in a scaled variable for conditioning.
     scale = cap
     V = np.vander(grid / scale, degree + 1, increasing=True)

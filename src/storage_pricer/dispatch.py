@@ -29,7 +29,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from .costs import check_expected_cost_convexity, expected_cost_derivatives, expected_cost_table
+from .costs import (
+    check_expected_cost_convexity,
+    expected_cost_derivatives,
+    expected_cost_table,
+    memoized_derivatives,
+)
 from .errors import DomainError
 from .reformulation import build_deterministic_constraints, make_period_quantiles
 from .solver import OPTIMAL, ConvexProgram, csr_from_triplets, solve_convex
@@ -295,8 +300,10 @@ def build_dispatch(system, validate_convexity=True):
         h_rows = np.concatenate([g_idx, g_idx, phi_idx, phi_idx])
         h_cols = np.concatenate([g_idx, phi_idx, g_idx, phi_idx])
 
+    derivatives = memoized_derivatives(table)
+
     def kernel(x):
-        return expected_cost_derivatives(table, x[g_idx], x[phi_idx] if has_storage else 1.0)
+        return derivatives(x[g_idx], x[phi_idx] if has_storage else 1.0)
 
     def value(x):
         total = float(np.sum(kernel(x)[0]))

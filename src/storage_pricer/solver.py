@@ -19,10 +19,14 @@ residual norm).  A final active-set polish re-solves the equality-
 constrained KKT system and pushes residuals toward machine precision.
 
 Everything is sparse.  The constraint matrices are CSR arrays, and each
-Newton system is the statically regularised (quasi-definite) KKT matrix,
-assembled in CSC form and factored with ``scipy.sparse.linalg.splu``.
-Multi-period dispatches couple periods only through the SoC recursion, so
-the factor stays banded and the cost grows about linearly with the horizon.
+Newton system is the statically regularised (quasi-definite) KKT matrix in
+CSC form, factored with ``scipy.sparse.linalg.splu``.  Its sparsity pattern
+(``_KKTPattern``) is built once per solve, once per active set in the
+polish, and again only if the Hessian gains an entry; each step refills
+just the values, equal bit for bit to assembling the matrix from sparse
+products and sums.  Multi-period dispatches couple periods only through
+the SoC recursion, so the factor stays banded and the cost grows about
+linearly with the horizon.
 """
 
 from __future__ import annotations
@@ -114,17 +118,18 @@ class SolveResult:
         return max(self.residuals.values()) if self.residuals else np.inf
 
 
-def _residuals(prog, x, y, z, s):
+def _residuals(prog, AT, GT, x, y, z, s):
+    """KKT residuals; ``AT`` and ``GT`` are A^T and G^T, formed once per solve."""
     gx = prog.grad(x)
-    r_d = gx + prog.A.T @ y + prog.G.T @ z
+    r_d = gx + AT @ y + GT @ z
     r_p = prog.A @ x - prog.b
     r_g = prog.G @ x + s - prog.h
     comp = s * z if z.size else np.zeros(0)
     return r_d, r_p, r_g, comp
 
 
-def _merit(prog, x, y, z, s, mu):
-    r_d, r_p, r_g, comp = _residuals(prog, x, y, z, s)
+def _merit(prog, AT, GT, x, y, z, s, mu):
+    r_d, r_p, r_g, comp = _residuals(prog, AT, GT, x, y, z, s)
     pieces = [r_d, r_p, r_g]
     if comp.size:
         pieces.append(comp - mu)
@@ -138,11 +143,130 @@ def _step_to_boundary(v, dv, cap=1.0):
     return min(cap, float(np.min(-v[neg] / dv[neg])))
 
 
-def _kkt(top, B, lower):
-    """CSC matrix [[top, B^T], [B, -lower * I]]."""
-    k = B.shape[0]
-    return sp.block_array([[top, B.T], [B, sp.diags_array(np.full(k, -lower), shape=(k, k))]],
-                          format="csc")
+def _coo(H):
+    """A Hessian (dense or any scipy.sparse format) as a COO array of its entries."""
+    return H.tocoo() if sp.issparse(H) else sp.coo_array(np.atleast_2d(np.asarray(H, dtype=float)))
+
+
+class _KKTPattern:
+    """CSC sparsity pattern of the statically regularised KKT matrix
+
+        [[H + G^T diag(w) G + reg I,  B^T     ],
+         [B,                          -delta I]]
+
+    built once from the structure of H, G and B.  Each Newton step then only
+    refills one data vector (``fill``) in the pattern's order.
+
+    The values are those that assembling the matrix from scipy.sparse
+    operations gives, bit for bit, so ``splu`` sees the same matrix and
+    returns the same factors: every G^T W G entry sums its terms
+    (G_ik w_i) G_il over the rows i of G in descending order, the order
+    scipy's sparse product accumulates them in; H comes first and the
+    regularisation last; and ``matrix`` drops exact zeros of the top-left
+    block, as scipy's sparse sums do.
+    """
+
+    def __init__(self, n, B, G=None, H=None):
+        N = n + B.shape[0]
+        self.n, self.N = n, N
+        Bc = B.tocoo()
+        brow, bcol = Bc.row.astype(np.int64), Bc.col.astype(np.int64)
+        # an entry (row, col) has key col * N + row: sorted keys are CSC order
+        parts = [np.arange(N, dtype=np.int64) * (N + 1), (n + brow) * N + bcol, bcol * N + n + brow]
+        if H is not None:
+            parts.append(H.col.astype(np.int64) * N + H.row)
+        pair_keys = None
+        if G is not None and G.nnz:
+            # every pair (k, l) of entries in a row i of G, rows descending
+            counts = np.diff(G.indptr)
+            row = np.repeat(np.arange(G.shape[0]), counts)
+            size = counts[row]
+            a = np.repeat(np.arange(G.nnz), size)
+            b = np.repeat(G.indptr[row], size) + np.arange(a.size) - np.repeat(np.cumsum(size) - size, size)
+            a, b = a[::-1], b[::-1]
+            pair_keys = G.indices[b].astype(np.int64) * N + G.indices[a]
+            parts.append(pair_keys)
+            self.pair_row, self.pair_a, self.pair_b = row[a], G.data[a], G.data[b]
+        self.keys = np.unique(np.concatenate(parts))
+        self.rows = (self.keys % N).astype(np.int32)
+        self.indptr = np.searchsorted(self.keys, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
+        self.top_left = (self.keys < n * N) & (self.rows < n)
+        self.diag = np.searchsorted(self.keys, np.arange(N, dtype=np.int64) * (N + 1))
+        self.b_pos = np.searchsorted(self.keys, bcol * N + n + brow)
+        self.bt_pos = np.searchsorted(self.keys, (n + brow) * N + bcol)
+        self.b_data = Bc.data
+        self.pair_pos = None if pair_keys is None else np.searchsorted(self.keys, pair_keys)
+        self._h_index = None
+
+    def _hess_layout(self, H):
+        """Positions of H's entries, plus the order and row starts of its
+        distinct entries in CSR order; None when an entry is outside."""
+        if self._h_index is not None and np.array_equal(H.row, self._h_index[0]) \
+                and np.array_equal(H.col, self._h_index[1]):
+            return self._h_index[2]
+        keys = H.col.astype(np.int64) * self.N + H.row
+        pos = np.searchsorted(self.keys, keys)
+        if pos.size and (pos.max() >= self.keys.size or np.any(self.keys[pos] != keys)):
+            return None
+        distinct = np.unique(pos)
+        rows, cols = self.rows[distinct], self.keys[distinct] // self.N
+        csr = distinct[np.lexsort((cols, rows))]
+        sorted_rows = self.rows[csr]
+        starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
+        layout = (pos, csr, starts)
+        self._h_index = (H.row.copy(), H.col.copy(), layout)
+        return layout
+
+    def hessian(self, H):
+        """H's values scattered into the pattern (duplicates summed) and the
+        objective scale max(1, ||H||_inf) the regularisation is taken
+        relative to, or None when H has an entry outside the pattern.
+
+        The row sums of |H| run over each row's entries in column order, as
+        scipy's sparse norm sums them."""
+        layout = self._hess_layout(H)
+        if layout is None:
+            return None
+        pos, csr, starts = layout
+        values = np.bincount(pos, weights=H.data, minlength=self.keys.size).astype(float, copy=False)
+        if not csr.size:
+            return values, 1.0
+        return values, max(1.0, float(np.max(np.add.reduceat(np.abs(values[csr]), starts))))
+
+    def fill(self, hess_values=None, w=None, reg=0.0, delta=0.0):
+        """Data vector of the matrix, in pattern order."""
+        data = np.zeros(self.keys.size) if hess_values is None else hess_values.copy()
+        if w is not None and self.pair_pos is not None:
+            data += np.bincount(self.pair_pos, weights=(self.pair_a * w[self.pair_row]) * self.pair_b,
+                                minlength=self.keys.size)
+        data[self.diag[: self.n]] += reg
+        data[self.diag[self.n :]] = -delta
+        data[self.b_pos] = self.b_data
+        data[self.bt_pos] = self.b_data
+        return data
+
+    def matrix(self, data, drop_all=False):
+        """CSC array of ``data``, without its exact zeros in the top-left
+        block (or anywhere when ``drop_all``)."""
+        zero = data == 0.0
+        if not drop_all:
+            zero &= self.top_left
+        rows, indptr = self.rows, self.indptr
+        if zero.any():
+            keep = ~zero
+            data, rows = data[keep], rows[keep]
+            indptr = np.concatenate([[0], np.cumsum(keep)])[indptr].astype(np.int32)
+        return sp.csc_array((data, rows, indptr), shape=(self.N, self.N))
+
+
+def _hessian_values(pattern, H, n, B, G=None):
+    """(pattern, H values, objective scale); a Hessian with an entry outside
+    ``pattern`` (or no pattern yet) gets a new pattern that holds it."""
+    out = None if pattern is None else pattern.hessian(H)
+    if out is None:
+        pattern = _KKTPattern(n, B, G, H)
+        out = pattern.hessian(H)
+    return (pattern, *out)
 
 
 def _factor(K):
@@ -160,11 +284,6 @@ def _factor(K):
     return lu if np.all(np.isfinite(pivots) & (pivots != 0.0)) else None
 
 
-def _hess_norm(H):
-    """The objective scale the static regularisation is taken relative to."""
-    return max(1.0, float(scipy.sparse.linalg.norm(H, np.inf)))
-
-
 def _min_norm_point(A, b):
     """Least-norm x minimising ||A x - b||, or None when the factorisation fails.
 
@@ -172,9 +291,9 @@ def _min_norm_point(A, b):
     the pure one, so rank-deficient and inconsistent A are handled alike.
     """
     n = A.shape[1]
-    eye = sp.eye_array(n, format="csr")
-    K0 = _kkt(eye, A, 0.0)
-    lu = _factor(_kkt(eye, A, 1e-12))
+    pattern = _KKTPattern(n, A)
+    K0 = pattern.matrix(pattern.fill(reg=1.0))
+    lu = _factor(pattern.matrix(pattern.fill(reg=1.0, delta=1e-12)))
     if lu is None:
         return None
     rhs = np.concatenate([np.zeros(n), b])
@@ -184,24 +303,34 @@ def _min_norm_point(A, b):
     return sol[:n] if np.all(np.isfinite(sol[:n])) else None
 
 
-def _polish_solve(prog, x0, active):
-    """Newton on the equality-constrained KKT system of a fixed active set."""
+def _polish_solve(prog, x0, active, start):
+    """Newton on the equality-constrained KKT system of a fixed active set.
+
+    ``start`` holds the Hessian (as COO) and the gradient at ``x0``.  A
+    quadratic program's Hessian is constant, so its one factorisation serves
+    all three rounds.
+    """
     B = sp.vstack([prog.A, prog.G[active]], format="csr")
     ha = prog.h[active]
     n, p = prog.n, prog.A.shape[0]
     xx = x0.copy()
     yy = np.zeros(p)
     za = np.zeros(ha.size)
-    for _ in range(3):
-        H = _csr(prog.hess(xx))
-        gx = prog.grad(xx)
-        # Factor a lightly regularized copy (redundant active rows make K0
-        # singular), then refine against the pure system so the
-        # regularization does not leak into the active-row residuals.
-        K0 = _kkt(H, B, 0.0)
-        lu = _factor(_kkt(H + 1e-14 * _hess_norm(H) * sp.eye_array(n), B, 1e-13))
-        if lu is None:
-            return None
+    H, gx = start
+    pattern = lu = None
+    for k in range(3):
+        if k:
+            H = H if prog.quadratic else _coo(prog.hess(xx))
+            gx = prog.grad(xx)
+        if lu is None or not prog.quadratic:
+            pattern, hv, scale = _hessian_values(pattern, H, n, B)
+            # Factor a lightly regularized copy (redundant active rows make K0
+            # singular), then refine against the pure system so the
+            # regularization does not leak into the active-row residuals.
+            K0 = pattern.matrix(pattern.fill(hv))
+            lu = _factor(pattern.matrix(pattern.fill(hv, reg=1e-14 * scale, delta=1e-13)))
+            if lu is None:
+                return None
         rhs = np.concatenate([-gx, np.concatenate([prog.b, ha]) - B @ xx])
         sol = lu.solve(rhs)
         for _ in range(3):
@@ -230,8 +359,9 @@ def _polish(prog, x, y, z, s, tol):
     and clipping it to zero later would leave that much stationarity error.
     """
     m = prog.h.size
+    start = (_coo(prog.hess(x)), prog.grad(x))
     if m == 0:
-        out = _polish_solve(prog, x, np.zeros(0, dtype=bool))
+        out = _polish_solve(prog, x, np.zeros(0, dtype=bool), start)
         if out is None:
             return None
         xx, yy, _ = out
@@ -239,7 +369,7 @@ def _polish(prog, x, y, z, s, tol):
     scale_h = 1.0 + np.abs(prog.h)
     active = (z > s) | (s <= 1e3 * tol * scale_h)
     for _ in range(8):
-        out = _polish_solve(prog, x, active)
+        out = _polish_solve(prog, x, active, start)
         if out is None:
             return None
         xx, yy, za = out
@@ -297,7 +427,8 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
         s = np.zeros(0)
         z = np.zeros(0)
     y = np.zeros(p)
-    GT = prog.G.T.tocsr()
+    AT, GT = prog.A.T.tocsr(), prog.G.T.tocsr()
+    pattern = None
 
     best = None
     best_mu = np.inf
@@ -305,8 +436,8 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
     stall = 0
     it = 0
     for it in range(1, iter_cap + 1):
-        H = _csr(prog.hess(x))
-        r_d, r_p, r_g, comp = _residuals(prog, x, y, z, s)
+        H = _coo(prog.hess(x))
+        r_d, r_p, r_g, comp = _residuals(prog, AT, GT, x, y, z, s)
         if not all(np.all(np.isfinite(v)) for v in (x, y, z, s, r_d, r_p, r_g)):
             break
         mu = float(np.mean(comp)) if m else 0.0
@@ -340,17 +471,18 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
                 status = UNBOUNDED
                 break
 
-        w = np.minimum(z / np.maximum(s, 1e-300), 1e18) if m else np.zeros(0)
-        K11 = H + (GT @ sp.diags_array(w)) @ prog.G if m else H
+        w = np.minimum(z / np.maximum(s, 1e-300), 1e18) if m else None
         # regularize on the objective scale only; the barrier term GtWG is
         # meant to be stiff near active rows and must not inflate reg
-        reg = 1e-11 * _hess_norm(H)
-        K = _kkt(K11 + reg * sp.eye_array(n), prog.A, 1e-12)
-        if not np.all(np.isfinite(K.data)):
+        pattern, hv, scale = _hessian_values(pattern, H, n, prog.A, prog.G)
+        data = pattern.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
+        if not np.all(np.isfinite(data)):
             break
+        K = pattern.matrix(data)
         lu = _factor(K)
         if lu is None:
-            K = (K + sp.diags_array(np.concatenate([np.full(n, 1e-6), np.zeros(p)]))).tocsc()
+            data[pattern.diag[:n]] += 1e-6
+            K = pattern.matrix(data, drop_all=True)
             lu = _factor(K)
         if lu is None:
             break
@@ -405,20 +537,21 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
             # cost polynomials are near-quadratic over the operating range
             # and almost always accept the full step.
             target_mu = sigma * mu if m else 0.0
-            m0 = _merit(prog, x, y, z, s, target_mu)
+            m0 = _merit(prog, AT, GT, x, y, z, s, target_mu)
             scale_k = 1.0
             cand = None
             for _ in range(16):
                 cand = (x + scale_k * ap * dx, y + scale_k * ad * dy,
                         z + scale_k * ad * dz, s + scale_k * ap * ds)
                 if not m or (np.min(cand[3]) > 0 and np.min(cand[2]) > 0):
-                    if _merit(prog, *cand, target_mu) <= 10.0 * m0:
+                    if _merit(prog, AT, GT, *cand, target_mu) <= 10.0 * m0:
                         break
                 scale_k *= 0.5
             x, y, z, s = cand
 
     if status != OPTIMAL and best is not None:
         _, x, y, z, s = best
+    report, objective = _report(prog, AT, GT, x, y, z, s), float(prog.value(x))
 
     # Active-set polish from any near-optimal iterate: re-solving the
     # equality-constrained KKT system sidesteps the ill-conditioning of the
@@ -426,11 +559,11 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
     if status in (OPTIMAL, ITER_LIMIT) and best is not None and best[0] <= np.sqrt(tol):
         polished = _polish(prog, x, y, z, s, tol)
         if polished is not None:
-            r_old = _report(prog, x, y, z, s)
-            r_new = _report(prog, *polished)
-            if max(r_new.values()) < max(r_old.values()):
-                x, y, z, s = polished
-        if max(_report(prog, x, y, z, s).values()) <= tol:
+            r_new = _report(prog, AT, GT, *polished)
+            if max(r_new.values()) < max(report.values()):
+                (x, y, z, s), report = polished, r_new
+                objective = float(prog.value(x))
+        if max(report.values()) <= tol:
             status = OPTIMAL
 
     if status == ITER_LIMIT and m and _diagnose:
@@ -439,7 +572,6 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
         if t_star > 1e-7 * (1.0 + float(np.linalg.norm(prog.h, np.inf))):
             status = INFEASIBLE
 
-    report = _report(prog, x, y, z, s)
     if status == OPTIMAL and max(report.values()) > 10 * tol:
         status = ITER_LIMIT
 
@@ -451,13 +583,13 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
 
     return SolveResult(
         x=x, eq_duals=y, ineq_duals=z, slacks=s, status=status,
-        residuals=report, objective=float(prog.value(x)), iterations=it,
+        residuals=report, objective=objective, iterations=it,
         degenerate_rows=degenerate,
     )
 
 
-def _report(prog, x, y, z, s):
-    r_d, r_p, r_g, comp = _residuals(prog, x, y, z, s)
+def _report(prog, AT, GT, x, y, z, s):
+    r_d, r_p, r_g, comp = _residuals(prog, AT, GT, x, y, z, s)
     return {
         "stationarity": float(np.linalg.norm(r_d, np.inf)) if r_d.size else 0.0,
         "primal_eq": float(np.linalg.norm(r_p, np.inf)) if r_p.size else 0.0,

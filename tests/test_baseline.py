@@ -362,3 +362,24 @@ def test_comparison_clears_scenario_seed_five():
     assert out["cleared"]["status"] == "optimal"
     s = out["summary"]
     assert s["welfare"]["system_cost"] <= s["bidding"]["system_cost"]
+
+
+def test_clearing_evaluates_kernel_once_per_iterate(monkeypatch):
+    """The clearing objective's value, grad and hess at one iterate share one
+    kernel evaluation, and no point is evaluated twice."""
+    import storage_pricer.costs as costs
+
+    points = []
+    kernel = costs.expected_cost_derivatives
+
+    def counting(table, g, phi):
+        points.append((np.array(g, dtype=float).tobytes(), np.array(phi, dtype=float).tobytes()))
+        return kernel(table, g, phi)
+
+    monkeypatch.setattr(costs, "expected_cost_derivatives", counting)
+    system = toy_system()
+    bids = BidCurve(discharge=tuple(((45.0, 12.0), (10.0, 15.0)) for _ in range(3)),
+                    charge=tuple((((45.0, 11.0),)) for _ in range(3)))
+    cleared = clear_with_bids(system, bids)
+    assert cleared["status"] == "optimal"
+    assert 3 <= len(points) == len(set(points))

@@ -73,6 +73,50 @@ def test_sweep_soc_schema(tmp_path):
     assert header == "axis_value,theta,sup_theta,inf_theta,case_label,verdict"
 
 
+def _csv_source(tmp_path):
+    fleet = tmp_path / "fleet.csv"
+    fleet.write_text("gen_id, capacity_mw, c0, c1, c2\ng1,500,0,10,0.01\n")
+    load = tmp_path / "load.csv"
+    load.write_text("t,d_mw\n1,100\n2,120\n")
+    errors = tmp_path / "errors.csv"
+    errors.write_text("t,mu_mw,sigma_mw\n1,0,2\n2,0,2\n")
+    return ["--fleet-csv", str(fleet), "--load-csv", str(load), "--errors-csv", str(errors)]
+
+
+@pytest.mark.parametrize("axis", ["storage-capacity", "renewable"])
+def test_sweep_synthesis_axes_reject_csv_source(tmp_path, capsys, axis):
+    """These axes synthesise a system per point, so a CSV source is refused
+    instead of being silently replaced by the synthetic system."""
+    code = run(["sweep", *_csv_source(tmp_path), "--axis", axis, "--points", "2",
+                "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert axis in capsys.readouterr().err
+    assert not (tmp_path / "s" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("axis, swept, kept", [("storage-capacity", "storage_ratio", "renewable_ratio"),
+                                               ("renewable", "renewable_ratio", "storage_ratio")])
+def test_sweep_synthesis_axes_pass_system_flags(tmp_path, monkeypatch, axis, swept, kept):
+    """--no-storage-reserve and the ratio that is not swept reach every point."""
+    import storage_pricer.cli as cli
+
+    calls = []
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return synth(**kwargs)
+
+    synth = cli.synth_test_system
+    monkeypatch.setattr(cli, "synth_test_system", spy)
+    code = run(["sweep", *SMALL, "--axis", axis, "--points", "2", "--no-storage-reserve",
+                f"--{kept.replace('_', '-')}", "0.25", "--out", str(tmp_path / "s")])
+    assert code == 0
+    points = calls[1:]  # the first call builds the command's own system
+    assert [c[swept] for c in points] == [0.1, 0.9]
+    assert all(c["storage_reserve"] is False and c[kept] == 0.25 for c in points)
+    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 3
+
+
 def test_fit_dist_command(tmp_path):
     rng = np.random.default_rng(3)
     u = rng.random(20_000)

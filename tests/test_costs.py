@@ -1,7 +1,8 @@
 """Cost-model tests: the expected-cost kernel vs its scalar closed form,
-Monte Carlo and finite differences, merit-order stacking, and polynomial
-fitting."""
+Monte Carlo and finite differences, merit-order stacking (vectorised vs the
+segment loop), polynomial fitting, and the kernel memo."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -365,3 +366,76 @@ def test_fleet_csv_schema_errors(tmp_path):
     bad_row.write_text("gen_id, capacity_mw, c0, c1, c2\ng1,50,0,ten,0\n")
     with pytest.raises(SchemaError, match=":2:"):
         load_fleet_csv(bad_row)
+
+
+# ---------------------------------------------------------------------------
+# vectorised merit order and the kernel memo
+# ---------------------------------------------------------------------------
+
+
+def merit_order_cost_oracle(fleet, q):
+    """The segment-by-segment loop ``merit_order_cost`` replaced."""
+    remaining = min(max(q, 0.0), fleet.total_capacity)
+    total = 0.0
+    for seg in fleet.segments:
+        if remaining <= 0.0:
+            break
+        x = min(remaining, seg.capacity)
+        total += seg.cost(x)
+        remaining -= x
+    return total
+
+
+@st.composite
+def fleets(draw):
+    segments, c1 = [], draw(st.floats(0.0, 50.0))
+    for _ in range(draw(st.integers(1, 12))):
+        cap = draw(st.floats(0.1, 1000.0))
+        c2 = draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.1))]))
+        segments.append(Segment(cap, draw(st.floats(0.0, 100.0)), c1, c2))
+        c1 += 2.0 * c2 * cap + draw(st.floats(0.0, 10.0))
+    return FleetCurve(tuple(segments))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fleet=fleets(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_merit_cost_matches_segment_loop(fleet, fractions):
+    """One vectorised call over many outputs equals the loop at each of them,
+    bit for bit (stronger than a relative tolerance), at segment tops and
+    the ends of the range too."""
+    tops = list(itertools.accumulate(s.capacity for s in fleet.segments))
+    q = [f * fleet.total_capacity for f in fractions] + tops + [0.0, fleet.total_capacity]
+    got = merit_order_cost(fleet, np.array(q).reshape(1, -1))
+    assert got.shape == (1, len(q))
+    assert got[0].tolist() == [merit_order_cost_oracle(fleet, v) for v in q]
+    assert merit_order_cost(fleet, q[0]) == merit_order_cost_oracle(fleet, q[0])
+
+
+def test_merit_cost_rejects_any_output_out_of_range():
+    with pytest.raises(DomainError, match="11.0"):
+        merit_order_cost(two_segment_fleet(), np.array([1.0, 11.0, 2.0]))
+
+
+def test_kernel_memo_evaluates_once_per_point(monkeypatch):
+    """Repeated requests at one point share an evaluation; a point changed in
+    place, or a new point, is evaluated afresh and matches the kernel."""
+    import storage_pricer.costs as costs
+
+    table = expected_cost_table(poly([1.0, 2.0, 0.1, 0.01]),
+                                [ErrorMoments(0.0, 1.5), ErrorMoments(0.5, 2.0)])
+    calls = []
+    kernel = costs.expected_cost_derivatives
+    monkeypatch.setattr(costs, "expected_cost_derivatives",
+                        lambda *args: calls.append(1) or kernel(*args))
+    derivatives = costs.memoized_derivatives(table)
+    g, phi = np.array([10.0, 20.0]), np.array([0.3, 0.6])
+    first = derivatives(g, phi)
+    assert derivatives(g, phi) is first and derivatives(g.copy(), phi.copy()) is first
+    assert len(calls) == 1
+    g[1] = 25.0
+    changed = derivatives(g, phi)
+    assert len(calls) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(changed, kernel(table, g, phi)))
+    phi[0] = 0.9
+    derivatives(g, phi)
+    assert len(calls) == 3

@@ -319,3 +319,47 @@ def test_synth_system_solves_with_reserve_modes():
         assert np.all(np.abs(sol.phi + sol.psi - 1.0) <= 1e-7)
         if not reserve:
             assert np.all(np.abs(sol.psi) <= 1e-9)
+
+
+def count_kernel_points(monkeypatch):
+    """Points (g, phi) at which the expected-cost kernel runs, in call order."""
+    import storage_pricer.costs as costs
+
+    points = []
+    kernel = costs.expected_cost_derivatives
+
+    def counting(table, g, phi):
+        points.append((np.array(g, dtype=float).tobytes(), np.array(phi, dtype=float).tobytes()))
+        return kernel(table, g, phi)
+
+    monkeypatch.setattr(costs, "expected_cost_derivatives", counting)
+    return points
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_solve_evaluates_kernel_once_per_iterate(monkeypatch, degree):
+    """value, grad and hess at one iterate share one kernel evaluation, and
+    no point is evaluated twice in a solve."""
+    from storage_pricer.solver import solve_convex
+
+    system = synth_test_system(horizon=12, fit_degree=degree, seed=2)
+    build = build_dispatch(system)
+    points = count_kernel_points(monkeypatch)
+    result = solve_convex(build.program)
+    assert result.status == "optimal"
+    assert result.iterations <= len(points) == len(set(points))
+
+
+def test_program_callbacks_follow_in_place_changes():
+    """Changing x in place between calls gives the values of a fresh program."""
+    system = synth_test_system(horizon=6, fit_degree=3)
+    build = build_dispatch(system)
+    prog, fresh = build.program, build_dispatch(system).program
+    x = np.full(prog.n, 0.5)
+    x[[build.layout.of("g", t) for t in range(1, 7)]] = 9000.0
+    for index, change in ((build.layout.of("g", 2), 100.0), (build.layout.of("phi", 5), -0.25)):
+        prog.value(x), prog.grad(x), prog.hess(x)
+        x[index] += change
+        assert prog.value(x) == fresh.value(x)
+        assert np.array_equal(prog.grad(x), fresh.grad(x))
+        assert np.array_equal(prog.hess(x).toarray(), fresh.hess(x).toarray())

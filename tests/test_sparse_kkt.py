@@ -1,11 +1,18 @@
 """The sparse KKT solve path against a dense oracle, the active-set polish on
-dependent rows, and a long horizon.
+dependent rows, a long horizon, and the refilled KKT pattern against
+scipy.sparse block assembly.
 
 ``dense_solve_convex`` below is the dense interior-point solver the sparse
 path replaced, kept here as the reference: the same Mehrotra iteration, the
 same regularisations and the same polish, with dense LU factors, a dense
 ``lstsq`` start point and ``G^T W G`` formed densely.  Its polish drops
 active rows whose multiplier is negative beyond rounding, like the solver's.
+
+``block_kkt`` and ``block_ipm_kkt`` assemble the KKT matrices the way the
+solver did before it built each pattern once and refilled its values: sparse
+products, sums and ``block_array``.  The refill must reproduce them exactly,
+values and stored pattern alike, because ``splu``'s ordering follows the
+pattern and the prices of dual-degenerate dispatches follow the factors.
 """
 
 import time
@@ -15,6 +22,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +34,8 @@ from storage_pricer.solver import (
     OPTIMAL,
     UNBOUNDED,
     SolveResult,
+    _hessian_values,
+    _KKTPattern,
     quadratic_program,
     solve_convex,
 )
@@ -421,3 +431,115 @@ def test_month_horizon_solves():
     assert sol.equilibrium["ok"]
     assert verify_price_coupling(sol)["ok"]
     assert elapsed <= 60.0, f"T=720 solve took {elapsed:.1f}s"
+
+
+# ---------------------------------------------------------------------------
+# KKT refill against scipy.sparse block assembly
+# ---------------------------------------------------------------------------
+
+
+def block_kkt(top, B, lower):
+    """[[top, B^T], [B, -lower * I]] assembled from scipy.sparse blocks."""
+    k = B.shape[0]
+    return scipy.sparse.block_array(
+        [[top, B.T], [B, scipy.sparse.diags_array(np.full(k, -lower), shape=(k, k))]], format="csc")
+
+
+def block_ipm_kkt(H, A, G, w):
+    """The interior-point matrix, its 1e-6 retry and the Hessian scale, from
+    sparse products and sums."""
+    n, p = A.shape[1], A.shape[0]
+    H = scipy.sparse.csr_array(H)
+    K11 = H + (G.T.tocsr() @ scipy.sparse.diags_array(w)) @ G if G.shape[0] else H
+    scale = max(1.0, float(scipy.sparse.linalg.norm(H, np.inf)))
+    K = block_kkt(K11 + 1e-11 * scale * scipy.sparse.eye_array(n), A, 1e-12)
+    retry = (K + scipy.sparse.diags_array(np.concatenate([np.full(n, 1e-6), np.zeros(p)]))).tocsc()
+    return K, retry, scale
+
+
+def assert_same_matrix(got, want):
+    """Equal entries and the same stored pattern, so splu gets the same input."""
+    assert np.array_equal(got.toarray(), want.toarray())
+    want = want.tocsc()
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def random_csr(rng, rows, cols, density, zeros):
+    """CSR with random entries over several magnitudes; ``zeros`` of them are stored zeros."""
+    M = scipy.sparse.random_array((rows, cols), density=density, rng=rng, format="csr")
+    M.data = rng.standard_normal(M.nnz) * 10.0 ** rng.uniform(-3, 3, M.nnz)
+    M.data[rng.permutation(M.nnz)[:zeros]] = 0.0
+    return M
+
+
+def refill_case(seed, n, p, m, g_rows):
+    rng = np.random.default_rng(seed)
+    A = random_csr(rng, p, n, float(rng.uniform(0.1, 0.8)), int(rng.integers(0, 2)))
+    G = random_csr(rng, m, n, float(rng.uniform(0.05, 0.5)), int(rng.integers(0, 3)))
+    if m and g_rows == "dense":
+        G = scipy.sparse.csr_array(scipy.sparse.vstack([G[: m - 1], np.ones((1, n))]))
+    elif m and g_rows == "single":
+        G = scipy.sparse.csr_array((rng.standard_normal(m), (np.arange(m), rng.integers(0, n, m))),
+                                   shape=(m, n))
+    Hs = random_csr(rng, n, n, float(rng.uniform(0.0, 0.5)), 0)
+    H = scipy.sparse.coo_array(Hs + Hs.T)
+    H.data[rng.permutation(H.nnz)[: int(rng.integers(0, 3))]] = 0.0
+    w = 10.0 ** rng.uniform(-8, 10, m)
+    w[rng.permutation(m)[: int(rng.integers(0, 2))]] = 0.0
+    return A, G, H, w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), p=st.integers(0, 5),
+       m=st.integers(0, 14), g_rows=st.sampled_from(["random", "dense", "single"]))
+def test_refilled_kkt_equals_block_assembly(seed, n, p, m, g_rows):
+    """The pattern refill gives the block-assembled matrices exactly: the
+    interior-point matrix with its regularisation, its 1e-6 retry, the
+    polish pair and the start-point pair, with empty A or G, dense and
+    one-entry G rows, stored zeros and zero barrier weights."""
+    A, G, H, w = refill_case(seed, n, p, m, g_rows)
+    K_want, retry_want, scale_want = block_ipm_kkt(H, A, G, w)
+
+    pattern, hv, scale = _hessian_values(None, H, n, A, G)
+    assert scale == scale_want
+    data = pattern.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
+    assert_same_matrix(pattern.matrix(data), K_want)
+    data[pattern.diag[:n]] += 1e-6
+    assert_same_matrix(pattern.matrix(data, drop_all=True), retry_want)
+
+    # active-set polish: no barrier term, A stacked over some rows of G
+    B = scipy.sparse.vstack([A, G[: m // 2]], format="csr")
+    polish, hv, scale = _hessian_values(None, H, n, B)
+    Hc = scipy.sparse.csr_array(H)
+    assert np.array_equal(polish.matrix(polish.fill(hv)).toarray(), block_kkt(Hc, B, 0.0).toarray())
+    assert_same_matrix(polish.matrix(polish.fill(hv, reg=1e-14 * scale, delta=1e-13)),
+                       block_kkt(Hc + 1e-14 * scale * scipy.sparse.eye_array(n), B, 1e-13))
+
+    # minimum-norm start point: identity Hessian
+    start = _KKTPattern(n, A)
+    eye = scipy.sparse.eye_array(n, format="csr")
+    assert np.array_equal(start.matrix(start.fill(reg=1.0)).toarray(), block_kkt(eye, A, 0.0).toarray())
+    assert_same_matrix(start.matrix(start.fill(reg=1.0, delta=1e-12)), block_kkt(eye, A, 1e-12))
+
+
+def test_hessian_outside_pattern_rebuilds_it():
+    """A Hessian with new values on its old entries reuses the pattern; one
+    with an entry outside it gets a pattern that holds the entry."""
+    A, G, H, w = refill_case(3, 8, 2, 6, "single")
+    H = scipy.sparse.coo_array(([2.0, 3.0], ([0, 5], [0, 5])), shape=(8, 8))
+    pattern, hv, scale = _hessian_values(None, H, 8, A, G)
+
+    H2 = scipy.sparse.coo_array(([4.0, -1.0], ([0, 5], [0, 5])), shape=(8, 8))
+    same, hv, scale = _hessian_values(pattern, H2, 8, A, G)
+    assert same is pattern
+    assert_same_matrix(same.matrix(same.fill(hv, w, reg=1e-11 * scale, delta=1e-12)),
+                       block_ipm_kkt(H2, A, G, w)[0])
+
+    keys = set(zip(*np.nonzero(pattern.matrix(pattern.fill(hv, w)).toarray())))
+    i, j = next((i, j) for i in range(8) for j in range(8) if (i, j) not in keys)
+    H3 = scipy.sparse.coo_array(([4.0, 0.5, 0.5], ([0, i, j], [0, j, i])), shape=(8, 8))
+    grown, hv, scale = _hessian_values(pattern, H3, 8, A, G)
+    assert grown is not pattern
+    assert_same_matrix(grown.matrix(grown.fill(hv, w, reg=1e-11 * scale, delta=1e-12)),
+                       block_ipm_kkt(H3, A, G, w)[0])
