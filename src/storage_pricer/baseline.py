@@ -32,9 +32,9 @@ from .costs import (
 )
 from .dispatch import solve_dispatch
 from .errors import ConfigurationError, DomainError, SolverError
-from .reformulation import make_period_quantiles
+from .reformulation import period_quantiles
 from .scenarios import sample_net_load
-from .solver import ConvexProgram, csr_from_triplets, solve_convex
+from .solver import ConvexProgram, RowBlock, assemble_rows, solve_convex
 
 _EVAL_SEED_OFFSET = 1_000_003
 
@@ -317,33 +317,28 @@ def clear_with_bids(system, bids, tol=1e-8):
         raise DomainError(f"bid horizon {bids.horizon} != system horizon {T}")
 
     moments_list = [system.net_load.moments(t) for t in range(1, T + 1)]
-    quantiles = {
-        t: make_period_quantiles(moments_list[t - 1], system.net_load.model,
+    quantiles = period_quantiles(moments_list, system.net_load.model,
                                  system.epsilon, system.risk_policy)
-        for t in range(1, T + 1)
-    }
+    d_hat = np.array([quantiles[t].gen.d_hat for t in range(1, T + 1)])
+    d_tilde = np.array([quantiles[t].gen.d_tilde for t in range(1, T + 1)])
 
-    # variable layout: g (T) | p segments | b segments | e (T)
-    p_segs = [list(bids.discharge[t - 1]) for t in range(1, T + 1)]
-    b_segs = [list(bids.charge[t - 1]) for t in range(1, T + 1)]
-    p_ofs, b_ofs = [], []
-    pos = T
-    for t in range(T):
-        p_ofs.append(pos)
-        pos += len(p_segs[t])
-    for t in range(T):
-        b_ofs.append(pos)
-        pos += len(b_segs[t])
-    e_of = pos
-    n = pos + T
+    # variable layout: g (T) | p segments | b segments | e (T), the segments
+    # in period order; e column e_of + t - 1 is the stock after period t + 1
+    local = np.arange(T)
+    p_count = [len(segs) for segs in bids.discharge]
+    b_count = [len(segs) for segs in bids.charge]
+    p_t, b_t = np.repeat(local, p_count), np.repeat(local, b_count)   # 0-based periods
+    p_width, p_price = np.array([s for segs in bids.discharge for s in segs], dtype=float).reshape(-1, 2).T
+    b_width, b_price = np.array([s for segs in bids.charge for s in segs], dtype=float).reshape(-1, 2).T
+    p_cols = T + np.arange(p_t.size)
+    b_cols = T + p_t.size + np.arange(b_t.size)
+    e_of = T + p_t.size + b_t.size
+    n = e_of + T
 
     lin = np.zeros(n)
+    lin[p_cols] = p_price
+    lin[b_cols] = -b_price
     quad_idx = np.arange(T)
-    for t in range(T):
-        for s, (_, price) in enumerate(p_segs[t]):
-            lin[p_ofs[t] + s] = price
-        for s, (_, price) in enumerate(b_segs[t]):
-            lin[b_ofs[t] + s] = -price
 
     poly = system.poly
     derivatives = memoized_derivatives(expected_cost_table(poly, moments_list))
@@ -360,79 +355,64 @@ def clear_with_bids(system, bids, tol=1e-8):
         dgg = derivatives(x[:T], 1.0)[3]
         return sp.coo_array((dgg, (quad_idx, quad_idx)), shape=(n, n))
 
-    # Rows are collected as (row, column, value) triplets; each row is given
-    # as terms (columns, coefficient).
-    p_cols = [range(p_ofs[t], p_ofs[t] + len(p_segs[t])) for t in range(T)]
-    b_cols = [range(b_ofs[t], b_ofs[t] + len(b_segs[t])) for t in range(T)]
-
-    def add(ijv, rhs_list, terms, rhs):
-        ijv.extend((len(rhs_list), j, c) for cols, c in terms for j in cols)
-        rhs_list.append(rhs)
-
-    eq_ijv, eq_rhs, eq_tags = [], [], []
-    D = np.asarray(system.net_load.forecast)
-    for t in range(T):
-        add(eq_ijv, eq_rhs, [([t], 1.0), (p_cols[t], 1.0), (b_cols[t], -1.0)], float(D[t]))
-        eq_tags.append(("balance", t + 1))
-    for t in range(T):
-        terms = [([e_of + t], 1.0)] + ([([e_of + t - 1], -1.0)] if t else [])
-        terms += [(p_cols[t], 1.0 / st.eta), (b_cols[t], -st.eta)]
-        add(eq_ijv, eq_rhs, terms, st.e_init if t == 0 else 0.0)
-        eq_tags.append(("soc", t + 1))
+    # One row per period unless stated; the stock at the start of period 1
+    # is data, so the SoC rows of period 1 carry it on the right-hand side.
+    periods = local + 1
+    e_prev = (local[1:], e_of + local[1:] - 1)     # e_t, for periods 2..T
+    eta = st.eta
+    D = np.asarray(system.net_load.forecast, dtype=float)
+    end = np.array([T + 1])
+    eq = [
+        RowBlock("balance", periods, 0, D,
+                  [(local, local, 1.0), (p_t, p_cols, 1.0), (b_t, b_cols, -1.0)]),
+        RowBlock("soc", periods, 0, np.where(local == 0, st.e_init, 0.0),
+                  [(local, e_of + local, 1.0), (*e_prev, -1.0),
+                   (p_t, p_cols, 1.0 / eta), (b_t, b_cols, -eta)]),
+    ]
     if system.terminal in ("periodic", "fixed"):
-        add(eq_ijv, eq_rhs, [([e_of + T - 1], 1.0)],
-            st.e_init if system.terminal == "periodic" else float(system.terminal_value))
-        eq_tags.append(("terminal", T + 1))
+        e_end = st.e_init if system.terminal == "periodic" else float(system.terminal_value)
+        eq.append(RowBlock("terminal", end, 0, [e_end], [([0], [e_of + T - 1], 1.0)]))
 
-    ineq_ijv, ineq_rhs = [], []
+    # Inequalities period by period: generator bounds with the whole reserve
+    # (phi = 1), segment boxes (upper, then lower, per segment), aggregate
+    # power caps and the SoC band with psi = 0; then the terminal box.
+    def boxes(kind, seg_t, cols, width):
+        pair = np.arange(2 * cols.size)
+        return RowBlock(kind, np.repeat(seg_t + 1, 2), np.repeat(seg_t, 2),
+                         np.column_stack([width, np.zeros(cols.size)]).ravel(),
+                         [(pair, np.repeat(cols, 2), np.tile([1.0, -1.0], cols.size))])
 
-    def add_ineq(terms, rhs):
-        add(ineq_ijv, ineq_rhs, terms, rhs)
+    ineq = [
+        RowBlock("nu_lo", periods, local, -(system.g_min - d_hat), [(local, local, -1.0)]),
+        RowBlock("nu_hi", periods, local, system.g_max - d_tilde, [(local, local, 1.0)]),
+        boxes("p_seg", p_t, p_cols, p_width),
+        boxes("b_seg", b_t, b_cols, b_width),
+        RowBlock("beta_hi", periods, local, np.full(T, st.p_max), [(p_t, p_cols, 1.0)]),
+        RowBlock("alpha_hi", periods, local, np.full(T, st.p_max), [(b_t, b_cols, 1.0)]),
+        RowBlock("iota_lo", periods, local, np.where(local == 0, st.e_init, 0.0),
+                  [(p_t, p_cols, 1.0 / eta), (*e_prev, -1.0)]),
+        RowBlock("iota_hi", periods, local, np.where(local == 0, st.e_max - st.e_init, st.e_max),
+                  [(b_t, b_cols, eta), (*e_prev, 1.0)]),
+        RowBlock("term_lo", end, T, [0.0], [([0], [e_of + T - 1], -1.0)]),
+        RowBlock("term_hi", end, T, [st.e_max], [([0], [e_of + T - 1], 1.0)]),
+    ]
 
-    for t in range(T):
-        q = quantiles[t + 1]
-        # generator bounds with the whole reserve (phi = 1)
-        add_ineq([([t], -1.0)], -(system.g_min - q.gen.d_hat))
-        add_ineq([([t], 1.0)], system.g_max - q.gen.d_tilde)
-        # segment boxes
-        for segs, ofs in ((p_segs[t], p_ofs[t]), (b_segs[t], b_ofs[t])):
-            for s, (width, _) in enumerate(segs):
-                add_ineq([([ofs + s], 1.0)], width)
-                add_ineq([([ofs + s], -1.0)], 0.0)
-        # aggregate power caps
-        add_ineq([(p_cols[t], 1.0)], st.p_max)
-        add_ineq([(b_cols[t], 1.0)], st.p_max)
-        # SoC band (psi = 0): p/eta <= e_t,  e_t <= E - b*eta
-        if t == 0:
-            add_ineq([(p_cols[t], 1.0 / st.eta)], st.e_init)
-            add_ineq([(b_cols[t], st.eta)], st.e_max - st.e_init)
-        else:
-            add_ineq([(p_cols[t], 1.0 / st.eta), ([e_of + t - 1], -1.0)], 0.0)
-            add_ineq([(b_cols[t], st.eta), ([e_of + t - 1], 1.0)], st.e_max)
-    add_ineq([([e_of + T - 1], -1.0)], 0.0)
-    add_ineq([([e_of + T - 1], 1.0)], st.e_max)
-
-    program = ConvexProgram(
-        n=n, value=value, grad=grad, hess=hess,
-        A=csr_from_triplets(eq_ijv, (len(eq_rhs), n)), b=np.array(eq_rhs),
-        G=csr_from_triplets(ineq_ijv, (len(ineq_rhs), n)), h=np.array(ineq_rhs),
-        quadratic=poly.degree <= 2,
-    )
+    A, b, _ = assemble_rows(eq, n)
+    G, h, _ = assemble_rows(ineq, n)
+    program = ConvexProgram(n=n, value=value, grad=grad, hess=hess, A=A, b=b, G=G, h=h,
+                            quadratic=poly.degree <= 2)
     result = solve_convex(program, tol=tol)
     if result.status != "optimal":
         raise SolverError(f"bid clearing failed: {result.status}", status=result.status,
                           result=result)
     x = result.x
-    lam = np.zeros(T)
-    theta = np.zeros(T)
-    for tag, y in zip(eq_tags, result.eq_duals):
-        kind, t = tag
-        if kind == "balance":
-            lam[t - 1] = -y
-        elif kind == "soc":
-            theta[t - 1] = y
-    p = np.array([float(np.sum(x[p_ofs[t]: p_ofs[t] + len(p_segs[t])])) for t in range(T)])
-    b = np.array([float(np.sum(x[b_ofs[t]: b_ofs[t] + len(b_segs[t])])) for t in range(T)])
+    # the equality rows start with the balance block, then the SoC block
+    lam = -result.eq_duals[:T]
+    theta = result.eq_duals[T:2 * T].copy()
+    p_ends = np.cumsum([T] + p_count)
+    b_ends = np.cumsum([p_ends[-1]] + b_count)
+    p = np.array([float(np.sum(x[p_ends[t]: p_ends[t + 1]])) for t in range(T)])
+    b = np.array([float(np.sum(x[b_ends[t]: b_ends[t + 1]])) for t in range(T)])
     e = np.concatenate([[st.e_init], x[e_of: e_of + T]])
     return {
         "g": x[:T].copy(), "p": p, "b": b, "e": e,

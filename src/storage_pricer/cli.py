@@ -9,6 +9,7 @@ check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -149,20 +150,16 @@ def _system_from_args(args):
     if all(csv_given):
         from .costs import StorageSpec
 
-        storage = None
+        system = load_system_csv(args.fleet_csv, args.load_csv, args.errors_csv,
+                                 epsilon=args.epsilon, fit_degree=args.fit_degree,
+                                 storage_reserve=not args.no_storage_reserve)
         if args.storage_ratio > 0:
             # sized against the mean of the loaded profile, mirroring synthesis
-            system = load_system_csv(args.fleet_csv, args.load_csv, args.errors_csv,
-                                     epsilon=args.epsilon, fit_degree=args.fit_degree,
-                                     storage_reserve=not args.no_storage_reserve)
             avg = float(np.mean(system.net_load.forecast))
             p_max = args.storage_ratio * avg
-            storage = StorageSpec(p_max=p_max, e_max=4.0 * p_max, eta=0.95,
-                                  marginal_cost=20.0, e_init=2.0 * p_max)
-        return load_system_csv(args.fleet_csv, args.load_csv, args.errors_csv,
-                               storage=storage, epsilon=args.epsilon,
-                               fit_degree=args.fit_degree,
-                               storage_reserve=not args.no_storage_reserve)
+            system = dataclasses.replace(system, storage=StorageSpec(
+                p_max=p_max, e_max=4.0 * p_max, eta=0.95, marginal_cost=20.0, e_init=2.0 * p_max))
+        return system
     if not args.synthetic:
         raise ConfigurationError("no system source: pass --synthetic or the CSV trio")
     return synth_test_system(

@@ -36,13 +36,17 @@ from .costs import (
     memoized_derivatives,
 )
 from .errors import DomainError
-from .reformulation import build_deterministic_constraints, make_period_quantiles
-from .solver import OPTIMAL, ConvexProgram, csr_from_triplets, solve_convex
+from .reformulation import build_deterministic_constraints, period_quantiles
+from .solver import OPTIMAL, ConvexProgram, RowBlock, assemble_rows, solve_convex
 
 if TYPE_CHECKING:
     from .scenarios import NetLoadModel
 
 TERMINAL_POLICIES = ("periodic", "fixed", "free")
+
+# Column blocks of the flat decision vector, T columns each: periods 1..T,
+# except e, the beginning-of-period stock, over periods 2..T+1 (e[1] is data).
+VARIABLES = ("g", "p", "b", "phi", "psi", "e")
 
 
 @dataclass(frozen=True)
@@ -86,34 +90,21 @@ class SystemSpec:
         return replace(self, net_load=self.net_load.scaled_sigma(scale))
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariableLayout:
-    """Column indices of the flat decision vector."""
+    """Column indices of the flat decision vector: g alone without storage,
+    else one block per entry of VARIABLES."""
 
     horizon: int
     has_storage: bool
-    index: dict
-
-    @classmethod
-    def build(cls, horizon, has_storage):
-        idx = {}
-        pos = 0
-        for name in ("g",) + (("p", "b", "phi", "psi") if has_storage else ()):
-            for t in range(1, horizon + 1):
-                idx[f"{name}[{t}]"] = pos
-                pos += 1
-        if has_storage:
-            for t in range(2, horizon + 2):
-                idx[f"e[{t}]"] = pos
-                pos += 1
-        return cls(horizon, has_storage, idx)
 
     @property
     def n(self):
-        return len(self.index)
+        return self.horizon * (len(VARIABLES) if self.has_storage else 1)
 
     def of(self, name, t):
-        return self.index[f"{name}[{t}]"]
+        """Column of variable ``name`` in period ``t`` (an int or an array)."""
+        return VARIABLES.index(name) * self.horizon + t - (2 if name == "e" else 1)
 
 
 @dataclass
@@ -126,7 +117,7 @@ class DispatchBuild:
     quantiles: dict
     eq_tags: list
     ineq_tags: list
-    pinned: dict
+    pinned: dict           # (variable, period) -> value fixed by the presolve
 
 
 @dataclass
@@ -158,144 +149,107 @@ class DispatchSolution:
         return self.duals.get(kind, {}).get(t, 0.0)
 
 
-def _moments(system, t):
-    return system.net_load.moments(t)
-
-
 def build_dispatch(system, validate_convexity=True):
     """Assemble the dispatch convex program for a system."""
     T = system.horizon
     storage = system.storage
     has_storage = storage is not None
-    layout = VariableLayout.build(T, has_storage)
+    layout = VariableLayout(T, has_storage)
+    periods = np.arange(1, T + 1)
 
-    moments_list = [_moments(system, t) for t in range(1, T + 1)]
+    moments_list = [system.net_load.moments(t) for t in range(1, T + 1)]
     if validate_convexity:
         check_expected_cost_convexity(
             system.poly, moments_list, system.g_min, system.g_max)
 
-    quantiles = {
-        t: make_period_quantiles(moments_list[t - 1], system.net_load.model,
+    quantiles = period_quantiles(moments_list, system.net_load.model,
                                  system.epsilon, system.risk_policy)
-        for t in range(1, T + 1)
-    }
 
     # Presolve pinning: at the SoC extremes the first-period SoC rows admit
     # only a measure-zero feasible set (no strict interior), which an
     # interior-point method cannot traverse.  Pin the forced-zero variables
     # by equality and drop the degenerate row instead.
     pinned = {}
-    dropped_rows = set()
+    dropped = set()     # kinds whose period-1 row is dropped
     if has_storage:
         tiny = 1e-9 * storage.e_max
         q1 = quantiles[1]
         if storage.e_init >= storage.e_max - tiny:
-            pinned["b[1]"] = 0.0
+            pinned[("b", 1)] = 0.0
             if q1.soc.d_hat < 0.0 and system.storage_reserve:
-                pinned["psi[1]"] = 0.0
-            dropped_rows.add(("iota_hi", 1))
+                pinned[("psi", 1)] = 0.0
+            dropped.add("iota_hi")
         if storage.e_init <= tiny:
-            pinned["p[1]"] = 0.0
+            pinned[("p", 1)] = 0.0
             if q1.soc.d_tilde > 0.0 and system.storage_reserve:
-                pinned["psi[1]"] = 0.0
-            dropped_rows.add(("iota_lo", 1))
+                pinned[("psi", 1)] = 0.0
+            dropped.add("iota_lo")
+    # Pins are in period 1 only.  A pinned psi[1] fixes phi[1] = 1 through
+    # the reserve row, so period 1 has no interior reserve box to keep.
+    unpinned_psi = slice(1, None) if ("psi", 1) in pinned else slice(None)
 
     n = layout.n
     D = np.asarray(system.net_load.forecast, dtype=float)
 
-    # --- equalities -------------------------------------------------------
-    # Rows are collected as (row, column, value) triplets.
-    eq_ijv, eq_rhs, eq_tags = [], [], []
+    def rows(kind, key, t, rhs, terms):
+        """One row per period in ``t``: the sum of coef * var[t + shift] over
+        the (var, shift, coef) terms.  The data e[1], and phi = 1 without
+        storage, move to the right-hand side."""
+        local = np.arange(len(t))
+        rhs = np.array(np.broadcast_to(rhs, local.shape), dtype=float)
+        entries = []
+        for var, shift, coef in terms:
+            at = t + shift
+            coef = np.broadcast_to(np.asarray(coef, dtype=float), local.shape)
+            data = at == 1 if var == "e" else np.full(local.shape, var == "phi" and not has_storage)
+            rhs[data] -= coef[data] * (storage.e_init if var == "e" else 1.0)
+            entries.append((local[~data], layout.of(var, at[~data]), coef[~data]))
+        return RowBlock(kind, t, key, rhs, entries)
 
-    def add_eq(coeffs, rhs, tag):
-        eq_ijv.extend((len(eq_rhs), layout.index[name], c) for name, c in coeffs.items())
-        eq_rhs.append(rhs)
-        eq_tags.append(tag)
-
-    for t in range(1, T + 1):
-        coeffs = {f"g[{t}]": 1.0}
-        if has_storage:
-            coeffs[f"p[{t}]"] = 1.0
-            coeffs[f"b[{t}]"] = -1.0
-        add_eq(coeffs, float(D[t - 1]), ("balance", t))
-
+    # --- equalities: family by family (equal keys keep the blocks' order) ---
+    eq = [rows("balance", 0, periods, D,
+               [("g", 0, 1.0)] + ([("p", 0, 1.0), ("b", 0, -1.0)] if has_storage else []))]
     if has_storage:
         eta = storage.eta
-        for t in range(1, T + 1):
-            coeffs = {f"e[{t + 1}]": 1.0, f"p[{t}]": 1.0 / eta, f"b[{t}]": -eta}
-            rhs = 0.0
-            if t == 1:
-                rhs = storage.e_init
-            else:
-                coeffs[f"e[{t}]"] = -1.0
-            add_eq(coeffs, rhs, ("soc", t))
-        for t in range(1, T + 1):
-            add_eq({f"phi[{t}]": 1.0, f"psi[{t}]": 1.0}, 1.0, ("reserve", t))
+        eq.append(rows("soc", 0, periods, 0.0,
+                       [("e", 1, 1.0), ("p", 0, 1.0 / eta), ("b", 0, -eta), ("e", 0, -1.0)]))
+        eq.append(rows("reserve", 0, periods, 1.0, [("phi", 0, 1.0), ("psi", 0, 1.0)]))
         if not system.storage_reserve:
-            for t in range(1, T + 1):
-                if f"psi[{t}]" not in pinned:
-                    add_eq({f"psi[{t}]": 1.0}, 0.0, ("psi_fix", t))
-        if system.terminal == "periodic":
-            add_eq({f"e[{T + 1}]": 1.0}, storage.e_init, ("terminal", T + 1))
-        elif system.terminal == "fixed":
-            add_eq({f"e[{T + 1}]": 1.0}, float(system.terminal_value), ("terminal", T + 1))
-        for name, value in pinned.items():
-            add_eq({name: 1.0}, value, ("pin", name))
+            eq.append(rows("psi_fix", 0, periods[unpinned_psi], 0.0, [("psi", 0, 1.0)]))
+        if system.terminal != "free":
+            e_end = storage.e_init if system.terminal == "periodic" else float(system.terminal_value)
+            eq.append(rows("terminal", 0, np.array([T + 1]), e_end, [("e", 0, 1.0)]))
+        for (var, t), value in pinned.items():
+            eq.append(rows(f"pin_{var}", 0, np.array([t]), value, [(var, 0, 1.0)]))
 
-    # --- inequalities -----------------------------------------------------
-    ineq_ijv, ineq_rhs, ineq_tags = [], [], []
-
-    def add_ineq(coeffs, rhs, tag):
-        for name, c in coeffs.items():
-            if name == "e[1]":
-                rhs = rhs - c * storage.e_init
-                continue
-            ineq_ijv.append((len(ineq_rhs), layout.index[name], c))
-        ineq_rhs.append(rhs)
-        ineq_tags.append(tag)
-
-    det_rows = build_deterministic_constraints(
+    # --- inequalities: the reformulated rows period by period, then the
+    # reserve boxes period by period, then the free terminal box ------------
+    families = build_deterministic_constraints(
         T, (system.g_min, system.g_max), storage, quantiles)
-    for r in det_rows.rows:
-        if (r.kind, r.period) in dropped_rows:
-            continue
-        if not has_storage:
-            # phi == 1 substituted as a constant
-            coeffs = {}
-            rhs = r.rhs
-            for name, c in r.coeffs.items():
-                if name.startswith("phi["):
-                    rhs -= c
-                else:
-                    coeffs[name] = c
-            add_ineq(coeffs, rhs, (r.kind, r.period))
-        else:
-            add_ineq(dict(r.coeffs), r.rhs, (r.kind, r.period))
-
+    ineq = []
+    for kind, fam in families.items():
+        keep = slice(1, None) if kind in dropped else slice(None)
+        ineq.append(rows(kind, periods[keep], periods[keep], fam.rhs[keep],
+                         [(var, 0, coef[keep]) for var, coef in fam.coeffs.items()]))
     if has_storage and system.storage_reserve:
-        for t in range(1, T + 1):
-            if f"psi[{t}]" in pinned:
-                continue  # phi pinned to 1 via the reserve row; no interior box
-            add_ineq({f"phi[{t}]": -1.0}, 0.0, ("kappa_phi_lo", t))
-            add_ineq({f"phi[{t}]": 1.0}, 1.0, ("kappa_phi_hi", t))
-            add_ineq({f"psi[{t}]": -1.0}, 0.0, ("kappa_psi_lo", t))
-            add_ineq({f"psi[{t}]": 1.0}, 1.0, ("kappa_psi_hi", t))
-
+        t = periods[unpinned_psi]
+        for var in ("phi", "psi"):
+            ineq.append(rows(f"kappa_{var}_lo", T + t, t, 0.0, [(var, 0, -1.0)]))
+            ineq.append(rows(f"kappa_{var}_hi", T + t, t, 1.0, [(var, 0, 1.0)]))
     if has_storage and system.terminal == "free":
-        add_ineq({f"e[{T + 1}]": -1.0}, 0.0, ("term_lo", T + 1))
-        add_ineq({f"e[{T + 1}]": 1.0}, storage.e_max, ("term_hi", T + 1))
+        end = np.array([T + 1])
+        ineq.append(rows("term_lo", 2 * T + 1, end, 0.0, [("e", 0, -1.0)]))
+        ineq.append(rows("term_hi", 2 * T + 1, end, storage.e_max, [("e", 0, 1.0)]))
 
     # --- objective callbacks -----------------------------------------------
     poly = system.poly
     table = expected_cost_table(poly, moments_list)
     M = storage.marginal_cost if has_storage else 0.0
     mus = np.array([m.mu for m in moments_list])
-    g_idx = np.array([layout.of("g", t) for t in range(1, T + 1)])
+    g_idx = layout.of("g", periods)
     h_rows = h_cols = g_idx
     if has_storage:
-        p_idx = np.array([layout.of("p", t) for t in range(1, T + 1)])
-        psi_idx = np.array([layout.of("psi", t) for t in range(1, T + 1)])
-        phi_idx = np.array([layout.of("phi", t) for t in range(1, T + 1)])
+        p_idx, psi_idx, phi_idx = (layout.of(name, periods) for name in ("p", "psi", "phi"))
         # Hessian entries in the order g/g, g/phi, phi/g, phi/phi
         h_rows = np.concatenate([g_idx, g_idx, phi_idx, phi_idx])
         h_cols = np.concatenate([g_idx, phi_idx, g_idx, phi_idx])
@@ -326,12 +280,10 @@ def build_dispatch(system, validate_convexity=True):
         vals = np.concatenate([dgg, dgp, dgp, dpp]) if has_storage else dgg
         return sp.coo_array((vals, (h_rows, h_cols)), shape=(n, n))
 
-    program = ConvexProgram(
-        n=n, value=value, grad=grad, hess=hess,
-        A=csr_from_triplets(eq_ijv, (len(eq_rhs), n)), b=np.array(eq_rhs, dtype=float),
-        G=csr_from_triplets(ineq_ijv, (len(ineq_rhs), n)), h=np.array(ineq_rhs, dtype=float),
-        quadratic=poly.degree <= 2,
-    )
+    A, b, eq_tags = assemble_rows(eq, n)
+    G, h, ineq_tags = assemble_rows(ineq, n)
+    program = ConvexProgram(n=n, value=value, grad=grad, hess=hess, A=A, b=b, G=G, h=h,
+                            quadratic=poly.degree <= 2)
     return DispatchBuild(program=program, layout=layout, system=system,
                          quantiles=quantiles, eq_tags=eq_tags,
                          ineq_tags=ineq_tags, pinned=pinned)
@@ -353,32 +305,25 @@ def _extract_solution(build, result, tol):
     layout = build.layout
     has_storage = layout.has_storage
     x = result.x
+    periods = np.arange(1, T + 1)
 
     def series(name):
-        return np.array([x[layout.of(name, t)] for t in range(1, T + 1)])
+        return x[layout.of(name, periods)]
 
+    # The equality rows start with the balance, SoC and reserve blocks.
+    y = result.eq_duals
     g = series("g")
+    lam = -y[:T]
     if has_storage:
         p, b = series("p"), series("b")
         phi, psi = series("phi"), series("psi")
-        e = np.concatenate([[build.system.storage.e_init],
-                            [x[layout.of("e", t)] for t in range(2, T + 2)]])
+        e = np.concatenate([[build.system.storage.e_init], x[layout.of("e", periods + 1)]])
+        theta, pi = y[T:2 * T].copy(), -y[2 * T:3 * T]
     else:
         p = b = psi = np.zeros(T)
         phi = np.ones(T)
         e = np.zeros(T + 1)
-
-    lam = np.zeros(T)
-    theta = np.zeros(T)
-    pi = np.zeros(T)
-    for tag, y in zip(build.eq_tags, result.eq_duals):
-        kind, t = tag
-        if kind == "balance":
-            lam[t - 1] = -y
-        elif kind == "soc":
-            theta[t - 1] = y
-        elif kind == "reserve":
-            pi[t - 1] = -y
+        theta, pi = np.zeros(T), np.zeros(T)
 
     duals = {}
     for tag, z in zip(build.ineq_tags, result.ineq_duals):
@@ -455,13 +400,13 @@ def verify_equilibrium(solution, system, tol=1e-8):
         a_lo, a_hi = solution.dual("alpha_lo", t), solution.dual("alpha_hi", t)
         be_lo, be_hi = solution.dual("beta_lo", t), solution.dual("beta_hi", t)
         i_lo, i_hi = solution.dual("iota_lo", t), solution.dual("iota_hi", t)
-        if f"b[{t}]" not in solution.pinned:
+        if ("b", t) not in solution.pinned:
             b_rows[t - 1] = -th * eta + lam - a_lo + a_hi + i_hi * eta
-        if f"p[{t}]" not in solution.pinned:
+        if ("p", t) not in solution.pinned:
             p_rows[t - 1] = M + th / eta - lam - be_lo + be_hi + i_lo / eta
         if t >= 2:
             e_rows[t - 1] = -th + solution.theta[t - 2] - i_lo + i_hi
-        if system.storage_reserve and f"psi[{t}]" not in solution.pinned:
+        if system.storage_reserve and ("psi", t) not in solution.pinned:
             k_phi = solution.dual("kappa_phi_hi", t) - solution.dual("kappa_phi_lo", t)
             k_psi = solution.dual("kappa_psi_hi", t) - solution.dual("kappa_psi_lo", t)
             phi_rows[t - 1] = dE_dphi[t - 1] - pi - nu_lo * q.gen.d_hat + nu_hi * q.gen.d_tilde + k_phi

@@ -333,20 +333,27 @@ def quantile_pair(moments, epsilon_i, model):
     and empirical families keep their own asymmetric quantile shape, mapped
     affinely onto the per-period (mu, sigma).
     """
+    return quantile_map(model, epsilon_i)(moments.mu, moments.sigma)
+
+
+def quantile_map(model, epsilon_i):
+    """The map (mu, sigma) -> (d_hat, d_tilde) of ``quantile_pair`` at one risk
+    level, for scalars or arrays of periods.  The model's own quantile is
+    evaluated once, here, not per period.
+    """
     _check_epsilon(epsilon_i)
-    mu, sigma = moments.mu, moments.sigma
     if isinstance(model, GaussianModel):
         z = gaussian_quantile(epsilon_i)
-        return mu - z * sigma, mu + z * sigma
-    if isinstance(model, RobustModel):
-        r = robust_quantile(model.shape, epsilon_i)
-        return mu - r * sigma, mu + r * sigma
-    if isinstance(model, (VersatileModel, EmpiricalModel)):
+    elif isinstance(model, RobustModel):
+        z = robust_quantile(model.shape, epsilon_i)
+    elif isinstance(model, (VersatileModel, EmpiricalModel)):
         lo, hi, m, s = _standardized_levels(model, epsilon_i)
         if s <= 0.0:
-            return mu, mu
-        return mu + sigma * (lo - m) / s, mu + sigma * (hi - m) / s
-    raise DomainError(f"unknown uncertainty model {type(model).__name__}")
+            return lambda mu, sigma: (mu, mu)
+        return lambda mu, sigma: (mu + sigma * (lo - m) / s, mu + sigma * (hi - m) / s)
+    else:
+        raise DomainError(f"unknown uncertainty model {type(model).__name__}")
+    return lambda mu, sigma: (mu - z * sigma, mu + z * sigma)
 
 
 def standardized_draws(model, size, rng):

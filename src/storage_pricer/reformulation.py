@@ -12,16 +12,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import quantile_pair
+import numpy as np
+
+from .distributions import quantile_map
 from .errors import BuildError, DomainError
 
-# Dual-variable tags for emitted rows, in emission order per period.
-ROW_KINDS = (
-    "nu_lo", "nu_hi",           # generator lower/upper (joint group, two-sided)
-    "alpha_lo", "alpha_hi",     # charge nonnegativity / charge power cap
-    "beta_lo", "beta_hi",       # discharge nonnegativity / discharge power cap
-    "iota_lo", "iota_hi",       # SoC lower/upper (joint group, two-sided)
-)
+# Dual-variable tags of the emitted rows, in emission order per period, with
+# the variables each touches in the order of its coefficients.  Row t of a
+# kind refers to the period-t variable of each; e[t] is the
+# beginning-of-period stock, so e[1] is the fixed initial stock.
+ROW_STRUCTURE = {
+    # generator lower/upper (joint group, two-sided)
+    "nu_lo": ("g", "phi"),
+    "nu_hi": ("g", "phi"),
+    # charge nonnegativity / charge power cap
+    "alpha_lo": ("b",),
+    "alpha_hi": ("b", "psi"),
+    # discharge nonnegativity / discharge power cap
+    "beta_lo": ("p",),
+    "beta_hi": ("p", "psi"),
+    # SoC lower/upper (joint group, two-sided)
+    "iota_lo": ("p", "psi", "e"),
+    "iota_hi": ("e", "b", "psi"),
+}
+ROW_KINDS = tuple(ROW_STRUCTURE)
 
 
 @dataclass(frozen=True)
@@ -79,99 +93,81 @@ class PeriodQuantiles:
     soc: QuantileTriple
 
 
-def make_period_quantiles(moments, model, epsilon, policy="equal"):
-    """Quantiles for one period under the documented Bonferroni split.
+def period_quantiles(moments_list, model, epsilon, policy="equal"):
+    """Quantiles of every period under the documented Bonferroni split,
+    keyed by period (1-based).
 
     The two-sided generator and SoC groups each decompose into two one-sided
     constraints (risk epsilon/2 per side under equal allocation); the storage
-    power caps are individual constraints at the full epsilon.
+    power caps are individual constraints at the full epsilon.  Each distinct
+    risk level is evaluated once and mapped onto all periods' (mu, sigma).
     """
     pair_alloc = allocate_risk(epsilon, 2, policy)
-    eps_side = pair_alloc.epsilons[0]
-    gen_hat, gen_tilde = quantile_pair(moments, eps_side, model)
-    soc_hat, soc_tilde = quantile_pair(moments, pair_alloc.epsilons[1], model)
-    pow_hat, pow_tilde = quantile_pair(moments, epsilon, model)
-    return PeriodQuantiles(
-        gen=QuantileTriple(gen_hat, gen_tilde, eps_side),
-        power=QuantileTriple(pow_hat, pow_tilde, epsilon),
-        soc=QuantileTriple(soc_hat, soc_tilde, pair_alloc.epsilons[1]),
-    )
+    levels = {"gen": pair_alloc.epsilons[0], "power": epsilon, "soc": pair_alloc.epsilons[1]}
+    mu = np.array([m.mu for m in moments_list], dtype=float)
+    sigma = np.array([m.sigma for m in moments_list], dtype=float)
+    pairs = {eps: quantile_map(model, eps)(mu, sigma) for eps in set(levels.values())}
+    triples = {
+        group: [QuantileTriple(hat, tilde, eps)
+                for hat, tilde in zip(*(v.tolist() for v in pairs[eps]))]
+        for group, eps in levels.items()
+    }
+    return {
+        t: PeriodQuantiles(gen=triples["gen"][i], power=triples["power"][i],
+                           soc=triples["soc"][i])
+        for i, t in enumerate(range(1, len(moments_list) + 1))
+    }
 
 
 @dataclass(frozen=True)
-class ConstraintRow:
-    """One linear row: sum(coeffs[var] * var) <= / == rhs."""
+class RowFamily:
+    """One row kind over periods 1..T: row t is
+    sum(coeffs[v][t-1] * v[t] for v in ROW_STRUCTURE[kind]) <= rhs[t-1]."""
 
-    coeffs: dict
-    sense: str
-    rhs: float
-    kind: str
-    period: int
-    epsilon: float | None = None
-
-    @property
-    def tag(self):
-        return f"{self.kind}[{self.period}]"
-
-
-@dataclass(frozen=True)
-class LinearConstraintSet:
-    rows: tuple
-
-    def __post_init__(self):
-        tags = [r.tag for r in self.rows]
-        if len(set(tags)) != len(tags):
-            raise BuildError("duplicate constraint tags")
-
-    def by_kind(self, kind):
-        return [r for r in self.rows if r.kind == kind]
-
-    def row(self, kind, period):
-        for r in self.rows:
-            if r.kind == kind and r.period == period:
-                return r
-        raise KeyError(f"{kind}[{period}]")
+    coeffs: dict                  # variable -> coefficient per period
+    rhs: np.ndarray
+    epsilon: np.ndarray | None    # risk level per period; None when deterministic
 
 
 def build_deterministic_constraints(horizon, gen_bounds, storage, quantiles):
-    """Emit the per-period reformulated inequality rows.
+    """Emit the reformulated inequality rows: {kind: RowFamily} in ROW_KINDS order.
 
     ``quantiles`` maps each period (1-based) to a PeriodQuantiles; a missing
-    slot is a build error naming it.  ``storage`` may be None (no storage
-    rows).  Variables are referenced symbolically: g[t], p[t], b[t], phi[t],
-    psi[t], e[t] with e[1] the fixed initial stock (the caller substitutes).
+    slot is a build error naming it.  ``storage`` may be None (generator rows
+    only).  e[1] is the fixed initial stock, which the caller substitutes.
     """
     g_lo, g_hi = gen_bounds
     if g_lo > g_hi:
         raise BuildError(f"generator bounds reversed: {g_lo} > {g_hi}")
-    rows = []
     for t in range(1, horizon + 1):
-        q = quantiles.get(t)
-        if q is None:
+        if t not in quantiles:
             raise BuildError(f"missing quantiles for period {t}")
-        rows.append(ConstraintRow(
-            {f"g[{t}]": -1.0, f"phi[{t}]": -q.gen.d_hat}, "<=", -g_lo,
-            "nu_lo", t, q.gen.epsilon))
-        rows.append(ConstraintRow(
-            {f"g[{t}]": 1.0, f"phi[{t}]": q.gen.d_tilde}, "<=", g_hi,
-            "nu_hi", t, q.gen.epsilon))
-        if storage is None:
-            continue
+    periods = range(1, horizon + 1)
+
+    def column(group, name):
+        return np.array([getattr(getattr(quantiles[t], group), name) for t in periods])
+
+    def full(value):
+        return np.full(horizon, value, dtype=float)
+
+    gen_hat, gen_tilde, gen_eps = (column("gen", name) for name in ("d_hat", "d_tilde", "epsilon"))
+    rows = {
+        "nu_lo": (full(-g_lo), gen_eps, full(-1.0), -gen_hat),
+        "nu_hi": (full(g_hi), gen_eps, full(1.0), gen_tilde),
+    }
+    if storage is not None:
         eta = storage.eta
-        rows.append(ConstraintRow(
-            {f"b[{t}]": -1.0}, "<=", 0.0, "alpha_lo", t, None))
-        rows.append(ConstraintRow(
-            {f"b[{t}]": 1.0, f"psi[{t}]": -q.power.d_hat}, "<=", storage.p_max,
-            "alpha_hi", t, q.power.epsilon))
-        rows.append(ConstraintRow(
-            {f"p[{t}]": -1.0}, "<=", 0.0, "beta_lo", t, None))
-        rows.append(ConstraintRow(
-            {f"p[{t}]": 1.0, f"psi[{t}]": q.power.d_tilde}, "<=", storage.p_max,
-            "beta_hi", t, q.power.epsilon))
-        rows.append(ConstraintRow(
-            {f"p[{t}]": 1.0 / eta, f"psi[{t}]": q.soc.d_tilde / eta, f"e[{t}]": -1.0},
-            "<=", 0.0, "iota_lo", t, q.soc.epsilon))
-        rows.append(ConstraintRow(
-            {f"e[{t}]": 1.0, f"b[{t}]": eta, f"psi[{t}]": -eta * q.soc.d_hat},
-            "<=", storage.e_max, "iota_hi", t, q.soc.epsilon))
-    return LinearConstraintSet(tuple(rows))
+        pow_hat, pow_tilde, pow_eps = (column("power", name) for name in ("d_hat", "d_tilde", "epsilon"))
+        soc_hat, soc_tilde, soc_eps = (column("soc", name) for name in ("d_hat", "d_tilde", "epsilon"))
+        rows.update({
+            "alpha_lo": (full(0.0), None, full(-1.0)),
+            "alpha_hi": (full(storage.p_max), pow_eps, full(1.0), -pow_hat),
+            "beta_lo": (full(0.0), None, full(-1.0)),
+            "beta_hi": (full(storage.p_max), pow_eps, full(1.0), pow_tilde),
+            "iota_lo": (full(0.0), soc_eps, full(1.0 / eta), soc_tilde / eta, full(-1.0)),
+            "iota_hi": (full(storage.e_max), soc_eps, full(1.0), full(eta), -eta * soc_hat),
+        })
+    return {
+        kind: RowFamily(dict(zip(ROW_STRUCTURE[kind], coeffs)), rhs, epsilon)
+        for kind, (rhs, epsilon, *coeffs) in rows.items()
+    }

@@ -32,6 +32,7 @@ linearly with the horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,11 +52,42 @@ def _csr(M):
                         dtype=float)
 
 
-def csr_from_triplets(ijv, shape):
-    """CSR array of ``shape`` from a sequence of (row, column, value) triplets."""
-    i, j, v = zip(*ijv) if ijv else ((), (), ())
-    return sp.csr_array((np.array(v, dtype=float), (np.array(i, dtype=np.intp), np.array(j, dtype=np.intp))),
-                        shape=shape)
+class RowBlock(NamedTuple):
+    """Rows of one kind: per row a ``period``, an order ``key`` and the
+    ``rhs`` (``period`` and ``key`` may be one value for every row), and the
+    entries in COO form as ``terms``, (row within the block, column, value)
+    triples of arrays broadcast together, so one value may serve a term."""
+
+    kind: str
+    period: np.ndarray
+    key: np.ndarray
+    rhs: np.ndarray
+    terms: list
+
+
+def assemble_rows(blocks, n):
+    """Stack row blocks into (CSR matrix with n columns, rhs, tags).
+
+    Rows are ordered by key; rows with equal keys keep the order of the
+    blocks and, within a block, their own.  Tags are (kind, period) pairs in
+    row order.  Every entry is kept, explicit zeros included, and a row may
+    have none.
+    """
+    sizes = [len(blk.rhs) for blk in blocks]
+    starts = np.cumsum([0] + sizes[:-1])
+    keys = np.concatenate([np.broadcast_to(blk.key, size) for blk, size in zip(blocks, sizes)])
+    order = np.argsort(keys, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*(
+        np.broadcast_arrays(position[start + np.asarray(row, dtype=np.intp)],
+                            np.asarray(col, dtype=np.intp), np.asarray(val, dtype=float))
+        for blk, start in zip(blocks, starts) for row, col, val in blk.terms)))
+    matrix = sp.csr_array((vals, (rows, cols)), shape=(order.size, n))
+    rhs = np.concatenate([np.asarray(blk.rhs, dtype=float) for blk in blocks])[order]
+    kinds = [blk.kind for blk, size in zip(blocks, sizes) for _ in range(size)]
+    periods = np.concatenate([np.broadcast_to(blk.period, size) for blk, size in zip(blocks, sizes)])
+    return matrix, rhs, list(zip([kinds[i] for i in order.tolist()], periods[order].tolist()))
 
 
 @dataclass

@@ -83,6 +83,31 @@ def _csv_source(tmp_path):
     return ["--fleet-csv", str(fleet), "--load-csv", str(load), "--errors-csv", str(errors)]
 
 
+def test_csv_source_read_once_with_storage(tmp_path, monkeypatch):
+    """A CSV source with storage is loaded and fitted once, and gives the
+    system that loading with the storage attached gives."""
+    import storage_pricer.cli as cli
+    from storage_pricer.costs import StorageSpec
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    load = cli.load_system_csv
+    monkeypatch.setattr(cli, "load_system_csv", spy)
+    source = _csv_source(tmp_path)
+    args = cli.build_parser().parse_args(["dispatch", *source, "--storage-ratio", "0.2"])
+    system = cli._system_from_args(args)
+    assert len(calls) == 1
+    p_max = 0.2 * 110.0
+    storage = StorageSpec(p_max=p_max, e_max=4.0 * p_max, eta=0.95, marginal_cost=20.0,
+                          e_init=2.0 * p_max)
+    assert system == load(*source[1::2], storage=storage, epsilon=args.epsilon,
+                          fit_degree=args.fit_degree, storage_reserve=True)
+
+
 @pytest.mark.parametrize("axis", ["storage-capacity", "renewable"])
 def test_sweep_synthesis_axes_reject_csv_source(tmp_path, capsys, axis):
     """These axes synthesise a system per point, so a CSV source is refused

@@ -7,9 +7,14 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import storage_pricer.baseline as baseline
+from storage_pricer.baseline import BidCurve, clear_with_bids
 from storage_pricer.costs import CostPolynomial, FleetCurve, Segment, StorageSpec
 from storage_pricer.dispatch import (
+    TERMINAL_POLICIES,
     SystemSpec,
     build_dispatch,
     check_complementarity,
@@ -20,6 +25,7 @@ from storage_pricer.dispatch import (
 )
 from storage_pricer.distributions import GaussianModel
 from storage_pricer.errors import DomainError
+from storage_pricer.reformulation import period_quantiles
 from storage_pricer.scenarios import NetLoadModel, synth_test_system
 
 
@@ -89,15 +95,15 @@ def test_build_constraint_tags_enumerate_rows():
 def test_full_soc_pins_first_period_charging():
     system = storage_system([100.0, 100.0], sigma=5.0, e_init=80.0)
     build = build_dispatch(system)
-    assert "b[1]" in build.pinned
-    assert "psi[1]" in build.pinned
+    assert ("b", 1) in build.pinned
+    assert ("psi", 1) in build.pinned
     assert ("iota_hi", 1) not in build.ineq_tags
 
 
 def test_empty_soc_pins_first_period_discharging():
     system = storage_system([100.0, 100.0], sigma=5.0, e_init=0.0)
     build = build_dispatch(system)
-    assert "p[1]" in build.pinned
+    assert ("p", 1) in build.pinned
     assert ("iota_lo", 1) not in build.ineq_tags
 
 
@@ -363,3 +369,244 @@ def test_program_callbacks_follow_in_place_changes():
         assert prog.value(x) == fresh.value(x)
         assert np.array_equal(prog.grad(x), fresh.grad(x))
         assert np.array_equal(prog.hess(x).toarray(), fresh.hess(x).toarray())
+
+
+# ---------------------------------------------------------------------------
+# the row builder against the string-keyed assembly it replaced
+# ---------------------------------------------------------------------------
+
+
+class OracleRows:
+    """Rows written one at a time, as the string-keyed assembly wrote them."""
+
+    def __init__(self):
+        self.ijv, self.rhs, self.tags = [], [], []
+
+    def add(self, terms, rhs, tag=None):
+        self.ijv.extend((len(self.rhs), j, c) for j, c in terms)
+        self.rhs.append(rhs)
+        self.tags.append(tag)
+
+    def matrix(self, n):
+        i, j, v = zip(*self.ijv) if self.ijv else ((), (), ())
+        M = scipy.sparse.csr_array((np.array(v, dtype=float), (np.array(i, dtype=np.intp),
+                                    np.array(j, dtype=np.intp))), shape=(len(self.rhs), n))
+        return M, np.array(self.rhs, dtype=float), self.tags
+
+
+def oracle_dispatch_rows(system, quantiles):
+    """(A, b, eq tags) and (G, h, ineq tags) of the string-keyed build_dispatch."""
+    T, stg = system.horizon, system.storage
+    names = [f"{v}[{t}]" for v in (("g", "p", "b", "phi", "psi") if stg else ("g",))
+             for t in range(1, T + 1)]
+    index = {k: i for i, k in enumerate(names + ([f"e[{t}]" for t in range(2, T + 2)] if stg else []))}
+    pinned, dropped = {}, set()
+    if stg:
+        tiny, q1 = 1e-9 * stg.e_max, quantiles[1]
+        if stg.e_init >= stg.e_max - tiny:
+            pinned["b[1]"] = 0.0
+            if q1.soc.d_hat < 0.0 and system.storage_reserve:
+                pinned["psi[1]"] = 0.0
+            dropped.add(("iota_hi", 1))
+        if stg.e_init <= tiny:
+            pinned["p[1]"] = 0.0
+            if q1.soc.d_tilde > 0.0 and system.storage_reserve:
+                pinned["psi[1]"] = 0.0
+            dropped.add(("iota_lo", 1))
+    eq, ineq = OracleRows(), OracleRows()
+
+    def add_eq(coeffs, rhs, tag):
+        eq.add([(index[k], c) for k, c in coeffs.items()], rhs, tag)
+
+    def add_ineq(coeffs, rhs, tag):
+        terms = []
+        for k, c in coeffs.items():
+            if k == "e[1]":
+                rhs = rhs - c * stg.e_init
+            elif k.startswith("phi[") and not stg:
+                rhs -= c  # phi == 1 substituted as a constant
+            else:
+                terms.append((index[k], c))
+        ineq.add(terms, rhs, tag)
+
+    D = system.net_load.forecast
+    for t in range(1, T + 1):
+        add_eq({f"g[{t}]": 1.0, **({f"p[{t}]": 1.0, f"b[{t}]": -1.0} if stg else {})},
+               float(D[t - 1]), ("balance", t))
+    if stg:
+        eta = stg.eta
+        for t in range(1, T + 1):
+            coeffs = {f"e[{t + 1}]": 1.0, f"p[{t}]": 1.0 / eta, f"b[{t}]": -eta}
+            if t > 1:
+                coeffs[f"e[{t}]"] = -1.0
+            add_eq(coeffs, stg.e_init if t == 1 else 0.0, ("soc", t))
+        for t in range(1, T + 1):
+            add_eq({f"phi[{t}]": 1.0, f"psi[{t}]": 1.0}, 1.0, ("reserve", t))
+        if not system.storage_reserve:
+            for t in range(1, T + 1):
+                if f"psi[{t}]" not in pinned:
+                    add_eq({f"psi[{t}]": 1.0}, 0.0, ("psi_fix", t))
+        if system.terminal != "free":
+            e_end = stg.e_init if system.terminal == "periodic" else float(system.terminal_value)
+            add_eq({f"e[{T + 1}]": 1.0}, e_end, ("terminal", T + 1))
+        for name, value in pinned.items():
+            add_eq({name: 1.0}, value, (f"pin_{name[:-3]}", 1))
+
+    for t in range(1, T + 1):
+        q = quantiles[t]
+        rows = [("nu_lo", {f"g[{t}]": -1.0, f"phi[{t}]": -q.gen.d_hat}, -system.g_min),
+                ("nu_hi", {f"g[{t}]": 1.0, f"phi[{t}]": q.gen.d_tilde}, system.g_max)]
+        if stg:
+            rows += [
+                ("alpha_lo", {f"b[{t}]": -1.0}, 0.0),
+                ("alpha_hi", {f"b[{t}]": 1.0, f"psi[{t}]": -q.power.d_hat}, stg.p_max),
+                ("beta_lo", {f"p[{t}]": -1.0}, 0.0),
+                ("beta_hi", {f"p[{t}]": 1.0, f"psi[{t}]": q.power.d_tilde}, stg.p_max),
+                ("iota_lo", {f"p[{t}]": 1.0 / eta, f"psi[{t}]": q.soc.d_tilde / eta,
+                             f"e[{t}]": -1.0}, 0.0),
+                ("iota_hi", {f"e[{t}]": 1.0, f"b[{t}]": eta, f"psi[{t}]": -eta * q.soc.d_hat},
+                 stg.e_max)]
+        for kind, coeffs, rhs in rows:
+            if (kind, t) not in dropped:
+                add_ineq(coeffs, rhs, (kind, t))
+    if stg and system.storage_reserve:
+        for t in range(1, T + 1):
+            if f"psi[{t}]" not in pinned:
+                for v in ("phi", "psi"):
+                    add_ineq({f"{v}[{t}]": -1.0}, 0.0, (f"kappa_{v}_lo", t))
+                    add_ineq({f"{v}[{t}]": 1.0}, 1.0, (f"kappa_{v}_hi", t))
+    if stg and system.terminal == "free":
+        add_ineq({f"e[{T + 1}]": -1.0}, 0.0, ("term_lo", T + 1))
+        add_ineq({f"e[{T + 1}]": 1.0}, stg.e_max, ("term_hi", T + 1))
+    return eq.matrix(len(index)), ineq.matrix(len(index))
+
+
+def oracle_clearing_rows(system, bids, quantiles):
+    """(A, b) and (G, h) of the hand-offset clear_with_bids assembly."""
+    T, stg = system.horizon, system.storage
+    p_segs, b_segs = bids.discharge, bids.charge
+    p_ofs, b_ofs, pos = [], [], T
+    for segs, ofs in ((p_segs, p_ofs), (b_segs, b_ofs)):
+        for t in range(T):
+            ofs.append(pos)
+            pos += len(segs[t])
+    e_of = pos
+    p_cols = [range(p_ofs[t], p_ofs[t] + len(p_segs[t])) for t in range(T)]
+    b_cols = [range(b_ofs[t], b_ofs[t] + len(b_segs[t])) for t in range(T)]
+    eq, ineq = OracleRows(), OracleRows()
+
+    def add(rows, terms, rhs):
+        rows.add([(j, c) for cols, c in terms for j in cols], rhs)
+
+    for t in range(T):
+        add(eq, [([t], 1.0), (p_cols[t], 1.0), (b_cols[t], -1.0)], float(system.net_load.forecast[t]))
+    for t in range(T):
+        terms = [([e_of + t], 1.0)] + ([([e_of + t - 1], -1.0)] if t else [])
+        add(eq, terms + [(p_cols[t], 1.0 / stg.eta), (b_cols[t], -stg.eta)], stg.e_init if t == 0 else 0.0)
+    if system.terminal in ("periodic", "fixed"):
+        add(eq, [([e_of + T - 1], 1.0)],
+            stg.e_init if system.terminal == "periodic" else float(system.terminal_value))
+    for t in range(T):
+        q = quantiles[t + 1]
+        add(ineq, [([t], -1.0)], -(system.g_min - q.gen.d_hat))
+        add(ineq, [([t], 1.0)], system.g_max - q.gen.d_tilde)
+        for segs, ofs in ((p_segs[t], p_ofs[t]), (b_segs[t], b_ofs[t])):
+            for s, (width, _) in enumerate(segs):
+                add(ineq, [([ofs + s], 1.0)], width)
+                add(ineq, [([ofs + s], -1.0)], 0.0)
+        add(ineq, [(p_cols[t], 1.0)], stg.p_max)
+        add(ineq, [(b_cols[t], 1.0)], stg.p_max)
+        if t == 0:
+            add(ineq, [(p_cols[t], 1.0 / stg.eta)], stg.e_init)
+            add(ineq, [(b_cols[t], stg.eta)], stg.e_max - stg.e_init)
+        else:
+            add(ineq, [(p_cols[t], 1.0 / stg.eta), ([e_of + t - 1], -1.0)], 0.0)
+            add(ineq, [(b_cols[t], stg.eta), ([e_of + t - 1], 1.0)], stg.e_max)
+    add(ineq, [([e_of + T - 1], -1.0)], 0.0)
+    add(ineq, [([e_of + T - 1], 1.0)], stg.e_max)
+    return eq.matrix(e_of + T)[:2], ineq.matrix(e_of + T)[:2]
+
+
+def assert_same_bits(got, want):
+    """Equal CSR structure and values, and equal right-hand sides, bit for bit."""
+    (M, rhs), (W, want_rhs) = got, want
+    assert M.shape == W.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(M, name), getattr(W, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert rhs.tobytes() == want_rhs.tobytes()
+
+
+@st.composite
+def row_systems(draw, with_storage=None):
+    """Small systems over every row family: with and without storage and the
+    storage reserve, each terminal policy, empty and full initial stock (the
+    pinned first period), zero and positive sigma (zero mu and sigma give
+    explicit zero coefficients), and custom risk weights."""
+    T = draw(st.integers(1, 5))
+    sigma = tuple(draw(st.one_of(st.just(0.0), st.floats(0.5, 30.0))) for _ in range(T))
+    model = NetLoadModel(forecast=tuple(draw(st.floats(50.0, 300.0)) for _ in range(T)),
+                         mu=tuple(draw(st.just(0.0) | st.floats(-5.0, 5.0)) for _ in range(T)),
+                         sigma=sigma, model=GaussianModel())
+    storage = None
+    if with_storage or (with_storage is None and draw(st.booleans())):
+        e_max = draw(st.floats(10.0, 100.0))
+        storage = StorageSpec(p_max=draw(st.floats(5.0, 40.0)), e_max=e_max,
+                              eta=draw(st.floats(0.8, 1.0)), marginal_cost=draw(st.floats(0.0, 20.0)),
+                              e_init=e_max * draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)))
+    weight = draw(st.one_of(st.none(), st.floats(0.1, 0.9)))
+    terminal = draw(st.sampled_from(TERMINAL_POLICIES))
+    return SystemSpec(
+        horizon=T, net_load=model, poly=quad_poly(), fleet=one_segment_fleet(),
+        storage=storage, g_min=draw(st.floats(0.0, 30.0)), g_max=500.0,
+        epsilon=draw(st.floats(0.01, 0.2)),
+        risk_policy="equal" if weight is None else (weight, 1.0 - weight),
+        terminal=terminal, terminal_value=40.0 if terminal == "fixed" else None,
+        storage_reserve=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(system=row_systems())
+def test_dispatch_rows_equal_string_keyed_assembly(system):
+    build = build_dispatch(system)
+    (A, b, eq_tags), (G, h, ineq_tags) = oracle_dispatch_rows(system, build.quantiles)
+    assert_same_bits((build.program.A, build.program.b), (A, b))
+    assert_same_bits((build.program.G, build.program.h), (G, h))
+    assert build.eq_tags == eq_tags
+    assert build.ineq_tags == ineq_tags
+
+
+class Captured(Exception):
+    pass
+
+
+def clearing_program(system, bids):
+    """The program clear_with_bids hands to the solver."""
+    programs = []
+
+    def capture(program, **kwargs):
+        programs.append(program)
+        raise Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baseline, "solve_convex", capture)
+        with pytest.raises(Captured):
+            clear_with_bids(system, bids)
+    return programs[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(system=row_systems(with_storage=True), data=st.data())
+def test_clearing_rows_equal_hand_offset_assembly(system, data):
+    """Including periods with no offer or no bid, whose cap rows are empty."""
+    steps = st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-20.0, 80.0)), max_size=3)
+    bids = BidCurve(
+        discharge=tuple(tuple(data.draw(steps)) for _ in range(system.horizon)),
+        charge=tuple(tuple(data.draw(steps)) for _ in range(system.horizon)))
+    program = clearing_program(system, bids)
+    quantiles = period_quantiles([system.net_load.moments(t) for t in range(1, system.horizon + 1)],
+                                 system.net_load.model, system.epsilon, system.risk_policy)
+    eq, ineq = oracle_clearing_rows(system, bids, quantiles)
+    assert_same_bits((program.A, program.b), eq)
+    assert_same_bits((program.G, program.h), ineq)

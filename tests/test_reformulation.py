@@ -2,15 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import storage_pricer.distributions as distributions
 from storage_pricer.costs import StorageSpec
-from storage_pricer.distributions import ErrorMoments, GaussianModel
+from storage_pricer.distributions import (
+    EmpiricalModel,
+    ErrorMoments,
+    GaussianModel,
+    RobustModel,
+    VersatileModel,
+)
 from storage_pricer.errors import BuildError, DomainError
 from storage_pricer.reformulation import (
+    ROW_STRUCTURE,
     allocate_risk,
     build_deterministic_constraints,
-    make_period_quantiles,
+    period_quantiles,
 )
+from storage_pricer.scenarios import synth_test_system
 
 
 def storage():
@@ -50,12 +61,66 @@ def test_allocate_risk_domain_errors():
 
 
 def test_bonferroni_split_levels():
-    q = make_period_quantiles(ErrorMoments(0, 10), GaussianModel(), 0.05)
+    q = period_quantiles([ErrorMoments(0, 10)], GaussianModel(), 0.05)[1]
     assert q.gen.epsilon == pytest.approx(0.025)
     assert q.soc.epsilon == pytest.approx(0.025)
     assert q.power.epsilon == pytest.approx(0.05)
     assert q.power.d_tilde == pytest.approx(16.449, abs=2e-3)
     assert q.gen.d_tilde == pytest.approx(19.600, abs=2e-3)
+
+
+def scalar_quantile_pair(mu, sigma, epsilon, model):
+    """Per-period quantiles as evaluated one period at a time."""
+    if isinstance(model, GaussianModel):
+        z = distributions.gaussian_quantile(epsilon)
+        return mu - z * sigma, mu + z * sigma
+    if isinstance(model, RobustModel):
+        r = distributions.robust_quantile(model.shape, epsilon)
+        return mu - r * sigma, mu + r * sigma
+    lo, hi, m, s = distributions._standardized_levels(model, epsilon)
+    if s <= 0.0:
+        return mu, mu
+    return mu + sigma * (lo - m) / s, mu + sigma * (hi - m) / s
+
+
+MODELS = (GaussianModel(), RobustModel("SU"), RobustModel("U"),
+          VersatileModel(a=0.8, b=2.5, c=-0.3),
+          EmpiricalModel(tuple(np.random.default_rng(3).standard_normal(40))),
+          EmpiricalModel((1.5, 1.5, 1.5)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model=st.sampled_from(MODELS), epsilon=st.floats(0.002, 0.3),
+       weight=st.one_of(st.none(), st.floats(0.05, 0.95)),
+       moments=st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(0.0, 30.0)),
+                        min_size=1, max_size=8))
+def test_period_quantiles_equal_per_period_evaluation(model, epsilon, weight, moments):
+    """Bit for bit the quantiles of evaluating each period on its own."""
+    policy = "equal" if weight is None else (weight, 1.0 - weight)
+    got = period_quantiles([ErrorMoments(mu, sigma) for mu, sigma in moments], model,
+                           epsilon, policy)
+    alloc = allocate_risk(epsilon, 2, policy)
+    assert sorted(got) == list(range(1, len(moments) + 1))
+    for t, (mu, sigma) in enumerate(moments, start=1):
+        for group, eps in (("gen", alloc.epsilons[0]), ("power", epsilon), ("soc", alloc.epsilons[1])):
+            triple = getattr(got[t], group)
+            want = scalar_quantile_pair(mu, sigma, eps, model)
+            assert (triple.d_hat.hex(), triple.d_tilde.hex()) == tuple(float(v).hex() for v in want)
+            assert triple.epsilon == eps
+
+
+def test_build_evaluates_each_risk_level_once(monkeypatch):
+    """A T=24 build bisects the Gaussian quantile once per distinct risk
+    level (epsilon/2 and epsilon), not once per period and row group."""
+    from storage_pricer.dispatch import build_dispatch
+
+    calls = []
+    quantile = distributions.gaussian_quantile
+    monkeypatch.setattr(distributions, "gaussian_quantile",
+                        lambda eps: calls.append(eps) or quantile(eps))
+    build_dispatch(synth_test_system(horizon=24))
+    assert 1 <= len(calls) <= 3
+    assert len(set(calls)) == len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -64,41 +129,50 @@ def test_bonferroni_split_levels():
 
 
 def quantile_map(horizon, sigma, epsilon=0.05, mu=0.0):
-    return {
-        t: make_period_quantiles(ErrorMoments(mu, sigma), GaussianModel(), epsilon)
-        for t in range(1, horizon + 1)
-    }
+    return period_quantiles([ErrorMoments(mu, sigma)] * horizon, GaussianModel(), epsilon)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_rows_follow_structure_table():
+    rows = build_deterministic_constraints(3, (0.0, 100.0), storage(), quantile_map(3, 2.0))
+    assert list(rows) == list(ROW_STRUCTURE)
+    for kind, family in rows.items():
+        assert tuple(family.coeffs) == ROW_STRUCTURE[kind]
+        assert all(c.shape == (3,) for c in family.coeffs.values()) and family.rhs.shape == (3,)
 
 
 def test_sigma_zero_collapses_to_nominal_rows():
+    """Quantile terms stay as explicit, signed zeros."""
     rows = build_deterministic_constraints(2, (10.0, 200.0), storage(), quantile_map(2, 0.0))
-    by_tag = {r.tag: r for r in rows.rows}
-    assert by_tag["nu_lo[1]"].coeffs == {"g[1]": -1.0, "phi[1]": -0.0}
-    assert by_tag["nu_lo[1]"].rhs == -10.0
-    assert by_tag["nu_hi[2]"].coeffs == {"g[2]": 1.0, "phi[2]": 0.0}
-    assert by_tag["alpha_hi[1]"].rhs == 50.0
-    assert by_tag["iota_lo[1]"].coeffs == {"p[1]": 1.0, "psi[1]": 0.0, "e[1]": -1.0}
-    assert by_tag["iota_hi[2]"].coeffs == {"e[2]": 1.0, "b[2]": 1.0, "psi[2]": -0.0}
+    nu_lo, nu_hi = rows["nu_lo"].coeffs, rows["nu_hi"].coeffs
+    assert bits([nu_lo["g"][0], nu_lo["phi"][0]]) == bits([-1.0, -0.0])
+    assert rows["nu_lo"].rhs[0] == -10.0
+    assert bits([nu_hi["g"][1], nu_hi["phi"][1]]) == bits([1.0, 0.0])
+    assert rows["alpha_hi"].rhs[0] == 50.0
+    iota_lo, iota_hi = rows["iota_lo"].coeffs, rows["iota_hi"].coeffs
+    assert bits([iota_lo["p"][0], iota_lo["psi"][0], iota_lo["e"][0]]) == bits([1.0, 0.0, -1.0])
+    assert bits([iota_hi["e"][1], iota_hi["b"][1], iota_hi["psi"][1]]) == bits([1.0, 1.0, -0.0])
 
 
 def test_discharge_row_matches_quantile_oracle():
     # d_tilde at the full epsilon=0.05 is 1.6449 * 10 = 16.449.
-    rows = build_deterministic_constraints(1, (0.0, 500.0), storage(), quantile_map(1, 10.0))
-    row = rows.row("beta_hi", 1)
-    assert row.coeffs["p[1]"] == 1.0
-    assert row.coeffs["psi[1]"] == pytest.approx(16.449, abs=2e-3)
-    assert row.rhs == 50.0
+    row = build_deterministic_constraints(1, (0.0, 500.0), storage(), quantile_map(1, 10.0))["beta_hi"]
+    assert row.coeffs["p"][0] == 1.0
+    assert row.coeffs["psi"][0] == pytest.approx(16.449, abs=2e-3)
+    assert row.rhs[0] == 50.0
 
 
 def test_soc_upper_row_signs():
     # e_t + eta*b - eta*d_hat*psi <= E_max with d_hat = -19.6*sigma/10 at eps/2.
-    rows = build_deterministic_constraints(1, (0.0, 500.0), storage(), quantile_map(1, 10.0))
-    row = rows.row("iota_hi", 1)
-    assert row.rhs == 100.0
-    assert row.coeffs["e[1]"] == 1.0
-    assert row.coeffs["b[1]"] == pytest.approx(1.0)
+    row = build_deterministic_constraints(1, (0.0, 500.0), storage(), quantile_map(1, 10.0))["iota_hi"]
+    assert row.rhs[0] == 100.0
+    assert row.coeffs["e"][0] == 1.0
+    assert row.coeffs["b"][0] == pytest.approx(1.0)
     # -eta * d_hat > 0 because d_hat < 0: tightening, never clamped.
-    assert row.coeffs["psi[1]"] == pytest.approx(19.600, abs=2e-3)
+    assert row.coeffs["psi"][0] == pytest.approx(19.600, abs=2e-3)
 
 
 def test_missing_quantiles_names_slot():
@@ -111,23 +185,27 @@ def test_missing_quantiles_names_slot():
 def test_epsilon_tag_audit():
     """Equal split across the two sides of each joint group."""
     rows = build_deterministic_constraints(3, (0.0, 100.0), storage(), quantile_map(3, 2.0, epsilon=0.08))
-    for r in rows.rows:
-        if r.kind.startswith("nu") or r.kind.startswith("iota"):
-            assert r.epsilon == pytest.approx(0.04)
-        elif r.kind in ("alpha_hi", "beta_hi"):
-            assert r.epsilon == pytest.approx(0.08)
+    for kind, family in rows.items():
+        if kind.startswith("nu") or kind.startswith("iota"):
+            assert family.epsilon == pytest.approx([0.04] * 3)
+        elif kind in ("alpha_hi", "beta_hi"):
+            assert family.epsilon == pytest.approx([0.08] * 3)
+        else:
+            assert family.epsilon is None
 
 
 def test_no_storage_emits_generator_rows_only():
     rows = build_deterministic_constraints(2, (0.0, 100.0), None, quantile_map(2, 1.0))
-    assert sorted({r.kind for r in rows.rows}) == ["nu_hi", "nu_lo"]
+    assert sorted(rows) == ["nu_hi", "nu_lo"]
 
 
 def _violations(rows, point):
+    """Violation of every row at ``point``, a map (variable, period) -> value."""
     out = []
-    for r in rows.rows:
-        lhs = sum(c * point.get(v, 0.0) for v, c in r.coeffs.items())
-        out.append(max(0.0, lhs - r.rhs))
+    for family in rows.values():
+        for t, rhs in enumerate(family.rhs, start=1):
+            lhs = sum(c[t - 1] * point.get((v, t), 0.0) for v, c in family.coeffs.items())
+            out.append(max(0.0, lhs - rhs))
     return np.array(out)
 
 
@@ -139,11 +217,11 @@ def test_conservatism_larger_sigma_shrinks_feasible_set():
     for _ in range(200):
         point = {}
         for t in (1, 2):
-            point[f"g[{t}]"] = float(rng.uniform(0, 120))
-            point[f"p[{t}]"] = float(rng.uniform(0, 60))
-            point[f"b[{t}]"] = float(rng.uniform(0, 60))
-            point[f"phi[{t}]"] = float(rng.uniform(0, 1))
-            point[f"psi[{t}]"] = float(rng.uniform(0, 1))
-            point[f"e[{t}]"] = float(rng.uniform(0, 110))
+            point["g", t] = float(rng.uniform(0, 120))
+            point["p", t] = float(rng.uniform(0, 60))
+            point["b", t] = float(rng.uniform(0, 60))
+            point["phi", t] = float(rng.uniform(0, 1))
+            point["psi", t] = float(rng.uniform(0, 1))
+            point["e", t] = float(rng.uniform(0, 110))
         if np.all(_violations(big, point) <= 1e-12):
             assert np.all(_violations(small, point) <= 1e-9)
