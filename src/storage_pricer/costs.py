@@ -222,16 +222,18 @@ def expected_storage_cost(storage, p, psi, mu):
     return storage.marginal_cost * (p + psi * mu)
 
 
-def check_expected_cost_convexity(poly, moments_list, g_lo, g_hi, n_grid=15):
+def check_expected_cost_convexity(poly, moments_list, g_lo, g_hi, n_grid=15, *, table=None):
     """Convexity gate: Hessian of E[G] PSD over a (g, phi) grid for each period.
 
     Raises DomainError at the first failing point (period, then g, then phi);
-    dispatch refuses such polynomials.
+    dispatch refuses such polynomials.  ``table``, when given, is
+    ``expected_cost_table(poly, moments_list)`` already built by the caller.
     """
+    if table is None:
+        table = expected_cost_table(poly, moments_list)
     g = np.linspace(g_lo, g_hi, n_grid)[:, None, None]
     phi = np.linspace(0.0, 1.0, 7)[None, :, None]
-    *_, dgg, dgp, dpp = expected_cost_derivatives(
-        expected_cost_table(poly, moments_list), g, phi)
+    *_, dgg, dgp, dpp = expected_cost_derivatives(table, g, phi)
     tr = dgg + dpp
     det = dgg * dpp - dgp * dgp
     scale = np.maximum(1.0, np.maximum(np.abs(dgg), np.abs(dpp)))

@@ -115,9 +115,10 @@ class DispatchBuild:
     layout: VariableLayout
     system: SystemSpec
     quantiles: dict
-    eq_tags: list
+    eq_tags: list          # tags of one copy's rows when the build stacks copies
     ineq_tags: list
     pinned: dict           # (variable, period) -> value fixed by the presolve
+    table: tuple           # expected_cost_table of the system's moments
 
 
 @dataclass
@@ -149,8 +150,25 @@ class DispatchSolution:
         return self.duals.get(kind, {}).get(t, 0.0)
 
 
-def build_dispatch(system, validate_convexity=True):
-    """Assemble the dispatch convex program for a system."""
+def _block_diagonal(M, k):
+    """k copies of the CSR array M down the diagonal, each entry kept in place
+    (``scipy.sparse.block_diag`` gives the same arrays through COO, at four
+    times the cost for one copy of a T=24 dispatch)."""
+    rows, cols = M.shape
+    offsets = np.arange(k)[:, None]
+    indptr = np.append((M.indptr[:-1] + M.nnz * offsets).ravel(), k * M.nnz)
+    return sp.csr_array((np.tile(M.data, k), (M.indices + cols * offsets).ravel(), indptr),
+                        shape=(k * rows, k * cols))
+
+
+def build_dispatch(system, validate_convexity=True, loads=None):
+    """Assemble the dispatch convex program for a system.
+
+    ``loads``, k rows of T net loads (default: the forecast, k = 1), stacks
+    k copies of the program that differ only in the balance right-hand side:
+    the decision vector is the copies' vectors one after another, A and G are
+    block-diagonal, h is tiled, and copy i's balance rows read loads[i].
+    """
     T = system.horizon
     storage = system.storage
     has_storage = storage is not None
@@ -158,9 +176,10 @@ def build_dispatch(system, validate_convexity=True):
     periods = np.arange(1, T + 1)
 
     moments_list = [system.net_load.moments(t) for t in range(1, T + 1)]
+    table = expected_cost_table(system.poly, moments_list)
     if validate_convexity:
         check_expected_cost_convexity(
-            system.poly, moments_list, system.g_min, system.g_max)
+            system.poly, moments_list, system.g_min, system.g_max, table=table)
 
     quantiles = period_quantiles(moments_list, system.net_load.model,
                                  system.epsilon, system.risk_policy)
@@ -190,6 +209,10 @@ def build_dispatch(system, validate_convexity=True):
 
     n = layout.n
     D = np.asarray(system.net_load.forecast, dtype=float)
+    loads = D[None, :] if loads is None else np.atleast_2d(np.asarray(loads, dtype=float))
+    if loads.ndim != 2 or loads.shape[1] != T or not loads.shape[0]:
+        raise DomainError(f"loads must be k >= 1 rows of {T} periods, got shape {loads.shape}")
+    k = loads.shape[0]
 
     def rows(kind, key, t, rhs, terms):
         """One row per period in ``t``: the sum of coef * var[t + shift] over
@@ -241,15 +264,19 @@ def build_dispatch(system, validate_convexity=True):
         ineq.append(rows("term_lo", 2 * T + 1, end, 0.0, [("e", 0, -1.0)]))
         ineq.append(rows("term_hi", 2 * T + 1, end, storage.e_max, [("e", 0, 1.0)]))
 
-    # --- objective callbacks -----------------------------------------------
-    poly = system.poly
-    table = expected_cost_table(poly, moments_list)
+    # --- objective callbacks over the k copies: x viewed as (k, n), the
+    # kernel evaluated once on (k, T) arrays -------------------------------
     M = storage.marginal_cost if has_storage else 0.0
-    mus = np.array([m.mu for m in moments_list])
-    g_idx = layout.of("g", periods)
+    mus = np.tile([m.mu for m in moments_list], k)
+
+    def cols(name):
+        """Columns of ``name`` in every copy, copy by copy, then period."""
+        return (n * np.arange(k)[:, None] + layout.of(name, periods)).ravel()
+
+    g_idx = cols("g")
     h_rows = h_cols = g_idx
     if has_storage:
-        p_idx, psi_idx, phi_idx = (layout.of(name, periods) for name in ("p", "psi", "phi"))
+        p_idx, psi_idx, phi_idx = (cols(name) for name in ("p", "psi", "phi"))
         # Hessian entries in the order g/g, g/phi, phi/g, phi/phi
         h_rows = np.concatenate([g_idx, g_idx, phi_idx, phi_idx])
         h_cols = np.concatenate([g_idx, phi_idx, g_idx, phi_idx])
@@ -257,7 +284,7 @@ def build_dispatch(system, validate_convexity=True):
     derivatives = memoized_derivatives(table)
 
     def kernel(x):
-        return derivatives(x[g_idx], x[phi_idx] if has_storage else 1.0)
+        return derivatives(x[g_idx].reshape(k, T), x[phi_idx].reshape(k, T) if has_storage else 1.0)
 
     def value(x):
         total = float(np.sum(kernel(x)[0]))
@@ -267,26 +294,30 @@ def build_dispatch(system, validate_convexity=True):
 
     def grad(x):
         _, dg, dp, *_ = kernel(x)
-        out = np.zeros(n)
-        out[g_idx] = dg
+        out = np.zeros(k * n)
+        out[g_idx] = dg.ravel()
         if has_storage:
-            out[phi_idx] = dp
+            out[phi_idx] = dp.ravel()
             out[p_idx] += M
             out[psi_idx] += M * mus
         return out
 
     def hess(x):
         *_, dgg, dgp, dpp = kernel(x)
-        vals = np.concatenate([dgg, dgp, dgp, dpp]) if has_storage else dgg
-        return sp.coo_array((vals, (h_rows, h_cols)), shape=(n, n))
+        vals = np.concatenate([dgg, dgp, dgp, dpp] if has_storage else [dgg], axis=None)
+        return sp.coo_array((vals, (h_rows, h_cols)), shape=(k * n, k * n))
 
     A, b, eq_tags = assemble_rows(eq, n)
     G, h, ineq_tags = assemble_rows(ineq, n)
-    program = ConvexProgram(n=n, value=value, grad=grad, hess=hess, A=A, b=b, G=G, h=h,
-                            quadratic=poly.degree <= 2)
+    b = np.tile(b, (k, 1))
+    b[:, :T] = loads           # the balance rows come first
+    program = ConvexProgram(n=k * n, value=value, grad=grad, hess=hess,
+                            A=_block_diagonal(A, k), b=b.ravel(),
+                            G=_block_diagonal(G, k), h=np.tile(h, k),
+                            quadratic=system.poly.degree <= 2)
     return DispatchBuild(program=program, layout=layout, system=system,
-                         quantiles=quantiles, eq_tags=eq_tags,
-                         ineq_tags=ineq_tags, pinned=pinned)
+                         quantiles=quantiles, eq_tags=eq_tags, ineq_tags=ineq_tags,
+                         pinned=pinned, table=table)
 
 
 def solve_dispatch(system, tol=1e-8, iter_cap=200, verify=True):
@@ -296,7 +327,7 @@ def solve_dispatch(system, tol=1e-8, iter_cap=200, verify=True):
     solution = _extract_solution(build, result, tol)
     if solution.status == OPTIMAL and verify:
         solution.complementarity = check_complementarity(solution, max(1e-6, 10 * tol))
-        solution.equilibrium = verify_equilibrium(solution, system, tol=tol)
+        solution.equilibrium = verify_equilibrium(solution, system, tol=tol, table=build.table)
     return solution
 
 
@@ -356,9 +387,10 @@ def check_complementarity(solution, tol=1e-6):
     }
 
 
-def verify_equilibrium(solution, system, tol=1e-8):
+def verify_equilibrium(solution, system, tol=1e-8, table=None):
     """Re-derive every stationarity row of the dispatch Lagrangian from the
     primal/dual values and report residuals, independently of the solver.
+    ``table`` is the system's ``expected_cost_table``, built here if not given.
 
     Row groups: market clearing identities, generator stationarity,
     storage charge/discharge/SoC stationarity, and reserve-split
@@ -385,8 +417,9 @@ def verify_equilibrium(solution, system, tol=1e-8):
     p_rows = np.full(T, np.nan)
     e_rows = np.full(T, np.nan)
     moments_list = [system.net_load.moments(t) for t in range(1, T + 1)]
-    _, dE_dg, dE_dphi, *_ = expected_cost_derivatives(
-        expected_cost_table(system.poly, moments_list), solution.g, solution.phi)
+    if table is None:
+        table = expected_cost_table(system.poly, moments_list)
+    _, dE_dg, dE_dphi, *_ = expected_cost_derivatives(table, solution.g, solution.phi)
 
     for t in range(1, T + 1):
         m = moments_list[t - 1]

@@ -160,8 +160,9 @@ def _residuals(prog, AT, GT, x, y, z, s):
     return r_d, r_p, r_g, comp
 
 
-def _merit(prog, AT, GT, x, y, z, s, mu):
-    r_d, r_p, r_g, comp = _residuals(prog, AT, GT, x, y, z, s)
+def _merit(residuals, mu):
+    """Residual norm of ``_residuals`` output, complementarity taken against mu."""
+    r_d, r_p, r_g, comp = residuals
     pieces = [r_d, r_p, r_g]
     if comp.size:
         pieces.append(comp - mu)
@@ -467,9 +468,13 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
     status = ITER_LIMIT
     stall = 0
     it = 0
+    residuals = None     # of (x, y, z, s) when a line search has formed them
     for it in range(1, iter_cap + 1):
         H = _coo(prog.hess(x))
-        r_d, r_p, r_g, comp = _residuals(prog, AT, GT, x, y, z, s)
+        if residuals is None:
+            residuals = _residuals(prog, AT, GT, x, y, z, s)
+        r_d, r_p, r_g, comp = residuals
+        residuals = None
         if not all(np.all(np.isfinite(v)) for v in (x, y, z, s, r_d, r_p, r_g)):
             break
         mu = float(np.mean(comp)) if m else 0.0
@@ -569,15 +574,17 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
             # cost polynomials are near-quadratic over the operating range
             # and almost always accept the full step.
             target_mu = sigma * mu if m else 0.0
-            m0 = _merit(prog, AT, GT, x, y, z, s, target_mu)
+            m0 = _merit((r_d, r_p, r_g, comp), target_mu)
             scale_k = 1.0
             cand = None
             for _ in range(16):
                 cand = (x + scale_k * ap * dx, y + scale_k * ad * dy,
                         z + scale_k * ad * dz, s + scale_k * ap * ds)
                 if not m or (np.min(cand[3]) > 0 and np.min(cand[2]) > 0):
-                    if _merit(prog, AT, GT, *cand, target_mu) <= 10.0 * m0:
+                    residuals = _residuals(prog, AT, GT, *cand)
+                    if _merit(residuals, target_mu) <= 10.0 * m0:
                         break
+                    residuals = None
                 scale_k *= 0.5
             x, y, z, s = cand
 

@@ -1,24 +1,29 @@
 """Profit-maximizing benchmark tests: price simulation, DP value function,
 bids, clearing, and the mechanism comparison."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import storage_pricer.baseline as baseline
 from storage_pricer.baseline import (
+    PRICE_STACK,
     BidCurve,
     bids_from_value,
     clear_with_bids,
     compare_mechanisms,
+    deterministic_variant,
     dp_forward_schedule,
     dp_value_function,
     simulate_price_scenarios,
 )
 from storage_pricer.costs import StorageSpec
 from storage_pricer.dispatch import solve_dispatch
-from storage_pricer.errors import ConfigurationError, DomainError
-from storage_pricer.scenarios import synth_test_system
+from storage_pricer.errors import ConfigurationError, DomainError, SolverError
+from storage_pricer.scenarios import sample_net_load, synth_test_system
+from storage_pricer.solver import ITER_LIMIT
 
 SMALL = dict(n_gens=10, total_cap_mw=2000.0, avg_load_mw=1000.0, seed=4,
              horizon=12, g_min_ratio=0.3, marginal_cost=10.0)
@@ -51,6 +56,101 @@ def test_seeded_scenarios_reproducible():
     a = simulate_price_scenarios(system, 5, seed=3)
     b = simulate_price_scenarios(system, 5, seed=3)
     assert np.array_equal(a.lam, b.lam)
+
+
+def loop_price_scenarios(system, n_scenarios, seed):
+    """One dispatch per scenario, as the scenarios were solved before they
+    were stacked: the oracle for simulate_price_scenarios."""
+    draws = sample_net_load(system.net_load, n_scenarios, seed)
+    lam = []
+    for load in np.clip(draws, system.g_min, system.g_max):
+        sol = solve_dispatch(deterministic_variant(system, load), verify=False)
+        assert sol.status == "optimal"
+        lam.append(sol.lam)
+    return np.array(lam)
+
+
+@pytest.mark.parametrize("system,n", [
+    (small_system(fit_degree=2), 4),
+    (small_system(fit_degree=3), 4),
+    (small_system(storage_ratio=0.0), 4),
+    (small_system(fit_degree=3, storage_ratio=0.0), 3),
+    (small_system(), 1),
+    (small_system(horizon=6, fit_degree=3), PRICE_STACK + 1),
+    (small_system(horizon=6).with_initial_soc(0.0), 3),
+    (small_system(horizon=6, fit_degree=3).with_initial_soc(small_system().storage.e_max), 3),
+], ids=["quadratic", "cubic", "no-storage", "cubic-no-storage", "one", "two-stacks",
+        "empty", "full"])
+def test_stacked_scenarios_match_one_by_one(system, n):
+    prices = simulate_price_scenarios(system, n, seed=3)
+    want = loop_price_scenarios(system, n, seed=3)
+    assert prices.lam.shape == want.shape == (n, system.horizon)
+    assert np.max(np.abs(prices.lam - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def test_stacked_scenarios_match_one_by_one_on_clipped_draws():
+    system = small_system(horizon=6).with_sigma_scale(8.0)
+    prices = simulate_price_scenarios(system, 5, seed=3)
+    draws = sample_net_load(system.net_load, 5, 3)
+    outside = np.any((draws < system.g_min) | (draws > system.g_max), axis=1)
+    assert prices.clipped == tuple(np.flatnonzero(outside)) and len(prices.clipped) >= 2
+    want = loop_price_scenarios(system, 5, seed=3)
+    assert np.max(np.abs(prices.lam - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def fail_solves(monkeypatch, failing):
+    """Make the solves numbered in ``failing`` (all when None) end at the
+    iteration cap; returns the list of the sizes n of the programs solved."""
+    solve, sizes = baseline.solve_convex, []
+
+    def patched(program, **kwargs):
+        result = solve(program, **kwargs)
+        sizes.append(program.n)
+        if failing is None or len(sizes) - 1 in failing:
+            return dataclasses.replace(result, status=ITER_LIMIT)
+        return result
+
+    monkeypatch.setattr(baseline, "solve_convex", patched)
+    return sizes
+
+
+def test_price_stacks_share_one_convexity_gate(monkeypatch):
+    import storage_pricer.dispatch as dispatch
+
+    gates = []
+    gate = dispatch.check_expected_cost_convexity
+    monkeypatch.setattr(dispatch, "check_expected_cost_convexity",
+                        lambda *args, **kw: gates.append(args) or gate(*args, **kw))
+    solves = fail_solves(monkeypatch, set())
+    simulate_price_scenarios(small_system(horizon=6), 2 * PRICE_STACK + 1, seed=3)
+    assert len(gates) == 1
+    assert len(solves) == 3 and solves[0] == solves[1] == PRICE_STACK * solves[2]
+
+
+def test_failed_stack_is_solved_one_by_one(monkeypatch):
+    """The scenarios of a stack that fails are solved alone, exactly as the
+    one-by-one loop solves them."""
+    system = small_system(horizon=6)
+    solves = fail_solves(monkeypatch, {0})
+    prices = simulate_price_scenarios(system, PRICE_STACK + 1, seed=3)
+    assert len(solves) == 2 + PRICE_STACK and len(set(solves[1:])) == 1
+    assert solves[0] == PRICE_STACK * solves[1]
+    want = loop_price_scenarios(system, PRICE_STACK, seed=3)
+    assert prices.lam[:PRICE_STACK].tobytes() == want.tobytes()
+
+
+def test_failed_stack_names_its_scenarios(monkeypatch):
+    system = small_system(horizon=6)
+    fail_solves(monkeypatch, None)
+    with pytest.raises(SolverError, match=f"price scenarios 0–{PRICE_STACK - 1} failed: iter_limit; "
+                                          "scenario 0 alone: iter_limit") as err:
+        simulate_price_scenarios(system, PRICE_STACK + 1, seed=3)
+    assert err.value.status == ITER_LIMIT
+    monkeypatch.undo()
+    solves = fail_solves(monkeypatch, {1})
+    with pytest.raises(SolverError, match=f"^price scenario {PRICE_STACK} failed: iter_limit$"):
+        simulate_price_scenarios(system, PRICE_STACK + 1, seed=3)
+    assert len(solves) == 2
 
 
 def test_quadratic_price_mean_matches_price_at_mean_load():

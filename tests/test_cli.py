@@ -211,6 +211,21 @@ def test_singular_kkt_exits_two(tmp_path, monkeypatch):
     assert run(["dispatch", *SMALL, "--out", str(tmp_path / "s")]) == 2
 
 
+def test_failed_price_stack_exits_two(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import storage_pricer.baseline as baseline
+    from storage_pricer.solver import ITER_LIMIT
+
+    solve = baseline.solve_convex
+    monkeypatch.setattr(baseline, "solve_convex", lambda program, **kw: dataclasses.replace(
+        solve(program, **kw), status=ITER_LIMIT))
+    code = run(["compare", *SMALL, "--scenarios", "3", "--grid-size", "15",
+                "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "price scenarios 0–2 failed: iter_limit; scenario 0 alone" in capsys.readouterr().err
+
+
 def test_inputs_not_mutated(tmp_path):
     fleet = tmp_path / "fleet.csv"
     fleet.write_text("gen_id, capacity_mw, c0, c1, c2\ng1,500,0,10,0.01\n")

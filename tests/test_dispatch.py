@@ -1,6 +1,7 @@
 """Dispatch assembly, price extraction, equilibrium verification, and the
 solution invariants."""
 
+import dataclasses
 import itertools
 import json
 
@@ -610,3 +611,69 @@ def test_clearing_rows_equal_hand_offset_assembly(system, data):
     eq, ineq = oracle_clearing_rows(system, bids, quantiles)
     assert_same_bits((program.A, program.b), eq)
     assert_same_bits((program.G, program.h), ineq)
+
+
+def with_load(system, load):
+    return dataclasses.replace(system, net_load=dataclasses.replace(
+        system.net_load, forecast=tuple(float(v) for v in load)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=row_systems(), data=st.data())
+def test_stacked_build_is_block_diagonal_of_single_builds(system, data):
+    """k copies with their own loads: the string-keyed rows of each copy down
+    the diagonal (one copy is today's program, bit for bit), and callbacks
+    that evaluate each copy as its own program does."""
+    T = system.horizon
+    k = data.draw(st.integers(1, 4))
+    loads = np.array([[data.draw(st.floats(50.0, 300.0)) for _ in range(T)] for _ in range(k)])
+    stacked = build_dispatch(system, loads=loads)
+    prog = stacked.program
+    variants = [with_load(system, load) for load in loads]
+    oracles = [oracle_dispatch_rows(v, stacked.quantiles) for v in variants]
+    for j in (0, 1):
+        blocks = [o[j] for o in oracles]
+        assert_same_bits((prog.A, prog.b) if j == 0 else (prog.G, prog.h),
+                         (scipy.sparse.block_diag([M for M, _, _ in blocks], format="csr"),
+                          np.concatenate([rhs for _, rhs, _ in blocks])))
+    assert (stacked.eq_tags, stacked.ineq_tags) == (oracles[0][0][2], oracles[0][1][2])
+
+    singles = [build_dispatch(v).program for v in variants]
+    assert prog.n == k * singles[0].n
+    x = np.random.default_rng(k).uniform(0.0, 300.0, prog.n)
+    parts = x.reshape(k, -1)
+    value = sum(p.value(xi) for p, xi in zip(singles, parts))
+    assert prog.value(x) == (value if k == 1 else pytest.approx(value, rel=1e-12))
+    assert prog.grad(x).tobytes() == np.concatenate([p.grad(xi) for p, xi in zip(singles, parts)]).tobytes()
+    assert np.array_equal(prog.hess(x).toarray(),
+                          scipy.sparse.block_diag([p.hess(xi) for p, xi in zip(singles, parts)]).toarray())
+
+
+def test_stacked_build_rejects_loads_of_another_horizon():
+    system = storage_system([100.0, 120.0, 90.0])
+    with pytest.raises(DomainError, match="loads"):
+        build_dispatch(system, loads=np.ones((2, 4)))
+
+
+def test_solve_builds_expected_cost_table_once(monkeypatch):
+    """One table serves the convexity gate, the objective and the audit."""
+    import storage_pricer.costs as costs
+    import storage_pricer.dispatch as dispatch
+
+    calls = []
+    table = costs.expected_cost_table
+
+    def counting(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(costs, "expected_cost_table", counting)
+    monkeypatch.setattr(dispatch, "expected_cost_table", counting)
+    system = synth_test_system(fit_degree=3)
+    solution = solve_dispatch(system)
+    assert solution.status == "optimal" and solution.equilibrium["ok"]
+    assert len(calls) == 1
+    again = verify_equilibrium(solution, system)
+    assert len(calls) == 2
+    for name, rows in solution.equilibrium["rows"].items():
+        assert np.asarray(rows).tobytes() == np.asarray(again["rows"][name]).tobytes()
