@@ -260,27 +260,6 @@ class BidCurve:
     def horizon(self):
         return len(self.discharge)
 
-    def offer_cost(self, t, p):
-        """Integral of the discharge offer curve up to quantity p."""
-        total, remaining = 0.0, p
-        for width, price in self.discharge[t - 1]:
-            take = min(remaining, width)
-            total += take * price
-            remaining -= take
-            if remaining <= 0:
-                break
-        return total
-
-    def bid_value(self, t, b):
-        total, remaining = 0.0, b
-        for width, price in self.charge[t - 1]:
-            take = min(remaining, width)
-            total += take * price
-            remaining -= take
-            if remaining <= 0:
-                break
-        return total
-
 
 def bids_from_value(vf, storage, prices=None):
     """Charge/discharge step bids from the value-function slopes.

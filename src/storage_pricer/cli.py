@@ -28,7 +28,7 @@ from .baseline import (
 )
 from .dispatch import export_dual_audit_json, export_solution_csv, solve_dispatch
 from .distributions import fit_versatile_mle, load_error_samples_csv
-from .errors import ConfigurationError, SolverError, StoragePricerError
+from .errors import ConfigurationError, DomainError, SolverError, StoragePricerError
 from .scenarios import empirical_violation_rate, load_system_csv, synth_test_system
 from .theory import (
     ideal_storage_slope_gap,
@@ -45,16 +45,27 @@ EXIT_SOLVER = 2
 EXIT_THEORY = 3
 
 
-def _add_common(parser):
+def _add_output(parser):
+    """The flags every command takes."""
     parser.add_argument("--out", default="run_out", help="output directory")
     parser.add_argument("--config", default=None, help="key=value config file; flags override")
+
+
+def _add_scale(parser):
+    """Seed, risk level and horizon: all that verify-theory reads to build its systems."""
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--epsilon", type=float, default=0.05)
+    parser.add_argument("--horizon", type=int, default=24)
+
+
+def _add_common(parser):
+    """The flags of a command that solves the system they choose."""
+    _add_output(parser)
+    _add_scale(parser)
     parser.add_argument("--synthetic", action="store_true", help="use the synthetic test system")
     parser.add_argument("--fleet-csv", default=None)
     parser.add_argument("--load-csv", default=None)
     parser.add_argument("--errors-csv", default=None)
-    parser.add_argument("--epsilon", type=float, default=0.05)
-    parser.add_argument("--horizon", type=int, default=24)
     parser.add_argument("--fit-degree", type=int, default=2)
     parser.add_argument("--storage-ratio", type=float, default=0.2)
     parser.add_argument("--renewable-ratio", type=float, default=0.3)
@@ -74,7 +85,8 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("verify-theory", help="run the pricing-theory check suites")
-    _add_common(p)
+    _add_output(p)
+    _add_scale(p)
 
     p = sub.add_parser("baseline", help="run the profit-maximizing DP pipeline")
     _add_common(p)
@@ -100,7 +112,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=10_000)
 
     p = sub.add_parser("fit-dist", help="fit the versatile distribution by MLE")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--samples-csv", required=True, help="CSV with an error_mw column")
     return parser
 
@@ -168,6 +180,12 @@ def _system_from_args(args):
         renewable_ratio=args.renewable_ratio,
         storage_reserve=not args.no_storage_reserve,
     )
+
+
+def _require_storage(system, what):
+    """Refuse a system without storage before anything is solved for ``what``."""
+    if system.storage is None:
+        raise DomainError(f"{what} needs storage: the system has none (--storage-ratio 0)")
 
 
 def _write_manifest(args, outdir, extra=None):
@@ -268,6 +286,7 @@ def _cmd_baseline(args, outdir):
     import csv as _csv
 
     system = _system_from_args(args)
+    _require_storage(system, "baseline")
     prices = simulate_price_scenarios(system, args.scenarios, args.seed)
     mean_path = prices.mean_path()
     vf = dp_value_function(mean_path, system.storage, grid_size=args.grid_size)
@@ -311,6 +330,8 @@ def _cmd_sweep(args, outdir):
             f"sweep --axis {args.axis} synthesises a system at every point; "
             "it takes --synthetic, not a CSV source")
     system = _system_from_args(args)
+    if args.axis in ("soc", "sigma"):
+        _require_storage(system, f"sweep --axis {args.axis}")
     if args.axis == "soc":
         grid = np.linspace(0.0, system.storage.e_max, args.points)
         sweep = soc_sweep(system, grid)

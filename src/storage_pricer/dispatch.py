@@ -141,7 +141,6 @@ class DispatchSolution:
     residuals: dict
     quantiles: dict
     solver_iterations: int
-    degenerate: bool
     pinned: dict = field(default_factory=dict)
     equilibrium: dict | None = None
     complementarity: dict | None = None
@@ -368,7 +367,6 @@ def _extract_solution(build, result, tol):
         objective=result.objective, residuals=dict(result.residuals),
         quantiles=build.quantiles,
         solver_iterations=result.iterations,
-        degenerate=bool(result.degenerate_rows),
         pinned=dict(build.pinned),
     )
 
@@ -495,7 +493,6 @@ def export_dual_audit_json(solution, path):
                   for kind, per in solution.duals.items()},
         "equilibrium_ok": None if solution.equilibrium is None else solution.equilibrium["ok"],
         "complementarity": solution.complementarity,
-        "degenerate": solution.degenerate,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -20,7 +20,8 @@ constrained KKT system and pushes residuals toward machine precision.
 
 Everything is sparse.  The constraint matrices are CSR arrays, and each
 Newton system is the statically regularised (quasi-definite) KKT matrix in
-CSC form, factored with ``scipy.sparse.linalg.splu``.  Its sparsity pattern
+CSC form, factored with ``scipy.sparse.linalg.splu`` and solved with
+iterative refinement by one routine (``_kkt_solver``).  Its sparsity pattern
 (``_KKTPattern``) is built once per solve, once per active set in the
 polish, and again only if the Hessian gains an entry; each step refills
 just the values, equal bit for bit to assembling the matrix from sparse
@@ -143,7 +144,6 @@ class SolveResult:
     residuals: dict
     objective: float
     iterations: int
-    degenerate_rows: tuple = ()
 
     @property
     def max_residual(self):
@@ -156,8 +156,7 @@ def _residuals(prog, AT, GT, x, y, z, s):
     r_d = gx + AT @ y + GT @ z
     r_p = prog.A @ x - prog.b
     r_g = prog.G @ x + s - prog.h
-    comp = s * z if z.size else np.zeros(0)
-    return r_d, r_p, r_g, comp
+    return r_d, r_p, r_g, s * z
 
 
 def _merit(residuals, mu):
@@ -317,6 +316,31 @@ def _factor(K):
     return lu if np.all(np.isfinite(pivots) & (pivots != 0.0)) else None
 
 
+def _kkt_solver(pattern, data, refine=None, rounds=1, drop_all=False):
+    """Factor the matrix with values ``data`` in ``pattern`` and return
+    ``solve(rhs)``, or None when the factorisation fails.
+
+    Each solve takes ``rounds`` steps of iterative refinement against the
+    matrix with values ``refine`` (default: the factored one), so a
+    regularised factorisation can serve the pure system.  ``drop_all``
+    drops every exact zero of ``data`` before factoring, not only those of
+    the top-left block.
+    """
+    K = pattern.matrix(data, drop_all)
+    lu = _factor(K)
+    if lu is None:
+        return None
+    K0 = K if refine is None else pattern.matrix(refine)
+
+    def solve(rhs):
+        sol = lu.solve(rhs)
+        for _ in range(rounds):
+            sol += lu.solve(rhs - K0 @ sol)
+        return sol
+
+    return solve
+
+
 def _min_norm_point(A, b):
     """Least-norm x minimising ||A x - b||, or None when the factorisation fails.
 
@@ -325,15 +349,11 @@ def _min_norm_point(A, b):
     """
     n = A.shape[1]
     pattern = _KKTPattern(n, A)
-    K0 = pattern.matrix(pattern.fill(reg=1.0))
-    lu = _factor(pattern.matrix(pattern.fill(reg=1.0, delta=1e-12)))
-    if lu is None:
+    solve = _kkt_solver(pattern, pattern.fill(reg=1.0, delta=1e-12), pattern.fill(reg=1.0), rounds=3)
+    if solve is None:
         return None
-    rhs = np.concatenate([np.zeros(n), b])
-    sol = lu.solve(rhs)
-    for _ in range(3):
-        sol += lu.solve(rhs - K0 @ sol)
-    return sol[:n] if np.all(np.isfinite(sol[:n])) else None
+    x = solve(np.concatenate([np.zeros(n), b]))[:n]
+    return x if np.all(np.isfinite(x)) else None
 
 
 def _polish_solve(prog, x0, active, start):
@@ -347,27 +367,22 @@ def _polish_solve(prog, x0, active, start):
     ha = prog.h[active]
     n, p = prog.n, prog.A.shape[0]
     xx = x0.copy()
-    yy = np.zeros(p)
-    za = np.zeros(ha.size)
     H, gx = start
-    pattern = lu = None
+    pattern = solve = None
     for k in range(3):
         if k:
             H = H if prog.quadratic else _coo(prog.hess(xx))
             gx = prog.grad(xx)
-        if lu is None or not prog.quadratic:
+        if solve is None or not prog.quadratic:
             pattern, hv, scale = _hessian_values(pattern, H, n, B)
-            # Factor a lightly regularized copy (redundant active rows make K0
-            # singular), then refine against the pure system so the
-            # regularization does not leak into the active-row residuals.
-            K0 = pattern.matrix(pattern.fill(hv))
-            lu = _factor(pattern.matrix(pattern.fill(hv, reg=1e-14 * scale, delta=1e-13)))
-            if lu is None:
+            # Factor a lightly regularized copy (redundant active rows make the
+            # pure system singular), then refine against the pure system so
+            # the regularization does not leak into the active-row residuals.
+            solve = _kkt_solver(pattern, pattern.fill(hv, reg=1e-14 * scale, delta=1e-13),
+                                pattern.fill(hv), rounds=3)
+            if solve is None:
                 return None
-        rhs = np.concatenate([-gx, np.concatenate([prog.b, ha]) - B @ xx])
-        sol = lu.solve(rhs)
-        for _ in range(3):
-            sol += lu.solve(rhs - K0 @ sol)
+        sol = solve(np.concatenate([-gx, np.concatenate([prog.b, ha]) - B @ xx]))
         if not np.all(np.isfinite(sol)):
             return None
         xx = xx + sol[:n]
@@ -393,12 +408,6 @@ def _polish(prog, x, y, z, s, tol):
     """
     m = prog.h.size
     start = (_coo(prog.hess(x)), prog.grad(x))
-    if m == 0:
-        out = _polish_solve(prog, x, np.zeros(0, dtype=bool), start)
-        if out is None:
-            return None
-        xx, yy, _ = out
-        return xx, yy, np.zeros(0), np.zeros(0)
     scale_h = 1.0 + np.abs(prog.h)
     active = (z > s) | (s <= 1e3 * tol * scale_h)
     for _ in range(8):
@@ -415,12 +424,12 @@ def _polish(prog, x, y, z, s, tol):
         active = (active | add) & ~drop
     else:
         return None
-    if za.size and np.min(za) < -10 * tol:
+    if np.any(za < -10 * tol):
         return None
     zz = np.zeros(m)
     zz[active] = np.maximum(za, 0.0)
     ss = prog.h - prog.G @ xx
-    if np.min(ss) < -10 * tol:
+    if np.any(ss < -10 * tol):
         return None
     ss = np.maximum(ss, 0.0)
     return xx, yy, zz, ss
@@ -453,7 +462,7 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
 
     if m:
         raw = prog.h - prog.G @ x
-        shift = max(0.0, -float(np.min(raw))) + max(1.0, 0.01 * float(np.linalg.norm(prog.h, np.inf) if m else 1.0))
+        shift = max(0.0, -float(np.min(raw))) + max(1.0, 0.01 * float(np.linalg.norm(prog.h, np.inf)))
         s = raw + shift
         z = np.ones(m)
     else:
@@ -508,41 +517,28 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
                 status = UNBOUNDED
                 break
 
-        w = np.minimum(z / np.maximum(s, 1e-300), 1e18) if m else None
+        w = np.minimum(z / np.maximum(s, 1e-300), 1e18)
         # regularize on the objective scale only; the barrier term GtWG is
         # meant to be stiff near active rows and must not inflate reg
         pattern, hv, scale = _hessian_values(pattern, H, n, prog.A, prog.G)
         data = pattern.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
         if not np.all(np.isfinite(data)):
             break
-        K = pattern.matrix(data)
-        lu = _factor(K)
-        if lu is None:
+        # one round of iterative refinement on the reduced system
+        solve = _kkt_solver(pattern, data)
+        if solve is None:
             data[pattern.diag[:n]] += 1e-6
-            K = pattern.matrix(data, drop_all=True)
-            lu = _factor(K)
-        if lu is None:
+            solve = _kkt_solver(pattern, data, drop_all=True)
+        if solve is None:
             break
 
         def newton(r_c):
-            if m:
-                rhs1 = -r_d - GT @ ((-r_c + z * r_g) / s)
-            else:
-                rhs1 = -r_d
-            rhs = np.concatenate([rhs1, -r_p])
             # non-finite steps surface as a non-finite iterate, which ends
             # the loop at the next finiteness check
-            sol = lu.solve(rhs)
-            # one round of iterative refinement on the reduced system
-            sol -= lu.solve(K @ sol - rhs)
+            sol = solve(np.concatenate([-r_d - GT @ ((-r_c + z * r_g) / s), -r_p]))
             dx, dy = sol[:n], sol[n:]
-            if m:
-                ds = -r_g - prog.G @ dx
-                dz = (-r_c - z * ds) / s
-            else:
-                ds = np.zeros(0)
-                dz = np.zeros(0)
-            return dx, dy, dz, ds
+            ds = -r_g - prog.G @ dx
+            return dx, dy, (-r_c - z * ds) / s, ds
 
         if m:
             # Mehrotra: affine predictor sets the centering weight.
@@ -614,16 +610,9 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
     if status == OPTIMAL and max(report.values()) > 10 * tol:
         status = ITER_LIMIT
 
-    degenerate = ()
-    if m and status == OPTIMAL:
-        thr = np.sqrt(tol)
-        scale_h = 1.0 + np.abs(prog.h)
-        degenerate = tuple(int(i) for i in np.where((s <= thr * scale_h) & (z <= thr))[0])
-
     return SolveResult(
         x=x, eq_duals=y, ineq_duals=z, slacks=s, status=status,
         residuals=report, objective=objective, iterations=it,
-        degenerate_rows=degenerate,
     )
 
 

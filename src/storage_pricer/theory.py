@@ -24,7 +24,7 @@ import numpy as np
 
 from .costs import expected_cost_derivatives, expected_cost_table
 from .dispatch import solve_dispatch
-from .errors import DegenerateQuantileError, DomainError, UnsupportedDegreeError
+from .errors import DegenerateQuantileError, DomainError, SolverError, UnsupportedDegreeError
 
 CHARGING = "charging"
 DISCHARGING = "discharging"
@@ -302,7 +302,7 @@ def soc_sweep(system, soc_grid, period=1, tol=1e-8):
     def solve_point(e0):
         sol = solve_dispatch(system.with_initial_soc(e0), tol=tol)
         if sol.status != "optimal":
-            raise DomainError(f"sweep solve failed at e0={e0}: {sol.status}")
+            raise SolverError(f"sweep solve failed at e0={e0}: {sol.status}", status=sol.status)
         return (*_sweep_point_records(sol, period), classify_period(sol, period))
 
     records = [solve_point(e0) for e0 in grid]
@@ -328,13 +328,16 @@ def sigma_sweep(system, scale_grid, period=1, tol=1e-8, nu_threshold=1e-4):
     fleets, which the caller asserts separately).
     """
     grid = np.asarray(sorted(float(v) for v in scale_grid))
+    if system.storage is None:
+        raise DomainError("sigma sweep requires storage")
     if np.any(grid < 0):
         raise DomainError("sigma scales must be >= 0")
 
     def solve_point(scale):
         sol = solve_dispatch(system.with_sigma_scale(scale), tol=tol)
         if sol.status != "optimal":
-            raise DomainError(f"sweep solve failed at scale={scale}: {sol.status}")
+            raise SolverError(f"sweep solve failed at scale={scale}: {sol.status}",
+                              status=sol.status)
         nu_lo_max = max((v for v in sol.duals.get("nu_lo", {}).values()), default=0.0)
         return (*_sweep_point_records(sol, period), classify_period(sol, period), nu_lo_max)
 

@@ -149,11 +149,54 @@ def test_fit_dist_command(tmp_path):
     path = tmp_path / "errors.csv"
     path.write_text("error_mw\n" + "\n".join(f"{v:.8f}" for v in samples) + "\n")
     out = tmp_path / "fit"
-    code = run(["fit-dist", "--synthetic", "--samples-csv", str(path), "--out", str(out)])
+    code = run(["fit-dist", "--samples-csv", str(path), "--out", str(out)])
     assert code == 0
     fit = json.loads((out / "fit.json").read_text())
     assert fit["a"] == pytest.approx(1.0, abs=0.1)
     assert fit["b"] == pytest.approx(1.0, abs=0.15)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify-theory", ["--fleet-csv", "nope.csv", "--load-csv", "nope.csv", "--errors-csv", "nope.csv"]),
+    ("verify-theory", ["--synthetic"]),
+    ("fit-dist", ["--samples-csv", "nope.csv", "--synthetic", "--horizon", "6"]),
+])
+def test_command_refuses_flags_it_does_not_read(tmp_path, command, flags):
+    """verify-theory builds its own systems and fit-dist reads only samples,
+    so a system flag is refused instead of being silently ignored."""
+    out = tmp_path / "r"
+    assert run([command, *flags, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["sweep", "--axis", "soc"], ["sweep", "--axis", "sigma"],
+                                     ["baseline", "--scenarios", "3"]])
+def test_system_without_storage_refused_before_solving(tmp_path, monkeypatch, capsys, command):
+    import storage_pricer.cli as cli
+    import storage_pricer.theory as theory
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a system without storage")
+
+    monkeypatch.setattr(theory, "solve_dispatch", no_solve)
+    monkeypatch.setattr(cli, "simulate_price_scenarios", no_solve)
+    code = run([*command, *SMALL, "--storage-ratio", "0", "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "needs storage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["soc", "sigma"])
+def test_sweep_solve_failure_exits_two(tmp_path, monkeypatch, capsys, axis):
+    import dataclasses
+
+    import storage_pricer.theory as theory
+
+    solve = theory.solve_dispatch
+    monkeypatch.setattr(theory, "solve_dispatch", lambda system, **kw: dataclasses.replace(
+        solve(system, **kw), status="iter_limit"))
+    code = run(["sweep", *SMALL, "--axis", axis, "--points", "2", "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "sweep solve failed" in capsys.readouterr().err
 
 
 def test_compare_schema(tmp_path):
@@ -243,9 +286,9 @@ def test_inputs_not_mutated(tmp_path):
 
 def test_verify_theory_deterministic(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    code1 = run(["verify-theory", "--synthetic", "--seed", "7", "--horizon", "12",
+    code1 = run(["verify-theory", "--seed", "7", "--horizon", "12",
                  "--out", str(out1)])
-    code2 = run(["verify-theory", "--synthetic", "--seed", "7", "--horizon", "12",
+    code2 = run(["verify-theory", "--seed", "7", "--horizon", "12",
                  "--out", str(out2)])
     assert code1 == code2 == 0
     assert (out1 / "verify_theory.json").read_bytes() == (out2 / "verify_theory.json").read_bytes()

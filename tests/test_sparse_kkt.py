@@ -273,12 +273,8 @@ def dense_solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
     report = _report(prog, x, y, z, s)
     if status == OPTIMAL and max(report.values()) > 10 * tol:
         status = ITER_LIMIT
-    degenerate = ()
-    if m and status == OPTIMAL:
-        thr = np.sqrt(tol)
-        degenerate = tuple(int(i) for i in np.where((s <= thr * (1.0 + np.abs(prog.h))) & (z <= thr))[0])
     return SolveResult(x=x, eq_duals=y, ineq_duals=z, slacks=s, status=status, residuals=report,
-                       objective=float(prog.value(x)), iterations=it, degenerate_rows=degenerate)
+                       objective=float(prog.value(x)), iterations=it)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +359,8 @@ def unique_eq_duals(prog, result):
 
     The multipliers solve A^T y + G_act^T z = -grad f over the active rows.
     A row's dual is unique when no null direction of [A^T G_act^T] moves it.
-    ``SolveResult.degenerate_rows`` cannot tell: it lists weakly active rows,
-    and every system of this battery has some.
+    A list of weakly active rows cannot tell: every system of this battery
+    has some.
     """
     active = result.slacks <= 1e-7 * (1.0 + np.abs(prog.h))
     M = np.hstack([prog.A.toarray().T, prog.G.toarray()[active].T])
