@@ -27,9 +27,14 @@ from .baseline import (
     simulate_price_scenarios,
 )
 from .dispatch import export_dual_audit_json, export_solution_csv, solve_dispatch
-from .distributions import fit_versatile_mle, load_error_samples_csv
+from .distributions import fit_versatile_mle
 from .errors import ConfigurationError, DomainError, SolverError, StoragePricerError
-from .scenarios import empirical_violation_rate, load_system_csv, synth_test_system
+from .scenarios import (
+    empirical_violation_rate,
+    load_error_samples_csv,
+    load_system_csv,
+    synth_test_system,
+)
 from .theory import (
     ideal_storage_slope_gap,
     export_sweep_csv,
@@ -44,6 +49,10 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_THEORY = 3
 
+# Defaults of the synthetic system's flags; a CSV source refuses any other value.
+HORIZON = 24
+RENEWABLE_RATIO = 0.3
+
 
 def _add_output(parser):
     """The flags every command takes."""
@@ -55,7 +64,7 @@ def _add_scale(parser):
     """Seed, risk level and horizon: all that verify-theory reads to build its systems."""
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--epsilon", type=float, default=0.05)
-    parser.add_argument("--horizon", type=int, default=24)
+    parser.add_argument("--horizon", type=int, default=HORIZON)
 
 
 def _add_common(parser):
@@ -68,7 +77,7 @@ def _add_common(parser):
     parser.add_argument("--errors-csv", default=None)
     parser.add_argument("--fit-degree", type=int, default=2)
     parser.add_argument("--storage-ratio", type=float, default=0.2)
-    parser.add_argument("--renewable-ratio", type=float, default=0.3)
+    parser.add_argument("--renewable-ratio", type=float, default=RENEWABLE_RATIO)
     parser.add_argument("--no-storage-reserve", action="store_true",
                         help="assign the whole reserve to the generator")
 
@@ -117,13 +126,40 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(args, argv):
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_value(path, lineno, key, action, value):
+    """A config-file value checked as argparse checks the flag's own value."""
+    if action.nargs == 0:
+        if value.lower() not in _BOOLEANS:
+            raise ConfigurationError(
+                f"{path}:{lineno}: {key} expects 1/0, true/false or yes/no, got {value!r}")
+        return _BOOLEANS[value.lower()]
+    convert = action.type or str
+    try:
+        value = convert(value)
+    except ValueError:
+        raise ConfigurationError(
+            f"{path}:{lineno}: {key} expects {convert.__name__}, got {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigurationError(
+            f"{path}:{lineno}: {key} must be one of {', '.join(action.choices)}, got {value!r}")
+    return value
+
+
+def _apply_config_file(parser, args, argv):
+    """Parse ``argv`` again with the config file's values as the command's
+    defaults, so that any flag given explicitly wins."""
     if not args.config:
         return args
     path = Path(args.config)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    overrides = {}
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    options = {a.dest: a for a in sub._actions if a.dest not in ("config", "help")}
+    defaults = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -132,25 +168,11 @@ def _apply_config_file(args, argv):
             raise ConfigurationError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if not hasattr(args, key):
+        if key not in options:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r} for {args.command}")
-        overrides[key] = (lineno, value)
-    # config supplies defaults; explicit flags win
-    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, (lineno, value) in overrides.items():
-        if key in given:
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-            continue
-        convert = type(current) if isinstance(current, (int, float)) else str
-        try:
-            setattr(args, key, convert(value))
-        except ValueError:
-            raise ConfigurationError(
-                f"{path}:{lineno}: {key} expects {convert.__name__}, got {value!r}") from None
-    return args
+        defaults[key] = _config_value(path, lineno, key, options[key], value)
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _system_from_args(args):
@@ -162,9 +184,16 @@ def _system_from_args(args):
     if all(csv_given):
         from .costs import StorageSpec
 
+        if args.renewable_ratio != RENEWABLE_RATIO:
+            raise ConfigurationError(
+                "--renewable-ratio only shapes the synthetic system; "
+                "a CSV source takes sigma from its errors file")
         system = load_system_csv(args.fleet_csv, args.load_csv, args.errors_csv,
                                  epsilon=args.epsilon, fit_degree=args.fit_degree,
                                  storage_reserve=not args.no_storage_reserve)
+        if args.horizon not in (HORIZON, system.horizon):
+            raise ConfigurationError(
+                f"--horizon {args.horizon}: the CSV source has {system.horizon} periods")
         if args.storage_ratio > 0:
             # sized against the mean of the loaded profile, mirroring synthesis
             avg = float(np.mean(system.net_load.forecast))
@@ -417,7 +446,7 @@ def main(argv=None):
         # argparse exits 2 on usage errors; the documented contract is 1
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        args = _apply_config_file(args, argv)
+        args = _apply_config_file(parser, args, argv)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         code = _COMMANDS[args.command](args, outdir)

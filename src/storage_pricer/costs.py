@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import gaussian_raw_moment
-from .errors import DomainError, SchemaError, UnsupportedDegreeError
+from .errors import DomainError, UnsupportedDegreeError
 
 MAX_DEGREE = 4
 
@@ -306,31 +306,3 @@ def fit_polynomial_to_merit_curve(fleet, degree, n_grid=200, domain=None):
     g_lo, g_hi = (0.0, cap) if domain is None else domain
     return CostPolynomial(coeffs=coeffs, g_min=g_lo, g_max=g_hi, rmse=rmse)
 
-
-def load_fleet_csv(path):
-    """Read a fleet from CSV columns ``gen_id, capacity_mw, c0, c1, c2``."""
-    import csv
-
-    expected = ["gen_id", "capacity_mw", "c0", "c1", "c2"]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if header != expected:
-            raise SchemaError(f"{path}: expected header {expected}, got {header}")
-        segments = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise SchemaError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
-            try:
-                cap, c0, c1, c2 = (float(v) for v in row[1:])
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno}: non-numeric value in {row[1:]!r}") from None
-            segments.append(Segment(capacity=cap, c0=c0, c1=c1, c2=c2))
-    if not segments:
-        raise SchemaError(f"{path}: no generator rows")
-    return FleetCurve(tuple(segments))

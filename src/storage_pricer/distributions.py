@@ -374,29 +374,3 @@ def standardized_draws(model, size, rng):
         return (raw - model.mean()) / model.std()
     raise DomainError(f"unknown uncertainty model {type(model).__name__}")
 
-
-def load_error_samples_csv(path):
-    """Read historical error samples from a single-column CSV with header ``error_mw``."""
-    import csv
-
-    from .errors import SchemaError
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["error_mw"]:
-            raise SchemaError(f"{path}: expected single header 'error_mw', got {header}")
-        values = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise SchemaError(f"{path}:{lineno}: expected one column, got {len(row)}")
-            try:
-                values.append(float(row[0]))
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno}: not a number: {row[0]!r}") from None
-    return np.asarray(values, dtype=float)

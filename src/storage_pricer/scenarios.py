@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import FleetCurve, Segment, StorageSpec, fit_polynomial_to_merit_curve, load_fleet_csv
+from .costs import FleetCurve, Segment, StorageSpec, fit_polynomial_to_merit_curve
 from .dispatch import SystemSpec
 from .distributions import ErrorMoments, GaussianModel, standardized_draws
 from .errors import DomainError, SchemaError
@@ -40,8 +40,6 @@ class NetLoadModel:
     mu: tuple
     sigma: tuple
     model: object
-    renewable_ratio: float = 0.0
-    storage_ratio: float = 0.0
 
     def __post_init__(self):
         f = tuple(float(v) for v in self.forecast)
@@ -54,8 +52,6 @@ class NetLoadModel:
             raise DomainError("forecast must be finite")
         if any(s < 0 for s in sg):
             raise DomainError("sigma must be >= 0")
-        if self.renewable_ratio < 0 or self.storage_ratio < 0:
-            raise DomainError("capacity ratios must be >= 0")
         object.__setattr__(self, "forecast", f)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sg)
@@ -132,6 +128,8 @@ def synth_test_system(
             f"average load {avg_load_mw} too close to fleet capacity {total_cap_mw}")
     if n_gens < 1 or total_cap_mw <= 0 or avg_load_mw <= 0:
         raise DomainError("fleet and load sizes must be positive")
+    if renewable_ratio < 0 or storage_ratio < 0:
+        raise DomainError("capacity ratios must be >= 0")
 
     fleet = synth_fleet(n_gens, total_cap_mw, seed)
     g_min = g_min_ratio * total_cap_mw
@@ -154,7 +152,6 @@ def synth_test_system(
     net_load = NetLoadModel(
         forecast=tuple(forecast), mu=tuple(mu), sigma=tuple(sigma),
         model=model if model is not None else GaussianModel(),
-        renewable_ratio=renewable_ratio, storage_ratio=storage_ratio,
     )
     return SystemSpec(
         horizon=horizon, net_load=net_load, poly=poly, fleet=fleet,
@@ -237,26 +234,53 @@ def empirical_violation_rate(solution, net_load, n=10_000, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _read_csv(path):
+def _read_csv(path, header, prefix=False):
+    """The stripped header and the (line, stripped cells) of each non-blank row
+    of a CSV file.  The header must equal ``header``, or begin with it when
+    ``prefix`` is set.  Every error names ``path:line``."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            rows.append((lineno, [c.strip() for c in row]))
-    return header, rows
+        rows = [[c.strip() for c in row] for row in csv.reader(fh)]
+    head = rows[0] if rows else []
+    if (head[:len(header)] if prefix else head) != header:
+        raise SchemaError(f"{path}:1: expected header {header}{' ...' if prefix else ''}, got {head}")
+    return head, [(line, row) for line, row in enumerate(rows[1:], start=2) if any(row)]
 
 
-def _parse_float(path, lineno, token):
+def _floats(path, line, row, ncols=None, start=0):
+    """Cells ``start:`` of a row as floats, after checking the row has ``ncols`` cells."""
+    if ncols is not None and len(row) != ncols:
+        raise SchemaError(f"{path}:{line}: expected {ncols} columns, got {len(row)}")
     try:
-        return float(token)
+        return [float(c) for c in row[start:]]
     except ValueError:
-        raise SchemaError(f"{path}:{lineno}: not a number: {token!r}") from None
+        raise SchemaError(f"{path}:{line}: not a number in {row[start:]}") from None
+
+
+def _by_period(path, rows, ncols=None):
+    """{t: the other cells as floats} of a file keyed by period ``t``.  Each
+    ``t`` must be a new integer in 1..T, T being the number of rows."""
+    out = {}
+    for line, row in rows:
+        t, *values = _floats(path, line, row, ncols)
+        if not (t.is_integer() and 1 <= t <= len(rows)) or t in out:
+            raise SchemaError(
+                f"{path}:{line}: period {row[0]!r} is not a new integer in 1..{len(rows)}")
+        out[int(t)] = values
+    return out
+
+
+def load_fleet_csv(path):
+    """Read a fleet from CSV columns ``gen_id, capacity_mw, c0, c1, c2``."""
+    _, rows = _read_csv(path, ["gen_id", "capacity_mw", "c0", "c1", "c2"])
+    if not rows:
+        raise SchemaError(f"{path}:2: no generator rows")
+    return FleetCurve(tuple(Segment(*_floats(path, line, row, 5, start=1)) for line, row in rows))
+
+
+def load_error_samples_csv(path):
+    """Read historical error samples from a single-column CSV with header ``error_mw``."""
+    _, rows = _read_csv(path, ["error_mw"])
+    return np.asarray([_floats(path, line, row, 1)[0] for line, row in rows], dtype=float)
 
 
 def load_system_csv(fleet_path, load_path, errors_path, *, storage=None,
@@ -269,52 +293,34 @@ def load_system_csv(fleet_path, load_path, errors_path, *, storage=None,
     * load:  ``t, d_mw``
     * errors: ``t, mu_mw, sigma_mw`` or ``t, <sample columns...>`` (moments
       are then estimated from the per-period samples)
+
+    The periods ``t`` of each file are the integers 1..T, each once, in any order.
     """
     fleet = load_fleet_csv(fleet_path)
+    forecast = _by_period(load_path, _read_csv(load_path, ["t", "d_mw"])[1], 2)
 
-    header, rows = _read_csv(load_path)
-    if header != ["t", "d_mw"]:
-        raise SchemaError(f"{load_path}: expected header ['t', 'd_mw'], got {header}")
-    forecast = {}
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise SchemaError(f"{load_path}:{lineno}: expected 2 columns")
-        forecast[int(_parse_float(load_path, lineno, row[0]))] = _parse_float(load_path, lineno, row[1])
-
-    header, rows = _read_csv(errors_path)
-    mu, sigma = {}, {}
-    if header[:1] != ["t"]:
-        raise SchemaError(f"{errors_path}: first column must be 't', got {header}")
+    header, rows = _read_csv(errors_path, ["t"], prefix=True)
     if header == ["t", "mu_mw", "sigma_mw"]:
-        for lineno, row in rows:
-            if len(row) != 3:
-                raise SchemaError(f"{errors_path}:{lineno}: expected 3 columns")
-            t = int(_parse_float(errors_path, lineno, row[0]))
-            mu[t] = _parse_float(errors_path, lineno, row[1])
-            sigma[t] = _parse_float(errors_path, lineno, row[2])
+        moments = _by_period(errors_path, rows, 3)
     else:
-        for lineno, row in rows:
-            t = int(_parse_float(errors_path, lineno, row[0]))
-            samples = [_parse_float(errors_path, lineno, tok) for tok in row[1:]]
-            if len(samples) < 2:
-                raise SchemaError(f"{errors_path}:{lineno}: need >= 2 samples to estimate moments")
-            mu[t] = float(np.mean(samples))
-            sigma[t] = float(np.std(samples))
+        moments = _by_period(errors_path, rows)
+        for line, row in rows:
+            if len(row) < 3:
+                raise SchemaError(f"{errors_path}:{line}: need >= 2 samples to estimate moments")
+        moments = {t: (float(np.mean(s)), float(np.std(s))) for t, s in moments.items()}
 
-    if sorted(forecast) != sorted(mu):
+    if len(forecast) != len(moments):
         raise SchemaError(
-            f"horizon mismatch: load file has {len(forecast)} periods, "
-            f"errors file has {len(mu)}")
-    periods = sorted(forecast)
-    if periods != list(range(1, len(periods) + 1)):
-        raise SchemaError(f"{load_path}: periods must be 1..T, got {periods[:5]}...")
+            f"{errors_path}:1: horizon mismatch: load file has {len(forecast)} periods, "
+            f"errors file has {len(moments)}")
+    periods = range(1, len(forecast) + 1)
 
     g_max = fleet.total_capacity if g_max is None else g_max
     poly = fit_polynomial_to_merit_curve(fleet, fit_degree, domain=(g_min, g_max))
     net_load = NetLoadModel(
-        forecast=tuple(forecast[t] for t in periods),
-        mu=tuple(mu[t] for t in periods),
-        sigma=tuple(sigma[t] for t in periods),
+        forecast=tuple(forecast[t][0] for t in periods),
+        mu=tuple(moments[t][0] for t in periods),
+        sigma=tuple(moments[t][1] for t in periods),
         model=model if model is not None else GaussianModel(),
     )
     return SystemSpec(

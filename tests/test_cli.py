@@ -237,6 +237,44 @@ def test_config_file_bad_line_exits_one(tmp_path, capsys, line, needle):
     assert f"{cfg}:3: " in err and needle in err
 
 
+@pytest.mark.parametrize("command, line, needle", [
+    ("dispatch", "command = nope", "unknown key 'command'"),
+    ("dispatch", "command = fit-dist", "unknown key 'command'"),
+    ("dispatch", "config = other.cfg", "unknown key 'config'"),
+    ("sweep", "axis = bogus", "axis must be one of soc, sigma"),
+    ("dispatch", "no_storage_reserve = ture", "no_storage_reserve expects 1/0, true/false or yes/no"),
+], ids=["command-nope", "command-other", "config", "choices", "boolean"])
+def test_config_file_checks_keys_and_values_like_flags(tmp_path, capsys, command, line, needle):
+    """Keys are the command's own flags; values go through the flag's type and choices."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"horizon = 6\nsynthetic = true\n{line}\n")
+    out = tmp_path / "a"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: " in err and needle in err
+    assert not out.exists()
+
+
+def test_abbreviated_flag_beats_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("horizon = 6\nsynthetic = yes\n")
+    out = tmp_path / "a"
+    assert run(["dispatch", "--config", str(cfg), "--ho", "8", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["horizon"] == 8
+
+
+@pytest.mark.parametrize("flags", [["--horizon", "48"], ["--renewable-ratio", "0.9"]])
+def test_csv_source_refuses_synthetic_system_flags(tmp_path, capsys, flags):
+    """With a CSV source the file sets the horizon and the error moments, so
+    these flags would be ignored; they are refused instead."""
+    out = tmp_path / "r"
+    assert run(["dispatch", *_csv_source(tmp_path), *flags, "--out", str(out)]) == 1
+    assert flags[0] in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
+    # the file's own horizon is not a conflict
+    assert run(["dispatch", *_csv_source(tmp_path), "--horizon", "2", "--out", str(out)]) == 0
+
+
 def test_singular_kkt_exits_two(tmp_path, monkeypatch):
     """A KKT matrix that stays singular after the regularised retry ends the
     solve with a status, reported as a solver failure, not a raw scipy error."""

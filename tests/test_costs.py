@@ -22,11 +22,11 @@ from storage_pricer.costs import (
     expected_cost_table,
     expected_storage_cost,
     fit_polynomial_to_merit_curve,
-    load_fleet_csv,
     merit_order_cost,
 )
 from storage_pricer.distributions import ErrorMoments, gaussian_raw_moment
 from storage_pricer.errors import DomainError, SchemaError, UnsupportedDegreeError
+from storage_pricer.scenarios import load_fleet_csv
 from storage_pricer.theory import interior_charging_theta
 
 

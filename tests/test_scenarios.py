@@ -1,11 +1,13 @@
 """Synthetic-system construction, sampling determinism, CSV ingestion, and
 empirical chance-constraint validation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from storage_pricer.costs import Segment
 from storage_pricer.dispatch import solve_dispatch
 from storage_pricer.distributions import GaussianModel, VersatileModel
 from storage_pricer.errors import DomainError, SchemaError
@@ -14,6 +16,8 @@ from storage_pricer.scenarios import (
     diurnal_profile,
     empirical_violation_rate,
     export_system_csv,
+    load_error_samples_csv,
+    load_fleet_csv,
     load_system_csv,
     sample_net_load,
     synth_test_system,
@@ -55,6 +59,12 @@ def test_synth_zero_renewables_keeps_load_error_component():
 def test_synth_rejects_overloaded_fleet():
     with pytest.raises(DomainError):
         synth_test_system(avg_load_mw=22_000.0)
+
+
+@pytest.mark.parametrize("ratio", ["renewable_ratio", "storage_ratio"])
+def test_synth_rejects_negative_capacity_ratio(ratio):
+    with pytest.raises(DomainError, match="capacity ratios"):
+        synth_test_system(**{ratio: -0.1})
 
 
 def test_diurnal_profile_resampling():
@@ -212,6 +222,90 @@ def test_rejected_file_changes_nothing(tmp_path):
     errors.write_text("t,mu_mw,sigma_mw\n1,0,5\n")
     with pytest.raises(SchemaError):
         load_system_csv(fleet, load, errors)
+
+
+FLEET = "gen_id, capacity_mw, c0, c1, c2\ng1,200,0,10,0.01\ng2,100,5,30,0\n"
+LOAD = "t,d_mw\n1,100\n2,120\n"
+ERRORS = "t,mu_mw,sigma_mw\n1,0,5\n2,1,6\n"
+SAMPLES = "error_mw\n1.5\n-2\n"
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    return path
+
+
+def _load(tmp_path, loader, fleet=FLEET, load=LOAD, errors=ERRORS, samples=SAMPLES):
+    """What ``loader`` reads from the given file texts, as plain floats."""
+    if loader == "fleet":
+        fleet = load_fleet_csv(_write(tmp_path, "fleet.csv", fleet))
+        return [(s.capacity, s.c0, s.c1, s.c2) for s in fleet.segments]
+    if loader == "samples":
+        return load_error_samples_csv(_write(tmp_path, "samples.csv", samples)).tolist()
+    system = load_system_csv(_write(tmp_path, "fleet.csv", fleet),
+                             _write(tmp_path, "load.csv", load),
+                             _write(tmp_path, "errors.csv", errors))
+    return [system.net_load.forecast, system.net_load.mu, system.net_load.sigma]
+
+
+SYSTEM_VALUES = [(100.0, 120.0), (0.0, 1.0), (5.0, 6.0)]
+
+
+@pytest.mark.parametrize("loader, files, where", [
+    ("system", {"load": "t,d_mw\n1,100\n2.9,120\n"}, "load.csv:3:"),
+    ("system", {"errors": "t,mu_mw,sigma_mw\n1,0,5\n1.5,1,6\n"}, "errors.csv:3:"),
+    ("system", {"load": "t,d_mw\n1,100\n1,120\n2,130\n"}, "load.csv:3:"),
+    ("system", {"errors": "t,mu_mw,sigma_mw\n1,0,5\n1,1,6\n"}, "errors.csv:3:"),
+    ("system", {"errors": "t,s1,s2\n1,-1,1\n1,-2,2\n"}, "errors.csv:3:"),
+    ("system", {"load": "t,d_mw\n1,100\n3,120\n"}, "load.csv:3:"),
+    ("system", {"load": "t,d_mw\n1,100,7\n2,120\n"}, "load.csv:2:"),
+    ("system", {"errors": "t,mu_mw,sigma_mw\n1,0\n2,1,6\n"}, "errors.csv:2:"),
+    ("fleet", {"fleet": "gen_id, capacity_mw, c0, c1, c2\ng1,200,0,10\n"}, "fleet.csv:2:"),
+    ("samples", {"samples": "error_mw\n1.5\n2,3\n"}, "samples.csv:3:"),
+], ids=["fractional-t-load", "fractional-t-errors", "repeated-t-load", "repeated-t-errors",
+        "repeated-t-error-samples", "gap-in-t", "columns-load", "columns-errors",
+        "columns-fleet", "columns-samples"])
+def test_malformed_csv_names_path_and_line(tmp_path, loader, files, where):
+    with pytest.raises(SchemaError, match=where):
+        _load(tmp_path, loader, **files)
+
+
+@pytest.mark.parametrize("loader, files, expected", [
+    ("fleet", {"fleet": "gen_id,capacity_mw,c0,c1,c2\n\ng1,200,0,10,0.01\n , \ng2,100,5,30,0\n\n"},
+     [(200.0, 0.0, 10.0, 0.01), (100.0, 5.0, 30.0, 0.0)]),
+    ("system", {"load": "t,d_mw\n\n2,120\n\n1,100\n", "errors": "t,mu_mw,sigma_mw\n1,0,5\n,,\n2,1,6\n"},
+     SYSTEM_VALUES),
+    ("samples", {"samples": "error_mw\n\n1.5\n \n-2\n"}, [1.5, -2.0]),
+    ("fleet", {"fleet": FLEET.replace("\n", "\r\n")}, [(200.0, 0.0, 10.0, 0.01), (100.0, 5.0, 30.0, 0.0)]),
+    ("system", {k: v.replace("\n", "\r\n") for k, v in (("fleet", FLEET), ("load", LOAD), ("errors", ERRORS))},
+     SYSTEM_VALUES),
+    ("samples", {"samples": SAMPLES.replace("\n", "\r\n")}, [1.5, -2.0]),
+], ids=["blank-fleet", "blank-system", "blank-samples", "crlf-fleet", "crlf-system", "crlf-samples"])
+def test_blank_rows_and_crlf_load_the_same_values(tmp_path, loader, files, expected):
+    assert _load(tmp_path, loader, **files) == expected
+
+
+def test_system_csv_round_trip_keeps_inputs_to_ten_digits(tmp_path):
+    """Export, then load with the system's own settings: the forecast, the
+    error moments and the fleet come back as written (``.10g``)."""
+    system = synth_test_system(n_gens=5, total_cap_mw=1000.0, avg_load_mw=500.0,
+                               seed=6, horizon=6, g_min_ratio=0.3, fit_degree=3)
+    paths = [tmp_path / name for name in ("fleet.csv", "load.csv", "errors.csv")]
+    export_system_csv(system, *paths)
+    loaded = load_system_csv(*paths, storage=system.storage, epsilon=system.epsilon,
+                             fit_degree=3, g_min=system.g_min, g_max=system.g_max)
+
+    def ten(values):
+        return tuple(float(f"{v:.10g}") for v in values)
+
+    net_load = system.net_load
+    assert loaded.net_load == dataclasses.replace(
+        net_load, forecast=ten(net_load.forecast), mu=ten(net_load.mu), sigma=ten(net_load.sigma))
+    assert loaded.fleet.segments == tuple(Segment(*ten((s.capacity, s.c0, s.c1, s.c2)))
+                                          for s in system.fleet.segments)
+    assert (loaded.storage, loaded.epsilon, loaded.g_min, loaded.g_max, len(loaded.poly.coeffs)) == (
+        system.storage, system.epsilon, system.g_min, system.g_max, 4)
 
 
 def test_net_load_model_validation():
