@@ -145,33 +145,34 @@ class ValueFunction:
         return np.diff(self.values[t - 1]) / np.diff(self.grid)
 
 
-def _stage_candidates(e, grid, p_cap, b_cap, eta):
-    """(p, b, next_stock) candidate arrays for the exact stage maximization.
+def _stage_values(stock, grid, next_values, lam, storage):
+    """Stage payoff plus continuation value of every candidate action, with
+    the candidates' (p, b, next stock) tables; one row per stock.
 
     The stage payoff is linear in the action and the continuation value is
     piecewise-linear concave, so the continuous-action optimum lands on a
-    power bound or on an action that maps the stock onto a grid knot.
+    power bound or on an action that maps the stock onto a grid knot.  The
+    columns are: idle, full discharge, each knot as a discharge target, full
+    charge, each knot as a charge target.  A candidate that is not feasible
+    from a stock is valued -inf.
     """
-    ps, bs, nxt = [0.0], [0.0], [e]
-    p_max_here = min(p_cap, e * eta)
-    if p_max_here > 0:
-        ps.append(p_max_here)
-        bs.append(0.0)
-        nxt.append(e - p_max_here / eta)
-        below = grid[(grid < e) & ((e - grid) * eta <= p_max_here + 1e-12)]
-        ps.extend(np.minimum((e - below) * eta, p_max_here))
-        bs.extend(0.0 for _ in below)
-        nxt.extend(below)
-    b_max_here = min(b_cap, (grid[-1] - e) / eta)
-    if b_max_here > 0:
-        ps.append(0.0)
-        bs.append(b_max_here)
-        nxt.append(e + b_max_here * eta)
-        above = grid[(grid > e) & ((grid - e) / eta <= b_max_here + 1e-12)]
-        ps.extend(0.0 for _ in above)
-        bs.extend(np.minimum((above - e) / eta, b_max_here))
-        nxt.extend(above)
-    return np.asarray(ps), np.asarray(bs), np.asarray(nxt)
+    e = np.asarray(stock, dtype=float)[:, None]
+    eta = storage.eta
+    p_max = np.minimum(storage.p_max if lam >= 0.0 else 0.0, e * eta)
+    b_max = np.minimum(storage.p_max, (grid[-1] - e) / eta)
+    knots = np.broadcast_to(grid, (e.shape[0], grid.size))
+    zero, zeros = np.zeros_like(e), np.zeros_like(knots)
+    p = np.hstack([zero, p_max, np.minimum((e - grid) * eta, p_max), zero, zeros])
+    b = np.hstack([zero, zero, zeros, b_max, np.minimum((grid - e) / eta, b_max)])
+    e_next = np.hstack([e, e - p_max / eta, knots, e + b_max * eta, knots])
+    valid = np.hstack([
+        np.ones_like(e, dtype=bool), p_max > 0,
+        (p_max > 0) & (grid < e) & ((e - grid) * eta <= p_max + 1e-12),
+        b_max > 0,
+        (b_max > 0) & (grid > e) & ((grid - e) / eta <= b_max + 1e-12),
+    ])
+    values = lam * (p - b) - storage.marginal_cost * p + np.interp(e_next, grid, next_values)
+    return np.where(valid, values, -np.inf), p, b, e_next
 
 
 def dp_value_function(prices, storage, grid_size=21, terminal_value=0.0):
@@ -192,16 +193,9 @@ def dp_value_function(prices, storage, grid_size=21, terminal_value=0.0):
             f"grid spacing {de:.4g} too coarse for the {storage.p_max:.4g} MW power step")
     values = [None] * (T + 1)
     values[T] = np.full(grid_size, float(terminal_value))
-    M, eta = storage.marginal_cost, storage.eta
     for t in range(T, 0, -1):
-        lam = float(prices[t - 1])
-        nxt = values[t]
-        cur = np.empty(grid_size)
-        p_cap = storage.p_max if lam >= 0.0 else 0.0
-        for k, e in enumerate(grid):
-            ps, bs, e_next = _stage_candidates(e, grid, p_cap, storage.p_max, eta)
-            vals = lam * (ps - bs) - M * ps + np.interp(e_next, grid, nxt)
-            cur[k] = float(np.max(vals))
+        cur = np.max(_stage_values(grid, grid, values[t], float(prices[t - 1]), storage)[0],
+                     axis=1)
         slopes = np.diff(cur) / de
         if np.any(np.diff(slopes) > 1e-7 * (1.0 + float(np.max(np.abs(cur))))):
             raise RuntimeError(f"value function lost concavity at stage {t}")
@@ -226,22 +220,18 @@ def dp_value_function_per_scenario(price_set, storage, grid_size=21, terminal_va
 
 def dp_forward_schedule(vf, storage, prices):
     """Greedy forward pass: the DP-optimal (p, b, e) path from e_init."""
-    T = vf.horizon
     prices = np.asarray(prices, dtype=float)
-    e = storage.e_init
-    path_p, path_b, path_e = [], [], [e]
-    for t in range(1, T + 1):
-        lam = float(prices[t - 1])
-        p_cap = storage.p_max if lam >= 0.0 else 0.0
-        ps, bs, e_next = _stage_candidates(e, vf.grid, p_cap, storage.p_max, storage.eta)
-        vals = (lam * (ps - bs) - storage.marginal_cost * ps
-                + np.interp(e_next, vf.grid, vf.values[t]))
-        k = int(np.argmax(vals))
-        p, b, e = float(ps[k]), float(bs[k]), float(e_next[k])
-        path_p.append(p)
-        path_b.append(b)
-        path_e.append(e)
-    return np.array(path_p), np.array(path_b), np.array(path_e)
+    if prices.shape != (vf.horizon,):
+        raise DomainError(f"price path has {prices.size} periods, the value function "
+                          f"{vf.horizon}")
+    path = [(0.0, 0.0, storage.e_init)]   # (p, b, e) of each period, e_init first
+    for t in range(1, vf.horizon + 1):
+        values, *table = _stage_values([path[-1][2]], vf.grid, vf.values[t],
+                                       float(prices[t - 1]), storage)
+        k = int(np.argmax(values[0]))
+        path.append(tuple(float(column[0, k]) for column in table))
+    p, b, e = np.array(path, dtype=float).T
+    return p[1:], b[1:], e
 
 
 @dataclass(frozen=True)
@@ -265,55 +255,35 @@ def bids_from_value(vf, storage, prices=None):
     """Charge/discharge step bids from the value-function slopes.
 
     Offers for period t price depletion from the DP-optimal entering stock
-    e*_{t-1}: step s covers the SoC segment [knot_{j-1}, knot_j] below it at
-    price M + v_{t+1}/eta; charge bids symmetrically at eta * v_{t+1} along
-    accumulation.  When ``prices`` is given, periods planned at a negative
-    price withhold their discharge offer entirely.
+    e*_{t-1}: each grid interval [knot_{j-1}, knot_j] within a full-power
+    discharge below it is one step, priced M + v_{t+1}/eta at that
+    interval's slope v_{t+1}; charge bids symmetrically at eta * v_{t+1}
+    along accumulation.  When ``prices`` is given, periods planned at a
+    negative price withhold their discharge offer entirely.
     """
-    T = vf.horizon
-    storage_path = None
+    grid, eta = vf.grid, storage.eta
+    e = np.full(vf.horizon, float(storage.e_init))
     if prices is not None:
-        _, _, path_e = dp_forward_schedule(vf, storage, prices)
-        storage_path = path_e
-    grid = vf.grid
-    eta, M = storage.eta, storage.marginal_cost
-    discharge, charge = [], []
-    for t in range(1, T + 1):
-        e_start = storage.e_init if storage_path is None else float(storage_path[t - 1])
-        slopes = vf.slopes(t + 1)
-        offers, bids = [], []
-        withheld = prices is not None and float(prices[t - 1]) < 0.0
-        # depletion: walk down through the knots below e_start
-        remaining_p = min(storage.p_max, e_start * eta)
-        level = e_start
-        j = int(np.searchsorted(grid, level, side="right")) - 1
-        while remaining_p > 1e-12 and level > grid[0]:
-            knot_below = grid[j] if grid[j] < level else grid[max(j - 1, 0)]
-            seg_lo = max(knot_below, level - remaining_p / eta)
-            slope_idx = min(max(int(np.searchsorted(grid, level - 1e-12, side="right")) - 1, 0),
-                            len(slopes) - 1)
-            width = (level - seg_lo) * eta
-            if width > 1e-12 and not withheld:
-                offers.append((width, M + slopes[slope_idx] / eta))
-            remaining_p -= width
-            level = seg_lo
-            j = max(j - 1, 0)
-        # accumulation: walk up through the knots above e_start
-        remaining_b = min(storage.p_max, (grid[-1] - e_start) / eta)
-        level = e_start
-        while remaining_b > 1e-12 and level < grid[-1]:
-            slope_idx = min(max(int(np.searchsorted(grid, level + 1e-12, side="right")) - 1, 0),
-                            len(slopes) - 1)
-            knot_above = grid[min(slope_idx + 1, len(grid) - 1)]
-            seg_hi = min(knot_above, level + remaining_b * eta)
-            width = (seg_hi - level) / eta
-            if width > 1e-12:
-                bids.append((width, eta * slopes[slope_idx]))
-            remaining_b -= width
-            level = seg_hi
-        discharge.append(tuple(offers))
-        charge.append(tuple(bids))
-    return BidCurve(discharge=tuple(discharge), charge=tuple(charge))
+        e = dp_forward_schedule(vf, storage, prices)[2][:-1]
+    e = e[:, None]
+    slopes = np.diff(np.array(vf.values[1:]), axis=1) / np.diff(grid)
+    # the SoC span of a full-power discharge (below e) and charge (above e),
+    # clipped to each grid interval; steps run outward from e
+    e_lo = e - np.minimum(storage.p_max, e * eta) / eta
+    e_hi = e + np.minimum(storage.p_max, (grid[-1] - e) / eta) * eta
+    p_width = (np.minimum(grid[1:], e) - np.maximum(grid[:-1], e_lo)) * eta
+    b_width = (np.minimum(grid[1:], e_hi) - np.maximum(grid[:-1], e)) / eta
+    if prices is not None:
+        p_width[np.asarray(prices, dtype=float) < 0.0] = 0.0
+
+    def steps(width, price):
+        keep = width > 1e-12
+        return tuple(tuple(zip(w[k].tolist(), v[k].tolist()))
+                     for w, v, k in zip(width, price, keep))
+
+    p_price = storage.marginal_cost + slopes / eta
+    return BidCurve(discharge=steps(p_width[:, ::-1], p_price[:, ::-1]),
+                    charge=steps(b_width, eta * slopes))
 
 
 def clear_with_bids(system, bids, tol=1e-8):
@@ -424,10 +394,9 @@ def clear_with_bids(system, bids, tol=1e-8):
     # the equality rows start with the balance block, then the SoC block
     lam = -result.eq_duals[:T]
     theta = result.eq_duals[T:2 * T].copy()
-    p_ends = np.cumsum([T] + p_count)
-    b_ends = np.cumsum([p_ends[-1]] + b_count)
-    p = np.array([float(np.sum(x[p_ends[t]: p_ends[t + 1]])) for t in range(T)])
-    b = np.array([float(np.sum(x[b_ends[t]: b_ends[t + 1]])) for t in range(T)])
+    p, b = np.zeros(T), np.zeros(T)
+    np.add.at(p, p_t, x[p_cols])
+    np.add.at(b, b_t, x[b_cols])
     e = np.concatenate([[st.e_init], x[e_of: e_of + T]])
     return {
         "g": x[:T].copy(), "p": p, "b": b, "e": e,
@@ -455,104 +424,95 @@ def comparison_system(system, retire_frac=0.0):
                                storage_reserve=False)
 
 
+def bidding_pipeline(system, n_scenarios, seed, grid_size=21, price_mode="mean"):
+    """The price-taker's side of the benchmark: simulated prices, the DP value
+    function, step bids planned against the scenario-mean path, and the
+    clearing of those bids.
+
+    ``price_mode`` selects how the value function consumes the simulated
+    prices: ``"mean"`` runs the recursion on the scenario-mean path;
+    ``"per-scenario"`` averages per-path value functions.
+    """
+    if price_mode not in ("mean", "per-scenario"):
+        raise DomainError(f"unknown price mode {price_mode!r}")
+    prices = simulate_price_scenarios(system, n_scenarios, seed)
+    mean_path = prices.mean_path()
+    if price_mode == "mean":
+        vf = dp_value_function(mean_path, system.storage, grid_size=grid_size)
+    else:
+        vf = dp_value_function_per_scenario(prices, system.storage, grid_size=grid_size)
+    bids = bids_from_value(vf, system.storage, prices=mean_path)
+    return {"price_scenarios": prices, "value_function": vf, "bids": bids,
+            "cleared": clear_with_bids(system, bids)}
+
+
+METRICS = ("storage_profit", "gen_cost", "system_cost", "payment")
+
+
 def compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.0,
                        grid_size=21, n_batches=10,
                        price_mode="mean"):
     """Welfare-priced vs profit-maximizing storage on common scenarios.
 
-    ``price_mode`` selects how the bidder's value function consumes the
-    simulated prices: ``"mean"`` (default) runs the recursion on the
-    scenario-mean path; ``"per-scenario"`` averages per-path value
-    functions.  Returns per-scenario metric rows for both mechanisms plus
-    a summary with scenario means, paired percentage deltas, and the
-    fraction of scenario batches where the welfare mechanism's electricity
-    payment is strictly lower.
+    ``price_mode`` is passed to ``bidding_pipeline``.  Returns per-scenario
+    metric rows for both mechanisms plus a summary with scenario means,
+    paired percentage deltas, and the fraction of scenario batches where the
+    welfare mechanism's electricity payment is strictly lower.
     """
-    if price_mode not in ("mean", "per-scenario"):
-        raise DomainError(f"unknown price mode {price_mode!r}")
     base = comparison_system(system, retire_frac)
     st = base.storage
     if st is None:
         raise DomainError("mechanism comparison requires storage")
 
+    bidder = bidding_pipeline(base, n_scenarios, seed, grid_size=grid_size,
+                              price_mode=price_mode)
+    cleared = bidder["cleared"]
     welfare = solve_dispatch(base)
     if welfare.status != "optimal":
         raise SolverError(f"welfare dispatch failed: {welfare.status}", status=welfare.status)
-
-    prices = simulate_price_scenarios(base, n_scenarios, seed)
-    mean_path = prices.mean_path()
-    if price_mode == "mean":
-        vf = dp_value_function(mean_path, st, grid_size=grid_size)
-    else:
-        vf = dp_value_function_per_scenario(prices, st, grid_size=grid_size)
-    bids = bids_from_value(vf, st, prices=mean_path)
-    cleared = clear_with_bids(base, bids)
 
     draws = sample_net_load(base.net_load, n_scenarios, seed + _EVAL_SEED_OFFSET)
     draws = np.clip(draws, base.g_min, base.g_max)
 
     def metrics(schedule_p, schedule_b, lam):
+        """Each metric of one schedule as an array over the scenarios."""
         g_real = np.clip(draws - schedule_p + schedule_b, 0.0, base.fleet.total_capacity)
-        period_costs = merit_order_cost(base.fleet, g_real).tolist()
-        rows = []
-        for i in range(n_scenarios):
-            gen_cost = float(sum(period_costs[i]))
-            storage_cost = float(st.marginal_cost * np.sum(schedule_p))
-            profit = float(np.sum(lam * (schedule_p - schedule_b))
-                           - st.marginal_cost * np.sum(schedule_p))
-            payment = float(np.sum(lam * draws[i]))
-            rows.append({
-                "storage_profit": profit,
-                "gen_cost": gen_cost,
-                "system_cost": gen_cost + storage_cost,
-                "payment": payment,
-            })
-        return rows
+        gen_cost = np.sum(merit_order_cost(base.fleet, g_real), axis=1)
+        storage_cost = st.marginal_cost * np.sum(schedule_p)
+        profit = np.sum(lam * (schedule_p - schedule_b)) - storage_cost
+        return {"storage_profit": np.full(n_scenarios, profit), "gen_cost": gen_cost,
+                "system_cost": gen_cost + storage_cost, "payment": draws @ lam}
 
-    rows_w = metrics(welfare.p, welfare.b, welfare.lam)
-    rows_b = metrics(cleared["p"], cleared["b"], cleared["lam"])
-
-    def mean(rows, key):
-        return float(np.mean([r[key] for r in rows]))
-
-    summary = {"welfare": {}, "bidding": {}, "delta_pct": {}}
-    for key in ("storage_profit", "gen_cost", "system_cost", "payment"):
-        mw, mb = mean(rows_w, key), mean(rows_b, key)
-        summary["welfare"][key] = mw
-        summary["bidding"][key] = mb
+    per = {"welfare": metrics(welfare.p, welfare.b, welfare.lam),
+           "bidding": metrics(cleared["p"], cleared["b"], cleared["lam"])}
+    summary = {name: {key: float(np.mean(m[key])) for key in METRICS} for name, m in per.items()}
+    summary["delta_pct"] = {}
+    for key in METRICS:
+        mw, mb = summary["welfare"][key], summary["bidding"][key]
         summary["delta_pct"][key] = 100.0 * (mb - mw) / abs(mb) if mb != 0 else 0.0
 
-    # batched payment comparison
+    # batched payment comparison over whole batches; a remainder is left out
     batch = max(1, n_scenarios // n_batches)
-    wins = 0
-    n_eff = 0
-    for i in range(0, n_scenarios - batch + 1, batch):
-        pw = np.mean([rows_w[j]["payment"] for j in range(i, i + batch)])
-        pb = np.mean([rows_b[j]["payment"] for j in range(i, i + batch)])
-        wins += 1 if pw < pb else 0
-        n_eff += 1
-    summary["payment_batch_win_rate"] = wins / max(n_eff, 1)
+    n_eff = n_scenarios // batch
+    pw, pb = (per[name]["payment"][:n_eff * batch].reshape(n_eff, batch).mean(axis=1)
+              for name in ("welfare", "bidding"))
+    summary["payment_batch_win_rate"] = int(np.sum(pw < pb)) / n_eff
     summary["n_scenarios"] = n_scenarios
     summary["retire_frac"] = retire_frac
 
-    table = []
-    for i in range(n_scenarios):
-        table.append({"mechanism": "welfare", "scenario": i, **rows_w[i]})
-        table.append({"mechanism": "bidding", "scenario": i, **rows_b[i]})
-    return {"table": table, "summary": summary,
-            "welfare_solution": welfare, "cleared": cleared,
-            "price_scenarios": prices, "value_function": vf, "bids": bids}
+    table = [{"mechanism": name, "scenario": i,
+              **{key: float(per[name][key][i]) for key in METRICS}}
+             for i in range(n_scenarios) for name in ("welfare", "bidding")]
+    return {"table": table, "summary": summary, "welfare_solution": welfare, **bidder}
 
 
 def export_metrics_csv(comparison, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["mechanism", "scenario", "storage_profit", "gen_cost",
-                         "system_cost", "payment"])
+        writer.writerow(["mechanism", "scenario", *METRICS])
         for row in comparison["table"]:
             writer.writerow([row["mechanism"], row["scenario"],
-                             f"{row['storage_profit']:.6f}", f"{row['gen_cost']:.6f}",
-                             f"{row['system_cost']:.6f}", f"{row['payment']:.6f}"])
+                             *(f"{row[key]:.6f}" for key in METRICS)])
 
 
 def export_summary_json(comparison, path):

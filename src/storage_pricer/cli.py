@@ -17,15 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baseline import (
-    bids_from_value,
-    clear_with_bids,
-    compare_mechanisms,
-    dp_value_function,
-    export_metrics_csv,
-    export_summary_json,
-    simulate_price_scenarios,
-)
+from .baseline import bidding_pipeline, compare_mechanisms, export_metrics_csv, export_summary_json
 from .dispatch import export_dual_audit_json, export_solution_csv, solve_dispatch
 from .distributions import fit_versatile_mle
 from .errors import ConfigurationError, DomainError, SolverError, StoragePricerError
@@ -52,6 +44,10 @@ EXIT_THEORY = 3
 # Defaults of the synthetic system's flags; a CSV source refuses any other value.
 HORIZON = 24
 RENEWABLE_RATIO = 0.3
+# The seed picks the synthetic fleet, and these commands also sample with it;
+# with a CSV source the others refuse any seed but the default.
+SEED = 0
+SAMPLING = ("baseline", "compare", "violations")
 
 
 def _add_output(parser):
@@ -62,7 +58,7 @@ def _add_output(parser):
 
 def _add_scale(parser):
     """Seed, risk level and horizon: all that verify-theory reads to build its systems."""
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--seed", type=int, default=SEED, help="base RNG seed")
     parser.add_argument("--epsilon", type=float, default=0.05)
     parser.add_argument("--horizon", type=int, default=HORIZON)
 
@@ -188,6 +184,12 @@ def _system_from_args(args):
             raise ConfigurationError(
                 "--renewable-ratio only shapes the synthetic system; "
                 "a CSV source takes sigma from its errors file")
+        if args.seed != SEED and args.command not in SAMPLING:
+            raise ConfigurationError(
+                f"--seed {args.seed}: {args.command} samples nothing from a CSV source")
+        if args.storage_ratio < 0:
+            raise ConfigurationError(
+                f"--storage-ratio {args.storage_ratio}: capacity ratios must be >= 0")
         system = load_system_csv(args.fleet_csv, args.load_csv, args.errors_csv,
                                  epsilon=args.epsilon, fit_degree=args.fit_degree,
                                  storage_reserve=not args.no_storage_reserve)
@@ -316,11 +318,8 @@ def _cmd_baseline(args, outdir):
 
     system = _system_from_args(args)
     _require_storage(system, "baseline")
-    prices = simulate_price_scenarios(system, args.scenarios, args.seed)
-    mean_path = prices.mean_path()
-    vf = dp_value_function(mean_path, system.storage, grid_size=args.grid_size)
-    bids = bids_from_value(vf, system.storage, prices=mean_path)
-    cleared = clear_with_bids(system, bids)
+    out = bidding_pipeline(system, args.scenarios, args.seed, grid_size=args.grid_size)
+    prices, cleared = out["price_scenarios"], out["cleared"]
     with open(outdir / "price_scenarios.csv", "w", newline="", encoding="utf-8") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["scenario"] + [f"lambda_{t}" for t in range(1, system.horizon + 1)])

@@ -269,6 +269,165 @@ def test_dp_value_non_decreasing_in_soc_for_nonneg_prices():
         assert np.all(np.diff(vf.values[t - 1]) >= -1e-9)
 
 
+def loop_stage_candidates(e, grid, p_cap, b_cap, eta):
+    """(p, b, next_stock) candidates of one stock, built as lists: the oracle
+    for the candidate table of the DP."""
+    ps, bs, nxt = [0.0], [0.0], [e]
+    p_max_here = min(p_cap, e * eta)
+    if p_max_here > 0:
+        ps.append(p_max_here)
+        bs.append(0.0)
+        nxt.append(e - p_max_here / eta)
+        below = grid[(grid < e) & ((e - grid) * eta <= p_max_here + 1e-12)]
+        ps.extend(np.minimum((e - below) * eta, p_max_here))
+        bs.extend(0.0 for _ in below)
+        nxt.extend(below)
+    b_max_here = min(b_cap, (grid[-1] - e) / eta)
+    if b_max_here > 0:
+        ps.append(0.0)
+        bs.append(b_max_here)
+        nxt.append(e + b_max_here * eta)
+        above = grid[(grid > e) & ((grid - e) / eta <= b_max_here + 1e-12)]
+        ps.extend(0.0 for _ in above)
+        bs.extend(np.minimum((above - e) / eta, b_max_here))
+        nxt.extend(above)
+    return np.asarray(ps), np.asarray(bs), np.asarray(nxt)
+
+
+def loop_stage(e, lam, grid, next_values, st):
+    ps, bs, e_next = loop_stage_candidates(e, grid, st.p_max if lam >= 0.0 else 0.0,
+                                           st.p_max, st.eta)
+    vals = lam * (ps - bs) - st.marginal_cost * ps + np.interp(e_next, grid, next_values)
+    return vals, ps, bs, e_next
+
+
+def loop_value_function(prices, st, grid_size, terminal_value):
+    """The backward recursion one knot at a time (oracle)."""
+    grid = np.linspace(0.0, st.e_max, grid_size)
+    values = [np.full(grid_size, float(terminal_value))]
+    for lam in prices[::-1]:
+        values.insert(0, np.array([float(np.max(loop_stage(e, float(lam), grid, values[0], st)[0]))
+                                   for e in grid]))
+    return values
+
+
+def loop_forward_schedule(vf, st, prices):
+    """The forward pass over the list candidates (oracle)."""
+    e = st.e_init
+    path = [], [], [e]
+    for t in range(1, vf.horizon + 1):
+        vals, ps, bs, e_next = loop_stage(e, float(prices[t - 1]), vf.grid, vf.values[t], st)
+        k = int(np.argmax(vals))
+        e = float(e_next[k])
+        for out, v in zip(path, (float(ps[k]), float(bs[k]), e)):
+            out.append(v)
+    return tuple(np.array(v) for v in path)
+
+
+def knot_walk_bids(vf, st, prices=None):
+    """Bids by walking down and up through the knots from the entering stock (oracle)."""
+    T = vf.horizon
+    path_e = None if prices is None else loop_forward_schedule(vf, st, prices)[2]
+    grid, eta, M = vf.grid, st.eta, st.marginal_cost
+    discharge, charge = [], []
+    for t in range(1, T + 1):
+        e_start = st.e_init if path_e is None else float(path_e[t - 1])
+        slopes = vf.slopes(t + 1)
+        offers, bids = [], []
+        withheld = prices is not None and float(prices[t - 1]) < 0.0
+        remaining_p = min(st.p_max, e_start * eta)
+        level = e_start
+        j = int(np.searchsorted(grid, level, side="right")) - 1
+        while remaining_p > 1e-12 and level > grid[0]:
+            knot_below = grid[j] if grid[j] < level else grid[max(j - 1, 0)]
+            seg_lo = max(knot_below, level - remaining_p / eta)
+            slope_idx = min(max(int(np.searchsorted(grid, level - 1e-12, side="right")) - 1, 0),
+                            len(slopes) - 1)
+            width = (level - seg_lo) * eta
+            if width > 1e-12 and not withheld:
+                offers.append((width, M + slopes[slope_idx] / eta))
+            remaining_p -= width
+            level = seg_lo
+            j = max(j - 1, 0)
+        remaining_b = min(st.p_max, (grid[-1] - e_start) / eta)
+        level = e_start
+        while remaining_b > 1e-12 and level < grid[-1]:
+            slope_idx = min(max(int(np.searchsorted(grid, level + 1e-12, side="right")) - 1, 0),
+                            len(slopes) - 1)
+            knot_above = grid[min(slope_idx + 1, len(grid) - 1)]
+            seg_hi = min(knot_above, level + remaining_b * eta)
+            width = (seg_hi - level) / eta
+            if width > 1e-12:
+                bids.append((width, eta * slopes[slope_idx]))
+            remaining_b -= width
+            level = seg_hi
+        discharge.append(tuple(offers))
+        charge.append(tuple(bids))
+    return BidCurve(discharge=tuple(discharge), charge=tuple(charge))
+
+
+RANDOM_CASES = range(240)
+
+
+def random_case(seed):
+    """A seeded storage and price path: eta = 1 on even seeds, lossy on odd
+    ones; e_init by turns at 0, at e_max, on a knot and anywhere; 11-29
+    knots; prices that go negative."""
+    rng = np.random.default_rng([seed, 17])
+    grid_size = int(rng.integers(11, 30))
+    eta = 1.0 if seed % 2 == 0 else float(rng.uniform(0.8, 0.99))
+    p_max = float(rng.uniform(5.0, 50.0))
+    e_max = p_max * eta * float(rng.uniform(0.2, 1.0)) * (grid_size - 1)
+    e_init = (0.0, e_max, float(np.linspace(0.0, e_max, grid_size)[rng.integers(grid_size)]),
+              float(rng.uniform(0.0, e_max)))[seed // 2 % 4]
+    st = StorageSpec(p_max=p_max, e_max=e_max, eta=eta, marginal_cost=float(rng.uniform(0, 10)),
+                     e_init=e_init)
+    prices = rng.uniform(-20.0, 80.0, size=int(rng.integers(3, 10)))
+    return prices, st, grid_size, float(rng.uniform(0.0, 100.0))
+
+
+def test_dp_matches_loop_oracle_bit_for_bit():
+    """The candidate table gives the per-knot loop's values and forward
+    schedules bit for bit, argmax tie-breaking included."""
+    negative = 0
+    for seed in RANDOM_CASES:
+        prices, st, grid_size, terminal = random_case(seed)
+        vf = dp_value_function(prices, st, grid_size=grid_size, terminal_value=terminal)
+        want = loop_value_function(prices, st, grid_size, terminal)
+        assert [v.tobytes() for v in vf.values] == [v.tobytes() for v in want], seed
+        got, want = dp_forward_schedule(vf, st, prices), loop_forward_schedule(vf, st, prices)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want], seed
+        negative += int(np.any(prices < 0))
+    assert negative >= len(RANDOM_CASES) // 2
+
+
+def test_bids_match_knot_walk():
+    """Clipped grid intervals give the knot walk's steps: the same counts,
+    widths and prices to 1e-12 relative, with and without a price path."""
+    for seed in RANDOM_CASES:
+        prices, st, grid_size, terminal = random_case(seed)
+        vf = dp_value_function(prices, st, grid_size=grid_size, terminal_value=terminal)
+        for path in (None, prices):
+            got, want = bids_from_value(vf, st, prices=path), knot_walk_bids(vf, st, prices=path)
+            for side in ("discharge", "charge"):
+                for t, (g, w) in enumerate(zip(getattr(got, side), getattr(want, side))):
+                    assert len(g) == len(w), (seed, side, t)
+                    assert np.allclose(np.reshape(g, (-1, 2)), np.reshape(w, (-1, 2)),
+                                       rtol=1e-12, atol=0.0), (seed, side, t)
+
+
+@pytest.mark.parametrize("n", [2, 4], ids=["short", "long"])
+@pytest.mark.parametrize("call", [
+    dp_forward_schedule,
+    lambda vf, st, prices: bids_from_value(vf, st, prices=prices),
+], ids=["forward-schedule", "bids"])
+def test_price_path_must_cover_the_horizon(call, n):
+    st = storage()
+    vf = dp_value_function([10.0, 40.0, 5.0], st, grid_size=11)
+    with pytest.raises(DomainError, match=f"price path has {n} periods, the value function 3"):
+        call(vf, st, np.full(n, 20.0))
+
+
 # ---------------------------------------------------------------------------
 # bids_from_value
 # ---------------------------------------------------------------------------
@@ -452,6 +611,56 @@ def test_comparison_self_deltas_zero():
     rows2 = [r for r in again["table"] if r["mechanism"] == "welfare"]
     for a, b in zip(rows, rows2):
         assert a == b
+
+
+def per_row_metrics(base, draws, schedule_p, schedule_b, lam):
+    """One metric dict per scenario, summed period by period (oracle)."""
+    from storage_pricer.costs import merit_order_cost
+
+    g_real = np.clip(draws - schedule_p + schedule_b, 0.0, base.fleet.total_capacity)
+    period_costs = merit_order_cost(base.fleet, g_real).tolist()
+    M = base.storage.marginal_cost
+    rows = []
+    for i in range(draws.shape[0]):
+        gen_cost = float(sum(period_costs[i]))
+        rows.append({
+            "storage_profit": float(np.sum(lam * (schedule_p - schedule_b)) - M * np.sum(schedule_p)),
+            "gen_cost": gen_cost,
+            "system_cost": gen_cost + float(M * np.sum(schedule_p)),
+            "payment": float(np.sum(lam * draws[i])),
+        })
+    return rows
+
+
+@pytest.mark.parametrize("n, n_batches", [(7, 3), (3, 10)], ids=["remainder", "batch-of-one"])
+def test_comparison_metrics_match_per_row_computation(n, n_batches):
+    """The metric arrays give the per-scenario rows, their means and the
+    batch win rate of the row-by-row computation, also when ``n_batches``
+    does not divide the scenario count."""
+    system = small_system(horizon=6)
+    out = compare_mechanisms(system, n_scenarios=n, seed=3, retire_frac=0.2, grid_size=15,
+                             n_batches=n_batches)
+    base = baseline.comparison_system(system, 0.2)
+    draws = np.clip(sample_net_load(base.net_load, n, 3 + baseline._EVAL_SEED_OFFSET),
+                    base.g_min, base.g_max)
+    welfare, cleared = out["welfare_solution"], out["cleared"]
+    rows = {"welfare": per_row_metrics(base, draws, welfare.p, welfare.b, welfare.lam),
+            "bidding": per_row_metrics(base, draws, cleared["p"], cleared["b"], cleared["lam"])}
+    assert [(r["mechanism"], r["scenario"]) for r in out["table"]] == [
+        (m, i) for i in range(n) for m in ("welfare", "bidding")]
+    for row in out["table"]:
+        want = rows[row["mechanism"]][row["scenario"]]
+        assert {k: row[k] for k in want} == pytest.approx(want, rel=1e-12, abs=0.0)
+    s = out["summary"]
+    for key in ("storage_profit", "gen_cost", "system_cost", "payment"):
+        for name in ("welfare", "bidding"):
+            want = float(np.mean([r[key] for r in rows[name]]))
+            assert s[name][key] == pytest.approx(want, rel=1e-12, abs=0.0)
+    batch = max(1, n // n_batches)
+    starts = range(0, n - batch + 1, batch)
+    wins = [np.mean([rows["welfare"][j]["payment"] for j in range(i, i + batch)])
+            < np.mean([rows["bidding"][j]["payment"] for j in range(i, i + batch)]) for i in starts]
+    assert s["payment_batch_win_rate"] == sum(wins) / len(wins)
 
 
 def test_comparison_clears_scenario_seed_five():

@@ -172,14 +172,14 @@ def test_command_refuses_flags_it_does_not_read(tmp_path, command, flags):
 @pytest.mark.parametrize("command", [["sweep", "--axis", "soc"], ["sweep", "--axis", "sigma"],
                                      ["baseline", "--scenarios", "3"]])
 def test_system_without_storage_refused_before_solving(tmp_path, monkeypatch, capsys, command):
-    import storage_pricer.cli as cli
+    import storage_pricer.baseline as baseline
     import storage_pricer.theory as theory
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a system without storage")
 
     monkeypatch.setattr(theory, "solve_dispatch", no_solve)
-    monkeypatch.setattr(cli, "simulate_price_scenarios", no_solve)
+    monkeypatch.setattr(baseline, "simulate_price_scenarios", no_solve)
     code = run([*command, *SMALL, "--storage-ratio", "0", "--out", str(tmp_path / "s")])
     assert code == 1
     assert "needs storage" in capsys.readouterr().err
@@ -273,6 +273,39 @@ def test_csv_source_refuses_synthetic_system_flags(tmp_path, capsys, flags):
     assert not (out / "solution.csv").exists()
     # the file's own horizon is not a conflict
     assert run(["dispatch", *_csv_source(tmp_path), "--horizon", "2", "--out", str(out)]) == 0
+
+
+def test_csv_source_refuses_negative_storage_ratio(tmp_path, capsys):
+    """A negative ratio is refused as the synthetic source refuses it, not
+    read as a system without storage."""
+    out = tmp_path / "r"
+    assert run(["dispatch", *_csv_source(tmp_path), "--storage-ratio", "-0.5",
+                "--out", str(out)]) == 1
+    assert "--storage-ratio -0.5: capacity ratios must be >= 0" in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["dispatch"], ["sweep", "--axis", "soc"],
+                                     ["sweep", "--axis", "sigma"]])
+def test_csv_source_refuses_seed_nothing_reads(tmp_path, capsys, command):
+    """With a CSV source these commands draw nothing at random, so a seed
+    would be ignored; it is refused instead."""
+    out = tmp_path / "r"
+    assert run([*command, *_csv_source(tmp_path), "--seed", "5", "--out", str(out)]) == 1
+    assert "--seed 5" in capsys.readouterr().err
+    assert not (out / "solution.csv").exists() and not (out / "sweep.csv").exists()
+
+
+def test_compare_reads_seed_with_csv_source(tmp_path):
+    """compare samples its scenarios with the seed, so a CSV source keeps it."""
+    summaries = []
+    for seed in ("0", "3"):
+        out = tmp_path / f"c{seed}"
+        assert run(["compare", *_csv_source(tmp_path), "--seed", seed, "--scenarios", "3",
+                    "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == int(seed)
+        summaries.append((out / "summary.json").read_text())
+    assert summaries[0] != summaries[1]
 
 
 def test_singular_kkt_exits_two(tmp_path, monkeypatch):
