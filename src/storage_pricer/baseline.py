@@ -291,8 +291,14 @@ def clear_with_bids(system, bids, tol=1e-8):
 
     Generator expected cost plus offer cost minus bid value, subject to the
     power balance, the SoC recursion, and the reformulated bounds with the
-    reserve assigned entirely to the generator.  Returns cleared quantities
-    and the energy price from the balance dual.
+    reserve assigned entirely to the generator.  Returns cleared quantities,
+    the energy price from the balance dual and the SoC dual ``theta``.
+
+    ``theta`` need not be unique: when the storage clears idle, the
+    stationarity rows do not pin down the SoC recursion's dual, and
+    ``cleared.csv`` holds whichever optimal dual the solve returned (on a
+    two-period system, a 3e-15 change in one bid width moved it by 1% with
+    the same lambda).
     """
     T = system.horizon
     st = system.storage
@@ -301,11 +307,8 @@ def clear_with_bids(system, bids, tol=1e-8):
     if bids.horizon != T:
         raise DomainError(f"bid horizon {bids.horizon} != system horizon {T}")
 
-    moments_list = [system.net_load.moments(t) for t in range(1, T + 1)]
-    quantiles = period_quantiles(moments_list, system.net_load.model,
-                                 system.epsilon, system.risk_policy)
-    d_hat = np.array([quantiles[t].gen.d_hat for t in range(1, T + 1)])
-    d_tilde = np.array([quantiles[t].gen.d_tilde for t in range(1, T + 1)])
+    net = system.net_load
+    gen = period_quantiles(net.mu, net.sigma, net.model, system.epsilon, system.risk_policy).gen
 
     # variable layout: g (T) | p segments | b segments | e (T), the segments
     # in period order; e column e_of + t - 1 is the stock after period t + 1
@@ -326,7 +329,7 @@ def clear_with_bids(system, bids, tol=1e-8):
     quad_idx = np.arange(T)
 
     poly = system.poly
-    derivatives = memoized_derivatives(expected_cost_table(poly, moments_list))
+    derivatives = memoized_derivatives(expected_cost_table(poly, net.mu, net.sigma))
 
     def value(x):
         return float(lin @ x) + float(np.sum(derivatives(x[:T], 1.0)[0]))
@@ -345,7 +348,7 @@ def clear_with_bids(system, bids, tol=1e-8):
     periods = local + 1
     e_prev = (local[1:], e_of + local[1:] - 1)     # e_t, for periods 2..T
     eta = st.eta
-    D = np.asarray(system.net_load.forecast, dtype=float)
+    D = np.asarray(net.forecast, dtype=float)
     end = np.array([T + 1])
     eq = [
         RowBlock("balance", periods, 0, D,
@@ -368,8 +371,8 @@ def clear_with_bids(system, bids, tol=1e-8):
                          [(pair, np.repeat(cols, 2), np.tile([1.0, -1.0], cols.size))])
 
     ineq = [
-        RowBlock("nu_lo", periods, local, -(system.g_min - d_hat), [(local, local, -1.0)]),
-        RowBlock("nu_hi", periods, local, system.g_max - d_tilde, [(local, local, 1.0)]),
+        RowBlock("nu_lo", periods, local, -(system.g_min - gen.d_hat), [(local, local, -1.0)]),
+        RowBlock("nu_hi", periods, local, system.g_max - gen.d_tilde, [(local, local, 1.0)]),
         boxes("p_seg", p_t, p_cols, p_width),
         boxes("b_seg", b_t, b_cols, b_width),
         RowBlock("beta_hi", periods, local, np.full(T, st.p_max), [(p_t, p_cols, 1.0)]),
@@ -446,6 +449,9 @@ def bidding_pipeline(system, n_scenarios, seed, grid_size=21, price_mode="mean")
             "cleared": clear_with_bids(system, bids)}
 
 
+# ``storage_profit`` is the schedule's settlement at its own cleared prices,
+# sum(lam * (p - b)) - M * sum(p): one value per mechanism, repeated on every
+# scenario row.  The other metrics are evaluated on each realised scenario.
 METRICS = ("storage_profit", "gen_cost", "system_cost", "payment")
 
 
@@ -458,6 +464,11 @@ def compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.0,
     metric rows for both mechanisms plus a summary with scenario means,
     paired percentage deltas, and the fraction of scenario batches where the
     welfare mechanism's electricity payment is strictly lower.
+
+    ``storage_profit`` is not a per-scenario quantity: it is each schedule's
+    settlement at the prices it cleared at (the welfare dispatch's lambda,
+    or the bid clearing's), the same number on every scenario row, so its
+    mean and delta carry no scenario information.
     """
     base = comparison_system(system, retire_frac)
     st = base.storage

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import gaussian_raw_moment
+from .distributions import ErrorMoments, gaussian_raw_moment
 from .errors import DomainError, UnsupportedDegreeError
 
 MAX_DEGREE = 4
@@ -144,8 +144,9 @@ class StorageSpec:
 DERIVATIVES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def expected_cost_table(poly, moments_list):
-    """Everything ``expected_cost_derivatives`` needs besides the point.
+def expected_cost_table(poly, mu, sigma):
+    """Everything ``expected_cost_derivatives`` needs besides the point, for
+    errors d_t with per-period means ``mu`` and spreads ``sigma``.
 
     E[G(g + phi d)] = sum_i c_i sum_k C(i,k) g^(i-k) phi^k E[d^k], and each
     derivative lowers the powers with falling factorials.  For every output
@@ -157,7 +158,9 @@ def expected_cost_table(poly, moments_list):
               for i, c in enumerate(poly.coeffs) if c != 0.0
               for k in range(i + 1) if math.perm(i - k, dg) and math.perm(k, dphi))
         for dg, dphi in DERIVATIVES)
-    raw = np.array([[gaussian_raw_moment(m, k) for k in range(MAX_DEGREE + 1)] for m in moments_list])
+    # each moment from Python floats by the scalar formula: numpy's power can differ in the last bit
+    raw = np.array([[gaussian_raw_moment(ErrorMoments(m, s), k) for k in range(MAX_DEGREE + 1)]
+                    for m, s in zip(np.asarray(mu, float).tolist(), np.asarray(sigma, float).tolist())])
     return terms, raw
 
 
@@ -222,15 +225,13 @@ def expected_storage_cost(storage, p, psi, mu):
     return storage.marginal_cost * (p + psi * mu)
 
 
-def check_expected_cost_convexity(poly, moments_list, g_lo, g_hi, n_grid=15, *, table=None):
-    """Convexity gate: Hessian of E[G] PSD over a (g, phi) grid for each period.
+def check_expected_cost_convexity(table, g_lo, g_hi, n_grid=15):
+    """Convexity gate: Hessian of E[G] PSD over a (g, phi) grid for each
+    period of an ``expected_cost_table``.
 
     Raises DomainError at the first failing point (period, then g, then phi);
-    dispatch refuses such polynomials.  ``table``, when given, is
-    ``expected_cost_table(poly, moments_list)`` already built by the caller.
+    dispatch refuses such polynomials.
     """
-    if table is None:
-        table = expected_cost_table(poly, moments_list)
     g = np.linspace(g_lo, g_hi, n_grid)[:, None, None]
     phi = np.linspace(0.0, 1.0, 7)[None, :, None]
     *_, dgg, dgp, dpp = expected_cost_derivatives(table, g, phi)

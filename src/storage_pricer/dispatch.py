@@ -36,7 +36,7 @@ from .costs import (
     memoized_derivatives,
 )
 from .errors import DomainError
-from .reformulation import build_deterministic_constraints, period_quantiles
+from .reformulation import PeriodQuantiles, build_deterministic_constraints, period_quantiles
 from .solver import OPTIMAL, ConvexProgram, RowBlock, assemble_rows, solve_convex
 
 if TYPE_CHECKING:
@@ -114,7 +114,7 @@ class DispatchBuild:
     program: ConvexProgram
     layout: VariableLayout
     system: SystemSpec
-    quantiles: dict
+    quantiles: PeriodQuantiles
     eq_tags: list          # tags of one copy's rows when the build stacks copies
     ineq_tags: list
     pinned: dict           # (variable, period) -> value fixed by the presolve
@@ -139,7 +139,7 @@ class DispatchSolution:
     duals: dict            # kind -> {period -> value}, zero when row absent
     objective: float
     residuals: dict
-    quantiles: dict
+    quantiles: PeriodQuantiles
     solver_iterations: int
     pinned: dict = field(default_factory=dict)
     equilibrium: dict | None = None
@@ -147,6 +147,11 @@ class DispatchSolution:
 
     def dual(self, kind, t):
         return self.duals.get(kind, {}).get(t, 0.0)
+
+    def dual_series(self, kind):
+        """Duals of the ``kind`` rows of periods 1..T, zero where a row is absent."""
+        per = self.duals.get(kind, {})
+        return np.array([per.get(t, 0.0) for t in range(1, self.system.horizon + 1)])
 
 
 def _block_diagonal(M, k):
@@ -174,14 +179,12 @@ def build_dispatch(system, validate_convexity=True, loads=None):
     layout = VariableLayout(T, has_storage)
     periods = np.arange(1, T + 1)
 
-    moments_list = [system.net_load.moments(t) for t in range(1, T + 1)]
-    table = expected_cost_table(system.poly, moments_list)
+    net = system.net_load
+    table = expected_cost_table(system.poly, net.mu, net.sigma)
     if validate_convexity:
-        check_expected_cost_convexity(
-            system.poly, moments_list, system.g_min, system.g_max, table=table)
+        check_expected_cost_convexity(table, system.g_min, system.g_max)
 
-    quantiles = period_quantiles(moments_list, system.net_load.model,
-                                 system.epsilon, system.risk_policy)
+    quantiles = period_quantiles(net.mu, net.sigma, net.model, system.epsilon, system.risk_policy)
 
     # Presolve pinning: at the SoC extremes the first-period SoC rows admit
     # only a measure-zero feasible set (no strict interior), which an
@@ -191,15 +194,14 @@ def build_dispatch(system, validate_convexity=True, loads=None):
     dropped = set()     # kinds whose period-1 row is dropped
     if has_storage:
         tiny = 1e-9 * storage.e_max
-        q1 = quantiles[1]
         if storage.e_init >= storage.e_max - tiny:
             pinned[("b", 1)] = 0.0
-            if q1.soc.d_hat < 0.0 and system.storage_reserve:
+            if quantiles.soc.d_hat[0] < 0.0 and system.storage_reserve:
                 pinned[("psi", 1)] = 0.0
             dropped.add("iota_hi")
         if storage.e_init <= tiny:
             pinned[("p", 1)] = 0.0
-            if q1.soc.d_tilde > 0.0 and system.storage_reserve:
+            if quantiles.soc.d_tilde[0] > 0.0 and system.storage_reserve:
                 pinned[("psi", 1)] = 0.0
             dropped.add("iota_lo")
     # Pins are in period 1 only.  A pinned psi[1] fixes phi[1] = 1 through
@@ -207,7 +209,7 @@ def build_dispatch(system, validate_convexity=True, loads=None):
     unpinned_psi = slice(1, None) if ("psi", 1) in pinned else slice(None)
 
     n = layout.n
-    D = np.asarray(system.net_load.forecast, dtype=float)
+    D = np.asarray(net.forecast, dtype=float)
     loads = D[None, :] if loads is None else np.atleast_2d(np.asarray(loads, dtype=float))
     if loads.ndim != 2 or loads.shape[1] != T or not loads.shape[0]:
         raise DomainError(f"loads must be k >= 1 rows of {T} periods, got shape {loads.shape}")
@@ -266,7 +268,7 @@ def build_dispatch(system, validate_convexity=True, loads=None):
     # --- objective callbacks over the k copies: x viewed as (k, n), the
     # kernel evaluated once on (k, T) arrays -------------------------------
     M = storage.marginal_cost if has_storage else 0.0
-    mus = np.tile([m.mu for m in moments_list], k)
+    mus = np.tile(net.mu, k)
 
     def cols(name):
         """Columns of ``name`` in every copy, copy by copy, then period."""
@@ -392,66 +394,48 @@ def verify_equilibrium(solution, system, tol=1e-8, table=None):
 
     Row groups: market clearing identities, generator stationarity,
     storage charge/discharge/SoC stationarity, and reserve-split
-    stationarity for both the generator and the storage ratios.
+    stationarity for both the generator and the storage ratios.  Each row is
+    one array over the periods; a row that does not exist (a pinned
+    variable, the fixed stock e_1) is NaN.
     """
-    T = system.horizon
     storage = system.storage
-    has_storage = storage is not None
-    rows = {}
-
-    D = np.asarray(system.net_load.forecast, dtype=float)
-    clearing_balance = solution.g + solution.p - solution.b - D
-    rows["clearing_balance"] = clearing_balance
-    if has_storage:
-        eta = storage.eta
-        soc_res = solution.e[1:] - solution.e[:-1] + solution.p / eta - solution.b * eta
-        rows["clearing_soc"] = soc_res
-        rows["clearing_reserve"] = solution.phi + solution.psi - 1.0
-
-    gen_rows = np.zeros(T)
-    phi_rows = np.full(T, np.nan)
-    psi_rows = np.full(T, np.nan)
-    b_rows = np.full(T, np.nan)
-    p_rows = np.full(T, np.nan)
-    e_rows = np.full(T, np.nan)
-    moments_list = [system.net_load.moments(t) for t in range(1, T + 1)]
+    net = system.net_load
     if table is None:
-        table = expected_cost_table(system.poly, moments_list)
+        table = expected_cost_table(system.poly, net.mu, net.sigma)
     _, dE_dg, dE_dphi, *_ = expected_cost_derivatives(table, solution.g, solution.phi)
+    lam, theta, pi = solution.lam, solution.theta, solution.pi
+    dual = solution.dual_series
+    nu_lo, nu_hi = dual("nu_lo"), dual("nu_hi")
 
-    for t in range(1, T + 1):
-        m = moments_list[t - 1]
-        q = solution.quantiles[t]
-        lam, th, pi = solution.lam[t - 1], solution.theta[t - 1], solution.pi[t - 1]
-        nu_lo, nu_hi = solution.dual("nu_lo", t), solution.dual("nu_hi", t)
-        gen_rows[t - 1] = dE_dg[t - 1] - lam - nu_lo + nu_hi
-        if not has_storage:
-            continue
+    rows = {"clearing_balance": solution.g + solution.p - solution.b - np.asarray(net.forecast, dtype=float)}
+    if storage is not None:
         eta, M = storage.eta, storage.marginal_cost
-        a_lo, a_hi = solution.dual("alpha_lo", t), solution.dual("alpha_hi", t)
-        be_lo, be_hi = solution.dual("beta_lo", t), solution.dual("beta_hi", t)
-        i_lo, i_hi = solution.dual("iota_lo", t), solution.dual("iota_hi", t)
-        if ("b", t) not in solution.pinned:
-            b_rows[t - 1] = -th * eta + lam - a_lo + a_hi + i_hi * eta
-        if ("p", t) not in solution.pinned:
-            p_rows[t - 1] = M + th / eta - lam - be_lo + be_hi + i_lo / eta
-        if t >= 2:
-            e_rows[t - 1] = -th + solution.theta[t - 2] - i_lo + i_hi
-        if system.storage_reserve and ("psi", t) not in solution.pinned:
-            k_phi = solution.dual("kappa_phi_hi", t) - solution.dual("kappa_phi_lo", t)
-            k_psi = solution.dual("kappa_psi_hi", t) - solution.dual("kappa_psi_lo", t)
-            phi_rows[t - 1] = dE_dphi[t - 1] - pi - nu_lo * q.gen.d_hat + nu_hi * q.gen.d_tilde + k_phi
-            psi_rows[t - 1] = (M * m.mu - pi - a_hi * q.power.d_hat + be_hi * q.power.d_tilde
-                               + i_lo * q.soc.d_tilde / eta - i_hi * q.soc.d_hat * eta + k_psi)
+        rows["clearing_soc"] = solution.e[1:] - solution.e[:-1] + solution.p / eta - solution.b * eta
+        rows["clearing_reserve"] = solution.phi + solution.psi - 1.0
+    rows["gen_stationarity"] = dE_dg - lam - nu_lo + nu_hi
+    if storage is not None:
+        q = solution.quantiles
+        a_lo, a_hi = dual("alpha_lo"), dual("alpha_hi")
+        be_lo, be_hi = dual("beta_lo"), dual("beta_hi")
+        i_lo, i_hi = dual("iota_lo"), dual("iota_hi")
 
-    rows["gen_stationarity"] = gen_rows
-    if has_storage:
-        rows["charge_stationarity"] = b_rows
-        rows["discharge_stationarity"] = p_rows
-        rows["soc_stationarity"] = e_rows
+        def unless_pinned(var, values):
+            values[[t - 1 for v, t in solution.pinned if v == var]] = np.nan
+            return values
+
+        rows["charge_stationarity"] = unless_pinned("b", -theta * eta + lam - a_lo + a_hi + i_hi * eta)
+        rows["discharge_stationarity"] = unless_pinned(
+            "p", M + theta / eta - lam - be_lo + be_hi + i_lo / eta)
+        rows["soc_stationarity"] = np.concatenate(
+            [[np.nan], -theta[1:] + theta[:-1] - i_lo[1:] + i_hi[1:]])
         if system.storage_reserve:
-            rows["reserve_stationarity_gen"] = phi_rows
-            rows["reserve_stationarity_storage"] = psi_rows
+            k_phi = dual("kappa_phi_hi") - dual("kappa_phi_lo")
+            k_psi = dual("kappa_psi_hi") - dual("kappa_psi_lo")
+            rows["reserve_stationarity_gen"] = unless_pinned(
+                "psi", dE_dphi - pi - nu_lo * q.gen.d_hat + nu_hi * q.gen.d_tilde + k_phi)
+            rows["reserve_stationarity_storage"] = unless_pinned(
+                "psi", M * np.asarray(net.mu) - pi - a_hi * q.power.d_hat + be_hi * q.power.d_tilde
+                + i_lo * q.soc.d_tilde / eta - i_hi * q.soc.d_hat * eta + k_psi)
 
     threshold = 10 * max(tol, solution_res_floor(solution))
     report = {"rows": rows, "threshold": threshold, "passes": {}, "max_residual": 0.0}

@@ -77,46 +77,39 @@ def allocate_risk(epsilon, n, policy="equal"):
 
 @dataclass(frozen=True)
 class QuantileTriple:
-    """Signed quantile pair and the risk level that produced it."""
+    """Signed quantile pair and the risk level that produced it.  The pair
+    holds one value per period (arrays indexed by t - 1) when it comes from
+    ``period_quantiles``."""
 
-    d_hat: float
-    d_tilde: float
+    d_hat: np.ndarray
+    d_tilde: np.ndarray
     epsilon: float
 
 
 @dataclass(frozen=True)
 class PeriodQuantiles:
-    """Quantile triples for the three constraint groups of one period."""
+    """Quantile triples of the three constraint groups over periods 1..T."""
 
     gen: QuantileTriple
     power: QuantileTriple
     soc: QuantileTriple
 
 
-def period_quantiles(moments_list, model, epsilon, policy="equal"):
-    """Quantiles of every period under the documented Bonferroni split,
-    keyed by period (1-based).
+def period_quantiles(mu, sigma, model, epsilon, policy="equal"):
+    """Quantiles of every period under the documented Bonferroni split, from
+    the per-period error means ``mu`` and spreads ``sigma``.
 
     The two-sided generator and SoC groups each decompose into two one-sided
     constraints (risk epsilon/2 per side under equal allocation); the storage
     power caps are individual constraints at the full epsilon.  Each distinct
-    risk level is evaluated once and mapped onto all periods' (mu, sigma).
+    risk level is evaluated once and mapped onto the arrays of all periods.
     """
     pair_alloc = allocate_risk(epsilon, 2, policy)
     levels = {"gen": pair_alloc.epsilons[0], "power": epsilon, "soc": pair_alloc.epsilons[1]}
-    mu = np.array([m.mu for m in moments_list], dtype=float)
-    sigma = np.array([m.sigma for m in moments_list], dtype=float)
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
     pairs = {eps: quantile_map(model, eps)(mu, sigma) for eps in set(levels.values())}
-    triples = {
-        group: [QuantileTriple(hat, tilde, eps)
-                for hat, tilde in zip(*(v.tolist() for v in pairs[eps]))]
-        for group, eps in levels.items()
-    }
-    return {
-        t: PeriodQuantiles(gen=triples["gen"][i], power=triples["power"][i],
-                           soc=triples["soc"][i])
-        for i, t in enumerate(range(1, len(moments_list) + 1))
-    }
+    return PeriodQuantiles(**{group: QuantileTriple(*pairs[eps], eps)
+                              for group, eps in levels.items()})
 
 
 @dataclass(frozen=True)
@@ -132,40 +125,34 @@ class RowFamily:
 def build_deterministic_constraints(horizon, gen_bounds, storage, quantiles):
     """Emit the reformulated inequality rows: {kind: RowFamily} in ROW_KINDS order.
 
-    ``quantiles`` maps each period (1-based) to a PeriodQuantiles; a missing
-    slot is a build error naming it.  ``storage`` may be None (generator rows
+    ``quantiles`` is a PeriodQuantiles over ``horizon`` periods; quantiles of
+    another length are a build error.  ``storage`` may be None (generator rows
     only).  e[1] is the fixed initial stock, which the caller substitutes.
     """
     g_lo, g_hi = gen_bounds
     if g_lo > g_hi:
         raise BuildError(f"generator bounds reversed: {g_lo} > {g_hi}")
-    for t in range(1, horizon + 1):
-        if t not in quantiles:
-            raise BuildError(f"missing quantiles for period {t}")
-    periods = range(1, horizon + 1)
-
-    def column(group, name):
-        return np.array([getattr(getattr(quantiles[t], group), name) for t in periods])
+    gen, power, soc = quantiles.gen, quantiles.power, quantiles.soc
+    shapes = {np.shape(v) for q in (gen, power, soc) for v in (q.d_hat, q.d_tilde)}
+    if shapes != {(horizon,)}:
+        raise BuildError(f"quantiles of shape {sorted(shapes)} for a horizon of {horizon} periods")
 
     def full(value):
         return np.full(horizon, value, dtype=float)
 
-    gen_hat, gen_tilde, gen_eps = (column("gen", name) for name in ("d_hat", "d_tilde", "epsilon"))
     rows = {
-        "nu_lo": (full(-g_lo), gen_eps, full(-1.0), -gen_hat),
-        "nu_hi": (full(g_hi), gen_eps, full(1.0), gen_tilde),
+        "nu_lo": (full(-g_lo), full(gen.epsilon), full(-1.0), -gen.d_hat),
+        "nu_hi": (full(g_hi), full(gen.epsilon), full(1.0), gen.d_tilde),
     }
     if storage is not None:
         eta = storage.eta
-        pow_hat, pow_tilde, pow_eps = (column("power", name) for name in ("d_hat", "d_tilde", "epsilon"))
-        soc_hat, soc_tilde, soc_eps = (column("soc", name) for name in ("d_hat", "d_tilde", "epsilon"))
         rows.update({
             "alpha_lo": (full(0.0), None, full(-1.0)),
-            "alpha_hi": (full(storage.p_max), pow_eps, full(1.0), -pow_hat),
+            "alpha_hi": (full(storage.p_max), full(power.epsilon), full(1.0), -power.d_hat),
             "beta_lo": (full(0.0), None, full(-1.0)),
-            "beta_hi": (full(storage.p_max), pow_eps, full(1.0), pow_tilde),
-            "iota_lo": (full(0.0), soc_eps, full(1.0 / eta), soc_tilde / eta, full(-1.0)),
-            "iota_hi": (full(storage.e_max), soc_eps, full(1.0), full(eta), -eta * soc_hat),
+            "beta_hi": (full(storage.p_max), full(power.epsilon), full(1.0), power.d_tilde),
+            "iota_lo": (full(0.0), full(soc.epsilon), full(1.0 / eta), soc.d_tilde / eta, full(-1.0)),
+            "iota_hi": (full(storage.e_max), full(soc.epsilon), full(1.0), full(eta), -eta * soc.d_hat),
         })
     return {
         kind: RowFamily(dict(zip(ROW_STRUCTURE[kind], coeffs)), rhs, epsilon)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .costs import FleetCurve, Segment, StorageSpec, fit_polynomial_to_merit_curve
 from .dispatch import SystemSpec
-from .distributions import ErrorMoments, GaussianModel, standardized_draws
+from .distributions import GaussianModel, standardized_draws
 from .errors import DomainError, SchemaError
 
 # Normalized diurnal net-load profile (24 points, mean exactly 1 after
@@ -59,9 +59,6 @@ class NetLoadModel:
     @property
     def horizon(self):
         return len(self.forecast)
-
-    def moments(self, t):
-        return ErrorMoments(self.mu[t - 1], self.sigma[t - 1])
 
     def scaled_sigma(self, scale):
         return replace(self, sigma=tuple(s * scale for s in self.sigma))
@@ -197,32 +194,27 @@ def empirical_violation_rate(solution, net_load, n=10_000, seed=0):
     """
     system = solution.system
     d = sample_errors(net_load, n, seed)
-    T = system.horizon
     g, p, b = solution.g, solution.p, solution.b
-    phi, psi, e = solution.phi, solution.psi, solution.e
+    phi, psi, e = solution.phi, solution.psi, solution.e[:-1]
 
-    rates = {"gen_lo": np.zeros(T), "gen_hi": np.zeros(T), "gen_joint": np.zeros(T)}
+    def rate(violated):
+        return np.mean(violated, axis=0)
+
+    x = g + phi * d
+    lo = x < system.g_min - 1e-9
+    hi = x > system.g_max + 1e-9
+    rates = {"gen_lo": rate(lo), "gen_hi": rate(hi), "gen_joint": rate(lo | hi)}
     has_storage = system.storage is not None
     if has_storage:
-        for key in ("charge_hi", "discharge_hi", "soc_lo", "soc_hi", "soc_joint"):
-            rates[key] = np.zeros(T)
-
-    for t in range(T):
-        x = g[t] + phi[t] * d[:, t]
-        lo = x < system.g_min - 1e-9
-        hi = x > system.g_max + 1e-9
-        rates["gen_lo"][t] = np.mean(lo)
-        rates["gen_hi"][t] = np.mean(hi)
-        rates["gen_joint"][t] = np.mean(lo | hi)
-        if has_storage:
-            st = system.storage
-            rates["charge_hi"][t] = np.mean(b[t] - psi[t] * d[:, t] > st.p_max + 1e-9)
-            rates["discharge_hi"][t] = np.mean(p[t] + psi[t] * d[:, t] > st.p_max + 1e-9)
-            s_lo = (psi[t] * d[:, t] + p[t]) / st.eta > e[t] + 1e-9
-            s_hi = e[t] > st.e_max - (b[t] - psi[t] * d[:, t]) * st.eta + 1e-9
-            rates["soc_lo"][t] = np.mean(s_lo)
-            rates["soc_hi"][t] = np.mean(s_hi)
-            rates["soc_joint"][t] = np.mean(s_lo | s_hi)
+        st = system.storage
+        reserve = psi * d
+        s_lo = (reserve + p) / st.eta > e + 1e-9
+        s_hi = e > st.e_max - (b - reserve) * st.eta + 1e-9
+        rates.update({
+            "charge_hi": rate(b - reserve > st.p_max + 1e-9),
+            "discharge_hi": rate(p + reserve > st.p_max + 1e-9),
+            "soc_lo": rate(s_lo), "soc_hi": rate(s_hi), "soc_joint": rate(s_lo | s_hi),
+        })
 
     joint_keys = ["gen_joint"] + (["soc_joint", "charge_hi", "discharge_hi"] if has_storage else [])
     worst = max(float(np.max(rates[k])) for k in joint_keys)

@@ -71,8 +71,8 @@ def _discharge_expr(theta_t, lam, pi, eta, M, d_hat, d_tilde, mu):
 def coupling_price(state, theta_t, lam, pi, storage, quantiles, mu):
     """Previous-period opportunity price implied by period-t prices.
 
-    ``quantiles`` is the SoC-row quantile triple (or any object with d_hat
-    and d_tilde).  ``state`` is one of the module constants CHARGING,
+    ``quantiles`` is the period's SoC-row quantile pair: any object with
+    scalar d_hat and d_tilde.  ``state`` is one of the module constants CHARGING,
     DISCHARGING, IDLE.
     """
     eta, M = storage.eta, storage.marginal_cost
@@ -127,16 +127,16 @@ def theta_sigma_derivative(poly, g, phi, moments, eta):
     return sigma * (6.0 * c[3] * phi**2 + 24.0 * c[4] * g * phi**2 + 24.0 * c[4] * phi**3 * mu) / eta
 
 
-def _marginal_cost(poly, g, phi, moments):
-    """d E[G(g + phi d)] / dg at one point."""
-    return float(expected_cost_derivatives(expected_cost_table(poly, [moments]), g, phi)[1][0])
+def _marginal_cost(poly, g, phi, mu, sigma):
+    """d E[G(g + phi d)] / dg at one point, d having mean mu and spread sigma."""
+    return float(expected_cost_derivatives(expected_cost_table(poly, [mu], [sigma]), g, phi)[1][0])
 
 
 def interior_charging_theta(poly, g, phi, moments, eta):
     """Opportunity price in the interior-charging case: marginal cost / eta."""
     if not (0.0 <= phi <= 1.0):
         raise DomainError(f"reserve ratio must lie in [0, 1], got {phi}")
-    return _marginal_cost(poly, g, phi, moments) / eta
+    return _marginal_cost(poly, g, phi, moments.mu, moments.sigma) / eta
 
 
 def jensen_gap(poly, g, phi, moments, eta, samples=100_000, seed=0):
@@ -177,9 +177,9 @@ def classify_period(solution, t, rel=1e-6):
     thr = rel * st.p_max
     b_t, p_t = solution.b[t - 1], solution.p[t - 1]
     psi_t = solution.psi[t - 1]
-    q = solution.quantiles[t].power
-    charge_slack = st.p_max - (b_t - psi_t * q.d_hat)
-    discharge_slack = st.p_max - (p_t + psi_t * q.d_tilde)
+    q = solution.quantiles.power
+    charge_slack = st.p_max - (b_t - psi_t * q.d_hat[t - 1])
+    discharge_slack = st.p_max - (p_t + psi_t * q.d_tilde[t - 1])
     bind_tol = max(1e-9 * st.p_max, 100 * rel * st.p_max)
     if b_t > thr and p_t > thr:
         return CASE_IDLE  # simultaneous flow: relaxation artifact, reported elsewhere
@@ -207,23 +207,21 @@ def verify_price_coupling(solution, rel_tol=1e-4, interval_inflation=1e-6):
     """
     system = solution.system
     st = system.storage
+    q = solution.quantiles.soc
     periods = []
     worst = 0.0
     ok = True
     for t in range(2, system.horizon + 1):
         case = classify_period(solution, t)
-        q = solution.quantiles[t].soc
-        mu_t = system.net_load.moments(t).mu
+        d_hat, d_tilde, mu_t = q.d_hat[t - 1], q.d_tilde[t - 1], system.net_load.mu[t - 1]
         theta_t, theta_prev = solution.theta[t - 1], solution.theta[t - 2]
         lam = solution.lam[t - 1]
         pi_eff = effective_reserve_price(solution, t)
         scale = max(1.0, abs(theta_prev))
         entry = {"t": t, "case": case, "theta_prev": theta_prev}
         try:
-            lo = _discharge_expr(theta_t, lam, pi_eff, st.eta, st.marginal_cost,
-                                 q.d_hat, q.d_tilde, mu_t)
-            hi = _charge_expr(theta_t, lam, pi_eff, st.eta, st.marginal_cost,
-                              q.d_hat, q.d_tilde, mu_t)
+            lo = _discharge_expr(theta_t, lam, pi_eff, st.eta, st.marginal_cost, d_hat, d_tilde, mu_t)
+            hi = _charge_expr(theta_t, lam, pi_eff, st.eta, st.marginal_cost, d_hat, d_tilde, mu_t)
         except DegenerateQuantileError:
             entry["skipped"] = "degenerate quantile"
             periods.append(entry)
@@ -275,14 +273,38 @@ class SweepResult:
 
 def _sweep_point_records(solution, period):
     """theta dual plus the analytic sup/inf variants at the designated period."""
-    system = solution.system
-    t = period
-    H = _marginal_cost(system.poly, solution.g[t - 1], solution.phi[t - 1],
-                       system.net_load.moments(t))
+    system, i = solution.system, period - 1
+    net = system.net_load
+    H = _marginal_cost(system.poly, solution.g[i], solution.phi[i], net.mu[i], net.sigma[i])
     eta, M = system.storage.eta, system.storage.marginal_cost
-    sup_theta = H / eta
-    inf_theta = eta * (H - M)
-    return float(solution.theta[t - 1]), sup_theta, inf_theta
+    return float(solution.theta[i]), H / eta, eta * (H - M)
+
+
+def _sweep(grid, variant, label, period, tol, increasing, nu_threshold=None):
+    """Solve ``variant(v)`` at every grid value, in axis order, and judge the
+    theta sequence at ``period`` monotone (non-decreasing when ``increasing``,
+    else non-increasing) within 1e-6 * max|theta|.  With ``nu_threshold``,
+    points where the generator lower bound binds (its dual above the
+    threshold in any period) are excluded from the verdict."""
+    records, excluded = [], []
+    for i, value in enumerate(grid):
+        sol = solve_dispatch(variant(value), tol=tol)
+        if sol.status != "optimal":
+            raise SolverError(f"sweep solve failed at {label}={value}: {sol.status}",
+                              status=sol.status)
+        records.append((*_sweep_point_records(sol, period), classify_period(sol, period)))
+        if nu_threshold is not None and np.max(sol.dual_series("nu_lo")) > nu_threshold:
+            excluded.append(i)
+    thetas, sups, infs, cases = (list(v) for v in zip(*records))
+    thetas = np.array(thetas)
+    band = 1e-6 * max(1.0, float(np.max(np.abs(thetas))))
+    rises = np.diff(np.delete(thetas, excluded)) * (1.0 if increasing else -1.0)
+    max_violation = float(max(0.0, np.max(-rises))) if rises.size else 0.0
+    return SweepResult(
+        axis=grid, theta=thetas, sup_theta=np.array(sups), inf_theta=np.array(infs),
+        case_labels=cases, verdict=bool(np.all(rises >= -band)),
+        max_violation=max_violation, excluded=excluded, annotations={"band": band},
+    )
 
 
 def soc_sweep(system, soc_grid, period=1, tol=1e-8):
@@ -298,24 +320,7 @@ def soc_sweep(system, soc_grid, period=1, tol=1e-8):
         raise DomainError("SoC sweep requires storage")
     if grid[0] < -1e-9 or grid[-1] > st.e_max + 1e-9:
         raise DomainError(f"SoC grid outside [0, {st.e_max}]")
-
-    def solve_point(e0):
-        sol = solve_dispatch(system.with_initial_soc(e0), tol=tol)
-        if sol.status != "optimal":
-            raise SolverError(f"sweep solve failed at e0={e0}: {sol.status}", status=sol.status)
-        return (*_sweep_point_records(sol, period), classify_period(sol, period))
-
-    records = [solve_point(e0) for e0 in grid]
-    thetas, sups, infs, cases = (list(v) for v in zip(*records))
-    thetas = np.array(thetas)
-    band = 1e-6 * max(1.0, float(np.max(np.abs(thetas))))
-    diffs = np.diff(thetas)
-    max_violation = float(max(0.0, np.max(diffs))) if diffs.size else 0.0
-    return SweepResult(
-        axis=grid, theta=thetas, sup_theta=np.array(sups), inf_theta=np.array(infs),
-        case_labels=cases, verdict=bool(np.all(diffs <= band)),
-        max_violation=max_violation, excluded=[], annotations={"band": band},
-    )
+    return _sweep(grid, system.with_initial_soc, "e0", period, tol, increasing=False)
 
 
 def sigma_sweep(system, scale_grid, period=1, tol=1e-8, nu_threshold=1e-4):
@@ -332,29 +337,8 @@ def sigma_sweep(system, scale_grid, period=1, tol=1e-8, nu_threshold=1e-4):
         raise DomainError("sigma sweep requires storage")
     if np.any(grid < 0):
         raise DomainError("sigma scales must be >= 0")
-
-    def solve_point(scale):
-        sol = solve_dispatch(system.with_sigma_scale(scale), tol=tol)
-        if sol.status != "optimal":
-            raise SolverError(f"sweep solve failed at scale={scale}: {sol.status}",
-                              status=sol.status)
-        nu_lo_max = max((v for v in sol.duals.get("nu_lo", {}).values()), default=0.0)
-        return (*_sweep_point_records(sol, period), classify_period(sol, period), nu_lo_max)
-
-    records = [solve_point(scale) for scale in grid]
-    thetas, sups, infs, cases, nu_maxima = (list(v) for v in zip(*records))
-    excluded = [i for i, v in enumerate(nu_maxima) if v > nu_threshold]
-    thetas = np.array(thetas)
-    band = 1e-6 * max(1.0, float(np.max(np.abs(thetas))))
-    keep = [i for i in range(len(grid)) if i not in excluded]
-    kept = thetas[keep]
-    diffs = np.diff(kept)
-    max_violation = float(max(0.0, np.max(-diffs))) if diffs.size else 0.0
-    return SweepResult(
-        axis=grid, theta=thetas, sup_theta=np.array(sups), inf_theta=np.array(infs),
-        case_labels=cases, verdict=bool(np.all(diffs >= -band)),
-        max_violation=max_violation, excluded=excluded, annotations={"band": band},
-    )
+    return _sweep(grid, system.with_sigma_scale, "scale", period, tol, increasing=True,
+                  nu_threshold=nu_threshold)
 
 
 def ideal_storage_slope_gap(system, soc_grid, period=1, tol=1e-8):

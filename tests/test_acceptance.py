@@ -23,6 +23,7 @@ from storage_pricer.distributions import (
     robust_quantile,
     versatile_inverse_cdf,
 )
+from storage_pricer.reformulation import QuantileTriple
 from storage_pricer.scenarios import empirical_violation_rate, synth_test_system
 from storage_pricer.solver import solve_convex, verify_kkt
 from storage_pricer.theory import (
@@ -288,8 +289,9 @@ def test_criterion_5_coupling_and_bounds(battery):
         pi_box = (min(0.0, float(np.min(pi_eff))), float(np.max(pi_eff)))
         st = system.storage
         for t in range(2, system.horizon + 1):
-            q = solution.quantiles[t].soc
-            mu_t = system.net_load.moments(t).mu
+            soc = solution.quantiles.soc
+            q = QuantileTriple(float(soc.d_hat[t - 1]), float(soc.d_tilde[t - 1]), soc.epsilon)
+            mu_t = system.net_load.mu[t - 1]
             (c_lo, c_hi), (d_lo, d_hi) = price_bounds(lam_box, pi_box, st, q, mu_t)
             th = solution.theta[t - 2]
             pad = 1e-6 * max(1.0, abs(th))

@@ -34,10 +34,15 @@ def poly(coeffs, g_min=0.0, g_max=50.0):
     return CostPolynomial(tuple(coeffs), g_min=g_min, g_max=g_max)
 
 
+def table_of(p, moments_seq):
+    """``expected_cost_table`` of the periods' ErrorMoments."""
+    return expected_cost_table(p, [m.mu for m in moments_seq], [m.sigma for m in moments_seq])
+
+
 def expected_cost(p, g, phi, moments):
     """The kernel's six outputs (value, two gradients, three Hessian entries)
     at one point of a one-period table."""
-    return [float(v[0]) for v in expected_cost_derivatives(expected_cost_table(p, [moments]), g, phi)]
+    return [float(v[0]) for v in expected_cost_derivatives(table_of(p, [moments]), g, phi)]
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +108,7 @@ def test_kernel_matches_scalar_oracle(degree, data):
     g = np.array(data.draw(st.lists(st.floats(-40.0, 60.0), min_size=2 * T, max_size=2 * T)))
     phi = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=2 * T, max_size=2 * T)))
     g, phi = g.reshape(2, T), phi.reshape(2, T)
-    out = expected_cost_derivatives(expected_cost_table(p, moments), g, phi)
+    out = expected_cost_derivatives(table_of(p, moments), g, phi)
     for k, (dg, dphi) in enumerate(DERIVATIVES):
         assert out[k].shape == (2, T)
         for r in range(2):
@@ -120,7 +125,7 @@ def test_kernel_matches_scalar_oracle(degree, data):
        moments=st.lists(moments_st, min_size=1, max_size=3))
 def test_convexity_gate_matches_looped_oracle(c, degree, moments):
     p = SimpleNamespace(coeffs=(0.0,) + c[:degree])
-    ours = gate_message(check_expected_cost_convexity, p, moments, 0.0, 20.0)
+    ours = gate_message(check_expected_cost_convexity, table_of(p, moments), 0.0, 20.0)
     assert ours == gate_message(oracle_gate, p, moments, 0.0, 20.0)
 
 
@@ -237,7 +242,7 @@ def test_marginal_matches_fd_randomized():
 
 
 def test_convexity_gate_accepts_quadratic():
-    check_expected_cost_convexity(poly([0, 10, 0.5]), [ErrorMoments(0, 2)], g_lo=0, g_hi=50)
+    check_expected_cost_convexity(table_of(poly([0, 10, 0.5]), [ErrorMoments(0, 2)]), g_lo=0, g_hi=50)
 
 
 def test_convexity_gate_rejects_concave_region():
@@ -248,7 +253,7 @@ def test_convexity_gate_rejects_concave_region():
     object.__setattr__(p, "g_max", 5.0)
     object.__setattr__(p, "rmse", None)
     with pytest.raises(DomainError):
-        check_expected_cost_convexity(p, [ErrorMoments(0, 1)], g_lo=0, g_hi=5)
+        check_expected_cost_convexity(table_of(p, [ErrorMoments(0, 1)]), g_lo=0, g_hi=5)
 
 
 def test_marginal_must_be_nonnegative_on_domain():
@@ -421,8 +426,7 @@ def test_kernel_memo_evaluates_once_per_point(monkeypatch):
     place, or a new point, is evaluated afresh and matches the kernel."""
     import storage_pricer.costs as costs
 
-    table = expected_cost_table(poly([1.0, 2.0, 0.1, 0.01]),
-                                [ErrorMoments(0.0, 1.5), ErrorMoments(0.5, 2.0)])
+    table = expected_cost_table(poly([1.0, 2.0, 0.1, 0.01]), [0.0, 0.5], [1.5, 2.0])
     calls = []
     kernel = costs.expected_cost_derivatives
     monkeypatch.setattr(costs, "expected_cost_derivatives",

@@ -26,7 +26,7 @@ from storage_pricer.dispatch import (
 )
 from storage_pricer.distributions import GaussianModel
 from storage_pricer.errors import DomainError
-from storage_pricer.reformulation import period_quantiles
+from storage_pricer.reformulation import PeriodQuantiles, QuantileTriple, period_quantiles
 from storage_pricer.scenarios import NetLoadModel, synth_test_system
 
 
@@ -263,11 +263,10 @@ def test_equilibrium_detects_perturbed_price():
 
 def test_interior_generator_lambda_equals_marginal_cost():
     from storage_pricer.costs import expected_cost_derivatives, expected_cost_table
-    from storage_pricer.distributions import ErrorMoments
 
     system = storage_system([80.0, 120.0, 100.0], sigma=3.0, eta=0.9, M=5.0)
     sol = solve_dispatch(system)
-    table = expected_cost_table(system.poly, [ErrorMoments(0.0, 3.0)] * 3)
+    table = expected_cost_table(system.poly, [0.0] * 3, [3.0] * 3)
     marg = expected_cost_derivatives(table, sol.g, sol.phi)[1]
     for t in range(3):
         assert sol.dual("nu_lo", t + 1) <= 1e-7
@@ -395,6 +394,12 @@ class OracleRows:
         return M, np.array(self.rhs, dtype=float), self.tags
 
 
+def period_of(quantiles, t):
+    """The quantiles of period t alone, as Python floats."""
+    return PeriodQuantiles(*(QuantileTriple(float(q.d_hat[t - 1]), float(q.d_tilde[t - 1]), q.epsilon)
+                             for q in (quantiles.gen, quantiles.power, quantiles.soc)))
+
+
 def oracle_dispatch_rows(system, quantiles):
     """(A, b, eq tags) and (G, h, ineq tags) of the string-keyed build_dispatch."""
     T, stg = system.horizon, system.storage
@@ -403,7 +408,7 @@ def oracle_dispatch_rows(system, quantiles):
     index = {k: i for i, k in enumerate(names + ([f"e[{t}]" for t in range(2, T + 2)] if stg else []))}
     pinned, dropped = {}, set()
     if stg:
-        tiny, q1 = 1e-9 * stg.e_max, quantiles[1]
+        tiny, q1 = 1e-9 * stg.e_max, period_of(quantiles, 1)
         if stg.e_init >= stg.e_max - tiny:
             pinned["b[1]"] = 0.0
             if q1.soc.d_hat < 0.0 and system.storage_reserve:
@@ -454,7 +459,7 @@ def oracle_dispatch_rows(system, quantiles):
             add_eq({name: 1.0}, value, (f"pin_{name[:-3]}", 1))
 
     for t in range(1, T + 1):
-        q = quantiles[t]
+        q = period_of(quantiles, t)
         rows = [("nu_lo", {f"g[{t}]": -1.0, f"phi[{t}]": -q.gen.d_hat}, -system.g_min),
                 ("nu_hi", {f"g[{t}]": 1.0, f"phi[{t}]": q.gen.d_tilde}, system.g_max)]
         if stg:
@@ -508,7 +513,7 @@ def oracle_clearing_rows(system, bids, quantiles):
         add(eq, [([e_of + T - 1], 1.0)],
             stg.e_init if system.terminal == "periodic" else float(system.terminal_value))
     for t in range(T):
-        q = quantiles[t + 1]
+        q = period_of(quantiles, t + 1)
         add(ineq, [([t], -1.0)], -(system.g_min - q.gen.d_hat))
         add(ineq, [([t], 1.0)], system.g_max - q.gen.d_tilde)
         for segs, ofs in ((p_segs[t], p_ofs[t]), (b_segs[t], b_ofs[t])):
@@ -606,8 +611,8 @@ def test_clearing_rows_equal_hand_offset_assembly(system, data):
         discharge=tuple(tuple(data.draw(steps)) for _ in range(system.horizon)),
         charge=tuple(tuple(data.draw(steps)) for _ in range(system.horizon)))
     program = clearing_program(system, bids)
-    quantiles = period_quantiles([system.net_load.moments(t) for t in range(1, system.horizon + 1)],
-                                 system.net_load.model, system.epsilon, system.risk_policy)
+    net = system.net_load
+    quantiles = period_quantiles(net.mu, net.sigma, net.model, system.epsilon, system.risk_policy)
     eq, ineq = oracle_clearing_rows(system, bids, quantiles)
     assert_same_bits((program.A, program.b), eq)
     assert_same_bits((program.G, program.h), ineq)
@@ -677,3 +682,80 @@ def test_solve_builds_expected_cost_table_once(monkeypatch):
     assert len(calls) == 2
     for name, rows in solution.equilibrium["rows"].items():
         assert np.asarray(rows).tobytes() == np.asarray(again["rows"][name]).tobytes()
+
+
+def oracle_equilibrium_rows(solution, system):
+    """The stationarity rows of verify_equilibrium, written period by period."""
+    from storage_pricer.costs import expected_cost_derivatives, expected_cost_table
+
+    T = system.horizon
+    storage = system.storage
+    has_storage = storage is not None
+    rows = {}
+
+    D = np.asarray(system.net_load.forecast, dtype=float)
+    rows["clearing_balance"] = solution.g + solution.p - solution.b - D
+    if has_storage:
+        eta = storage.eta
+        rows["clearing_soc"] = solution.e[1:] - solution.e[:-1] + solution.p / eta - solution.b * eta
+        rows["clearing_reserve"] = solution.phi + solution.psi - 1.0
+
+    gen_rows = np.zeros(T)
+    phi_rows, psi_rows, b_rows, p_rows, e_rows = (np.full(T, np.nan) for _ in range(5))
+    table = expected_cost_table(system.poly, system.net_load.mu, system.net_load.sigma)
+    _, dE_dg, dE_dphi, *_ = expected_cost_derivatives(table, solution.g, solution.phi)
+
+    for t in range(1, T + 1):
+        mu = system.net_load.mu[t - 1]
+        q = period_of(solution.quantiles, t)
+        lam, th, pi = solution.lam[t - 1], solution.theta[t - 1], solution.pi[t - 1]
+        nu_lo, nu_hi = solution.dual("nu_lo", t), solution.dual("nu_hi", t)
+        gen_rows[t - 1] = dE_dg[t - 1] - lam - nu_lo + nu_hi
+        if not has_storage:
+            continue
+        eta, M = storage.eta, storage.marginal_cost
+        a_lo, a_hi = solution.dual("alpha_lo", t), solution.dual("alpha_hi", t)
+        be_lo, be_hi = solution.dual("beta_lo", t), solution.dual("beta_hi", t)
+        i_lo, i_hi = solution.dual("iota_lo", t), solution.dual("iota_hi", t)
+        if ("b", t) not in solution.pinned:
+            b_rows[t - 1] = -th * eta + lam - a_lo + a_hi + i_hi * eta
+        if ("p", t) not in solution.pinned:
+            p_rows[t - 1] = M + th / eta - lam - be_lo + be_hi + i_lo / eta
+        if t >= 2:
+            e_rows[t - 1] = -th + solution.theta[t - 2] - i_lo + i_hi
+        if system.storage_reserve and ("psi", t) not in solution.pinned:
+            k_phi = solution.dual("kappa_phi_hi", t) - solution.dual("kappa_phi_lo", t)
+            k_psi = solution.dual("kappa_psi_hi", t) - solution.dual("kappa_psi_lo", t)
+            phi_rows[t - 1] = dE_dphi[t - 1] - pi - nu_lo * q.gen.d_hat + nu_hi * q.gen.d_tilde + k_phi
+            psi_rows[t - 1] = (M * mu - pi - a_hi * q.power.d_hat + be_hi * q.power.d_tilde
+                               + i_lo * q.soc.d_tilde / eta - i_hi * q.soc.d_hat * eta + k_psi)
+
+    rows["gen_stationarity"] = gen_rows
+    if has_storage:
+        rows["charge_stationarity"] = b_rows
+        rows["discharge_stationarity"] = p_rows
+        rows["soc_stationarity"] = e_rows
+        if system.storage_reserve:
+            rows["reserve_stationarity_gen"] = phi_rows
+            rows["reserve_stationarity_storage"] = psi_rows
+    return rows
+
+
+@pytest.mark.parametrize("variant, pinned", [
+    ({"e_init_ratio": 0.0}, {("p", 1), ("psi", 1)}),
+    ({"e_init_ratio": 1.0}, {("b", 1), ("psi", 1)}),
+    ({"storage_ratio": 0.0}, set()),
+    ({"storage_reserve": False}, set()),
+    ({"terminal": "free"}, set()),
+], ids=["empty", "full", "no-storage", "no-storage-reserve", "free-terminal"])
+def test_equilibrium_rows_equal_per_period_loop(variant, pinned):
+    """The array audit gives the loop's rows bit for bit, NaN where a row
+    does not exist (pinned variables, the fixed first stock)."""
+    system = synth_test_system(horizon=24, **variant)
+    solution = solve_dispatch(system)
+    assert solution.status == "optimal" and set(solution.pinned) == pinned
+    want = oracle_equilibrium_rows(solution, system)
+    got = solution.equilibrium["rows"]
+    assert list(got) == list(want)
+    for name, rows in want.items():
+        assert got[name].tobytes() == rows.tobytes(), name

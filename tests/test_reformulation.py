@@ -9,7 +9,6 @@ import storage_pricer.distributions as distributions
 from storage_pricer.costs import StorageSpec
 from storage_pricer.distributions import (
     EmpiricalModel,
-    ErrorMoments,
     GaussianModel,
     RobustModel,
     VersatileModel,
@@ -61,12 +60,12 @@ def test_allocate_risk_domain_errors():
 
 
 def test_bonferroni_split_levels():
-    q = period_quantiles([ErrorMoments(0, 10)], GaussianModel(), 0.05)[1]
+    q = period_quantiles([0.0], [10.0], GaussianModel(), 0.05)
     assert q.gen.epsilon == pytest.approx(0.025)
     assert q.soc.epsilon == pytest.approx(0.025)
     assert q.power.epsilon == pytest.approx(0.05)
-    assert q.power.d_tilde == pytest.approx(16.449, abs=2e-3)
-    assert q.gen.d_tilde == pytest.approx(19.600, abs=2e-3)
+    assert q.power.d_tilde == pytest.approx([16.449], abs=2e-3)
+    assert q.gen.d_tilde == pytest.approx([19.600], abs=2e-3)
 
 
 def scalar_quantile_pair(mu, sigma, epsilon, model):
@@ -97,16 +96,16 @@ MODELS = (GaussianModel(), RobustModel("SU"), RobustModel("U"),
 def test_period_quantiles_equal_per_period_evaluation(model, epsilon, weight, moments):
     """Bit for bit the quantiles of evaluating each period on its own."""
     policy = "equal" if weight is None else (weight, 1.0 - weight)
-    got = period_quantiles([ErrorMoments(mu, sigma) for mu, sigma in moments], model,
-                           epsilon, policy)
+    mu, sigma = zip(*moments)
+    got = period_quantiles(mu, sigma, model, epsilon, policy)
     alloc = allocate_risk(epsilon, 2, policy)
-    assert sorted(got) == list(range(1, len(moments) + 1))
-    for t, (mu, sigma) in enumerate(moments, start=1):
-        for group, eps in (("gen", alloc.epsilons[0]), ("power", epsilon), ("soc", alloc.epsilons[1])):
-            triple = getattr(got[t], group)
-            want = scalar_quantile_pair(mu, sigma, eps, model)
-            assert (triple.d_hat.hex(), triple.d_tilde.hex()) == tuple(float(v).hex() for v in want)
-            assert triple.epsilon == eps
+    for group, eps in (("gen", alloc.epsilons[0]), ("power", epsilon), ("soc", alloc.epsilons[1])):
+        triple = getattr(got, group)
+        want = np.array([scalar_quantile_pair(m, s, eps, model) for m, s in moments], dtype=float).T
+        assert triple.d_hat.shape == triple.d_tilde.shape == (len(moments),)
+        assert triple.d_hat.tobytes() == want[0].tobytes()
+        assert triple.d_tilde.tobytes() == want[1].tobytes()
+        assert triple.epsilon == eps
 
 
 def test_build_evaluates_each_risk_level_once(monkeypatch):
@@ -129,7 +128,7 @@ def test_build_evaluates_each_risk_level_once(monkeypatch):
 
 
 def quantile_map(horizon, sigma, epsilon=0.05, mu=0.0):
-    return period_quantiles([ErrorMoments(mu, sigma)] * horizon, GaussianModel(), epsilon)
+    return period_quantiles([mu] * horizon, [sigma] * horizon, GaussianModel(), epsilon)
 
 
 def bits(values):
@@ -175,11 +174,10 @@ def test_soc_upper_row_signs():
     assert row.coeffs["psi"][0] == pytest.approx(19.600, abs=2e-3)
 
 
-def test_missing_quantiles_names_slot():
-    qmap = quantile_map(3, 1.0)
-    del qmap[2]
-    with pytest.raises(BuildError, match="period 2"):
-        build_deterministic_constraints(3, (0.0, 100.0), storage(), qmap)
+def test_quantiles_of_another_horizon_are_a_build_error():
+    for horizon in (2, 4):
+        with pytest.raises(BuildError, match="horizon of 3 periods"):
+            build_deterministic_constraints(3, (0.0, 100.0), storage(), quantile_map(horizon, 1.0))
 
 
 def test_epsilon_tag_audit():

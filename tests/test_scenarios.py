@@ -19,6 +19,7 @@ from storage_pricer.scenarios import (
     load_error_samples_csv,
     load_fleet_csv,
     load_system_csv,
+    sample_errors,
     sample_net_load,
     synth_test_system,
 )
@@ -163,6 +164,68 @@ def test_violation_detects_deliberate_bound_breach(solved_small):
     broken = dataclasses.replace(sol, g=sol.g + (system.g_max - sol.g) + 1.0)
     report = empirical_violation_rate(broken, system.net_load, n=2000, seed=3)
     assert float(np.max(report["rates"]["gen_hi"])) > 0.5
+
+
+def looped_violation_rates(solution, net_load, n, seed):
+    """The rates of empirical_violation_rate, computed one period at a time."""
+    system = solution.system
+    d = sample_errors(net_load, n, seed)
+    T = system.horizon
+    g, p, b = solution.g, solution.p, solution.b
+    phi, psi, e = solution.phi, solution.psi, solution.e
+
+    rates = {"gen_lo": np.zeros(T), "gen_hi": np.zeros(T), "gen_joint": np.zeros(T)}
+    has_storage = system.storage is not None
+    if has_storage:
+        for key in ("charge_hi", "discharge_hi", "soc_lo", "soc_hi", "soc_joint"):
+            rates[key] = np.zeros(T)
+
+    for t in range(T):
+        x = g[t] + phi[t] * d[:, t]
+        lo = x < system.g_min - 1e-9
+        hi = x > system.g_max + 1e-9
+        rates["gen_lo"][t] = np.mean(lo)
+        rates["gen_hi"][t] = np.mean(hi)
+        rates["gen_joint"][t] = np.mean(lo | hi)
+        if has_storage:
+            st = system.storage
+            rates["charge_hi"][t] = np.mean(b[t] - psi[t] * d[:, t] > st.p_max + 1e-9)
+            rates["discharge_hi"][t] = np.mean(p[t] + psi[t] * d[:, t] > st.p_max + 1e-9)
+            s_lo = (psi[t] * d[:, t] + p[t]) / st.eta > e[t] + 1e-9
+            s_hi = e[t] > st.e_max - (b[t] - psi[t] * d[:, t]) * st.eta + 1e-9
+            rates["soc_lo"][t] = np.mean(s_lo)
+            rates["soc_hi"][t] = np.mean(s_hi)
+            rates["soc_joint"][t] = np.mean(s_lo | s_hi)
+    return rates
+
+
+@pytest.mark.parametrize("case", ["storage", "no-storage", "breached", "full-reserve"])
+def test_violation_rates_equal_per_period_loop(solved_small, case):
+    """The array rates and worst joint rate are those of the per-period loop."""
+    import dataclasses
+
+    system, sol = solved_small
+    if case == "no-storage":
+        system = synth_test_system(n_gens=10, total_cap_mw=2000.0, avg_load_mw=1000.0,
+                                   seed=4, horizon=12, g_min_ratio=0.3, storage_ratio=0.0)
+        sol = solve_dispatch(system)
+    elif case == "breached":
+        T, st = system.horizon, system.storage
+        sol = dataclasses.replace(
+            sol, g=np.linspace(system.g_min, system.g_max, T), phi=np.ones(T), psi=np.ones(T),
+            p=np.full(T, 0.98 * st.p_max), b=np.full(T, 0.98 * st.p_max),
+            e=np.linspace(0.0, st.e_max, T + 1))
+    elif case == "full-reserve":
+        sol = dataclasses.replace(sol, psi=np.full(system.horizon, 0.7), phi=np.full(system.horizon, 0.3))
+    report = empirical_violation_rate(sol, system.net_load, n=3000, seed=5)
+    want = looped_violation_rates(sol, system.net_load, n=3000, seed=5)
+    assert list(report["rates"]) == list(want)
+    for key, rates in want.items():
+        assert report["rates"][key].tobytes() == rates.tobytes(), key
+    joint = ["gen_joint"] + (["soc_joint", "charge_hi", "discharge_hi"] if system.storage else [])
+    assert report["worst_joint"] == max(float(np.max(want[k])) for k in joint)
+    if case == "breached":
+        assert all(np.any(want[k] > 0) for k in want)
 
 
 # ---------------------------------------------------------------------------
