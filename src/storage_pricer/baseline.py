@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .costs import (
     expected_cost_table,
@@ -326,7 +325,6 @@ def clear_with_bids(system, bids, tol=1e-8):
     lin = np.zeros(n)
     lin[p_cols] = p_price
     lin[b_cols] = -b_price
-    quad_idx = np.arange(T)
 
     poly = system.poly
     derivatives = memoized_derivatives(expected_cost_table(poly, net.mu, net.sigma))
@@ -340,8 +338,7 @@ def clear_with_bids(system, bids, tol=1e-8):
         return out
 
     def hess(x):
-        dgg = derivatives(x[:T], 1.0)[3]
-        return sp.coo_array((dgg, (quad_idx, quad_idx)), shape=(n, n))
+        return derivatives(x[:T], 1.0)[3]
 
     # One row per period unless stated; the stock at the start of period 1
     # is data, so the SoC rows of period 1 carry it on the right-hand side.
@@ -387,7 +384,8 @@ def clear_with_bids(system, bids, tol=1e-8):
 
     A, b, _ = assemble_rows(eq, n)
     G, h, _ = assemble_rows(ineq, n)
-    program = ConvexProgram(n=n, value=value, grad=grad, hess=hess, A=A, b=b, G=G, h=h,
+    program = ConvexProgram(n=n, value=value, grad=grad, hess=hess,
+                            hess_rows=np.arange(T), hess_cols=np.arange(T), A=A, b=b, G=G, h=h,
                             quadratic=poly.degree <= 2)
     result = solve_convex(program, tol=tol)
     if result.status != "optimal":

@@ -1,9 +1,10 @@
 """Command-line orchestration with reproducible configs.
 
-Every run writes a manifest.json capturing the fully-resolved configuration
-(including seeds), sufficient to reproduce the outputs byte for byte.
-Exit codes: 0 success, 1 domain/config error, 2 solver failure, 3 theory
-check failure.
+Every run whose arguments and config file parse writes a manifest.json
+capturing the fully-resolved configuration (including seeds), sufficient to
+reproduce the outputs byte for byte, and its exit code; a failed run's
+manifest also names the error.  Exit codes: 0 success, 1 domain/config
+error, 2 solver failure, 3 theory check failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import __version__
 from .baseline import bidding_pipeline, compare_mechanisms, export_metrics_csv, export_summary_json
 from .dispatch import export_dual_audit_json, export_solution_csv, solve_dispatch
 from .distributions import fit_versatile_mle
-from .errors import ConfigurationError, DomainError, SolverError, StoragePricerError
+from .errors import ConfigurationError, DomainError, SolverError, StoragePricerError, TheoryCheckError
 from .scenarios import (
     empirical_violation_rate,
     load_error_samples_csv,
@@ -219,14 +220,15 @@ def _require_storage(system, what):
         raise DomainError(f"{what} needs storage: the system has none (--storage-ratio 0)")
 
 
-def _write_manifest(args, outdir, extra=None):
+def _write_manifest(args, outdir, code, error=None):
     manifest = {
         "version": __version__,
         "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "config"},
+        "exit_code": code,
     }
-    if extra:
-        manifest.update(extra)
+    if error is not None:
+        manifest["error"] = {"type": type(error).__name__, "message": str(error)}
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
 
@@ -241,7 +243,6 @@ def _cmd_dispatch(args, outdir):
     print(f"dispatch: optimal, objective {sol.objective:.2f} $, "
           f"mean lambda {float(np.mean(sol.lam)):.2f} $/MWh, "
           f"mean theta {float(np.mean(sol.theta)):.2f} $/MWh")
-    return EXIT_OK
 
 
 def _pass(name, ok, detail=""):
@@ -305,12 +306,11 @@ def _theory_checks(args):
 
 def _cmd_verify_theory(args, outdir):
     checks = _theory_checks(args)
-    all_ok = True
-    for name, result in checks.items():
-        all_ok &= _pass(name, result["ok"])
+    failed = [name for name, result in checks.items() if not _pass(name, result["ok"])]
     with open(outdir / "verify_theory.json", "w", encoding="utf-8") as fh:
         json.dump(checks, fh, indent=2, sort_keys=True)
-    return EXIT_OK if all_ok else EXIT_THEORY
+    if failed:
+        raise TheoryCheckError(f"theory checks failed: {', '.join(failed)}")
 
 
 def _cmd_baseline(args, outdir):
@@ -334,7 +334,6 @@ def _cmd_baseline(args, outdir):
                              f"{cleared['lam'][t]:.6f}", f"{cleared['theta'][t]:.6f}"])
     print(f"baseline: {args.scenarios} price scenarios, cleared objective "
           f"{cleared['objective']:.2f} $")
-    return EXIT_OK
 
 
 def _cmd_compare(args, outdir):
@@ -348,7 +347,6 @@ def _cmd_compare(args, outdir):
     print("compare: mean system cost welfare "
           f"{s['welfare']['system_cost']:.2f} vs bidding {s['bidding']['system_cost']:.2f} "
           f"(payment batch win rate {s['payment_batch_win_rate']:.2f})")
-    return EXIT_OK
 
 
 def _cmd_sweep(args, outdir):
@@ -392,7 +390,6 @@ def _cmd_sweep(args, outdir):
                                  f"{float(np.sum(sol.pi)):.6f}",
                                  f"{sol.objective:.4f}"])
     print(f"sweep: axis {args.axis} written to sweep.csv")
-    return EXIT_OK
 
 
 def _cmd_violations(args, outdir):
@@ -411,7 +408,6 @@ def _cmd_violations(args, outdir):
         json.dump(payload, fh, indent=2, sort_keys=True)
     print(f"violations: worst joint rate {report['worst_joint']:.4f} "
           f"(epsilon {system.epsilon})")
-    return EXIT_OK
 
 
 def _cmd_fit_dist(args, outdir):
@@ -422,7 +418,6 @@ def _cmd_fit_dist(args, outdir):
     with open(outdir / "fit.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     print(f"fit-dist: a={model.a:.6f} b={model.b:.6f} c={model.c:.6f}")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -446,17 +441,26 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         args = _apply_config_file(parser, args, argv)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        code = _COMMANDS[args.command](args, outdir)
-        _write_manifest(args, outdir, extra={"exit_code": code})
-        return code
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except StoragePricerError as exc:
+        # the config file may set --out, so there is nowhere to write yet
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    code, error = EXIT_OK, None
+    try:
+        _COMMANDS[args.command](args, outdir)
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        code, error = EXIT_SOLVER, exc
+    except TheoryCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code, error = EXIT_THEORY, exc
+    except StoragePricerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code, error = EXIT_CONFIG, exc
+    _write_manifest(args, outdir, code, error)
+    return code
 
 
 if __name__ == "__main__":

@@ -305,15 +305,14 @@ def build_dispatch(system, validate_convexity=True, loads=None):
 
     def hess(x):
         *_, dgg, dgp, dpp = kernel(x)
-        vals = np.concatenate([dgg, dgp, dgp, dpp] if has_storage else [dgg], axis=None)
-        return sp.coo_array((vals, (h_rows, h_cols)), shape=(k * n, k * n))
+        return np.concatenate([dgg, dgp, dgp, dpp] if has_storage else [dgg], axis=None)
 
     A, b, eq_tags = assemble_rows(eq, n)
     G, h, ineq_tags = assemble_rows(ineq, n)
     b = np.tile(b, (k, 1))
     b[:, :T] = loads           # the balance rows come first
     program = ConvexProgram(n=k * n, value=value, grad=grad, hess=hess,
-                            A=_block_diagonal(A, k), b=b.ravel(),
+                            hess_rows=h_rows, hess_cols=h_cols, A=_block_diagonal(A, k), b=b.ravel(),
                             G=_block_diagonal(G, k), h=np.tile(h, k),
                             quadratic=system.poly.degree <= 2)
     return DispatchBuild(program=program, layout=layout, system=system,

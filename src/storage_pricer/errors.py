@@ -42,5 +42,9 @@ class SolverError(StoragePricerError, RuntimeError):
         self.result = result
 
 
+class TheoryCheckError(StoragePricerError):
+    """A pricing-theory check failed."""
+
+
 class SchemaError(StoragePricerError, ValueError):
     """A CSV file does not match its documented schema."""

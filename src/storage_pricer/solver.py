@@ -21,13 +21,13 @@ constrained KKT system and pushes residuals toward machine precision.
 Everything is sparse.  The constraint matrices are CSR arrays, and each
 Newton system is the statically regularised (quasi-definite) KKT matrix in
 CSC form, factored with ``scipy.sparse.linalg.splu`` and solved with
-iterative refinement by one routine (``_kkt_solver``).  Its sparsity pattern
-(``_KKTPattern``) is built once per solve, once per active set in the
-polish, and again only if the Hessian gains an entry; each step refills
-just the values, equal bit for bit to assembling the matrix from sparse
-products and sums.  Multi-period dispatches couple periods only through
-the SoC recursion, so the factor stays banded and the cost grows about
-linearly with the horizon.
+iterative refinement by one routine (``_kkt_solver``).  A program declares
+the positions of its Hessian's entries once, so the sparsity pattern
+(``_KKTPattern``) is built once per solve and once per active set in the
+polish; each step refills just the values, equal bit for bit to assembling
+the matrix from sparse products and sums.  Multi-period dispatches couple
+periods only through the SoC recursion, so the factor stays banded and the
+cost grows about linearly with the horizon.
 """
 
 from __future__ import annotations
@@ -95,14 +95,19 @@ def assemble_rows(blocks, n):
 class ConvexProgram:
     """Smooth convex objective plus sparse linear constraints.
 
-    ``A`` and ``G`` are stored as CSR arrays; dense input is converted once
-    here.  ``hess`` may return a dense array or any scipy.sparse matrix.
+    The Hessian's structure is data: its entries sit at the positions
+    (``hess_rows[i]``, ``hess_cols[i]``), fixed for the program, and
+    ``hess(x)`` returns their values at x in that order (an entry listed
+    twice is summed).  ``A`` and ``G`` are stored as CSR arrays; dense input
+    is converted once here.
     """
 
     n: int
     value: callable
     grad: callable
     hess: callable
+    hess_rows: np.ndarray
+    hess_cols: np.ndarray
     A: np.ndarray | None = None
     b: np.ndarray | None = None
     G: np.ndarray | None = None
@@ -110,6 +115,15 @@ class ConvexProgram:
     quadratic: bool = False   # constant Hessian: enables undamped steps
 
     def __post_init__(self):
+        rows, cols = np.asarray(self.hess_rows), np.asarray(self.hess_cols)
+        for name, idx in (("hess_rows", rows), ("hess_cols", cols)):
+            if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+                raise DomainError(f"{name} must be a 1-d array of integers, got {idx.dtype} of shape {idx.shape}")
+            if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+                raise DomainError(f"{name} must lie in [0, {self.n}), got [{idx.min()}, {idx.max()}]")
+        if rows.size != cols.size:
+            raise DomainError(f"Hessian positions differ in length: {rows.size} rows, {cols.size} columns")
+        self.hess_rows, self.hess_cols = rows.astype(np.int64), cols.astype(np.int64)
         self.A = sp.csr_array((0, self.n)) if self.A is None else _csr(self.A)
         self.b = np.zeros(0) if self.b is None else np.atleast_1d(np.asarray(self.b, float))
         self.G = sp.csr_array((0, self.n)) if self.G is None else _csr(self.G)
@@ -123,13 +137,15 @@ class ConvexProgram:
 def quadratic_program(Q, c, A=None, b=None, G=None, h=None):
     """Convenience constructor for min 0.5 x^T Q x + c^T x (Q dense or sparse)."""
     Q = _csr(Q)
+    entries = Q.tocoo()
     c = np.asarray(c, dtype=float)
     n = c.size
     return ConvexProgram(
         n=n,
         value=lambda x: float(0.5 * x @ (Q @ x) + c @ x),
         grad=lambda x: Q @ x + c,
-        hess=lambda x: Q,
+        hess=lambda x: entries.data,
+        hess_rows=entries.row, hess_cols=entries.col,
         A=A, b=b, G=G, h=h, quadratic=True,
     )
 
@@ -175,19 +191,15 @@ def _step_to_boundary(v, dv, cap=1.0):
     return min(cap, float(np.min(-v[neg] / dv[neg])))
 
 
-def _coo(H):
-    """A Hessian (dense or any scipy.sparse format) as a COO array of its entries."""
-    return H.tocoo() if sp.issparse(H) else sp.coo_array(np.atleast_2d(np.asarray(H, dtype=float)))
-
-
 class _KKTPattern:
     """CSC sparsity pattern of the statically regularised KKT matrix
 
         [[H + G^T diag(w) G + reg I,  B^T     ],
          [B,                          -delta I]]
 
-    built once from the structure of H, G and B.  Each Newton step then only
-    refills one data vector (``fill``) in the pattern's order.
+    built once from the structure of H (its entries' positions ``hess_rows``
+    and ``hess_cols``), G and B.  Each Newton step then only refills one data
+    vector (``fill``) in the pattern's order.
 
     The values are those that assembling the matrix from scipy.sparse
     operations gives, bit for bit, so ``splu`` sees the same matrix and
@@ -198,15 +210,14 @@ class _KKTPattern:
     block, as scipy's sparse sums do.
     """
 
-    def __init__(self, n, B, G=None, H=None):
+    def __init__(self, n, B, G=None, hess_rows=(), hess_cols=()):
         N = n + B.shape[0]
         self.n, self.N = n, N
         Bc = B.tocoo()
         brow, bcol = Bc.row.astype(np.int64), Bc.col.astype(np.int64)
         # an entry (row, col) has key col * N + row: sorted keys are CSC order
-        parts = [np.arange(N, dtype=np.int64) * (N + 1), (n + brow) * N + bcol, bcol * N + n + brow]
-        if H is not None:
-            parts.append(H.col.astype(np.int64) * N + H.row)
+        h_keys = np.asarray(hess_cols, dtype=np.int64) * N + np.asarray(hess_rows, dtype=np.int64)
+        parts = [np.arange(N, dtype=np.int64) * (N + 1), (n + brow) * N + bcol, bcol * N + n + brow, h_keys]
         pair_keys = None
         if G is not None and G.nnz:
             # every pair (k, l) of entries in a row i of G, rows descending
@@ -228,42 +239,29 @@ class _KKTPattern:
         self.bt_pos = np.searchsorted(self.keys, (n + brow) * N + bcol)
         self.b_data = Bc.data
         self.pair_pos = None if pair_keys is None else np.searchsorted(self.keys, pair_keys)
-        self._h_index = None
+        # H's entries in the pattern, and its distinct entries in CSR order
+        # with the start of each row, for the row sums of |H|
+        self.h_pos = np.searchsorted(self.keys, h_keys)
+        distinct = np.unique(self.h_pos)
+        self.h_csr = distinct[np.lexsort((self.keys[distinct] // N, self.rows[distinct]))]
+        csr_rows = self.rows[self.h_csr]
+        self.h_starts = np.flatnonzero(np.r_[True, csr_rows[1:] != csr_rows[:-1]])
 
-    def _hess_layout(self, H):
-        """Positions of H's entries, plus the order and row starts of its
-        distinct entries in CSR order; None when an entry is outside."""
-        if self._h_index is not None and np.array_equal(H.row, self._h_index[0]) \
-                and np.array_equal(H.col, self._h_index[1]):
-            return self._h_index[2]
-        keys = H.col.astype(np.int64) * self.N + H.row
-        pos = np.searchsorted(self.keys, keys)
-        if pos.size and (pos.max() >= self.keys.size or np.any(self.keys[pos] != keys)):
-            return None
-        distinct = np.unique(pos)
-        rows, cols = self.rows[distinct], self.keys[distinct] // self.N
-        csr = distinct[np.lexsort((cols, rows))]
-        sorted_rows = self.rows[csr]
-        starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
-        layout = (pos, csr, starts)
-        self._h_index = (H.row.copy(), H.col.copy(), layout)
-        return layout
-
-    def hessian(self, H):
+    def hessian(self, values):
         """H's values scattered into the pattern (duplicates summed) and the
         objective scale max(1, ||H||_inf) the regularisation is taken
-        relative to, or None when H has an entry outside the pattern.
+        relative to.
 
         The row sums of |H| run over each row's entries in column order, as
         scipy's sparse norm sums them."""
-        layout = self._hess_layout(H)
-        if layout is None:
-            return None
-        pos, csr, starts = layout
-        values = np.bincount(pos, weights=H.data, minlength=self.keys.size).astype(float, copy=False)
-        if not csr.size:
-            return values, 1.0
-        return values, max(1.0, float(np.max(np.add.reduceat(np.abs(values[csr]), starts))))
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.h_pos.shape:
+            raise DomainError(f"hess returned values of shape {values.shape}; the program "
+                              f"declares {self.h_pos.size} Hessian entries")
+        data = np.bincount(self.h_pos, weights=values, minlength=self.keys.size).astype(float, copy=False)
+        if not self.h_csr.size:
+            return data, 1.0
+        return data, max(1.0, float(np.max(np.add.reduceat(np.abs(data[self.h_csr]), self.h_starts))))
 
     def fill(self, hess_values=None, w=None, reg=0.0, delta=0.0):
         """Data vector of the matrix, in pattern order."""
@@ -291,29 +289,22 @@ class _KKTPattern:
         return sp.csc_array((data, rows, indptr), shape=(self.N, self.N))
 
 
-def _hessian_values(pattern, H, n, B, G=None):
-    """(pattern, H values, objective scale); a Hessian with an entry outside
-    ``pattern`` (or no pattern yet) gets a new pattern that holds it."""
-    out = None if pattern is None else pattern.hessian(H)
-    if out is None:
-        pattern = _KKTPattern(n, B, G, H)
-        out = pattern.hessian(H)
-    return (pattern, *out)
-
-
 def _factor(K):
-    """Sparse LU factors of the CSC matrix K, or None when a pivot is zero
-    or not finite.
+    """Sparse LU factors of the CSC matrix K, or None when an entry of K is
+    not finite or the factors do not give a finite solve.
 
-    ``splu`` raises on an exactly singular matrix, but solving with factors
-    whose pivots are not finite returns NaN, so the pivots are checked here.
+    ``splu`` raises on an exactly singular matrix (a zero or NaN pivot), but
+    it factors a matrix with an infinite entry, and solves with factors of
+    tiny pivots overflow; so the entries are checked first and one probe
+    solve checks the factors.
     """
+    if not np.all(np.isfinite(K.data)):
+        return None
     try:
         lu = scipy.sparse.linalg.splu(K)
     except RuntimeError:
         return None
-    pivots = lu.U.diagonal()
-    return lu if np.all(np.isfinite(pivots) & (pivots != 0.0)) else None
+    return lu if np.all(np.isfinite(lu.solve(np.ones(K.shape[0])))) else None
 
 
 def _kkt_solver(pattern, data, refine=None, rounds=1, drop_all=False):
@@ -359,22 +350,23 @@ def _min_norm_point(A, b):
 def _polish_solve(prog, x0, active, start):
     """Newton on the equality-constrained KKT system of a fixed active set.
 
-    ``start`` holds the Hessian (as COO) and the gradient at ``x0``.  A
+    ``start`` holds the Hessian values and the gradient at ``x0``.  A
     quadratic program's Hessian is constant, so its one factorisation serves
     all three rounds.
     """
     B = sp.vstack([prog.A, prog.G[active]], format="csr")
     ha = prog.h[active]
     n, p = prog.n, prog.A.shape[0]
+    pattern = _KKTPattern(n, B, hess_rows=prog.hess_rows, hess_cols=prog.hess_cols)
     xx = x0.copy()
     H, gx = start
-    pattern = solve = None
+    solve = None
     for k in range(3):
         if k:
-            H = H if prog.quadratic else _coo(prog.hess(xx))
+            H = H if prog.quadratic else prog.hess(xx)
             gx = prog.grad(xx)
         if solve is None or not prog.quadratic:
-            pattern, hv, scale = _hessian_values(pattern, H, n, B)
+            hv, scale = pattern.hessian(H)
             # Factor a lightly regularized copy (redundant active rows make the
             # pure system singular), then refine against the pure system so
             # the regularization does not leak into the active-row residuals.
@@ -407,7 +399,7 @@ def _polish(prog, x, y, z, s, tol):
     and clipping it to zero later would leave that much stationarity error.
     """
     m = prog.h.size
-    start = (_coo(prog.hess(x)), prog.grad(x))
+    start = (prog.hess(x), prog.grad(x))
     scale_h = 1.0 + np.abs(prog.h)
     active = (z > s) | (s <= 1e3 * tol * scale_h)
     for _ in range(8):
@@ -470,7 +462,7 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
         z = np.zeros(0)
     y = np.zeros(p)
     AT, GT = prog.A.T.tocsr(), prog.G.T.tocsr()
-    pattern = None
+    pattern = _KKTPattern(n, prog.A, prog.G, prog.hess_rows, prog.hess_cols)
 
     best = None
     best_mu = np.inf
@@ -479,7 +471,6 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
     it = 0
     residuals = None     # of (x, y, z, s) when a line search has formed them
     for it in range(1, iter_cap + 1):
-        H = _coo(prog.hess(x))
         if residuals is None:
             residuals = _residuals(prog, AT, GT, x, y, z, s)
         r_d, r_p, r_g, comp = residuals
@@ -520,10 +511,8 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
         w = np.minimum(z / np.maximum(s, 1e-300), 1e18)
         # regularize on the objective scale only; the barrier term GtWG is
         # meant to be stiff near active rows and must not inflate reg
-        pattern, hv, scale = _hessian_values(pattern, H, n, prog.A, prog.G)
+        hv, scale = pattern.hessian(prog.hess(x))
         data = pattern.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
-        if not np.all(np.isfinite(data)):
-            break
         # one round of iterative refinement on the reduced system
         solve = _kkt_solver(pattern, data)
         if solve is None:

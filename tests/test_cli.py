@@ -24,7 +24,7 @@ def test_dispatch_writes_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "dispatch"
     assert manifest["config"]["seed"] == 0
-    assert manifest["exit_code"] == 0
+    assert manifest["exit_code"] == 0 and "error" not in manifest
 
 
 def test_unknown_flag_exits_one(tmp_path, capsys):
@@ -275,6 +275,45 @@ def test_csv_source_refuses_synthetic_system_flags(tmp_path, capsys, flags):
     assert run(["dispatch", *_csv_source(tmp_path), "--horizon", "2", "--out", str(out)]) == 0
 
 
+def test_refused_run_writes_manifest_with_error(tmp_path):
+    """A run refused after its arguments parse exits 1 and still leaves a
+    manifest, in an --out directory it creates, naming the error."""
+    out = tmp_path / "new" / "r"
+    assert run(["dispatch", *_csv_source(tmp_path), "--horizon", "48", "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 1 and manifest["config"]["horizon"] == 48
+    assert manifest["error"]["type"] == "ConfigurationError"
+    assert "--horizon 48" in manifest["error"]["message"]
+
+
+def test_solver_failure_writes_manifest_with_error(tmp_path, monkeypatch):
+    import storage_pricer.cli as cli
+    from storage_pricer.errors import SolverError
+
+    def fail(system):
+        raise SolverError("bid clearing failed: iter_limit", status="iter_limit")
+
+    monkeypatch.setattr(cli, "solve_dispatch", fail)
+    out = tmp_path / "s"
+    assert run(["dispatch", *SMALL, "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert manifest["error"] == {"type": "SolverError", "message": "bid clearing failed: iter_limit"}
+
+
+def test_failed_theory_check_writes_manifest_with_error(tmp_path, monkeypatch):
+    import storage_pricer.cli as cli
+
+    monkeypatch.setattr(cli, "_theory_checks", lambda args: {"ok_check": {"ok": True},
+                                                             "bad_check": {"ok": False}})
+    out = tmp_path / "t"
+    assert run(["verify-theory", "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["error"] == {"type": "TheoryCheckError", "message": "theory checks failed: bad_check"}
+    assert json.loads((out / "verify_theory.json").read_text())["bad_check"] == {"ok": False}
+
+
 def test_csv_source_refuses_negative_storage_ratio(tmp_path, capsys):
     """A negative ratio is refused as the synthetic source refuses it, not
     read as a system without storage."""
@@ -311,12 +350,11 @@ def test_compare_reads_seed_with_csv_source(tmp_path):
 def test_singular_kkt_exits_two(tmp_path, monkeypatch):
     """A KKT matrix that stays singular after the regularised retry ends the
     solve with a status, reported as a solver failure, not a raw scipy error."""
-    import scipy.sparse
     import scipy.sparse.linalg
 
     class ZeroPivotLU:
         def __init__(self, K):
-            self.U = scipy.sparse.csc_array(K.shape)
+            pass
 
         def solve(self, rhs):
             return np.full_like(rhs, np.nan)

@@ -188,6 +188,13 @@ def test_deterministic_no_storage_tracks_load():
 # ---------------------------------------------------------------------------
 
 
+def dense_hessian(prog, x):
+    """A program's Hessian at x as a dense array, its listed entries summed."""
+    H = np.zeros((prog.n, prog.n))
+    np.add.at(H, (prog.hess_rows, prog.hess_cols), prog.hess(x))
+    return H
+
+
 def _resolve_with_fixed_pattern(system, sol):
     """Re-solve with charge/discharge mutually exclusive per the solution's
     pattern: p pinned to zero in charging periods, b in the others."""
@@ -196,12 +203,10 @@ def _resolve_with_fixed_pattern(system, sol):
     T = system.horizon
     cols = [build.layout.of("p" if sol.b[t - 1] > sol.p[t - 1] else "b", t) for t in range(1, T + 1)]
     extra = scipy.sparse.csr_array((np.ones(T), (np.arange(T), cols)), shape=(T, prog.n))
-    from storage_pricer.solver import ConvexProgram, solve_convex
+    from storage_pricer.solver import solve_convex
 
-    fixed = ConvexProgram(
-        n=prog.n, value=prog.value, grad=prog.grad, hess=prog.hess,
-        A=scipy.sparse.vstack([prog.A, extra]), b=np.concatenate([prog.b, np.zeros(T)]),
-        G=prog.G, h=prog.h, quadratic=prog.quadratic)
+    fixed = dataclasses.replace(prog, A=scipy.sparse.vstack([prog.A, extra]),
+                                b=np.concatenate([prog.b, np.zeros(T)]))
     return solve_convex(fixed, tol=1e-8)
 
 
@@ -368,7 +373,7 @@ def test_program_callbacks_follow_in_place_changes():
         x[index] += change
         assert prog.value(x) == fresh.value(x)
         assert np.array_equal(prog.grad(x), fresh.grad(x))
-        assert np.array_equal(prog.hess(x).toarray(), fresh.hess(x).toarray())
+        assert np.array_equal(dense_hessian(prog, x), dense_hessian(fresh, x))
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +655,8 @@ def test_stacked_build_is_block_diagonal_of_single_builds(system, data):
     value = sum(p.value(xi) for p, xi in zip(singles, parts))
     assert prog.value(x) == (value if k == 1 else pytest.approx(value, rel=1e-12))
     assert prog.grad(x).tobytes() == np.concatenate([p.grad(xi) for p, xi in zip(singles, parts)]).tobytes()
-    assert np.array_equal(prog.hess(x).toarray(),
-                          scipy.sparse.block_diag([p.hess(xi) for p, xi in zip(singles, parts)]).toarray())
+    assert np.array_equal(dense_hessian(prog, x), scipy.sparse.block_diag(
+        [dense_hessian(p, xi) for p, xi in zip(singles, parts)]).toarray())
 
 
 def test_stacked_build_rejects_loads_of_another_horizon():

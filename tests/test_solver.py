@@ -5,7 +5,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse
 import scipy.sparse.linalg
 
 from storage_pricer.errors import DomainError
@@ -165,10 +164,11 @@ def test_iteration_cap_returns_best_iterate():
 
 
 class ZeroPivotLU:
-    """Stand-in for splu factors with an exactly zero pivot."""
+    """Stand-in for splu factors with an exactly zero pivot: every solve
+    with them is NaN."""
 
     def __init__(self, K):
-        self.U = scipy.sparse.csc_array(K.shape)
+        pass
 
     def solve(self, rhs):
         return np.full_like(rhs, np.nan)
@@ -277,9 +277,9 @@ def test_quartic_objective_damped_newton():
         return np.array([4 * (x[0] - 2) ** 3 + 2 * x[0]])
 
     def hess(x):
-        return np.array([[12 * (x[0] - 2) ** 2 + 2.0]])
+        return np.array([12 * (x[0] - 2) ** 2 + 2.0])
 
-    prog = ConvexProgram(n=1, value=value, grad=grad, hess=hess,
+    prog = ConvexProgram(n=1, value=value, grad=grad, hess=hess, hess_rows=[0], hess_cols=[0],
                          G=np.array([[1.0]]), h=np.array([1.0]), quadratic=False)
     res = solve_convex(prog, tol=1e-8)
     assert res.status == OPTIMAL
@@ -287,3 +287,41 @@ def test_quartic_objective_damped_newton():
     ref = xs[np.argmin((xs - 2) ** 4 + xs**2)]
     assert res.x[0] == pytest.approx(ref, abs=1e-5)
     assert res.max_residual <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the program contract: the Hessian's positions are declared once
+# ---------------------------------------------------------------------------
+
+
+def one_variable(hess_rows=(0,), hess_cols=(0,), hess=lambda x: np.array([2.0])):
+    return ConvexProgram(n=1, value=lambda x: float(x[0] ** 2), grad=lambda x: 2.0 * x, hess=hess,
+                         hess_rows=hess_rows, hess_cols=hess_cols, G=[[-1.0]], h=[-1.0])
+
+
+@pytest.mark.parametrize("rows, cols, needle", [
+    ([0, 0], [0], "differ in length"),
+    ([1], [0], r"hess_rows must lie in \[0, 1\)"),
+    ([0], [-1], r"hess_cols must lie in \[0, 1\)"),
+    ([0.0], [0], "hess_rows must be a 1-d array of integers"),
+    ([[0]], [[0]], "hess_rows must be a 1-d array of integers"),
+])
+def test_program_refuses_bad_hessian_positions(rows, cols, needle):
+    with pytest.raises(DomainError, match=needle):
+        one_variable(rows, cols)
+
+
+def test_program_without_hessian_entries_is_linear():
+    prog = ConvexProgram(n=1, value=lambda x: float(x[0]), grad=lambda x: np.ones(1),
+                         hess=lambda x: np.zeros(0), hess_rows=[], hess_cols=[],
+                         G=[[-1.0]], h=[-1.0], quadratic=True)
+    res = solve_convex(prog)
+    assert res.status == OPTIMAL
+    assert res.x[0] == pytest.approx(1.0)
+
+
+def test_hess_with_wrong_number_of_values_names_expected_count():
+    prog = one_variable(hess=lambda x: np.array([2.0, 0.0]))
+    with pytest.raises(DomainError, match="declares 1 Hessian entries"):
+        solve_convex(prog)
+

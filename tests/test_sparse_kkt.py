@@ -34,7 +34,7 @@ from storage_pricer.solver import (
     OPTIMAL,
     UNBOUNDED,
     SolveResult,
-    _hessian_values,
+    _kkt_solver,
     _KKTPattern,
     quadratic_program,
     solve_convex,
@@ -50,6 +50,13 @@ def _dense(M):
     return M.toarray() if scipy.sparse.issparse(M) else np.atleast_2d(np.asarray(M, dtype=float))
 
 
+def dense_hessian(prog, x):
+    """A program's Hessian at x as a dense array, its listed entries summed."""
+    H = np.zeros((prog.n, prog.n))
+    np.add.at(H, (prog.hess_rows, prog.hess_cols), prog.hess(x))
+    return H
+
+
 class DenseProgram:
     """A program's data with dense A, G and Hessian."""
 
@@ -57,10 +64,10 @@ class DenseProgram:
         self.n, self.b, self.h = prog.n, prog.b, prog.h
         self.A, self.G = _dense(prog.A), _dense(prog.G)
         self.value, self.grad, self.quadratic = prog.value, prog.grad, prog.quadratic
-        self._hess = prog.hess
+        self._prog = prog
 
     def hess(self, x):
-        return _dense(self._hess(x))
+        return dense_hessian(self._prog, x)
 
 
 def _lu_factor(K):
@@ -486,6 +493,26 @@ def refill_case(seed, n, p, m, g_rows):
     return A, G, H, w
 
 
+def declared_hessian(seed, n, H):
+    """H's entries as declared positions and values, plus a diagonal entry
+    listed twice (two values, summed) and an explicit zero; the zero sits off
+    the diagonal where H has no entry when there is such a place.  Returns
+    (rows, cols, values, zero position or None, H with the listed entries
+    summed as scipy sums them)."""
+    rng = np.random.default_rng(seed)
+    i = int(rng.integers(n))
+    on_i = (H.row == i) & (H.col == i)
+    held = set(zip(H.row.tolist(), H.col.tolist()))
+    free = [(r, c) for r in range(n) for c in range(n) if r != c and (r, c) not in held]
+    zero = free[int(rng.integers(len(free)))] if free else None
+    r0, c0 = zero if zero else (i, i)
+    split = [H.data[on_i][0] if on_i.any() else rng.standard_normal(), rng.standard_normal()]
+    rows = np.concatenate([H.row[~on_i], [i, i, r0]])
+    cols = np.concatenate([H.col[~on_i], [i, i, c0]])
+    values = np.concatenate([H.data[~on_i], split, [0.0]])
+    return rows, cols, values, zero, scipy.sparse.coo_array((values, (rows, cols)), shape=(n, n))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), p=st.integers(0, 5),
        m=st.integers(0, 14), g_rows=st.sampled_from(["random", "dense", "single"]))
@@ -493,11 +520,14 @@ def test_refilled_kkt_equals_block_assembly(seed, n, p, m, g_rows):
     """The pattern refill gives the block-assembled matrices exactly: the
     interior-point matrix with its regularisation, its 1e-6 retry, the
     polish pair and the start-point pair, with empty A or G, dense and
-    one-entry G rows, stored zeros and zero barrier weights."""
+    one-entry G rows, stored zeros, zero barrier weights, a Hessian entry
+    declared twice and a declared entry that is zero."""
     A, G, H, w = refill_case(seed, n, p, m, g_rows)
+    rows, cols, values, zero, H = declared_hessian(seed, n, H)
     K_want, retry_want, scale_want = block_ipm_kkt(H, A, G, w)
 
-    pattern, hv, scale = _hessian_values(None, H, n, A, G)
+    pattern = _KKTPattern(n, A, G, rows, cols)
+    hv, scale = pattern.hessian(values)
     assert scale == scale_want
     data = pattern.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
     assert_same_matrix(pattern.matrix(data), K_want)
@@ -506,11 +536,18 @@ def test_refilled_kkt_equals_block_assembly(seed, n, p, m, g_rows):
 
     # active-set polish: no barrier term, A stacked over some rows of G
     B = scipy.sparse.vstack([A, G[: m // 2]], format="csr")
-    polish, hv, scale = _hessian_values(None, H, n, B)
+    polish = _KKTPattern(n, B, hess_rows=rows, hess_cols=cols)
+    hv, scale = polish.hessian(values)
     Hc = scipy.sparse.csr_array(H)
-    assert np.array_equal(polish.matrix(polish.fill(hv)).toarray(), block_kkt(Hc, B, 0.0).toarray())
+    K = polish.matrix(polish.fill(hv))
+    assert np.array_equal(K.toarray(), block_kkt(Hc, B, 0.0).toarray())
     assert_same_matrix(polish.matrix(polish.fill(hv, reg=1e-14 * scale, delta=1e-13)),
                        block_kkt(Hc + 1e-14 * scale * scipy.sparse.eye_array(n), B, 1e-13))
+    if zero:
+        # the zero entry is in the pattern, and matrix drops it
+        r, c = zero
+        assert c * polish.N + r in polish.keys
+        assert r not in K.indices[K.indptr[c]:K.indptr[c + 1]]
 
     # minimum-norm start point: identity Hessian
     start = _KKTPattern(n, A)
@@ -519,23 +556,47 @@ def test_refilled_kkt_equals_block_assembly(seed, n, p, m, g_rows):
     assert_same_matrix(start.matrix(start.fill(reg=1.0, delta=1e-12)), block_kkt(eye, A, 1e-12))
 
 
-def test_hessian_outside_pattern_rebuilds_it():
-    """A Hessian with new values on its old entries reuses the pattern; one
-    with an entry outside it gets a pattern that holds the entry."""
-    A, G, H, w = refill_case(3, 8, 2, 6, "single")
-    H = scipy.sparse.coo_array(([2.0, 3.0], ([0, 5], [0, 5])), shape=(8, 8))
-    pattern, hv, scale = _hessian_values(None, H, 8, A, G)
+# ---------------------------------------------------------------------------
+# the factor-and-solve routine
+# ---------------------------------------------------------------------------
 
-    H2 = scipy.sparse.coo_array(([4.0, -1.0], ([0, 5], [0, 5])), shape=(8, 8))
-    same, hv, scale = _hessian_values(pattern, H2, 8, A, G)
-    assert same is pattern
-    assert_same_matrix(same.matrix(same.fill(hv, w, reg=1e-11 * scale, delta=1e-12)),
-                       block_ipm_kkt(H2, A, G, w)[0])
 
-    keys = set(zip(*np.nonzero(pattern.matrix(pattern.fill(hv, w)).toarray())))
-    i, j = next((i, j) for i in range(8) for j in range(8) if (i, j) not in keys)
-    H3 = scipy.sparse.coo_array(([4.0, 0.5, 0.5], ([0, i, j], [0, j, i])), shape=(8, 8))
-    grown, hv, scale = _hessian_values(pattern, H3, 8, A, G)
-    assert grown is not pattern
-    assert_same_matrix(grown.matrix(grown.fill(hv, w, reg=1e-11 * scale, delta=1e-12)),
-                       block_ipm_kkt(H3, A, G, w)[0])
+def kkt_case():
+    """A pattern of [[0, A^T], [A, 0]] whose A has a repeated row, so the
+    unregularised matrix is exactly singular."""
+    A = scipy.sparse.csr_array(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]]))
+    return _KKTPattern(3, A)
+
+
+def test_kkt_solver_refuses_singular_matrix():
+    pattern = kkt_case()
+    assert _kkt_solver(pattern, pattern.fill()) is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["b_pos", "diag"])
+def test_kkt_solver_refuses_matrix_with_entry_not_finite(bad, where):
+    """splu itself refuses the NaN entries but factors the infinite ones,
+    into factors whose probe solve is finite."""
+    pattern = kkt_case()
+    data = pattern.fill(reg=1.0, delta=1e-12)
+    data[getattr(pattern, where)[0]] = bad
+    assert _kkt_solver(pattern, data) is None
+
+
+def test_kkt_solver_refuses_factors_whose_solves_overflow():
+    """Pivots of 1e-310 are neither zero nor infinite, but every solve with
+    them overflows."""
+    pattern = _KKTPattern(2, scipy.sparse.csr_array((0, 2)))
+    assert _kkt_solver(pattern, pattern.fill(reg=1e-310)) is None
+    assert _kkt_solver(pattern, pattern.fill(reg=1e-300)) is not None
+
+
+def test_kkt_solver_solves_regularised_matrix():
+    pattern = kkt_case()
+    data = pattern.fill(reg=1.0, delta=1e-12)
+    solve = _kkt_solver(pattern, data)
+    assert solve is not None
+    rhs = np.arange(1.0, 6.0)
+    K = pattern.matrix(data)
+    np.testing.assert_allclose(K @ solve(rhs), rhs, atol=1e-9)
