@@ -78,11 +78,10 @@ def simulate_price_scenarios(system, n_scenarios, seed):
     Realizations outside the fleet's feasible band are clipped into
     [g_min, g_max] and the scenario index is flagged.  The deterministic
     variants differ only in their load, so up to ``PRICE_STACK`` of them are
-    solved at a time as one block-diagonal program, and the convexity gate,
-    whose moments they share, runs once.  The copies of a stack share one
-    barrier parameter, and a copy that converges more slowly than the rest
-    can hold the stack just above tolerance; the scenarios of a stack that
-    ends non-optimal are solved again one by one.
+    solved at a time as one block-diagonal program.  The copies of a stack
+    share one barrier parameter, and a copy that converges more slowly than
+    the rest can hold the stack just above tolerance; the scenarios of a
+    stack that ends non-optimal are solved again one by one.
     """
     if n_scenarios < 1:
         raise DomainError(f"need n >= 1 scenarios, got {n_scenarios}")
@@ -95,9 +94,9 @@ def simulate_price_scenarios(system, n_scenarios, seed):
     variant = deterministic_variant(system, draws[0])
     lam = np.empty_like(draws)
 
-    def solve(start, stop, gate=False):
+    def solve(start, stop):
         """Solve scenarios start..stop-1 as one program; their prices on success."""
-        build = build_dispatch(variant, validate_convexity=gate, loads=draws[start:stop])
+        build = build_dispatch(variant, loads=draws[start:stop])
         # A stack that fails is solved again scenario by scenario, and those
         # solves diagnose infeasibility, so a stack skips the phase-1 program
         # (which on a stack of 25 takes 0.5 s and 100 MB).
@@ -109,7 +108,7 @@ def simulate_price_scenarios(system, n_scenarios, seed):
 
     for start in range(0, n_scenarios, PRICE_STACK):
         stop = min(start + PRICE_STACK, n_scenarios)
-        status = solve(start, stop, gate=start == 0)
+        status = solve(start, stop)
         if status == OPTIMAL:
             continue
         if stop - start == 1:
@@ -285,7 +284,7 @@ def bids_from_value(vf, storage, prices=None):
                     charge=steps(b_width, eta * slopes))
 
 
-def clear_with_bids(system, bids, tol=1e-8):
+def clear_with_bids(system, bids):
     """Market clearing against storage step bids.
 
     Generator expected cost plus offer cost minus bid value, subject to the
@@ -385,9 +384,8 @@ def clear_with_bids(system, bids, tol=1e-8):
     A, b, _ = assemble_rows(eq, n)
     G, h, _ = assemble_rows(ineq, n)
     program = ConvexProgram(n=n, value=value, grad=grad, hess=hess,
-                            hess_rows=np.arange(T), hess_cols=np.arange(T), A=A, b=b, G=G, h=h,
-                            quadratic=poly.degree <= 2)
-    result = solve_convex(program, tol=tol)
+                            hess_rows=np.arange(T), hess_cols=np.arange(T), A=A, b=b, G=G, h=h)
+    result = solve_convex(program)
     if result.status != "optimal":
         raise SolverError(f"bid clearing failed: {result.status}", status=result.status,
                           result=result)

@@ -165,7 +165,7 @@ def _block_diagonal(M, k):
                         shape=(k * rows, k * cols))
 
 
-def build_dispatch(system, validate_convexity=True, loads=None):
+def build_dispatch(system, loads=None):
     """Assemble the dispatch convex program for a system.
 
     ``loads``, k rows of T net loads (default: the forecast, k = 1), stacks
@@ -181,8 +181,7 @@ def build_dispatch(system, validate_convexity=True, loads=None):
 
     net = system.net_load
     table = expected_cost_table(system.poly, net.mu, net.sigma)
-    if validate_convexity:
-        check_expected_cost_convexity(table, system.g_min, system.g_max)
+    check_expected_cost_convexity(table, system.g_min, system.g_max)
 
     quantiles = period_quantiles(net.mu, net.sigma, net.model, system.epsilon, system.risk_policy)
 
@@ -313,25 +312,23 @@ def build_dispatch(system, validate_convexity=True, loads=None):
     b[:, :T] = loads           # the balance rows come first
     program = ConvexProgram(n=k * n, value=value, grad=grad, hess=hess,
                             hess_rows=h_rows, hess_cols=h_cols, A=_block_diagonal(A, k), b=b.ravel(),
-                            G=_block_diagonal(G, k), h=np.tile(h, k),
-                            quadratic=system.poly.degree <= 2)
+                            G=_block_diagonal(G, k), h=np.tile(h, k))
     return DispatchBuild(program=program, layout=layout, system=system,
                          quantiles=quantiles, eq_tags=eq_tags, ineq_tags=ineq_tags,
                          pinned=pinned, table=table)
 
 
-def solve_dispatch(system, tol=1e-8, iter_cap=200, verify=True):
+def solve_dispatch(system, verify=True):
     """Build and solve the dispatch; extract prices and attach audit reports."""
     build = build_dispatch(system)
-    result = solve_convex(build.program, tol=tol, iter_cap=iter_cap)
-    solution = _extract_solution(build, result, tol)
+    solution = _extract_solution(build, solve_convex(build.program))
     if solution.status == OPTIMAL and verify:
-        solution.complementarity = check_complementarity(solution, max(1e-6, 10 * tol))
-        solution.equilibrium = verify_equilibrium(solution, system, tol=tol, table=build.table)
+        solution.complementarity = check_complementarity(solution)
+        solution.equilibrium = verify_equilibrium(solution, system, table=build.table)
     return solution
 
 
-def _extract_solution(build, result, tol):
+def _extract_solution(build, result):
     T = build.system.horizon
     layout = build.layout
     has_storage = layout.has_storage

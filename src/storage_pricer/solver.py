@@ -12,11 +12,13 @@ marginal change of the optimal value per unit increase of an equality rhs
 is -y.  Inequality duals are reported nonnegative.
 
 The algorithm is an infeasible-start Mehrotra predictor-corrector on the
-perturbed KKT system: full steps for quadratic objectives, and for
-degree-3/4 objectives the same steps damped only against residual-merit
-divergence (the step tracks the central path rather than descending the
-residual norm).  A final active-set polish re-solves the equality-
-constrained KKT system and pushes residuals toward machine precision.
+perturbed KKT system.  Every step is tried in full and halved only while
+it leaves the interior or grows the residual merit more than tenfold (the
+step tracks the central path rather than descending the residual norm).
+A final active-set polish re-solves the equality-constrained KKT system
+and pushes residuals toward machine precision; it factors again only when
+the Hessian's values change, so a quadratic objective is factored once per
+active set.
 
 Everything is sparse.  The constraint matrices are CSR arrays, and each
 Newton system is the statically regularised (quasi-definite) KKT matrix in
@@ -98,8 +100,9 @@ class ConvexProgram:
     The Hessian's structure is data: its entries sit at the positions
     (``hess_rows[i]``, ``hess_cols[i]``), fixed for the program, and
     ``hess(x)`` returns their values at x in that order (an entry listed
-    twice is summed).  ``A`` and ``G`` are stored as CSR arrays; dense input
-    is converted once here.
+    twice is summed).  Whether the objective is quadratic is not declared:
+    the solver sees it from Hessian values that do not change.  ``A`` and
+    ``G`` are stored as CSR arrays; dense input is converted once here.
     """
 
     n: int
@@ -112,7 +115,6 @@ class ConvexProgram:
     b: np.ndarray | None = None
     G: np.ndarray | None = None
     h: np.ndarray | None = None
-    quadratic: bool = False   # constant Hessian: enables undamped steps
 
     def __post_init__(self):
         rows, cols = np.asarray(self.hess_rows), np.asarray(self.hess_cols)
@@ -146,7 +148,7 @@ def quadratic_program(Q, c, A=None, b=None, G=None, h=None):
         grad=lambda x: Q @ x + c,
         hess=lambda x: entries.data,
         hess_rows=entries.row, hess_cols=entries.col,
-        A=A, b=b, G=G, h=h, quadratic=True,
+        A=A, b=b, G=G, h=h,
     )
 
 
@@ -166,6 +168,15 @@ class SolveResult:
         return max(self.residuals.values()) if self.residuals else np.inf
 
 
+# the residuals' names, in the order ``_residuals`` returns them
+RESIDUALS = ("stationarity", "primal_eq", "primal_ineq", "complementarity")
+
+
+def _sup(v):
+    """Sup-norm of v; 0 for an empty v."""
+    return float(np.max(np.abs(v), initial=0.0))
+
+
 def _residuals(prog, AT, GT, x, y, z, s):
     """KKT residuals; ``AT`` and ``GT`` are A^T and G^T, formed once per solve."""
     gx = prog.grad(x)
@@ -178,10 +189,7 @@ def _residuals(prog, AT, GT, x, y, z, s):
 def _merit(residuals, mu):
     """Residual norm of ``_residuals`` output, complementarity taken against mu."""
     r_d, r_p, r_g, comp = residuals
-    pieces = [r_d, r_p, r_g]
-    if comp.size:
-        pieces.append(comp - mu)
-    return float(np.sqrt(sum(float(v @ v) for v in pieces)))
+    return float(np.sqrt(sum(float(v @ v) for v in (r_d, r_p, r_g, comp - mu))))
 
 
 def _step_to_boundary(v, dv, cap=1.0):
@@ -350,9 +358,9 @@ def _min_norm_point(A, b):
 def _polish_solve(prog, x0, active, start):
     """Newton on the equality-constrained KKT system of a fixed active set.
 
-    ``start`` holds the Hessian values and the gradient at ``x0``.  A
-    quadratic program's Hessian is constant, so its one factorisation serves
-    all three rounds.
+    ``start`` holds the Hessian values and the gradient at ``x0``.  A round
+    whose Hessian values equal the factored ones, as a quadratic objective's
+    always do, reuses the factorisation.
     """
     B = sp.vstack([prog.A, prog.G[active]], format="csr")
     ha = prog.h[active]
@@ -360,13 +368,14 @@ def _polish_solve(prog, x0, active, start):
     pattern = _KKTPattern(n, B, hess_rows=prog.hess_rows, hess_cols=prog.hess_cols)
     xx = x0.copy()
     H, gx = start
-    solve = None
+    factored = None     # the Hessian values ``solve`` factors
     for k in range(3):
         if k:
-            H = H if prog.quadratic else prog.hess(xx)
+            H = prog.hess(xx)
             gx = prog.grad(xx)
-        if solve is None or not prog.quadratic:
-            hv, scale = pattern.hessian(H)
+        if factored is None or not np.array_equal(H, factored):
+            factored = np.array(H, dtype=float)
+            hv, scale = pattern.hessian(factored)
             # Factor a lightly regularized copy (redundant active rows make the
             # pure system singular), then refine against the pure system so
             # the regularization does not leak into the active-row residuals.
@@ -446,9 +455,7 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
         if x is None or np.linalg.norm(prog.A @ x - prog.b, np.inf) > 1e-8 * (1.0 + np.linalg.norm(prog.b, np.inf)):
             return SolveResult(np.zeros(n) if x is None else x, np.zeros(p), np.zeros(m), np.zeros(m),
                                ITER_LIMIT if x is None else INFEASIBLE,
-                               {"stationarity": np.inf, "primal_eq": np.inf,
-                                "primal_ineq": np.inf, "complementarity": np.inf},
-                               np.nan, 0)
+                               dict.fromkeys(RESIDUALS, np.inf), np.nan, 0)
     else:
         x = np.zeros(n)
 
@@ -478,12 +485,7 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
         if not all(np.all(np.isfinite(v)) for v in (x, y, z, s, r_d, r_p, r_g)):
             break
         mu = float(np.mean(comp)) if m else 0.0
-        res_now = max(
-            float(np.linalg.norm(r_d, np.inf)),
-            float(np.linalg.norm(r_p, np.inf)) if p else 0.0,
-            float(np.linalg.norm(r_g, np.inf)) if m else 0.0,
-            float(np.max(comp)) if m else 0.0,
-        )
+        res_now = max(map(_sup, (r_d, r_p, r_g, comp)))
         improved = False
         if best is None or res_now < 0.999 * best[0]:
             best = (res_now, x.copy(), y.copy(), z.copy(), s.copy())
@@ -502,8 +504,7 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
             break
         # Divergence heuristics.
         if np.linalg.norm(x, np.inf) > 1e13 or prog.value(x) < -1e18:
-            feas = max(float(np.linalg.norm(r_p, np.inf)) if p else 0.0,
-                       float(np.max(np.maximum(prog.G @ x - prog.h, 0.0))) if m else 0.0)
+            feas = max(_sup(r_p), _sup(np.maximum(prog.G @ x - prog.h, 0.0)))
             if feas <= 1e-5 * (1.0 + float(np.linalg.norm(prog.h, np.inf)) if m else 1.0):
                 status = UNBOUNDED
                 break
@@ -545,33 +546,26 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
         else:
             dx, dy, dz, ds = newton(np.zeros(0))
             ap = ad = 1.0
-            sigma, mu = 0.0, 0.0
+            sigma = 0.0
 
-        if prog.quadratic:
-            x = x + ap * dx
-            s = s + ap * ds
-            y = y + ad * dy
-            z = z + ad * dz
-        else:
-            # Degree-3/4 objectives: the Mehrotra step is not a descent
-            # direction for the residual norm (it tracks the central path),
-            # so damp it only against outright divergence.  The expected
-            # cost polynomials are near-quadratic over the operating range
-            # and almost always accept the full step.
-            target_mu = sigma * mu if m else 0.0
-            m0 = _merit((r_d, r_p, r_g, comp), target_mu)
-            scale_k = 1.0
-            cand = None
-            for _ in range(16):
-                cand = (x + scale_k * ap * dx, y + scale_k * ad * dy,
-                        z + scale_k * ad * dz, s + scale_k * ap * ds)
-                if not m or (np.min(cand[3]) > 0 and np.min(cand[2]) > 0):
-                    residuals = _residuals(prog, AT, GT, *cand)
-                    if _merit(residuals, target_mu) <= 10.0 * m0:
-                        break
-                    residuals = None
-                scale_k *= 0.5
-            x, y, z, s = cand
+        # The Mehrotra step is not a descent direction for the residual norm
+        # (it tracks the central path), so damp it only against outright
+        # divergence.  The full step comes first; quadratic objectives and
+        # the near-quadratic expected-cost polynomials almost always take it.
+        target_mu = sigma * mu
+        m0 = _merit((r_d, r_p, r_g, comp), target_mu)
+        scale_k = 1.0
+        cand = None
+        for _ in range(16):
+            cand = (x + scale_k * ap * dx, y + scale_k * ad * dy,
+                    z + scale_k * ad * dz, s + scale_k * ap * ds)
+            if not m or (np.min(cand[3]) > 0 and np.min(cand[2]) > 0):
+                residuals = _residuals(prog, AT, GT, *cand)
+                if _merit(residuals, target_mu) <= 10.0 * m0:
+                    break
+                residuals = None
+            scale_k *= 0.5
+        x, y, z, s = cand
 
     if status != OPTIMAL and best is not None:
         _, x, y, z, s = best
@@ -606,13 +600,8 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
 
 
 def _report(prog, AT, GT, x, y, z, s):
-    r_d, r_p, r_g, comp = _residuals(prog, AT, GT, x, y, z, s)
-    return {
-        "stationarity": float(np.linalg.norm(r_d, np.inf)) if r_d.size else 0.0,
-        "primal_eq": float(np.linalg.norm(r_p, np.inf)) if r_p.size else 0.0,
-        "primal_ineq": float(np.linalg.norm(r_g, np.inf)) if r_g.size else 0.0,
-        "complementarity": float(np.max(np.abs(comp))) if comp.size else 0.0,
-    }
+    """The sup-norms of the KKT residuals, by name."""
+    return dict(zip(RESIDUALS, map(_sup, _residuals(prog, AT, GT, x, y, z, s))))
 
 
 def _phase1_min_violation(prog):
@@ -644,17 +633,10 @@ def verify_kkt(program, result):
     x, y, z = result.x, result.eq_duals, result.ineq_duals
     if x.size != program.n or y.size != program.A.shape[0] or z.size != program.G.shape[0]:
         raise DomainError("result dimensions do not match the program")
-    stationarity = program.grad(x) + program.A.T @ y + program.G.T @ z
-    eq_violation = program.A @ x - program.b
-    ineq_violation = np.maximum(program.G @ x - program.h, 0.0)
-    comp = z * (program.h - program.G @ x)
-    return {
-        "stationarity_rows": stationarity,
-        "eq_rows": eq_violation,
-        "ineq_violation_rows": ineq_violation,
-        "complementarity_rows": comp,
-        "stationarity": float(np.linalg.norm(stationarity, np.inf)) if stationarity.size else 0.0,
-        "primal_eq": float(np.linalg.norm(eq_violation, np.inf)) if eq_violation.size else 0.0,
-        "primal_ineq": float(np.linalg.norm(ineq_violation, np.inf)) if ineq_violation.size else 0.0,
-        "complementarity": float(np.linalg.norm(comp, np.inf)) if comp.size else 0.0,
-    }
+    rows = (program.grad(x) + program.A.T @ y + program.G.T @ z,
+            program.A @ x - program.b,
+            np.maximum(program.G @ x - program.h, 0.0),
+            z * (program.h - program.G @ x))
+    report = dict(zip(("stationarity_rows", "eq_rows", "ineq_violation_rows", "complementarity_rows"), rows))
+    report.update(zip(RESIDUALS, map(_sup, rows)))
+    return report

@@ -280,7 +280,7 @@ def _sweep_point_records(solution, period):
     return float(solution.theta[i]), H / eta, eta * (H - M)
 
 
-def _sweep(grid, variant, label, period, tol, increasing, nu_threshold=None):
+def _sweep(grid, variant, label, period, increasing, nu_threshold=None):
     """Solve ``variant(v)`` at every grid value, in axis order, and judge the
     theta sequence at ``period`` monotone (non-decreasing when ``increasing``,
     else non-increasing) within 1e-6 * max|theta|.  With ``nu_threshold``,
@@ -288,7 +288,7 @@ def _sweep(grid, variant, label, period, tol, increasing, nu_threshold=None):
     threshold in any period) are excluded from the verdict."""
     records, excluded = [], []
     for i, value in enumerate(grid):
-        sol = solve_dispatch(variant(value), tol=tol)
+        sol = solve_dispatch(variant(value))
         if sol.status != "optimal":
             raise SolverError(f"sweep solve failed at {label}={value}: {sol.status}",
                               status=sol.status)
@@ -307,7 +307,7 @@ def _sweep(grid, variant, label, period, tol, increasing, nu_threshold=None):
     )
 
 
-def soc_sweep(system, soc_grid, period=1, tol=1e-8):
+def soc_sweep(system, soc_grid, period=1):
     """Solve the dispatch across initial-SoC values and record the
     opportunity price at a designated period.
 
@@ -320,10 +320,10 @@ def soc_sweep(system, soc_grid, period=1, tol=1e-8):
         raise DomainError("SoC sweep requires storage")
     if grid[0] < -1e-9 or grid[-1] > st.e_max + 1e-9:
         raise DomainError(f"SoC grid outside [0, {st.e_max}]")
-    return _sweep(grid, system.with_initial_soc, "e0", period, tol, increasing=False)
+    return _sweep(grid, system.with_initial_soc, "e0", period, increasing=False)
 
 
-def sigma_sweep(system, scale_grid, period=1, tol=1e-8, nu_threshold=1e-4):
+def sigma_sweep(system, scale_grid, period=1, nu_threshold=1e-4):
     """Solve the dispatch across sigma scale factors.
 
     Grid points where the generator lower bound binds (nu_lo dual above
@@ -337,17 +337,17 @@ def sigma_sweep(system, scale_grid, period=1, tol=1e-8, nu_threshold=1e-4):
         raise DomainError("sigma sweep requires storage")
     if np.any(grid < 0):
         raise DomainError("sigma scales must be >= 0")
-    return _sweep(grid, system.with_sigma_scale, "scale", period, tol, increasing=True,
+    return _sweep(grid, system.with_sigma_scale, "scale", period, increasing=True,
                   nu_threshold=nu_threshold)
 
 
-def ideal_storage_slope_gap(system, soc_grid, period=1, tol=1e-8):
+def ideal_storage_slope_gap(system, soc_grid, period=1):
     """Max gap between the sup-theta and inf-theta slopes over a SoC sweep.
 
     With eta = 1 and zero storage marginal cost the two variants coincide
     and the gap is numerically zero.
     """
-    sweep = soc_sweep(system, soc_grid, period=period, tol=tol)
+    sweep = soc_sweep(system, soc_grid, period=period)
     de = np.diff(sweep.axis)
     if not de.size:
         return 0.0

@@ -84,7 +84,7 @@ def battery():
     for system in battery_systems():
         build = build_dispatch(system)
         result = solve_convex(build.program, tol=1e-8)
-        solution = _extract_solution(build, result, 1e-8)
+        solution = _extract_solution(build, result)
         entries.append((system, build, result, solution))
     return entries, time.monotonic() - t0
 

@@ -114,7 +114,9 @@ def fail_solves(monkeypatch, failing):
     return sizes
 
 
-def test_price_stacks_share_one_convexity_gate(monkeypatch):
+def test_every_price_stack_runs_the_convexity_gate(monkeypatch):
+    """Every stack's build runs the convexity gate: 2 * PRICE_STACK + 1
+    scenarios make two full stacks and one of a single scenario."""
     import storage_pricer.dispatch as dispatch
 
     gates = []
@@ -123,7 +125,7 @@ def test_price_stacks_share_one_convexity_gate(monkeypatch):
                         lambda *args, **kw: gates.append(args) or gate(*args, **kw))
     solves = fail_solves(monkeypatch, set())
     simulate_price_scenarios(small_system(horizon=6), 2 * PRICE_STACK + 1, seed=3)
-    assert len(gates) == 1
+    assert len(gates) == 3
     assert len(solves) == 3 and solves[0] == solves[1] == PRICE_STACK * solves[2]
 
 

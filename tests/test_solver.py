@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from storage_pricer import solver
 from storage_pricer.errors import DomainError
 from storage_pricer.solver import (
     INFEASIBLE,
@@ -268,8 +269,8 @@ def test_degenerate_active_set_flagged():
 # ---------------------------------------------------------------------------
 
 
-def test_quartic_objective_damped_newton():
-    # min (x-2)^4 + x^2 s.t. x <= 1  -> check against a fine grid search.
+def quartic_program():
+    """min (x-2)^4 + x^2 s.t. x <= 1; the bound binds at the optimum."""
     def value(x):
         return float((x[0] - 2) ** 4 + x[0] ** 2)
 
@@ -279,14 +280,39 @@ def test_quartic_objective_damped_newton():
     def hess(x):
         return np.array([12 * (x[0] - 2) ** 2 + 2.0])
 
-    prog = ConvexProgram(n=1, value=value, grad=grad, hess=hess, hess_rows=[0], hess_cols=[0],
-                         G=np.array([[1.0]]), h=np.array([1.0]), quadratic=False)
-    res = solve_convex(prog, tol=1e-8)
+    return ConvexProgram(n=1, value=value, grad=grad, hess=hess, hess_rows=[0], hess_cols=[0],
+                         G=np.array([[1.0]]), h=np.array([1.0]))
+
+
+def test_quartic_objective_damped_newton():
+    # check against a fine grid search
+    res = solve_convex(quartic_program(), tol=1e-8)
     assert res.status == OPTIMAL
     xs = np.linspace(-3, 1, 400001)
     ref = xs[np.argmin((xs - 2) ** 4 + xs**2)]
     assert res.x[0] == pytest.approx(ref, abs=1e-5)
     assert res.max_residual <= 1e-8
+
+
+@pytest.mark.parametrize("make, active, x0, factorisations", [
+    # a QP's Hessian never changes: one factorisation serves all three rounds
+    (lambda: quadratic_program(np.array([[2.0]]), np.array([0.0]), G=[[-1.0]], h=[-1.0]),
+     [True], 3.0, 1),
+    # without the bound, x moves every round and so does the quartic's Hessian
+    (quartic_program, [False], 0.0, 3),
+    # on the bound, the first round lands on x = 1 and the last one reuses
+    # the second's factorisation
+    (quartic_program, [True], 0.5, 2),
+], ids=["qp", "quartic-free", "quartic-on-bound"])
+def test_polish_factors_again_only_when_the_hessian_changes(monkeypatch, make, active, x0,
+                                                            factorisations):
+    prog, x = make(), np.array([x0])
+    calls = []
+    factor = solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda K: calls.append(K.shape) or factor(K))
+    out = solver._polish_solve(prog, x, np.array(active), (prog.hess(x), prog.grad(x)))
+    assert out is not None
+    assert len(calls) == factorisations
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +340,7 @@ def test_program_refuses_bad_hessian_positions(rows, cols, needle):
 def test_program_without_hessian_entries_is_linear():
     prog = ConvexProgram(n=1, value=lambda x: float(x[0]), grad=lambda x: np.ones(1),
                          hess=lambda x: np.zeros(0), hess_rows=[], hess_cols=[],
-                         G=[[-1.0]], h=[-1.0], quadratic=True)
+                         G=[[-1.0]], h=[-1.0])
     res = solve_convex(prog)
     assert res.status == OPTIMAL
     assert res.x[0] == pytest.approx(1.0)
