@@ -16,9 +16,7 @@ which the bid construction relies on.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +199,7 @@ def dp_value_function(prices, storage, grid_size=21, terminal_value=0.0):
     return ValueFunction(grid=grid, values=values)
 
 
-def dp_value_function_per_scenario(price_set, storage, grid_size=21, terminal_value=0.0):
+def dp_value_function_per_scenario(price_set, storage, grid_size=21):
     """Scenario-averaged value function: one backward pass per simulated
     price path, averaging the per-stage values across scenarios.
 
@@ -209,8 +207,7 @@ def dp_value_function_per_scenario(price_set, storage, grid_size=21, terminal_va
     this is the documented alternative mode.
     """
     lam = np.atleast_2d(price_set.lam if hasattr(price_set, "lam") else np.asarray(price_set))
-    vfs = [dp_value_function(row, storage, grid_size=grid_size, terminal_value=terminal_value)
-           for row in lam]
+    vfs = [dp_value_function(row, storage, grid_size=grid_size) for row in lam]
     grid = vfs[0].grid
     values = [np.mean([vf.values[t] for vf in vfs], axis=0) for t in range(len(vfs[0].values))]
     return ValueFunction(grid=grid, values=values)
@@ -512,16 +509,3 @@ def compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.0,
              for i in range(n_scenarios) for name in ("welfare", "bidding")]
     return {"table": table, "summary": summary, "welfare_solution": welfare, **bidder}
 
-
-def export_metrics_csv(comparison, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mechanism", "scenario", *METRICS])
-        for row in comparison["table"]:
-            writer.writerow([row["mechanism"], row["scenario"],
-                             *(f"{row[key]:.6f}" for key in METRICS)])
-
-
-def export_summary_json(comparison, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(comparison["summary"], fh, indent=2, sort_keys=True)

@@ -5,6 +5,9 @@ capturing the fully-resolved configuration (including seeds), sufficient to
 reproduce the outputs byte for byte, and its exit code; a failed run's
 manifest also names the error.  Exit codes: 0 success, 1 domain/config
 error, 2 solver failure, 3 theory check failure.
+
+This module writes every output file: CSV through ``scenarios.write_csv``
+and JSON through ``_write_json``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baseline import bidding_pipeline, compare_mechanisms, export_metrics_csv, export_summary_json
-from .dispatch import export_dual_audit_json, export_solution_csv, solve_dispatch
+from .baseline import METRICS, bidding_pipeline, compare_mechanisms
+from .dispatch import solve_dispatch
 from .distributions import fit_versatile_mle
 from .errors import ConfigurationError, DomainError, SolverError, StoragePricerError, TheoryCheckError
 from .scenarios import (
@@ -27,15 +30,9 @@ from .scenarios import (
     load_error_samples_csv,
     load_system_csv,
     synth_test_system,
+    write_csv,
 )
-from .theory import (
-    ideal_storage_slope_gap,
-    export_sweep_csv,
-    jensen_gap,
-    sigma_sweep,
-    soc_sweep,
-    verify_price_coupling,
-)
+from .theory import ideal_storage_slope_gap, jensen_gap, sigma_sweep, soc_sweep, verify_price_coupling
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -220,6 +217,12 @@ def _require_storage(system, what):
         raise DomainError(f"{what} needs storage: the system has none (--storage-ratio 0)")
 
 
+def _write_json(path, payload):
+    """Write ``payload`` in the one JSON layout of every file the CLI writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+
+
 def _write_manifest(args, outdir, code, error=None):
     manifest = {
         "version": __version__,
@@ -229,8 +232,7 @@ def _write_manifest(args, outdir, code, error=None):
     }
     if error is not None:
         manifest["error"] = {"type": type(error).__name__, "message": str(error)}
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+    _write_json(outdir / "manifest.json", manifest)
 
 
 def _cmd_dispatch(args, outdir):
@@ -238,8 +240,17 @@ def _cmd_dispatch(args, outdir):
     sol = solve_dispatch(system)
     if sol.status != "optimal":
         raise SolverError(f"dispatch not optimal: {sol.status}", status=sol.status)
-    export_solution_csv(sol, outdir / "solution.csv")
-    export_dual_audit_json(sol, outdir / "dual_audit.json")
+    columns = (sol.g, sol.p, sol.b, sol.e, sol.phi, sol.psi, sol.lam, sol.theta, sol.pi)
+    write_csv(outdir / "solution.csv", ["t", "g", "p", "b", "e", "phi", "psi", "lambda", "theta", "pi"],
+              ([t, *(f"{c[t - 1]:.10g}" for c in columns)] for t in range(1, system.horizon + 1)))
+    _write_json(outdir / "dual_audit.json", {
+        "status": sol.status,
+        "objective": sol.objective,
+        "residuals": sol.residuals,
+        "duals": {kind: {str(t): v for t, v in per.items()} for kind, per in sol.duals.items()},
+        "equilibrium_ok": sol.equilibrium["ok"],
+        "complementarity": sol.complementarity,
+    })
     print(f"dispatch: optimal, objective {sol.objective:.2f} $, "
           f"mean lambda {float(np.mean(sol.lam)):.2f} $/MWh, "
           f"mean theta {float(np.mean(sol.theta)):.2f} $/MWh")
@@ -307,31 +318,22 @@ def _theory_checks(args):
 def _cmd_verify_theory(args, outdir):
     checks = _theory_checks(args)
     failed = [name for name, result in checks.items() if not _pass(name, result["ok"])]
-    with open(outdir / "verify_theory.json", "w", encoding="utf-8") as fh:
-        json.dump(checks, fh, indent=2, sort_keys=True)
+    _write_json(outdir / "verify_theory.json", checks)
     if failed:
         raise TheoryCheckError(f"theory checks failed: {', '.join(failed)}")
 
 
 def _cmd_baseline(args, outdir):
-    import csv as _csv
-
     system = _system_from_args(args)
     _require_storage(system, "baseline")
     out = bidding_pipeline(system, args.scenarios, args.seed, grid_size=args.grid_size)
     prices, cleared = out["price_scenarios"], out["cleared"]
-    with open(outdir / "price_scenarios.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["scenario"] + [f"lambda_{t}" for t in range(1, system.horizon + 1)])
-        for i in range(prices.lam.shape[0]):
-            writer.writerow([i] + [f"{v:.6f}" for v in prices.lam[i]])
-    with open(outdir / "cleared.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["t", "g", "p", "b", "e", "lambda", "theta"])
-        for t in range(system.horizon):
-            writer.writerow([t + 1, f"{cleared['g'][t]:.6f}", f"{cleared['p'][t]:.6f}",
-                             f"{cleared['b'][t]:.6f}", f"{cleared['e'][t]:.6f}",
-                             f"{cleared['lam'][t]:.6f}", f"{cleared['theta'][t]:.6f}"])
+    write_csv(outdir / "price_scenarios.csv",
+              ["scenario", *(f"lambda_{t}" for t in range(1, system.horizon + 1))],
+              ([i, *(f"{v:.6f}" for v in lam)] for i, lam in enumerate(prices.lam)))
+    write_csv(outdir / "cleared.csv", ["t", "g", "p", "b", "e", "lambda", "theta"],
+              ([t + 1, *(f"{cleared[k][t]:.6f}" for k in ("g", "p", "b", "e", "lam", "theta"))]
+               for t in range(system.horizon)))
     print(f"baseline: {args.scenarios} price scenarios, cleared objective "
           f"{cleared['objective']:.2f} $")
 
@@ -341,8 +343,10 @@ def _cmd_compare(args, outdir):
     out = compare_mechanisms(system, n_scenarios=args.scenarios, seed=args.seed,
                              retire_frac=args.retire_frac, grid_size=args.grid_size,
                              price_mode=args.price_mode)
-    export_metrics_csv(out, outdir / "metrics.csv")
-    export_summary_json(out, outdir / "summary.json")
+    write_csv(outdir / "metrics.csv", ["mechanism", "scenario", *METRICS],
+              ([row["mechanism"], row["scenario"], *(f"{row[key]:.6f}" for key in METRICS)]
+               for row in out["table"]))
+    _write_json(outdir / "summary.json", out["summary"])
     s = out["summary"]
     print("compare: mean system cost welfare "
           f"{s['welfare']['system_cost']:.2f} vs bidding {s['bidding']['system_cost']:.2f} "
@@ -358,37 +362,33 @@ def _cmd_sweep(args, outdir):
     system = _system_from_args(args)
     if args.axis in ("soc", "sigma"):
         _require_storage(system, f"sweep --axis {args.axis}")
-    if args.axis == "soc":
-        grid = np.linspace(0.0, system.storage.e_max, args.points)
-        sweep = soc_sweep(system, grid)
-        export_sweep_csv(sweep, outdir / "sweep.csv")
-    elif args.axis == "sigma":
-        grid = np.linspace(0.5, 2.0, args.points)
-        sweep = sigma_sweep(system, grid)
-        export_sweep_csv(sweep, outdir / "sweep.csv")
+        if args.axis == "soc":
+            sweep = soc_sweep(system, np.linspace(0.0, system.storage.e_max, args.points))
+        else:
+            sweep = sigma_sweep(system, np.linspace(0.5, 2.0, args.points))
+        header = ["axis_value", "theta", "sup_theta", "inf_theta", "case_label", "verdict"]
+        rows = [[*(f"{v:.10g}" for v in values), label, sweep.verdict] for *values, label in zip(
+            sweep.axis, sweep.theta, sweep.sup_theta, sweep.inf_theta, sweep.case_labels)]
     else:
-        import csv as _csv
-
         key = "storage_ratio" if args.axis == "storage-capacity" else "renewable_ratio"
-        values = np.linspace(0.1, 0.9, args.points)
-        with open(outdir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["axis_value", "mean_lambda", "mean_theta",
-                             "total_reserve_cost", "system_cost"])
-            for v in values:
-                ratios = {"storage_ratio": args.storage_ratio,
-                          "renewable_ratio": args.renewable_ratio, key: float(v)}
-                sysv = synth_test_system(
-                    epsilon=args.epsilon, horizon=args.horizon, seed=args.seed,
-                    fit_degree=args.fit_degree,
-                    storage_reserve=not args.no_storage_reserve, **ratios)
-                sol = solve_dispatch(sysv)
-                if sol.status != "optimal":
-                    raise SolverError(f"sweep point {v} failed: {sol.status}")
-                writer.writerow([f"{v:.4f}", f"{float(np.mean(sol.lam)):.6f}",
-                                 f"{float(np.mean(sol.theta)):.6f}",
-                                 f"{float(np.sum(sol.pi)):.6f}",
-                                 f"{sol.objective:.4f}"])
+        header = ["axis_value", "mean_lambda", "mean_theta", "total_reserve_cost", "system_cost"]
+        rows = []
+        for v in np.linspace(0.1, 0.9, args.points):
+            ratios = {"storage_ratio": args.storage_ratio,
+                      "renewable_ratio": args.renewable_ratio, key: float(v)}
+            sysv = synth_test_system(
+                epsilon=args.epsilon, horizon=args.horizon, seed=args.seed,
+                fit_degree=args.fit_degree,
+                storage_reserve=not args.no_storage_reserve, **ratios)
+            sol = solve_dispatch(sysv)
+            if sol.status != "optimal":
+                raise SolverError(f"sweep point {v} failed: {sol.status}", status=sol.status)
+            rows.append([f"{v:.4f}", f"{float(np.mean(sol.lam)):.6f}",
+                         f"{float(np.mean(sol.theta)):.6f}",
+                         f"{float(np.sum(sol.pi)):.6f}",
+                         f"{sol.objective:.4f}"])
+    # written only once every point has solved
+    write_csv(outdir / "sweep.csv", header, rows)
     print(f"sweep: axis {args.axis} written to sweep.csv")
 
 
@@ -404,8 +404,7 @@ def _cmd_violations(args, outdir):
         "n": report["n"],
         "rates": {k: v.tolist() for k, v in report["rates"].items()},
     }
-    with open(outdir / "violations.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(outdir / "violations.json", payload)
     print(f"violations: worst joint rate {report['worst_joint']:.4f} "
           f"(epsilon {system.epsilon})")
 
@@ -415,8 +414,7 @@ def _cmd_fit_dist(args, outdir):
     model = fit_versatile_mle(samples)
     payload = {"a": model.a, "b": model.b, "c": model.c,
                "mean": model.mean(), "std": model.std(), "n_samples": int(samples.size)}
-    with open(outdir / "fit.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(outdir / "fit.json", payload)
     print(f"fit-dist: a={model.a:.6f} b={model.b:.6f} c={model.c:.6f}")
 
 

@@ -21,8 +21,6 @@ e_{t+1} = e_t - p_t/eta + b_t*eta.  The default terminal policy is periodic
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -318,13 +316,13 @@ def build_dispatch(system, loads=None):
                          pinned=pinned, table=table)
 
 
-def solve_dispatch(system, verify=True):
+def solve_dispatch(system):
     """Build and solve the dispatch; extract prices and attach audit reports."""
     build = build_dispatch(system)
     solution = _extract_solution(build, solve_convex(build.program))
-    if solution.status == OPTIMAL and verify:
+    if solution.status == OPTIMAL:
         solution.complementarity = check_complementarity(solution)
-        solution.equilibrium = verify_equilibrium(solution, system, table=build.table)
+        solution.equilibrium = verify_equilibrium(solution, table=build.table)
     return solution
 
 
@@ -383,17 +381,21 @@ def check_complementarity(solution, tol=1e-6):
     }
 
 
-def verify_equilibrium(solution, system, tol=1e-8, table=None):
+def verify_equilibrium(solution, table=None):
     """Re-derive every stationarity row of the dispatch Lagrangian from the
     primal/dual values and report residuals, independently of the solver.
-    ``table`` is the system's ``expected_cost_table``, built here if not given.
+    ``table`` is the solution's system's ``expected_cost_table``, built here
+    if not given.
 
     Row groups: market clearing identities, generator stationarity,
     storage charge/discharge/SoC stationarity, and reserve-split
     stationarity for both the generator and the storage ratios.  Each row is
     one array over the periods; a row that does not exist (a pinned
-    variable, the fixed stock e_1) is NaN.
+    variable, the fixed stock e_1) is NaN.  A row passes within ten times
+    the solver's 1e-8 tolerance or its reported residuals, whichever is
+    larger.
     """
+    system = solution.system
     storage = system.storage
     net = system.net_load
     if table is None:
@@ -433,7 +435,7 @@ def verify_equilibrium(solution, system, tol=1e-8, table=None):
                 "psi", M * np.asarray(net.mu) - pi - a_hi * q.power.d_hat + be_hi * q.power.d_tilde
                 + i_lo * q.soc.d_tilde / eta - i_hi * q.soc.d_hat * eta + k_psi)
 
-    threshold = 10 * max(tol, solution_res_floor(solution))
+    threshold = 10 * max(1e-8, solution_res_floor(solution))
     report = {"rows": rows, "threshold": threshold, "passes": {}, "max_residual": 0.0}
     for name, arr in rows.items():
         finite = np.asarray(arr)[~np.isnan(np.asarray(arr))]
@@ -448,31 +450,3 @@ def solution_res_floor(solution):
     return max(solution.residuals.get("stationarity", 0.0),
                solution.residuals.get("primal_eq", 0.0))
 
-
-def export_solution_csv(solution, path):
-    """Write the primal/price trajectory as CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "g", "p", "b", "e", "phi", "psi", "lambda", "theta", "pi"])
-        for t in range(solution.system.horizon):
-            writer.writerow([
-                t + 1,
-                f"{solution.g[t]:.10g}", f"{solution.p[t]:.10g}", f"{solution.b[t]:.10g}",
-                f"{solution.e[t]:.10g}", f"{solution.phi[t]:.10g}", f"{solution.psi[t]:.10g}",
-                f"{solution.lam[t]:.10g}", f"{solution.theta[t]:.10g}", f"{solution.pi[t]:.10g}",
-            ])
-
-
-def export_dual_audit_json(solution, path):
-    """Write every inequality dual, keyed by tag, plus residuals and reports."""
-    payload = {
-        "status": solution.status,
-        "objective": solution.objective,
-        "residuals": solution.residuals,
-        "duals": {kind: {str(t): v for t, v in per.items()}
-                  for kind, per in solution.duals.items()},
-        "equilibrium_ok": None if solution.equilibrium is None else solution.equilibrium["ok"],
-        "complementarity": solution.complementarity,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)

@@ -223,12 +223,13 @@ def _versatile_total_grad(a, b, c, x):
     ])
 
 
-def fit_versatile_mle(samples, grad_tol=1e-6, max_polish=40):
+def fit_versatile_mle(samples):
     """Fit a VersatileModel by maximum likelihood.
 
     Quasi-Newton (L-BFGS-B) on the closed-form log-likelihood from three
-    deterministic starts, followed by Newton polishing until the total
-    log-likelihood gradient norm drops below ``grad_tol``.
+    deterministic starts, followed by at most 40 Newton polishing steps
+    until the total log-likelihood gradient norm drops below 1e-7; a norm
+    left above 1e-6 is a FitError.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 50:
@@ -262,9 +263,9 @@ def fit_versatile_mle(samples, grad_tol=1e-6, max_polish=40):
     a, b = math.exp(best.x[0]), math.exp(best.x[1])
     c = float(best.x[2])
     n = x.size
-    for _ in range(max_polish):
+    for _ in range(40):
         g = _versatile_total_grad(a, b, c, x)
-        if np.linalg.norm(g) <= 0.1 * grad_tol:
+        if np.linalg.norm(g) <= 1e-7:
             break
         hstep = np.array([max(1e-7 * a, 1e-9), max(1e-7 * b, 1e-9), max(1e-7 * (1 + abs(c)), 1e-9)])
         H = np.empty((3, 3))
@@ -290,7 +291,7 @@ def fit_versatile_mle(samples, grad_tol=1e-6, max_polish=40):
             break
 
     gnorm = float(np.linalg.norm(_versatile_total_grad(a, b, c, x)))
-    if gnorm > grad_tol:
+    if gnorm > 1e-6:
         raise FitError(
             "versatile MLE did not converge",
             grad_norm=gnorm, n_samples=n, a=a, b=b, c=c,

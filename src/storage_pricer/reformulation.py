@@ -117,9 +117,8 @@ class RowFamily:
     """One row kind over periods 1..T: row t is
     sum(coeffs[v][t-1] * v[t] for v in ROW_STRUCTURE[kind]) <= rhs[t-1]."""
 
-    coeffs: dict                  # variable -> coefficient per period
+    coeffs: dict  # variable -> coefficient per period
     rhs: np.ndarray
-    epsilon: np.ndarray | None    # risk level per period; None when deterministic
 
 
 def build_deterministic_constraints(horizon, gen_bounds, storage, quantiles):
@@ -141,20 +140,20 @@ def build_deterministic_constraints(horizon, gen_bounds, storage, quantiles):
         return np.full(horizon, value, dtype=float)
 
     rows = {
-        "nu_lo": (full(-g_lo), full(gen.epsilon), full(-1.0), -gen.d_hat),
-        "nu_hi": (full(g_hi), full(gen.epsilon), full(1.0), gen.d_tilde),
+        "nu_lo": (full(-g_lo), full(-1.0), -gen.d_hat),
+        "nu_hi": (full(g_hi), full(1.0), gen.d_tilde),
     }
     if storage is not None:
         eta = storage.eta
         rows.update({
-            "alpha_lo": (full(0.0), None, full(-1.0)),
-            "alpha_hi": (full(storage.p_max), full(power.epsilon), full(1.0), -power.d_hat),
-            "beta_lo": (full(0.0), None, full(-1.0)),
-            "beta_hi": (full(storage.p_max), full(power.epsilon), full(1.0), power.d_tilde),
-            "iota_lo": (full(0.0), full(soc.epsilon), full(1.0 / eta), soc.d_tilde / eta, full(-1.0)),
-            "iota_hi": (full(storage.e_max), full(soc.epsilon), full(1.0), full(eta), -eta * soc.d_hat),
+            "alpha_lo": (full(0.0), full(-1.0)),
+            "alpha_hi": (full(storage.p_max), full(1.0), -power.d_hat),
+            "beta_lo": (full(0.0), full(-1.0)),
+            "beta_hi": (full(storage.p_max), full(1.0), power.d_tilde),
+            "iota_lo": (full(0.0), full(1.0 / eta), soc.d_tilde / eta, full(-1.0)),
+            "iota_hi": (full(storage.e_max), full(1.0), full(eta), -eta * soc.d_hat),
         })
     return {
-        kind: RowFamily(dict(zip(ROW_STRUCTURE[kind], coeffs)), rhs, epsilon)
-        for kind, (rhs, epsilon, *coeffs) in rows.items()
+        kind: RowFamily(dict(zip(ROW_STRUCTURE[kind], coeffs)), rhs)
+        for kind, (rhs, *coeffs) in rows.items()
     }

@@ -238,6 +238,14 @@ def _read_csv(path, header, prefix=False):
     return head, [(line, row) for line, row in enumerate(rows[1:], start=2) if any(row)]
 
 
+def write_csv(path, header, rows):
+    """Write ``header`` and then each of ``rows`` (sequences of cells) as CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _floats(path, line, row, ncols=None, start=0):
     """Cells ``start:`` of a row as floats, after checking the row has ``ncols`` cells."""
     if ncols is not None and len(row) != ncols:
@@ -325,20 +333,10 @@ def load_system_csv(fleet_path, load_path, errors_path, *, storage=None,
 
 def export_system_csv(system, fleet_path, load_path, errors_path):
     """Write the three ingestion files for a system (inverse of load_system_csv)."""
-    with open(fleet_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gen_id", "capacity_mw", "c0", "c1", "c2"])
-        for i, seg in enumerate(system.fleet.segments):
-            writer.writerow([f"g{i + 1}", f"{seg.capacity:.10g}", f"{seg.c0:.10g}",
-                             f"{seg.c1:.10g}", f"{seg.c2:.10g}"])
-    with open(load_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "d_mw"])
-        for t in range(1, system.horizon + 1):
-            writer.writerow([t, f"{system.net_load.forecast[t - 1]:.10g}"])
-    with open(errors_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mu_mw", "sigma_mw"])
-        for t in range(1, system.horizon + 1):
-            writer.writerow([t, f"{system.net_load.mu[t - 1]:.10g}",
-                             f"{system.net_load.sigma[t - 1]:.10g}"])
+    net, periods = system.net_load, range(1, system.horizon + 1)
+    write_csv(fleet_path, ["gen_id", "capacity_mw", "c0", "c1", "c2"],
+              ([f"g{i + 1}", f"{seg.capacity:.10g}", f"{seg.c0:.10g}", f"{seg.c1:.10g}",
+                f"{seg.c2:.10g}"] for i, seg in enumerate(system.fleet.segments)))
+    write_csv(load_path, ["t", "d_mw"], ([t, f"{net.forecast[t - 1]:.10g}"] for t in periods))
+    write_csv(errors_path, ["t", "mu_mw", "sigma_mw"],
+              ([t, f"{net.mu[t - 1]:.10g}", f"{net.sigma[t - 1]:.10g}"] for t in periods))

@@ -16,7 +16,6 @@ the coupling relations are stated in.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -169,18 +168,19 @@ def jensen_gap(poly, g, phi, moments, eta, samples=100_000, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def classify_period(solution, t, rel=1e-6):
-    """One of the five coupling cases for period t (1-based)."""
+def classify_period(solution, t):
+    """One of the five coupling cases for period t (1-based).  A flow counts
+    from 1e-6 * p_max; a power cap binds within 1e-4 * p_max of its slack."""
     st = solution.system.storage
     if st is None:
         return CASE_IDLE
-    thr = rel * st.p_max
+    thr = 1e-6 * st.p_max
     b_t, p_t = solution.b[t - 1], solution.p[t - 1]
     psi_t = solution.psi[t - 1]
     q = solution.quantiles.power
     charge_slack = st.p_max - (b_t - psi_t * q.d_hat[t - 1])
     discharge_slack = st.p_max - (p_t + psi_t * q.d_tilde[t - 1])
-    bind_tol = max(1e-9 * st.p_max, 100 * rel * st.p_max)
+    bind_tol = 1e-4 * st.p_max
     if b_t > thr and p_t > thr:
         return CASE_IDLE  # simultaneous flow: relaxation artifact, reported elsewhere
     if b_t > thr:
@@ -355,14 +355,3 @@ def ideal_storage_slope_gap(system, soc_grid, period=1):
     slope_inf = np.diff(sweep.inf_theta) / de
     return float(np.max(np.abs(slope_sup - slope_inf)))
 
-
-def export_sweep_csv(sweep, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis_value", "theta", "sup_theta", "inf_theta", "case_label", "verdict"])
-        for i in range(len(sweep.axis)):
-            writer.writerow([
-                f"{sweep.axis[i]:.10g}", f"{sweep.theta[i]:.10g}",
-                f"{sweep.sup_theta[i]:.10g}", f"{sweep.inf_theta[i]:.10g}",
-                sweep.case_labels[i], sweep.verdict,
-            ])

@@ -64,7 +64,7 @@ def loop_price_scenarios(system, n_scenarios, seed):
     draws = sample_net_load(system.net_load, n_scenarios, seed)
     lam = []
     for load in np.clip(draws, system.g_min, system.g_max):
-        sol = solve_dispatch(deterministic_variant(system, load), verify=False)
+        sol = solve_dispatch(deterministic_variant(system, load))
         assert sol.status == "optimal"
         lam.append(sol.lam)
     return np.array(lam)
@@ -161,7 +161,7 @@ def test_quadratic_price_mean_matches_price_at_mean_load():
     system = small_system(horizon=6, storage_ratio=0.0)
     n = 500
     prices = simulate_price_scenarios(system, n, seed=7)
-    ref = solve_dispatch(system.with_sigma_scale(0.0), verify=False).lam
+    ref = solve_dispatch(system.with_sigma_scale(0.0)).lam
     for t in range(6):
         se = float(np.std(prices.lam[:, t])) / np.sqrt(n)
         assert abs(float(np.mean(prices.lam[:, t])) - ref[t]) <= 3 * se + 1e-9

@@ -1,5 +1,6 @@
 """CLI contract tests: artifacts, exit codes, manifests, determinism."""
 
+import csv
 import json
 
 import numpy as np
@@ -15,16 +16,50 @@ def run(args):
 SMALL = ["--synthetic", "--horizon", "6", "--epsilon", "0.05"]
 
 
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_dispatch_writes_artifacts(tmp_path):
+    import storage_pricer.cli as cli
+    from storage_pricer.dispatch import solve_dispatch
+
     out = tmp_path / "run1"
     code = run(["dispatch", *SMALL, "--out", str(out)])
     assert code == 0
-    assert (out / "solution.csv").exists()
-    assert (out / "dual_audit.json").exists()
+    sol = solve_dispatch(cli._system_from_args(cli.build_parser().parse_args(["dispatch", *SMALL])))
+    rows = read_rows(out / "solution.csv")
+    assert [int(r["t"]) for r in rows] == list(range(1, 7))
+    assert [float(r["lambda"]) for r in rows] == pytest.approx(sol.lam, rel=1e-9)
+    audit = json.loads((out / "dual_audit.json").read_text())
+    assert audit["status"] == "optimal"
+    assert audit["equilibrium_ok"] is True
+    assert "alpha_hi" in audit["duals"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "dispatch"
     assert manifest["config"]["seed"] == 0
     assert manifest["exit_code"] == 0 and "error" not in manifest
+
+
+def test_baseline_writes_artifacts(tmp_path):
+    """price_scenarios.csv holds each simulated price path at 6 decimals and
+    cleared.csv the bid clearing, one row per period."""
+    import storage_pricer.cli as cli
+    from storage_pricer.baseline import bidding_pipeline
+
+    flags = [*SMALL, "--scenarios", "3", "--grid-size", "15"]
+    out = tmp_path / "b"
+    assert run(["baseline", *flags, "--out", str(out)]) == 0
+    args = cli.build_parser().parse_args(["baseline", *flags])
+    lam = bidding_pipeline(cli._system_from_args(args), 3, 0, grid_size=15)["price_scenarios"].lam
+    rows = read_rows(out / "price_scenarios.csv")
+    assert [int(r["scenario"]) for r in rows] == [0, 1, 2]
+    assert [[r[f"lambda_{t}"] for t in range(1, 7)] for r in rows] == [
+        [f"{v:.6f}" for v in path] for path in lam]
+    cleared = read_rows(out / "cleared.csv")
+    assert [int(r["t"]) for r in cleared] == list(range(1, 7))
+    assert list(cleared[0]) == ["t", "g", "p", "b", "e", "lambda", "theta"]
 
 
 def test_unknown_flag_exits_one(tmp_path, capsys):
@@ -185,18 +220,37 @@ def test_system_without_storage_refused_before_solving(tmp_path, monkeypatch, ca
     assert "needs storage" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("axis", ["soc", "sigma"])
-def test_sweep_solve_failure_exits_two(tmp_path, monkeypatch, capsys, axis):
+@pytest.mark.parametrize("axis, module, needle", [
+    ("soc", "theory", "sweep solve failed at e0="),
+    ("sigma", "theory", "sweep solve failed at scale="),
+    ("storage-capacity", "cli", "sweep point 0.9 failed"),
+    ("renewable", "cli", "sweep point 0.9 failed"),
+], ids=["soc", "sigma", "storage-capacity", "renewable"])
+def test_sweep_solve_failure_exits_two(tmp_path, monkeypatch, capsys, axis, module, needle):
+    """The last of three points fails: the run exits 2, the error carries the
+    solver status, and no sweep.csv is left with the points that solved."""
     import dataclasses
+    import importlib
 
-    import storage_pricer.theory as theory
+    import storage_pricer.cli as cli
+    from storage_pricer.errors import SolverError
 
-    solve = theory.solve_dispatch
-    monkeypatch.setattr(theory, "solve_dispatch", lambda system, **kw: dataclasses.replace(
-        solve(system, **kw), status="iter_limit"))
-    code = run(["sweep", *SMALL, "--axis", axis, "--points", "2", "--out", str(tmp_path / "s")])
-    assert code == 2
-    assert "sweep solve failed" in capsys.readouterr().err
+    target = importlib.import_module(f"storage_pricer.{module}")
+    solve, calls = target.solve_dispatch, []
+
+    def third_fails(system):
+        calls.append(system)
+        sol = solve(system)
+        return dataclasses.replace(sol, status="iter_limit") if len(calls) % 3 == 0 else sol
+
+    monkeypatch.setattr(target, "solve_dispatch", third_fails)
+    argv = ["sweep", *SMALL, "--axis", axis, "--points", "3", "--out", str(tmp_path / "s")]
+    assert run(argv) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "s" / "sweep.csv").exists()
+    with pytest.raises(SolverError) as failure:
+        cli._cmd_sweep(cli.build_parser().parse_args(argv), tmp_path / "s")
+    assert failure.value.status == "iter_limit"
 
 
 def test_compare_schema(tmp_path):

@@ -3,7 +3,6 @@ solution invariants."""
 
 import dataclasses
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -19,8 +18,6 @@ from storage_pricer.dispatch import (
     SystemSpec,
     build_dispatch,
     check_complementarity,
-    export_dual_audit_json,
-    export_solution_csv,
     solve_dispatch,
     verify_equilibrium,
 )
@@ -260,7 +257,7 @@ def test_equilibrium_detects_perturbed_price():
     system = storage_system([80.0, 120.0, 100.0], sigma=3.0, eta=0.9, M=5.0)
     sol = solve_dispatch(system)
     sol.lam = sol.lam + 1.0
-    report = verify_equilibrium(sol, system)
+    report = verify_equilibrium(sol)
     assert not report["passes"]["gen_stationarity"]
     worst = float(np.nanmax(np.abs(report["rows"]["gen_stationarity"])))
     assert worst == pytest.approx(1.0, abs=1e-5)
@@ -284,19 +281,23 @@ def test_interior_generator_lambda_equals_marginal_cost():
 # ---------------------------------------------------------------------------
 
 
-def test_solution_export_round_trip(tmp_path):
+def test_solution_export_round_trip(tmp_path, monkeypatch):
+    """The dispatch command's solution.csv and dual_audit.json read back as
+    the solution of the system it solved."""
     import csv
+    import json
 
-    sol = solve_dispatch(storage_system([80.0, 120.0, 100.0], eta=0.9, M=5.0))
-    csv_path = tmp_path / "solution.csv"
-    json_path = tmp_path / "duals.json"
-    export_solution_csv(sol, csv_path)
-    export_dual_audit_json(sol, json_path)
-    with open(csv_path) as fh:
+    import storage_pricer.cli as cli
+
+    system = storage_system([80.0, 120.0, 100.0], eta=0.9, M=5.0)
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: system)
+    assert cli.main(["dispatch", "--synthetic", "--out", str(tmp_path)]) == 0
+    sol = solve_dispatch(system)
+    with open(tmp_path / "solution.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert float(rows[1]["lambda"]) == pytest.approx(sol.lam[1], rel=1e-9)
-    audit = json.loads(json_path.read_text())
+    audit = json.loads((tmp_path / "dual_audit.json").read_text())
     assert audit["status"] == "optimal"
     assert audit["equilibrium_ok"] is True
     assert "alpha_hi" in audit["duals"]
@@ -683,7 +684,7 @@ def test_solve_builds_expected_cost_table_once(monkeypatch):
     solution = solve_dispatch(system)
     assert solution.status == "optimal" and solution.equilibrium["ok"]
     assert len(calls) == 1
-    again = verify_equilibrium(solution, system)
+    again = verify_equilibrium(solution)
     assert len(calls) == 2
     for name, rows in solution.equilibrium["rows"].items():
         assert np.asarray(rows).tobytes() == np.asarray(again["rows"][name]).tobytes()

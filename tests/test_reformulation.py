@@ -127,8 +127,8 @@ def test_build_evaluates_each_risk_level_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def quantile_map(horizon, sigma, epsilon=0.05, mu=0.0):
-    return period_quantiles([mu] * horizon, [sigma] * horizon, GaussianModel(), epsilon)
+def quantile_map(horizon, sigma):
+    return period_quantiles([0.0] * horizon, [sigma] * horizon, GaussianModel(), 0.05)
 
 
 def bits(values):
@@ -178,18 +178,6 @@ def test_quantiles_of_another_horizon_are_a_build_error():
     for horizon in (2, 4):
         with pytest.raises(BuildError, match="horizon of 3 periods"):
             build_deterministic_constraints(3, (0.0, 100.0), storage(), quantile_map(horizon, 1.0))
-
-
-def test_epsilon_tag_audit():
-    """Equal split across the two sides of each joint group."""
-    rows = build_deterministic_constraints(3, (0.0, 100.0), storage(), quantile_map(3, 2.0, epsilon=0.08))
-    for kind, family in rows.items():
-        if kind.startswith("nu") or kind.startswith("iota"):
-            assert family.epsilon == pytest.approx([0.04] * 3)
-        elif kind in ("alpha_hi", "beta_hi"):
-            assert family.epsilon == pytest.approx([0.08] * 3)
-        else:
-            assert family.epsilon is None
 
 
 def test_no_storage_emits_generator_rows_only():
