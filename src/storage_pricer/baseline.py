@@ -51,8 +51,6 @@ class PriceScenarioSet:
     """Energy prices over (scenario x period) from Monte Carlo dispatch."""
 
     lam: np.ndarray
-    seed: int
-    source: str
     clipped: tuple = ()
 
     def mean_path(self):
@@ -100,8 +98,7 @@ def simulate_price_scenarios(system, n_scenarios, seed):
         # (which on a stack of 25 takes 0.5 s and 100 MB).
         result = solve_convex(build.program, _diagnose=stop - start == 1)
         if result.status == OPTIMAL:
-            # each copy's equality rows start with its balance block
-            lam[start:stop] = -result.eq_duals.reshape(stop - start, -1)[:, :system.horizon]
+            lam[start:stop] = -result.eq_duals.reshape(stop - start, -1)[:, build.eq_rows["balance"][1]]
         return result.status
 
     for start in range(0, n_scenarios, PRICE_STACK):
@@ -116,7 +113,7 @@ def simulate_price_scenarios(system, n_scenarios, seed):
             if alone != OPTIMAL:
                 raise SolverError(f"price scenarios {start}–{stop - 1} failed: {status}; "
                                   f"scenario {i} alone: {alone}", status=alone)
-    return PriceScenarioSet(lam=lam, seed=seed, source="monte-carlo-dispatch", clipped=clipped)
+    return PriceScenarioSet(lam=lam, clipped=clipped)
 
 
 @dataclass
@@ -206,8 +203,7 @@ def dp_value_function_per_scenario(price_set, storage, grid_size=21):
     The default pipeline runs the recursion once on the scenario-mean path;
     this is the documented alternative mode.
     """
-    lam = np.atleast_2d(price_set.lam if hasattr(price_set, "lam") else np.asarray(price_set))
-    vfs = [dp_value_function(row, storage, grid_size=grid_size) for row in lam]
+    vfs = [dp_value_function(row, storage, grid_size=grid_size) for row in price_set.lam]
     grid = vfs[0].grid
     values = [np.mean([vf.values[t] for vf in vfs], axis=0) for t in range(len(vfs[0].values))]
     return ValueFunction(grid=grid, values=values)
@@ -378,7 +374,7 @@ def clear_with_bids(system, bids):
         RowBlock("term_hi", end, T, [st.e_max], [([0], [e_of + T - 1], 1.0)]),
     ]
 
-    A, b, _ = assemble_rows(eq, n)
+    A, b, eq_rows = assemble_rows(eq, n)
     G, h, _ = assemble_rows(ineq, n)
     program = ConvexProgram(n=n, value=value, grad=grad, hess=hess,
                             hess_rows=np.arange(T), hess_cols=np.arange(T), A=A, b=b, G=G, h=h)
@@ -387,9 +383,8 @@ def clear_with_bids(system, bids):
         raise SolverError(f"bid clearing failed: {result.status}", status=result.status,
                           result=result)
     x = result.x
-    # the equality rows start with the balance block, then the SoC block
-    lam = -result.eq_duals[:T]
-    theta = result.eq_duals[T:2 * T].copy()
+    lam = -result.eq_duals[eq_rows["balance"][1]]
+    theta = result.eq_duals[eq_rows["soc"][1]]
     p, b = np.zeros(T), np.zeros(T)
     np.add.at(p, p_t, x[p_cols])
     np.add.at(b, b_t, x[b_cols])

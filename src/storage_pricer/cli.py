@@ -247,7 +247,8 @@ def _cmd_dispatch(args, outdir):
         "status": sol.status,
         "objective": sol.objective,
         "residuals": sol.residuals,
-        "duals": {kind: {str(t): v for t, v in per.items()} for kind, per in sol.duals.items()},
+        "duals": {kind: dict(zip(map(str, periods.tolist()), values.tolist()))
+                  for kind, (periods, values) in sol.duals.items()},
         "equilibrium_ok": sol.equilibrium["ok"],
         "complementarity": sol.complementarity,
     })

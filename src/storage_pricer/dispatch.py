@@ -113,15 +113,15 @@ class DispatchBuild:
     layout: VariableLayout
     system: SystemSpec
     quantiles: PeriodQuantiles
-    eq_tags: list          # tags of one copy's rows when the build stacks copies
-    ineq_tags: list
+    eq_rows: dict          # assemble_rows' row index of one copy's rows
+    ineq_rows: dict
     pinned: dict           # (variable, period) -> value fixed by the presolve
     table: tuple           # expected_cost_table of the system's moments
 
 
 @dataclass
 class DispatchSolution:
-    """Primal trajectory, prices, inequality duals by tag, and audit reports."""
+    """Primal trajectory, prices, inequality duals by kind, and audit reports."""
 
     system: SystemSpec
     status: str
@@ -134,7 +134,7 @@ class DispatchSolution:
     lam: np.ndarray
     theta: np.ndarray
     pi: np.ndarray
-    duals: dict            # kind -> {period -> value}, zero when row absent
+    duals: dict            # kind -> (periods, values) of the inequality rows
     objective: float
     residuals: dict
     quantiles: PeriodQuantiles
@@ -143,13 +143,13 @@ class DispatchSolution:
     equilibrium: dict | None = None
     complementarity: dict | None = None
 
-    def dual(self, kind, t):
-        return self.duals.get(kind, {}).get(t, 0.0)
-
-    def dual_series(self, kind):
-        """Duals of the ``kind`` rows of periods 1..T, zero where a row is absent."""
-        per = self.duals.get(kind, {})
-        return np.array([per.get(t, 0.0) for t in range(1, self.system.horizon + 1)])
+    def dual(self, kind):
+        """Duals of the ``kind`` rows over periods 1..T, zero where a period
+        has no such row."""
+        periods, values = self.duals.get(kind, ([], []))
+        out = np.zeros(self.system.horizon + 2)
+        out[periods] = values
+        return out[1:-1]
 
 
 def _block_diagonal(M, k):
@@ -304,15 +304,15 @@ def build_dispatch(system, loads=None):
         *_, dgg, dgp, dpp = kernel(x)
         return np.concatenate([dgg, dgp, dgp, dpp] if has_storage else [dgg], axis=None)
 
-    A, b, eq_tags = assemble_rows(eq, n)
-    G, h, ineq_tags = assemble_rows(ineq, n)
+    A, b, eq_rows = assemble_rows(eq, n)
+    G, h, ineq_rows = assemble_rows(ineq, n)
     b = np.tile(b, (k, 1))
-    b[:, :T] = loads           # the balance rows come first
+    b[:, eq_rows["balance"][1]] = loads
     program = ConvexProgram(n=k * n, value=value, grad=grad, hess=hess,
                             hess_rows=h_rows, hess_cols=h_cols, A=_block_diagonal(A, k), b=b.ravel(),
                             G=_block_diagonal(G, k), h=np.tile(h, k))
     return DispatchBuild(program=program, layout=layout, system=system,
-                         quantiles=quantiles, eq_tags=eq_tags, ineq_tags=ineq_tags,
+                         quantiles=quantiles, eq_rows=eq_rows, ineq_rows=ineq_rows,
                          pinned=pinned, table=table)
 
 
@@ -336,25 +336,20 @@ def _extract_solution(build, result):
     def series(name):
         return x[layout.of(name, periods)]
 
-    # The equality rows start with the balance, SoC and reserve blocks.
-    y = result.eq_duals
+    y, eq_rows = result.eq_duals, build.eq_rows
     g = series("g")
-    lam = -y[:T]
+    lam = -y[eq_rows["balance"][1]]
     if has_storage:
         p, b = series("p"), series("b")
         phi, psi = series("phi"), series("psi")
         e = np.concatenate([[build.system.storage.e_init], x[layout.of("e", periods + 1)]])
-        theta, pi = y[T:2 * T].copy(), -y[2 * T:3 * T]
+        theta, pi = y[eq_rows["soc"][1]], -y[eq_rows["reserve"][1]]
     else:
         p = b = psi = np.zeros(T)
         phi = np.ones(T)
         e = np.zeros(T + 1)
         theta, pi = np.zeros(T), np.zeros(T)
-
-    duals = {}
-    for tag, z in zip(build.ineq_tags, result.ineq_duals):
-        kind, t = tag
-        duals.setdefault(kind, {})[t] = float(z)
+    duals = {kind: (t, result.ineq_duals[rows]) for kind, (t, rows) in build.ineq_rows.items()}
 
     return DispatchSolution(
         system=build.system, status=result.status,
@@ -402,7 +397,7 @@ def verify_equilibrium(solution, table=None):
         table = expected_cost_table(system.poly, net.mu, net.sigma)
     _, dE_dg, dE_dphi, *_ = expected_cost_derivatives(table, solution.g, solution.phi)
     lam, theta, pi = solution.lam, solution.theta, solution.pi
-    dual = solution.dual_series
+    dual = solution.dual
     nu_lo, nu_hi = dual("nu_lo"), dual("nu_hi")
 
     rows = {"clearing_balance": solution.g + solution.p - solution.b - np.asarray(net.forecast, dtype=float)}

@@ -35,7 +35,6 @@ ROW_STRUCTURE = {
     "iota_lo": ("p", "psi", "e"),
     "iota_hi": ("e", "b", "psi"),
 }
-ROW_KINDS = tuple(ROW_STRUCTURE)
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ class RowFamily:
 
 
 def build_deterministic_constraints(horizon, gen_bounds, storage, quantiles):
-    """Emit the reformulated inequality rows: {kind: RowFamily} in ROW_KINDS order.
+    """Emit the reformulated inequality rows: {kind: RowFamily} in ROW_STRUCTURE order.
 
     ``quantiles`` is a PeriodQuantiles over ``horizon`` periods; quantiles of
     another length are a build error.  ``storage`` may be None (generator rows

@@ -69,13 +69,16 @@ class RowBlock(NamedTuple):
 
 
 def assemble_rows(blocks, n):
-    """Stack row blocks into (CSR matrix with n columns, rhs, tags).
+    """Stack row blocks into (CSR matrix with n columns, rhs, row index).
 
     Rows are ordered by key; rows with equal keys keep the order of the
-    blocks and, within a block, their own.  Tags are (kind, period) pairs in
-    row order.  Every entry is kept, explicit zeros included, and a row may
-    have none.
+    blocks and, within a block, their own.  There is one block per kind, and
+    the row index maps each kind to (periods, positions): its rows' periods
+    and their positions in the matrix, both in the block's row order.
+    Every entry is kept, explicit zeros included, and a row may have none.
     """
+    if len({blk.kind for blk in blocks}) != len(blocks):
+        raise DomainError("row blocks must have distinct kinds")
     sizes = [len(blk.rhs) for blk in blocks]
     starts = np.cumsum([0] + sizes[:-1])
     keys = np.concatenate([np.broadcast_to(blk.key, size) for blk, size in zip(blocks, sizes)])
@@ -88,9 +91,9 @@ def assemble_rows(blocks, n):
         for blk, start in zip(blocks, starts) for row, col, val in blk.terms)))
     matrix = sp.csr_array((vals, (rows, cols)), shape=(order.size, n))
     rhs = np.concatenate([np.asarray(blk.rhs, dtype=float) for blk in blocks])[order]
-    kinds = [blk.kind for blk, size in zip(blocks, sizes) for _ in range(size)]
-    periods = np.concatenate([np.broadcast_to(blk.period, size) for blk, size in zip(blocks, sizes)])
-    return matrix, rhs, list(zip([kinds[i] for i in order.tolist()], periods[order].tolist()))
+    index = {blk.kind: (np.array(np.broadcast_to(blk.period, size)), position[start:start + size])
+             for blk, start, size in zip(blocks, starts, sizes)}
+    return matrix, rhs, index
 
 
 @dataclass

@@ -29,12 +29,9 @@ CHARGING = "charging"
 DISCHARGING = "discharging"
 IDLE = "idle"
 
-# Five-way period classification by storage flow and power binding.
-CASE_CHARGE_INTERIOR = "charge_interior"
-CASE_DISCHARGE_INTERIOR = "discharge_interior"
-CASE_DISCHARGE_MAX = "discharge_at_power_cap"
-CASE_CHARGE_MAX = "charge_at_power_cap"
-CASE_IDLE = "idle"
+# Five-way period classification by storage flow and power binding, in the
+# order of the integer codes the classification computes.
+CASES = ("idle", "charge_interior", "charge_at_power_cap", "discharge_interior", "discharge_at_power_cap")
 
 
 @dataclass(frozen=True)
@@ -53,14 +50,14 @@ class CouplingResult:
 
 
 def _charge_expr(theta_t, lam, pi, eta, M, d_hat, d_tilde, mu):
-    if d_tilde == 0.0:
+    if np.any(d_tilde == 0.0):
         raise DegenerateQuantileError("charging coupling undefined: d_tilde = 0")
     return (eta / d_tilde) * (theta_t * eta * d_hat
                               + lam * (d_tilde / eta**2 - d_hat) + pi - M * mu)
 
 
 def _discharge_expr(theta_t, lam, pi, eta, M, d_hat, d_tilde, mu):
-    if d_hat == 0.0:
+    if np.any(d_hat == 0.0):
         raise DegenerateQuantileError("discharging coupling undefined: d_hat = 0")
     return (1.0 / (eta * d_hat)) * (theta_t * d_tilde / eta
                                     + lam * (eta**2 * d_hat - d_tilde)
@@ -168,85 +165,70 @@ def jensen_gap(poly, g, phi, moments, eta, samples=100_000, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def classify_period(solution, t):
-    """One of the five coupling cases for period t (1-based).  A flow counts
-    from 1e-6 * p_max; a power cap binds within 1e-4 * p_max of its slack."""
+def _case_codes(solution):
+    """Index into CASES of every period's coupling case, over periods 1..T."""
     st = solution.system.storage
     if st is None:
-        return CASE_IDLE
+        return np.zeros(solution.system.horizon, dtype=np.intp)
     thr = 1e-6 * st.p_max
-    b_t, p_t = solution.b[t - 1], solution.p[t - 1]
-    psi_t = solution.psi[t - 1]
+    b, p, psi = solution.b, solution.p, solution.psi
     q = solution.quantiles.power
-    charge_slack = st.p_max - (b_t - psi_t * q.d_hat[t - 1])
-    discharge_slack = st.p_max - (p_t + psi_t * q.d_tilde[t - 1])
     bind_tol = 1e-4 * st.p_max
-    if b_t > thr and p_t > thr:
-        return CASE_IDLE  # simultaneous flow: relaxation artifact, reported elsewhere
-    if b_t > thr:
-        return CASE_CHARGE_MAX if charge_slack <= bind_tol else CASE_CHARGE_INTERIOR
-    if p_t > thr:
-        return CASE_DISCHARGE_MAX if discharge_slack <= bind_tol else CASE_DISCHARGE_INTERIOR
-    return CASE_IDLE
+    charge_cap = st.p_max - (b - psi * q.d_hat) <= bind_tol
+    discharge_cap = st.p_max - (p + psi * q.d_tilde) <= bind_tol
+    charging, discharging = b > thr, p > thr
+    # simultaneous flow is a relaxation artifact, reported elsewhere: idle
+    return np.where(charging & ~discharging, 1 + charge_cap,
+                    np.where(discharging & ~charging, 3 + discharge_cap, 0))
 
 
-def effective_reserve_price(solution, t):
-    """Reserve price net of the reserve-split box rents (dual-ray invariant)."""
-    return (solution.pi[t - 1]
-            - solution.dual("kappa_psi_hi", t)
-            + solution.dual("kappa_psi_lo", t))
+def classify_periods(solution):
+    """One of the five coupling cases for each period 1..T.  A flow counts
+    from 1e-6 * p_max; a power cap binds within 1e-4 * p_max of its slack."""
+    return np.array(CASES)[_case_codes(solution)]
+
+
+def effective_reserve_prices(solution):
+    """Reserve prices net of the reserve-split box rents (dual-ray invariant), periods 1..T."""
+    return solution.pi - solution.dual("kappa_psi_hi") + solution.dual("kappa_psi_lo")
 
 
 def verify_price_coupling(solution, rel_tol=1e-4, interval_inflation=1e-6):
-    """Check every period of a solved dispatch against the coupling relations.
+    """Check periods 2..T of a solved dispatch against the coupling relations.
 
     Interior charging/discharging periods must match the point formulas to
     ``rel_tol`` relative; idle periods must fall in the interval; power-
-    binding periods must respect the one-sided sup/inf bound.  Returns a
-    per-period report with the worst relative error.
+    binding periods must respect the one-sided sup/inf bound.  Returns
+    arrays over periods 2..T (``t``, ``case``, ``theta_prev``, the discharge
+    and charge formulas ``lo`` and ``hi``, ``rel_error``, ``passed`` and
+    ``skipped``, where a zero SoC quantile leaves NaN bounds and no pass),
+    and ``ok`` and ``worst_rel_error`` over the periods not skipped.
     """
     system = solution.system
     st = system.storage
+    if st is None:
+        raise DomainError("price coupling needs storage")
     q = solution.quantiles.soc
-    periods = []
-    worst = 0.0
-    ok = True
-    for t in range(2, system.horizon + 1):
-        case = classify_period(solution, t)
-        d_hat, d_tilde, mu_t = q.d_hat[t - 1], q.d_tilde[t - 1], system.net_load.mu[t - 1]
-        theta_t, theta_prev = solution.theta[t - 1], solution.theta[t - 2]
-        lam = solution.lam[t - 1]
-        pi_eff = effective_reserve_price(solution, t)
-        scale = max(1.0, abs(theta_prev))
-        entry = {"t": t, "case": case, "theta_prev": theta_prev}
-        try:
-            lo = _discharge_expr(theta_t, lam, pi_eff, st.eta, st.marginal_cost, d_hat, d_tilde, mu_t)
-            hi = _charge_expr(theta_t, lam, pi_eff, st.eta, st.marginal_cost, d_hat, d_tilde, mu_t)
-        except DegenerateQuantileError:
-            entry["skipped"] = "degenerate quantile"
-            periods.append(entry)
-            continue
-        pad = interval_inflation * scale
-        if case == CASE_CHARGE_INTERIOR:
-            err = abs(theta_prev - hi) / scale
-            entry.update(predicted=hi, rel_error=err, passed=err <= rel_tol)
-        elif case == CASE_DISCHARGE_INTERIOR:
-            err = abs(theta_prev - lo) / scale
-            entry.update(predicted=lo, rel_error=err, passed=err <= rel_tol)
-        elif case == CASE_DISCHARGE_MAX:
-            err = max(0.0, theta_prev - hi) / scale
-            entry.update(sup=hi, rel_error=err, passed=theta_prev <= hi + rel_tol * scale)
-        elif case == CASE_CHARGE_MAX:
-            err = max(0.0, lo - theta_prev) / scale
-            entry.update(inf=lo, rel_error=err, passed=theta_prev >= lo - rel_tol * scale)
-        else:
-            err = max(0.0, lo - theta_prev, theta_prev - hi) / scale
-            entry.update(lo=lo, hi=hi, rel_error=err,
-                         passed=lo - pad <= theta_prev <= hi + pad)
-        worst = max(worst, entry["rel_error"])
-        ok = ok and entry["passed"]
-        periods.append(entry)
-    return {"periods": periods, "ok": ok, "worst_rel_error": worst}
+    codes = _case_codes(solution)[1:]
+    theta_prev = solution.theta[:-1]
+    skipped = (q.d_hat[1:] == 0.0) | (q.d_tilde[1:] == 0.0)
+    d_hat, d_tilde = (np.where(skipped, np.nan, d[1:]) for d in (q.d_hat, q.d_tilde))
+    prices = (solution.theta[1:], solution.lam[1:], effective_reserve_prices(solution)[1:],
+              st.eta, st.marginal_cost, d_hat, d_tilde, np.asarray(system.net_load.mu)[1:])
+    lo, hi = _discharge_expr(*prices), _charge_expr(*prices)
+    scale = np.maximum(1.0, np.abs(theta_prev))
+    below, above = lo - theta_prev, theta_prev - hi
+    pad = interval_inflation * scale
+    # choices in the order of CASES
+    rel_error = np.choose(codes, [np.maximum(0.0, np.maximum(below, above)), np.abs(above),
+                                  np.maximum(0.0, below), np.abs(below), np.maximum(0.0, above)]) / scale
+    passed = np.choose(codes, [(lo - pad <= theta_prev) & (theta_prev <= hi + pad), rel_error <= rel_tol,
+                               theta_prev >= lo - rel_tol * scale, rel_error <= rel_tol,
+                               theta_prev <= hi + rel_tol * scale])
+    return {"t": np.arange(2, codes.size + 2), "case": np.array(CASES)[codes], "theta_prev": theta_prev,
+            "lo": lo, "hi": hi, "rel_error": rel_error, "passed": passed, "skipped": skipped,
+            "ok": bool(np.all(passed | skipped)),
+            "worst_rel_error": float(np.max(rel_error, where=~skipped, initial=0.0))}
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +274,8 @@ def _sweep(grid, variant, label, period, increasing, nu_threshold=None):
         if sol.status != "optimal":
             raise SolverError(f"sweep solve failed at {label}={value}: {sol.status}",
                               status=sol.status)
-        records.append((*_sweep_point_records(sol, period), classify_period(sol, period)))
-        if nu_threshold is not None and np.max(sol.dual_series("nu_lo")) > nu_threshold:
+        records.append((*_sweep_point_records(sol, period), str(classify_periods(sol)[period - 1])))
+        if nu_threshold is not None and np.max(sol.dual("nu_lo")) > nu_threshold:
             excluded.append(i)
     thetas, sups, infs, cases = (list(v) for v in zip(*records))
     thetas = np.array(thetas)
@@ -307,6 +289,13 @@ def _sweep(grid, variant, label, period, increasing, nu_threshold=None):
     )
 
 
+def _check_sweep(system, period, what):
+    if system.storage is None:
+        raise DomainError(f"{what} requires storage")
+    if not 1 <= period <= system.horizon:
+        raise DomainError(f"period must lie in 1..{system.horizon}, got {period}")
+
+
 def soc_sweep(system, soc_grid, period=1):
     """Solve the dispatch across initial-SoC values and record the
     opportunity price at a designated period.
@@ -315,9 +304,8 @@ def soc_sweep(system, soc_grid, period=1):
     sequence is non-increasing within 1e-6 * max|theta|.
     """
     grid = np.asarray(sorted(float(v) for v in soc_grid))
+    _check_sweep(system, period, "SoC sweep")
     st = system.storage
-    if st is None:
-        raise DomainError("SoC sweep requires storage")
     if grid[0] < -1e-9 or grid[-1] > st.e_max + 1e-9:
         raise DomainError(f"SoC grid outside [0, {st.e_max}]")
     return _sweep(grid, system.with_initial_soc, "e0", period, increasing=False)
@@ -333,8 +321,7 @@ def sigma_sweep(system, scale_grid, period=1, nu_threshold=1e-4):
     fleets, which the caller asserts separately).
     """
     grid = np.asarray(sorted(float(v) for v in scale_grid))
-    if system.storage is None:
-        raise DomainError("sigma sweep requires storage")
+    _check_sweep(system, period, "sigma sweep")
     if np.any(grid < 0):
         raise DomainError("sigma scales must be >= 0")
     return _sweep(grid, system.with_sigma_scale, "scale", period, increasing=True,

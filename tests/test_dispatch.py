@@ -70,7 +70,7 @@ def test_build_no_storage_single_balance_row():
     build = build_dispatch(no_storage_system())
     assert build.program.n == 1
     assert build.program.A.shape == (1, 1)
-    assert build.eq_tags == [("balance", 1)]
+    assert row_tags(build.eq_rows) == [("balance", 1)]
     assert build.program.b[0] == 100.0
 
 
@@ -82,7 +82,7 @@ def test_build_variable_count_with_storage():
 def test_build_constraint_tags_enumerate_rows():
     build = build_dispatch(storage_system([100.0, 120.0], sigma=5.0))
     kinds = {}
-    for kind, t in build.ineq_tags:
+    for kind, t in row_tags(build.ineq_rows):
         kinds.setdefault(kind, []).append(t)
     for kind in ("nu_lo", "nu_hi", "alpha_lo", "alpha_hi", "beta_lo", "beta_hi",
                  "iota_lo", "iota_hi", "kappa_phi_lo", "kappa_phi_hi",
@@ -95,14 +95,14 @@ def test_full_soc_pins_first_period_charging():
     build = build_dispatch(system)
     assert ("b", 1) in build.pinned
     assert ("psi", 1) in build.pinned
-    assert ("iota_hi", 1) not in build.ineq_tags
+    assert ("iota_hi", 1) not in row_tags(build.ineq_rows)
 
 
 def test_empty_soc_pins_first_period_discharging():
     system = storage_system([100.0, 100.0], sigma=5.0, e_init=0.0)
     build = build_dispatch(system)
     assert ("p", 1) in build.pinned
-    assert ("iota_lo", 1) not in build.ineq_tags
+    assert ("iota_lo", 1) not in row_tags(build.ineq_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +271,8 @@ def test_interior_generator_lambda_equals_marginal_cost():
     table = expected_cost_table(system.poly, [0.0] * 3, [3.0] * 3)
     marg = expected_cost_derivatives(table, sol.g, sol.phi)[1]
     for t in range(3):
-        assert sol.dual("nu_lo", t + 1) <= 1e-7
-        assert sol.dual("nu_hi", t + 1) <= 1e-7
+        assert sol.dual("nu_lo")[t] <= 1e-7
+        assert sol.dual("nu_hi")[t] <= 1e-7
         assert sol.lam[t] == pytest.approx(marg[t], abs=1e-6)
 
 
@@ -301,6 +301,39 @@ def test_solution_export_round_trip(tmp_path, monkeypatch):
     assert audit["status"] == "optimal"
     assert audit["equilibrium_ok"] is True
     assert "alpha_hi" in audit["duals"]
+
+
+@pytest.mark.parametrize("variant", [
+    {}, {"storage_reserve": False}, {"storage_ratio": 0.0}, {"terminal": "free"},
+    {"e_init_ratio": 0.0}, {"e_init_ratio": 1.0},
+], ids=["reserve", "no-storage-reserve", "no-storage", "free-terminal", "empty", "full"])
+def test_dual_audit_duals_equal_tag_loop(tmp_path, monkeypatch, variant):
+    """dual_audit.json's duals, and ``dual(kind)`` over periods 1..T, are what
+    the loop over the rows' (kind, period) tags gave: the free terminal's
+    rows sit at period T + 1, and a period without a row of a kind (the
+    dropped first SoC row at an empty or full stock) reads zero."""
+    import json
+
+    import storage_pricer.cli as cli
+    from storage_pricer.dispatch import _extract_solution
+    from storage_pricer.solver import solve_convex
+
+    system = synth_test_system(horizon=24, **variant)
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: system)
+    assert cli.main(["dispatch", "--synthetic", "--out", str(tmp_path)]) == 0
+    build = build_dispatch(system)
+    result = solve_convex(build.program)
+    _, (_, _, tags) = oracle_dispatch_rows(system, build.quantiles)
+    want = {}
+    for (kind, t), z in zip(tags, result.ineq_duals):
+        want.setdefault(kind, {})[t] = float(z)
+    audit = json.loads((tmp_path / "dual_audit.json").read_text())
+    assert audit["duals"] == {kind: {str(t): v for t, v in per.items()} for kind, per in want.items()}
+    assert ("term_lo" in want) == (variant == {"terminal": "free"})
+    assert all(set(want[kind]) == {25} for kind in ("term_lo", "term_hi") if kind in want)
+    solution = _extract_solution(build, result)
+    for kind, per in want.items():
+        assert solution.dual(kind).tolist() == [per.get(t, 0.0) for t in range(1, 25)], kind
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +431,15 @@ class OracleRows:
         M = scipy.sparse.csr_array((np.array(v, dtype=float), (np.array(i, dtype=np.intp),
                                     np.array(j, dtype=np.intp))), shape=(len(self.rhs), n))
         return M, np.array(self.rhs, dtype=float), self.tags
+
+
+def row_tags(index):
+    """The (kind, period) tag of every row of an ``assemble_rows`` row index,
+    in row order; the positions must number the rows 0, 1, 2, ..."""
+    tags = {i: (kind, t) for kind, (periods, positions) in index.items()
+            for t, i in zip(periods.tolist(), positions.tolist())}
+    assert sorted(tags) == list(range(sum(len(positions) for _, positions in index.values())))
+    return [tags[i] for i in range(len(tags))]
 
 
 def period_of(quantiles, t):
@@ -585,8 +627,8 @@ def test_dispatch_rows_equal_string_keyed_assembly(system):
     (A, b, eq_tags), (G, h, ineq_tags) = oracle_dispatch_rows(system, build.quantiles)
     assert_same_bits((build.program.A, build.program.b), (A, b))
     assert_same_bits((build.program.G, build.program.h), (G, h))
-    assert build.eq_tags == eq_tags
-    assert build.ineq_tags == ineq_tags
+    assert row_tags(build.eq_rows) == eq_tags
+    assert row_tags(build.ineq_rows) == ineq_tags
 
 
 class Captured(Exception):
@@ -647,7 +689,7 @@ def test_stacked_build_is_block_diagonal_of_single_builds(system, data):
         assert_same_bits((prog.A, prog.b) if j == 0 else (prog.G, prog.h),
                          (scipy.sparse.block_diag([M for M, _, _ in blocks], format="csr"),
                           np.concatenate([rhs for _, rhs, _ in blocks])))
-    assert (stacked.eq_tags, stacked.ineq_tags) == (oracles[0][0][2], oracles[0][1][2])
+    assert (row_tags(stacked.eq_rows), row_tags(stacked.ineq_rows)) == (oracles[0][0][2], oracles[0][1][2])
 
     singles = [build_dispatch(v).program for v in variants]
     assert prog.n == k * singles[0].n
@@ -711,18 +753,21 @@ def oracle_equilibrium_rows(solution, system):
     table = expected_cost_table(system.poly, system.net_load.mu, system.net_load.sigma)
     _, dE_dg, dE_dphi, *_ = expected_cost_derivatives(table, solution.g, solution.phi)
 
+    def dual(kind, t):
+        return solution.dual(kind)[t - 1]
+
     for t in range(1, T + 1):
         mu = system.net_load.mu[t - 1]
         q = period_of(solution.quantiles, t)
         lam, th, pi = solution.lam[t - 1], solution.theta[t - 1], solution.pi[t - 1]
-        nu_lo, nu_hi = solution.dual("nu_lo", t), solution.dual("nu_hi", t)
+        nu_lo, nu_hi = dual("nu_lo", t), dual("nu_hi", t)
         gen_rows[t - 1] = dE_dg[t - 1] - lam - nu_lo + nu_hi
         if not has_storage:
             continue
         eta, M = storage.eta, storage.marginal_cost
-        a_lo, a_hi = solution.dual("alpha_lo", t), solution.dual("alpha_hi", t)
-        be_lo, be_hi = solution.dual("beta_lo", t), solution.dual("beta_hi", t)
-        i_lo, i_hi = solution.dual("iota_lo", t), solution.dual("iota_hi", t)
+        a_lo, a_hi = dual("alpha_lo", t), dual("alpha_hi", t)
+        be_lo, be_hi = dual("beta_lo", t), dual("beta_hi", t)
+        i_lo, i_hi = dual("iota_lo", t), dual("iota_hi", t)
         if ("b", t) not in solution.pinned:
             b_rows[t - 1] = -th * eta + lam - a_lo + a_hi + i_hi * eta
         if ("p", t) not in solution.pinned:
@@ -730,8 +775,8 @@ def oracle_equilibrium_rows(solution, system):
         if t >= 2:
             e_rows[t - 1] = -th + solution.theta[t - 2] - i_lo + i_hi
         if system.storage_reserve and ("psi", t) not in solution.pinned:
-            k_phi = solution.dual("kappa_phi_hi", t) - solution.dual("kappa_phi_lo", t)
-            k_psi = solution.dual("kappa_psi_hi", t) - solution.dual("kappa_psi_lo", t)
+            k_phi = dual("kappa_phi_hi", t) - dual("kappa_phi_lo", t)
+            k_psi = dual("kappa_psi_hi", t) - dual("kappa_psi_lo", t)
             phi_rows[t - 1] = dE_dphi[t - 1] - pi - nu_lo * q.gen.d_hat + nu_hi * q.gen.d_tilde + k_phi
             psi_rows[t - 1] = (M * mu - pi - a_hi * q.power.d_hat + be_hi * q.power.d_tilde
                                + i_lo * q.soc.d_tilde / eta - i_hi * q.soc.d_hat * eta + k_psi)

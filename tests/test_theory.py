@@ -16,6 +16,7 @@ from storage_pricer.theory import (
     CHARGING,
     DISCHARGING,
     IDLE,
+    classify_periods,
     ideal_storage_slope_gap,
     coupling_price,
     jensen_gap,
@@ -246,16 +247,121 @@ def cubic_solution():
 
 def test_coupling_holds_on_solved_dispatch(cubic_solution):
     report = verify_price_coupling(cubic_solution)
-    assert report["ok"], [p for p in report["periods"] if not p.get("passed", True)]
+    assert report["ok"], report["t"][~(report["passed"] | report["skipped"])]
     assert report["worst_rel_error"] <= 1e-4
 
 
 def test_classification_exhaustive(cubic_solution):
-    from storage_pricer.theory import classify_period
-
-    labels = {classify_period(cubic_solution, t) for t in range(1, 25)}
+    labels = set(classify_periods(cubic_solution).tolist())
     assert labels <= {"charge_interior", "discharge_interior", "idle",
                       "charge_at_power_cap", "discharge_at_power_cap"}
+
+
+def loop_classify_period(solution, t):
+    """The coupling case of period t, one period at a time."""
+    st = solution.system.storage
+    thr = 1e-6 * st.p_max
+    b_t, p_t = solution.b[t - 1], solution.p[t - 1]
+    psi_t = solution.psi[t - 1]
+    q = solution.quantiles.power
+    charge_slack = st.p_max - (b_t - psi_t * q.d_hat[t - 1])
+    discharge_slack = st.p_max - (p_t + psi_t * q.d_tilde[t - 1])
+    bind_tol = 1e-4 * st.p_max
+    if b_t > thr and p_t > thr:
+        return "idle"
+    if b_t > thr:
+        return "charge_at_power_cap" if charge_slack <= bind_tol else "charge_interior"
+    if p_t > thr:
+        return "discharge_at_power_cap" if discharge_slack <= bind_tol else "discharge_interior"
+    return "idle"
+
+
+def loop_price_coupling(solution, rel_tol=1e-4, interval_inflation=1e-6):
+    """The coupling audit one period at a time, through the scalar formulas;
+    a degenerate quantile skips the period."""
+    system = solution.system
+    st = system.storage
+    q = solution.quantiles.soc
+    periods, worst, ok = [], 0.0, True
+    for t in range(2, system.horizon + 1):
+        case = loop_classify_period(solution, t)
+        quantiles = QuantileTriple(q.d_hat[t - 1], q.d_tilde[t - 1], q.epsilon)
+        theta_prev = solution.theta[t - 2]
+        pi_eff = (solution.pi[t - 1] - solution.dual("kappa_psi_hi")[t - 1]
+                  + solution.dual("kappa_psi_lo")[t - 1])
+        scale = max(1.0, abs(theta_prev))
+        entry = {"t": t, "case": case, "theta_prev": theta_prev}
+        try:
+            idle = coupling_price(IDLE, solution.theta[t - 1], solution.lam[t - 1], pi_eff, st,
+                                  quantiles, system.net_load.mu[t - 1])
+        except DegenerateQuantileError:
+            entry["skipped"] = "degenerate quantile"
+            periods.append(entry)
+            continue
+        lo, hi = idle.lo, idle.hi
+        pad = interval_inflation * scale
+        if case == "charge_interior":
+            err = abs(theta_prev - hi) / scale
+            entry.update(predicted=hi, rel_error=err, passed=err <= rel_tol)
+        elif case == "discharge_interior":
+            err = abs(theta_prev - lo) / scale
+            entry.update(predicted=lo, rel_error=err, passed=err <= rel_tol)
+        elif case == "discharge_at_power_cap":
+            err = max(0.0, theta_prev - hi) / scale
+            entry.update(sup=hi, rel_error=err, passed=theta_prev <= hi + rel_tol * scale)
+        elif case == "charge_at_power_cap":
+            err = max(0.0, lo - theta_prev) / scale
+            entry.update(inf=lo, rel_error=err, passed=theta_prev >= lo - rel_tol * scale)
+        else:
+            err = max(0.0, lo - theta_prev, theta_prev - hi) / scale
+            entry.update(lo=lo, hi=hi, rel_error=err, passed=lo - pad <= theta_prev <= hi + pad)
+        worst = max(worst, entry["rel_error"])
+        ok = ok and entry["passed"]
+        periods.append(entry)
+    return {"periods": periods, "ok": ok, "worst_rel_error": worst}
+
+
+# where each case's bound sits in the array report
+BOUND_SIDES = {"predicted": None, "sup": "hi", "inf": "lo", "lo": "lo", "hi": "hi"}
+
+
+def test_coupling_report_equals_per_period_loop(cubic_solution):
+    """The array audit gives the loop's case, theta, bound, error and verdict
+    for every period, bit for bit.  Together the systems cover every case
+    label; at sigma = 0 every SoC quantile is zero, so every period is
+    skipped."""
+    seen = set()
+    systems = [synth_test_system(storage_ratio=0.05), synth_test_system(storage_reserve=False),
+               synth_test_system().with_sigma_scale(0.0)]
+    for solution in [cubic_solution] + [solve_dispatch(system) for system in systems]:
+        report, want = verify_price_coupling(solution), loop_price_coupling(solution)
+        assert report["ok"] == want["ok"] and report["worst_rel_error"] == want["worst_rel_error"]
+        assert report["t"].tolist() == [entry["t"] for entry in want["periods"]]
+        assert classify_periods(solution).tolist() == [
+            loop_classify_period(solution, t) for t in range(1, solution.system.horizon + 1)]
+        for i, entry in enumerate(want["periods"]):
+            case = entry["case"]
+            seen.add(case)
+            assert (report["case"][i], report["theta_prev"][i]) == (case, entry["theta_prev"])
+            assert report["skipped"][i] == ("skipped" in entry)
+            if "skipped" in entry:
+                assert np.isnan([report[k][i] for k in ("lo", "hi", "rel_error")]).all()
+                assert not report["passed"][i]
+                continue
+            assert (report["rel_error"][i], report["passed"][i]) == (entry["rel_error"], entry["passed"])
+            for key, side in BOUND_SIDES.items():
+                if key in entry:
+                    side = side or ("hi" if case == "charge_interior" else "lo")
+                    assert report[side][i] == entry[key], (i, key)
+    assert report["skipped"].all() and report["ok"] and report["worst_rel_error"] == 0.0
+    assert seen == {"charge_interior", "discharge_interior", "idle",
+                    "charge_at_power_cap", "discharge_at_power_cap"}
+
+
+def test_coupling_refuses_system_without_storage():
+    solution = solve_dispatch(synth_test_system(horizon=6, storage_ratio=0.0))
+    with pytest.raises(DomainError, match="price coupling needs storage"):
+        verify_price_coupling(solution)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +428,15 @@ def test_sigma_sweep_flags_gen_floor_binding():
     sweep = sigma_sweep(system, [0.5, 4.0], nu_threshold=1e-4)
     assert 1 in sweep.excluded
     assert 0 not in sweep.excluded
+
+
+@pytest.mark.parametrize("period", [0, 7])
+@pytest.mark.parametrize("sweep", [soc_sweep, sigma_sweep])
+def test_sweeps_refuse_period_outside_horizon(sweep, period):
+    """Period 0 would read period T, and T + 1 would index past the end."""
+    system = synth_test_system(horizon=6)
+    with pytest.raises(DomainError, match="period must lie in 1..6"):
+        sweep(system, [0.5, 1.0], period=period)
 
 
 def test_ideal_storage_slope_gap_ideal_storage():
