@@ -349,7 +349,7 @@ def _extract_solution(build, result):
         phi = np.ones(T)
         e = np.zeros(T + 1)
         theta, pi = np.zeros(T), np.zeros(T)
-    duals = {kind: (t, result.ineq_duals[rows]) for kind, (t, rows) in build.ineq_rows.items()}
+    duals = {kind: (t.copy(), result.ineq_duals[rows]) for kind, (t, rows) in build.ineq_rows.items()}
 
     return DispatchSolution(
         system=build.system, status=result.status,

@@ -210,7 +210,7 @@ def verify_price_coupling(solution, rel_tol=1e-4, interval_inflation=1e-6):
         raise DomainError("price coupling needs storage")
     q = solution.quantiles.soc
     codes = _case_codes(solution)[1:]
-    theta_prev = solution.theta[:-1]
+    theta_prev = solution.theta[:-1].copy()
     skipped = (q.d_hat[1:] == 0.0) | (q.d_tilde[1:] == 0.0)
     d_hat, d_tilde = (np.where(skipped, np.nan, d[1:]) for d in (q.d_hat, q.d_tilde))
     prices = (solution.theta[1:], solution.lam[1:], effective_reserve_prices(solution)[1:],
@@ -253,18 +253,18 @@ class SweepResult:
             raise DomainError("sweep axis must be strictly increasing")
 
 
-def _sweep_point_records(solution, period):
-    """theta dual plus the analytic sup/inf variants at the designated period."""
-    system, i = solution.system, period - 1
+def _sweep_point_records(solution):
+    """theta dual plus the analytic sup/inf variants at period 1."""
+    system = solution.system
     net = system.net_load
-    H = _marginal_cost(system.poly, solution.g[i], solution.phi[i], net.mu[i], net.sigma[i])
+    H = _marginal_cost(system.poly, solution.g[0], solution.phi[0], net.mu[0], net.sigma[0])
     eta, M = system.storage.eta, system.storage.marginal_cost
-    return float(solution.theta[i]), H / eta, eta * (H - M)
+    return float(solution.theta[0]), H / eta, eta * (H - M)
 
 
-def _sweep(grid, variant, label, period, increasing, nu_threshold=None):
+def _sweep(grid, variant, label, increasing, nu_threshold=None):
     """Solve ``variant(v)`` at every grid value, in axis order, and judge the
-    theta sequence at ``period`` monotone (non-decreasing when ``increasing``,
+    theta sequence at period 1 monotone (non-decreasing when ``increasing``,
     else non-increasing) within 1e-6 * max|theta|.  With ``nu_threshold``,
     points where the generator lower bound binds (its dual above the
     threshold in any period) are excluded from the verdict."""
@@ -274,7 +274,7 @@ def _sweep(grid, variant, label, period, increasing, nu_threshold=None):
         if sol.status != "optimal":
             raise SolverError(f"sweep solve failed at {label}={value}: {sol.status}",
                               status=sol.status)
-        records.append((*_sweep_point_records(sol, period), str(classify_periods(sol)[period - 1])))
+        records.append((*_sweep_point_records(sol), str(classify_periods(sol)[0])))
         if nu_threshold is not None and np.max(sol.dual("nu_lo")) > nu_threshold:
             excluded.append(i)
     thetas, sups, infs, cases = (list(v) for v in zip(*records))
@@ -289,30 +289,25 @@ def _sweep(grid, variant, label, period, increasing, nu_threshold=None):
     )
 
 
-def _check_sweep(system, period, what):
-    if system.storage is None:
-        raise DomainError(f"{what} requires storage")
-    if not 1 <= period <= system.horizon:
-        raise DomainError(f"period must lie in 1..{system.horizon}, got {period}")
-
-
-def soc_sweep(system, soc_grid, period=1):
+def soc_sweep(system, soc_grid):
     """Solve the dispatch across initial-SoC values and record the
-    opportunity price at a designated period.
+    opportunity price at period 1.
 
     Grid points solve independently, in axis order.  Verdict: the theta
     sequence is non-increasing within 1e-6 * max|theta|.
     """
     grid = np.asarray(sorted(float(v) for v in soc_grid))
-    _check_sweep(system, period, "SoC sweep")
     st = system.storage
+    if st is None:
+        raise DomainError("SoC sweep requires storage")
     if grid[0] < -1e-9 or grid[-1] > st.e_max + 1e-9:
         raise DomainError(f"SoC grid outside [0, {st.e_max}]")
-    return _sweep(grid, system.with_initial_soc, "e0", period, increasing=False)
+    return _sweep(grid, system.with_initial_soc, "e0", increasing=False)
 
 
-def sigma_sweep(system, scale_grid, period=1, nu_threshold=1e-4):
-    """Solve the dispatch across sigma scale factors.
+def sigma_sweep(system, scale_grid, nu_threshold=1e-4):
+    """Solve the dispatch across sigma scale factors and record the
+    opportunity price at period 1.
 
     Grid points where the generator lower bound binds (nu_lo dual above
     ``nu_threshold`` in any period) are annotated and excluded from the
@@ -321,20 +316,21 @@ def sigma_sweep(system, scale_grid, period=1, nu_threshold=1e-4):
     fleets, which the caller asserts separately).
     """
     grid = np.asarray(sorted(float(v) for v in scale_grid))
-    _check_sweep(system, period, "sigma sweep")
+    if system.storage is None:
+        raise DomainError("sigma sweep requires storage")
     if np.any(grid < 0):
         raise DomainError("sigma scales must be >= 0")
-    return _sweep(grid, system.with_sigma_scale, "scale", period, increasing=True,
+    return _sweep(grid, system.with_sigma_scale, "scale", increasing=True,
                   nu_threshold=nu_threshold)
 
 
-def ideal_storage_slope_gap(system, soc_grid, period=1):
+def ideal_storage_slope_gap(system, soc_grid):
     """Max gap between the sup-theta and inf-theta slopes over a SoC sweep.
 
     With eta = 1 and zero storage marginal cost the two variants coincide
     and the gap is numerically zero.
     """
-    sweep = soc_sweep(system, soc_grid, period=period)
+    sweep = soc_sweep(system, soc_grid)
     de = np.diff(sweep.axis)
     if not de.size:
         return 0.0

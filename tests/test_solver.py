@@ -15,6 +15,8 @@ from storage_pricer.solver import (
     OPTIMAL,
     UNBOUNDED,
     ConvexProgram,
+    RowBlock,
+    assemble_rows,
     quadratic_program,
     solve_convex,
     verify_kkt,
@@ -351,3 +353,12 @@ def test_hess_with_wrong_number_of_values_names_expected_count():
     with pytest.raises(DomainError, match="declares 1 Hessian entries"):
         solve_convex(prog)
 
+
+def test_assemble_rows_refuses_a_repeated_kind():
+    """A row index keyed by kind would keep only the last block of a kind."""
+    def block(t):
+        return RowBlock("soc", t, t, [0.0], [([0], [0], 1.0)])
+
+    assemble_rows([block(1)], 1)
+    with pytest.raises(DomainError, match="row blocks must have distinct kinds"):
+        assemble_rows([block(1), block(2)], 1)

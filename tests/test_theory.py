@@ -430,15 +430,6 @@ def test_sigma_sweep_flags_gen_floor_binding():
     assert 0 not in sweep.excluded
 
 
-@pytest.mark.parametrize("period", [0, 7])
-@pytest.mark.parametrize("sweep", [soc_sweep, sigma_sweep])
-def test_sweeps_refuse_period_outside_horizon(sweep, period):
-    """Period 0 would read period T, and T + 1 would index past the end."""
-    system = synth_test_system(horizon=6)
-    with pytest.raises(DomainError, match="period must lie in 1..6"):
-        sweep(system, [0.5, 1.0], period=period)
-
-
 def test_ideal_storage_slope_gap_ideal_storage():
     system = small_system(fit_degree=3, eta=1.0, marginal_cost=0.0)
     grid = np.linspace(0.1, 0.9, 5) * system.storage.e_max
