@@ -16,24 +16,28 @@ perturbed KKT system.  Every step is tried in full and halved only while
 it leaves the interior or grows the residual merit more than tenfold (the
 step tracks the central path rather than descending the residual norm).
 A final active-set polish re-solves the equality-constrained KKT system
-and pushes residuals toward machine precision; it factors again only when
-the Hessian's values change, so a quadratic objective is factored once per
-active set.
+and pushes residuals toward machine precision.  Its search for the active
+set decides each round from one Newton step, and only the round that
+settles takes two more; it factors again only when the active set or the
+Hessian's values change, so a quadratic objective is factored once per
+round.
 
 Everything is sparse.  The constraint matrices are CSR arrays, and each
 Newton system is the statically regularised (quasi-definite) KKT matrix in
 CSC form, factored with ``scipy.sparse.linalg.splu`` and solved with
 iterative refinement by one routine (``_kkt_solver``).  A program declares
 the positions of its Hessian's entries once, so the sparsity pattern
-(``_KKTPattern``) is built once per solve and once per active set in the
-polish; each step refills just the values, equal bit for bit to assembling
-the matrix from sparse products and sums.  Multi-period dispatches couple
+(``_KKTPattern``) is built once per solve and once per polish, over every
+row, and each polish round restricts it to the active rows without a sort;
+each step refills just the values, equal bit for bit to assembling the
+matrix from sparse products and sums.  Multi-period dispatches couple
 periods only through the SoC recursion, so the factor stays banded and the
 cost grows about linearly with the horizon.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -165,6 +169,8 @@ class SolveResult:
     residuals: dict
     objective: float
     iterations: int
+    polish_rounds: int = 0      # active-set rounds of the polish, 0 when none ran
+    polished: bool = False      # the polished iterate was accepted
 
     @property
     def max_residual(self):
@@ -210,7 +216,9 @@ class _KKTPattern:
 
     built once from the structure of H (its entries' positions ``hess_rows``
     and ``hess_cols``), G and B.  Each Newton step then only refills one data
-    vector (``fill``) in the pattern's order.
+    vector (``fill``) in the pattern's order.  The polish builds one pattern
+    over B = [A; G] and takes the pattern of each active set's rows from it
+    (``restrict``).
 
     The values are those that assembling the matrix from scipy.sparse
     operations gives, bit for bit, so ``splu`` sees the same matrix and
@@ -248,7 +256,7 @@ class _KKTPattern:
         self.diag = np.searchsorted(self.keys, np.arange(N, dtype=np.int64) * (N + 1))
         self.b_pos = np.searchsorted(self.keys, bcol * N + n + brow)
         self.bt_pos = np.searchsorted(self.keys, (n + brow) * N + bcol)
-        self.b_data = Bc.data
+        self.b_data, self.b_row = Bc.data, brow
         self.pair_pos = None if pair_keys is None else np.searchsorted(self.keys, pair_keys)
         # H's entries in the pattern, and its distinct entries in CSR order
         # with the start of each row, for the row sums of |H|
@@ -257,6 +265,36 @@ class _KKTPattern:
         self.h_csr = distinct[np.lexsort((self.keys[distinct] // N, self.rows[distinct]))]
         csr_rows = self.rows[self.h_csr]
         self.h_starts = np.flatnonzero(np.r_[True, csr_rows[1:] != csr_rows[:-1]])
+
+    def restrict(self, keep):
+        """The pattern with only the rows of B that the mask ``keep`` marks,
+        equal entry for entry to the one built from those rows.
+
+        Dropping a row of B drops its entries, its transpose's and its
+        diagonal, and renumbers the later rows.  The renumbering keeps the
+        order of the remaining keys, so they need no sort, and every
+        position into the pattern maps through the count of kept entries
+        before it.
+        """
+        n, N = self.n, self.N
+        kept = np.concatenate([np.ones(n, dtype=bool), keep])
+        index = np.cumsum(kept) - 1
+        cols = self.keys // N
+        entries = kept[self.rows] & kept[cols]
+        position = np.cumsum(entries) - 1
+        b_kept = keep[self.b_row]
+        out = copy.copy(self)
+        out.N = N = n + int(np.count_nonzero(keep))
+        out.keys = index[cols[entries]] * N + index[self.rows[entries]]
+        out.rows = index[self.rows[entries]].astype(np.int32)
+        out.indptr = np.searchsorted(out.keys, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
+        out.top_left = self.top_left[entries]
+        out.diag = position[self.diag[kept]]
+        out.b_pos, out.bt_pos = position[self.b_pos[b_kept]], position[self.bt_pos[b_kept]]
+        out.b_data, out.b_row = self.b_data[b_kept], index[n + self.b_row[b_kept]] - n
+        out.pair_pos = None if self.pair_pos is None else position[self.pair_pos]
+        out.h_pos, out.h_csr = position[self.h_pos], position[self.h_csr]
+        return out
 
     def hessian(self, values):
         """H's values scattered into the pattern (duplicates summed) and the
@@ -358,17 +396,19 @@ def _min_norm_point(A, b):
     return x if np.all(np.isfinite(x)) else None
 
 
-def _polish_solve(prog, x0, active, start):
-    """Newton on the equality-constrained KKT system of a fixed active set.
+def _polish_solve(prog, pattern, x0, active, start):
+    """Newton steps on the equality-constrained KKT system of a fixed active
+    set, from ``x0``: yields (x, y, z of the active rows) after each of three
+    steps, or None and stops when a factorisation or a solve fails.
 
-    ``start`` holds the Hessian values and the gradient at ``x0``.  A round
-    whose Hessian values equal the factored ones, as a quadratic objective's
-    always do, reuses the factorisation.
+    ``pattern`` is the polish's pattern over [A; G], restricted here to
+    [A; G[active]], and ``start`` holds the Hessian values and the gradient
+    at ``x0``.  A step whose Hessian values equal the factored ones, as a
+    quadratic objective's always do, reuses the factorisation.
     """
-    B = sp.vstack([prog.A, prog.G[active]], format="csr")
-    ha = prog.h[active]
     n, p = prog.n, prog.A.shape[0]
-    pattern = _KKTPattern(n, B, hess_rows=prog.hess_rows, hess_cols=prog.hess_cols)
+    pattern = pattern.restrict(np.concatenate([np.ones(p, dtype=bool), active]))
+    rhs = np.concatenate([prog.b, prog.h[active]])
     xx = x0.copy()
     H, gx = start
     factored = None     # the Hessian values ``solve`` factors
@@ -385,24 +425,29 @@ def _polish_solve(prog, x0, active, start):
             solve = _kkt_solver(pattern, pattern.fill(hv, reg=1e-14 * scale, delta=1e-13),
                                 pattern.fill(hv), rounds=3)
             if solve is None:
-                return None
-        sol = solve(np.concatenate([-gx, np.concatenate([prog.b, ha]) - B @ xx]))
+                yield None
+                return
+        sol = solve(np.concatenate([-gx, rhs - np.concatenate([prog.A @ xx, (prog.G @ xx)[active]])]))
         if not np.all(np.isfinite(sol)):
-            return None
+            yield None
+            return
         xx = xx + sol[:n]
-        yy = sol[n : n + p]
-        za = sol[n + p :]
-    return xx, yy, za
+        yield xx, sol[n : n + p], sol[n + p :]
 
 
 def _polish(prog, x, y, z, s, tol):
     """Active-set refinement from a near-optimal interior-point iterate.
 
-    Starts from a complementarity-based guess and iterates: solve the
-    equality-constrained KKT system, drop rows with negative multipliers,
-    add rows the candidate violates.  Degenerate faces leave weakly-active
-    rows with near-zero multipliers, which is fine.  Returns an improved
-    iterate or None when no consistent active set is found.
+    Starts from a complementarity-based guess and searches: a round takes one
+    Newton step from x on the active set's equality-constrained KKT system,
+    drops the rows with negative multipliers and adds the rows the step
+    violates.  A round that changes nothing takes two more steps of the same
+    Newton run and checks the three-step iterate the same way; if that asks
+    for a change too, the search goes on, for at most 8 rounds.  Degenerate
+    faces leave weakly-active rows with near-zero multipliers, which is fine.
+    Every round restricts one pattern over [A; G], built once per polish.
+    Returns (improved iterate or None when no consistent active set is
+    found, rounds taken).
 
     A row is dropped as soon as its multiplier is negative beyond rounding.
     Linearly dependent active rows (kappa_phi_lo and kappa_psi_hi are tied
@@ -412,31 +457,39 @@ def _polish(prog, x, y, z, s, tol):
     """
     m = prog.h.size
     start = (prog.hess(x), prog.grad(x))
+    pattern = _KKTPattern(prog.n, sp.vstack([prog.A, prog.G], format="csr"),
+                          hess_rows=prog.hess_rows, hess_cols=prog.hess_cols)
     scale_h = 1.0 + np.abs(prog.h)
     active = (z > s) | (s <= 1e3 * tol * scale_h)
-    for _ in range(8):
-        out = _polish_solve(prog, x, active, start)
+
+    def flips(out):
+        """The rows an iterate adds to or drops from the active set."""
+        xx, _, za = out
+        flip = (prog.G @ xx - prog.h > 10 * tol * scale_h) & ~active
+        flip[active] = za < -1e-12
+        return flip
+
+    for rounds in range(1, 9):
+        steps = _polish_solve(prog, pattern, x, active, start)
+        out = next(steps)
+        if out is not None and not flips(out).any():
+            *_, out = steps     # steps 2 and 3 of the same Newton run
         if out is None:
-            return None
-        xx, yy, za = out
-        viol = prog.G @ xx - prog.h
-        add = (viol > 10 * tol * scale_h) & ~active
-        drop = np.zeros(m, dtype=bool)
-        drop[active] = za < -1e-12
-        if not np.any(add) and not np.any(drop):
+            return None, rounds
+        flip = flips(out)
+        if not flip.any():
             break
-        active = (active | add) & ~drop
+        active = active ^ flip
     else:
-        return None
-    if np.any(za < -10 * tol):
-        return None
+        return None, rounds
+    xx, yy, za = out
     zz = np.zeros(m)
     zz[active] = np.maximum(za, 0.0)
     ss = prog.h - prog.G @ xx
     if np.any(ss < -10 * tol):
-        return None
+        return None, rounds
     ss = np.maximum(ss, 0.0)
-    return xx, yy, zz, ss
+    return (xx, yy, zz, ss), rounds
 
 
 def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
@@ -577,12 +630,13 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
     # Active-set polish from any near-optimal iterate: re-solving the
     # equality-constrained KKT system sidesteps the ill-conditioning of the
     # barrier system at small mu.
+    polish_rounds, polished = 0, False
     if status in (OPTIMAL, ITER_LIMIT) and best is not None and best[0] <= np.sqrt(tol):
-        polished = _polish(prog, x, y, z, s, tol)
-        if polished is not None:
-            r_new = _report(prog, AT, GT, *polished)
+        candidate, polish_rounds = _polish(prog, x, y, z, s, tol)
+        if candidate is not None:
+            r_new = _report(prog, AT, GT, *candidate)
             if max(r_new.values()) < max(report.values()):
-                (x, y, z, s), report = polished, r_new
+                (x, y, z, s), report, polished = candidate, r_new, True
                 objective = float(prog.value(x))
         if max(report.values()) <= tol:
             status = OPTIMAL
@@ -599,6 +653,7 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
     return SolveResult(
         x=x, eq_duals=y, ineq_duals=z, slacks=s, status=status,
         residuals=report, objective=objective, iterations=it,
+        polish_rounds=polish_rounds, polished=polished,
     )
 
 

@@ -8,6 +8,8 @@ import pytest
 import scipy.sparse.linalg
 
 from storage_pricer import solver
+from storage_pricer.baseline import deterministic_variant
+from storage_pricer.dispatch import build_dispatch
 from storage_pricer.errors import DomainError
 from storage_pricer.solver import (
     INFEASIBLE,
@@ -21,6 +23,7 @@ from storage_pricer.solver import (
     solve_convex,
     verify_kkt,
 )
+from storage_pricer.scenarios import sample_net_load, synth_test_system
 
 
 def solve_qp(Q, c, **kw):
@@ -296,13 +299,19 @@ def test_quartic_objective_damped_newton():
     assert res.max_residual <= 1e-8
 
 
+def polish_pattern(prog):
+    """The polish's pattern over [A; G], as ``_polish`` builds it."""
+    return solver._KKTPattern(prog.n, scipy.sparse.vstack([prog.A, prog.G], format="csr"),
+                              hess_rows=prog.hess_rows, hess_cols=prog.hess_cols)
+
+
 @pytest.mark.parametrize("make, active, x0, factorisations", [
-    # a QP's Hessian never changes: one factorisation serves all three rounds
+    # a QP's Hessian never changes: one factorisation serves all three steps
     (lambda: quadratic_program(np.array([[2.0]]), np.array([0.0]), G=[[-1.0]], h=[-1.0]),
      [True], 3.0, 1),
-    # without the bound, x moves every round and so does the quartic's Hessian
+    # without the bound, x moves every step and so does the quartic's Hessian
     (quartic_program, [False], 0.0, 3),
-    # on the bound, the first round lands on x = 1 and the last one reuses
+    # on the bound, the first step lands on x = 1 and the last one reuses
     # the second's factorisation
     (quartic_program, [True], 0.5, 2),
 ], ids=["qp", "quartic-free", "quartic-on-bound"])
@@ -312,9 +321,81 @@ def test_polish_factors_again_only_when_the_hessian_changes(monkeypatch, make, a
     calls = []
     factor = solver._factor
     monkeypatch.setattr(solver, "_factor", lambda K: calls.append(K.shape) or factor(K))
-    out = solver._polish_solve(prog, x, np.array(active), (prog.hess(x), prog.grad(x)))
-    assert out is not None
+    steps = list(solver._polish_solve(prog, polish_pattern(prog), x, np.array(active),
+                                      (prog.hess(x), prog.grad(x))))
+    assert len(steps) == 3 and None not in steps
     assert len(calls) == factorisations
+
+
+def count_in_polish(monkeypatch):
+    """Count, per ``_polish`` call, its factorisations and the patterns it
+    builds; returns the list the counts go to."""
+    counts, current = [], {"factors": 0, "patterns": 0}
+    factor, init, polish = solver._factor, solver._KKTPattern.__init__, solver._polish
+
+    def counting_factor(K):
+        current["factors"] += 1
+        return factor(K)
+
+    def counting_init(self, *args, **kwargs):
+        current["patterns"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_polish(*args, **kwargs):
+        current.update(factors=0, patterns=0)
+        out = polish(*args, **kwargs)
+        counts.append(dict(current))
+        return out
+
+    monkeypatch.setattr(solver, "_factor", counting_factor)
+    monkeypatch.setattr(solver._KKTPattern, "__init__", counting_init)
+    monkeypatch.setattr(solver, "_polish", counting_polish)
+    return counts
+
+
+def test_polish_factors_once_per_search_round(monkeypatch):
+    """A cubic T=6 dispatch polishes in r = 2 rounds.  Each search round
+    factors once, at the start point, and the round that settles takes two
+    more steps of the same Newton run: r + 2 factorisations, not the 3r of
+    three full steps per round, on one pattern whatever r is."""
+    program = build_dispatch(synth_test_system(horizon=6, fit_degree=3)).program
+    counts = count_in_polish(monkeypatch)
+    res = solve_convex(program)
+    assert res.status == OPTIMAL and res.polished
+    rounds = res.polish_rounds
+    assert rounds > 1
+    assert counts == [{"factors": rounds + 2, "patterns": 1}]
+
+
+@pytest.mark.parametrize("scenarios, seed, rounds, polished", [
+    (None, None, 2, True),      # one T=24 dispatch
+    (4, 2, 6, True),            # a stack that polishes after 6 rounds
+    (2, 2, 8, False),           # a stack whose search gives up after 8
+], ids=["dispatch", "stack-polished", "stack-gives-up"])
+def test_solve_result_reports_polish_outcome(monkeypatch, scenarios, seed, rounds, polished):
+    """The cubic default system (T=24) alone and as stacked price scenarios.
+    An accepted polish ends at rounding level; a rejected one returns the
+    interior-point iterate, still within tolerance.  Whatever the number of
+    rounds, the polish builds one pattern."""
+    system = synth_test_system(fit_degree=3)
+    if scenarios is None:
+        program = build_dispatch(system).program
+    else:
+        draws = np.clip(sample_net_load(system.net_load, scenarios, seed), system.g_min, system.g_max)
+        program = build_dispatch(deterministic_variant(system, draws[0]), loads=draws).program
+    counts = count_in_polish(monkeypatch)
+    res = solve_convex(program)
+    assert res.status == OPTIMAL
+    assert (res.polish_rounds, res.polished) == (rounds, polished)
+    assert (res.max_residual <= 1e-10) == polished
+    assert [count["patterns"] for count in counts] == [1]
+
+
+def test_solve_result_reports_no_polish_when_none_ran():
+    """An infeasible program never gets near optimal, so nothing is polished."""
+    res = solve_qp(np.eye(1), np.zeros(1), G=[[1.0], [-1.0]], h=[-1.0, -1.0])
+    assert res.status == INFEASIBLE
+    assert (res.polish_rounds, res.polished) == (0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ scipy.sparse block assembly.
 ``dense_solve_convex`` below is the dense interior-point solver the sparse
 path replaced, kept here as the reference: the same Mehrotra iteration, the
 same regularisations and the same polish, with dense LU factors, a dense
-``lstsq`` start point and ``G^T W G`` formed densely.  Its polish drops
+``lstsq`` start point and ``G^T W G`` formed densely.  Its polish searches
+the active set with the solver's rounds, one Newton step each, and drops
 active rows whose multiplier is negative beyond rounding, like the solver's.
 
 ``block_kkt`` and ``block_ipm_kkt`` assemble the KKT matrices the way the
@@ -24,7 +25,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storage_pricer.dispatch import _extract_solution, build_dispatch, solve_dispatch
@@ -106,9 +107,11 @@ def _step_to_boundary(v, dv):
 
 
 def _polish_solve(prog, x0, active):
+    """Yields (x, y, z of the active rows) after each of three Newton steps
+    from x0, or None and stops when a factorisation fails."""
     Ga, ha = prog.G[active], prog.h[active]
     n, p, ka = prog.n, prog.A.shape[0], int(np.sum(active))
-    xx, yy, za = x0.copy(), np.zeros(p), np.zeros(ka)
+    xx = x0.copy()
     for _ in range(3):
         H = prog.hess(xx)
         K0 = np.zeros((n + p + ka, n + p + ka))
@@ -123,38 +126,48 @@ def _polish_solve(prog, x0, active):
         rhs = np.concatenate([-prog.grad(xx), prog.b - prog.A @ xx, ha - Ga @ xx])
         lu = _lu_factor(K)
         if lu is None:
-            return None
+            yield None
+            return
         sol = scipy.linalg.lu_solve(lu, rhs)
         for _ in range(3):
             sol += scipy.linalg.lu_solve(lu, rhs - K0 @ sol)
         if not np.all(np.isfinite(sol)):
-            return None
-        xx, yy, za = xx + sol[:n], sol[n:n + p], sol[n + p:]
-    return xx, yy, za
+            yield None
+            return
+        xx = xx + sol[:n]
+        yield xx, sol[n:n + p], sol[n + p:]
 
 
 def _polish(prog, x, z, s, tol):
+    """The solver's search: a round decides from one Newton step, and a
+    round that changes nothing finishes the run and checks its last step."""
     m = prog.h.size
     if m == 0:
-        out = _polish_solve(prog, x, np.zeros(0, dtype=bool))
+        *_, out = _polish_solve(prog, x, np.zeros(0, dtype=bool))
         return None if out is None else (out[0], out[1], np.zeros(0), np.zeros(0))
     scale_h = 1.0 + np.abs(prog.h)
     active = (z > s) | (s <= 1e3 * tol * scale_h)
+
+    def flips(out):
+        xx, _, za = out
+        flip = (prog.G @ xx - prog.h > 10 * tol * scale_h) & ~active
+        flip[active] = za < -1e-12
+        return flip
+
     for _ in range(8):
-        out = _polish_solve(prog, x, active)
+        steps = _polish_solve(prog, x, active)
+        out = next(steps)
+        if out is not None and not flips(out).any():
+            *_, out = steps
         if out is None:
             return None
-        xx, yy, za = out
-        add = (prog.G @ xx - prog.h > 10 * tol * scale_h) & ~active
-        drop = np.zeros(m, dtype=bool)
-        drop[active] = za < -1e-12
-        if not np.any(add) and not np.any(drop):
+        flip = flips(out)
+        if not flip.any():
             break
-        active = (active | add) & ~drop
+        active = active ^ flip
     else:
         return None
-    if za.size and np.min(za) < -10 * tol:
-        return None
+    xx, yy, za = out
     zz = np.zeros(m)
     zz[active] = np.maximum(za, 0.0)
     ss = prog.h - prog.G @ xx
@@ -566,6 +579,38 @@ def test_refilled_kkt_equals_block_assembly(seed, n, p, m, g_rows):
     eye = scipy.sparse.eye_array(n, format="csr")
     assert np.array_equal(start.matrix(start.fill(reg=1.0)).toarray(), block_kkt(eye, A, 0.0).toarray())
     assert_same_matrix(start.matrix(start.fill(reg=1.0, delta=1e-12)), block_kkt(eye, A, 1e-12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), p=st.integers(0, 5),
+       m=st.integers(0, 14), g_rows=st.sampled_from(["random", "dense", "single"]),
+       mask=st.sampled_from(["all", "none", "random"]))
+@example(seed=7, n=4, p=0, m=6, g_rows="random", mask="random")
+def test_restricted_pattern_equals_pattern_of_kept_rows(seed, n, p, m, g_rows, mask):
+    """The polish's pattern over [A; G] restricted to some rows of G is the
+    pattern built from [A; G[active]]: the same keys, rows, column starts and
+    diagonal, and bit for bit the same Hessian values and matrices, with
+    empty A, stored zeros and Hessian positions listed more than once."""
+    A, G, _, _ = refill_case(seed, n, p, m, g_rows)
+    rng = np.random.default_rng([seed, 1])
+    size = int(rng.integers(0, 3 * n + 1))
+    rows, cols = rng.integers(0, n, size), rng.integers(0, n, size)
+    rows, cols = np.append(rows, rows[:1]), np.append(cols, cols[:1])    # the first again
+    values = rng.standard_normal(rows.size) * 10.0 ** rng.uniform(-3, 3, rows.size)
+    active = {"all": np.ones(m, dtype=bool), "none": np.zeros(m, dtype=bool),
+              "random": rng.random(m) < 0.5}[mask]
+
+    full = _KKTPattern(n, scipy.sparse.vstack([A, G], format="csr"), hess_rows=rows, hess_cols=cols)
+    got = full.restrict(np.concatenate([np.ones(p, dtype=bool), active]))
+    want = _KKTPattern(n, scipy.sparse.vstack([A, G[active]], format="csr"),
+                       hess_rows=rows, hess_cols=cols)
+    for name in ("keys", "rows", "indptr", "diag"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    (hv, scale), (hv_want, scale_want) = got.hessian(values), want.hessian(values)
+    assert hv.tobytes() == hv_want.tobytes() and scale == scale_want
+    for reg, delta in ((0.0, 0.0), (1e-14 * scale, 1e-13)):
+        assert_same_matrix(got.matrix(got.fill(hv, reg=reg, delta=delta)),
+                           want.matrix(want.fill(hv_want, reg=reg, delta=delta)))
 
 
 # ---------------------------------------------------------------------------
