@@ -27,7 +27,7 @@ from .costs import (
     memoized_derivatives,
     merit_order_cost,
 )
-from .dispatch import build_dispatch, solve_dispatch
+from .dispatch import solve_dispatch
 from .errors import ConfigurationError, DomainError, SolverError
 from .reformulation import period_quantiles
 from .scenarios import sample_net_load
@@ -59,12 +59,13 @@ class PriceScenarioSet:
 
 def deterministic_variant(system, realized):
     """Same system with the forecast replaced by a realization and sigma = 0."""
-    net = dataclasses.replace(
-        system.net_load,
-        forecast=tuple(float(v) for v in realized),
-        sigma=tuple(0.0 for _ in realized),
-    )
-    return dataclasses.replace(system, net_load=net)
+    return system.with_forecast(realized).with_sigma_scale(0.0)
+
+
+def _failure(solutions):
+    """The first failure among ``solutions``: a status, or ``audit_failed``."""
+    return next((s.status if s.status != OPTIMAL else "audit_failed" for s in solutions
+                 if s.status != OPTIMAL or not s.equilibrium["ok"]), None)
 
 
 def simulate_price_scenarios(system, n_scenarios, seed):
@@ -77,7 +78,7 @@ def simulate_price_scenarios(system, n_scenarios, seed):
     solved at a time as one block-diagonal program.  The copies of a stack
     share one barrier parameter, and a copy that converges more slowly than
     the rest can hold the stack just above tolerance; the scenarios of a
-    stack that ends non-optimal are solved again one by one.
+    stack that ends non-optimal or fails an audit are solved again one by one.
     """
     if n_scenarios < 1:
         raise DomainError(f"need n >= 1 scenarios, got {n_scenarios}")
@@ -89,30 +90,21 @@ def simulate_price_scenarios(system, n_scenarios, seed):
 
     variant = deterministic_variant(system, draws[0])
     lam = np.empty_like(draws)
-
-    def solve(start, stop):
-        """Solve scenarios start..stop-1 as one program; their prices on success."""
-        build = build_dispatch(variant, loads=draws[start:stop])
-        # A stack that fails is solved again scenario by scenario, and those
-        # solves diagnose infeasibility, so a stack skips the phase-1 program
-        # (which on a stack of 25 takes 0.5 s and 100 MB).
-        result = solve_convex(build.program, _diagnose=stop - start == 1)
-        if result.status == OPTIMAL:
-            lam[start:stop] = -result.eq_duals.reshape(stop - start, -1)[:, build.eq_rows["balance"][1]]
-        return result.status
-
     for start in range(0, n_scenarios, PRICE_STACK):
         stop = min(start + PRICE_STACK, n_scenarios)
-        status = solve(start, stop)
-        if status == OPTIMAL:
-            continue
-        if stop - start == 1:
-            raise SolverError(f"price scenario {start} failed: {status}", status=status)
-        for i in range(start, stop):
-            alone = solve(i, i + 1)
-            if alone != OPTIMAL:
-                raise SolverError(f"price scenarios {start}–{stop - 1} failed: {status}; "
-                                  f"scenario {i} alone: {alone}", status=alone)
+        stack = solve_dispatch(variant, loads=draws[start:stop])
+        status = _failure(stack)
+        if status:
+            if stop - start == 1:
+                raise SolverError(f"price scenario {start} failed: {status}", status=status)
+            stack = []
+            for i in range(start, stop):
+                stack += solve_dispatch(variant, loads=draws[i:i + 1])
+                alone = _failure(stack[-1:])
+                if alone:
+                    raise SolverError(f"price scenarios {start}–{stop - 1} failed: {status}; "
+                                      f"scenario {i} alone: {alone}", status=alone)
+        lam[start:stop] = [solution.lam for solution in stack]
     return PriceScenarioSet(lam=lam, clipped=clipped)
 
 
@@ -405,6 +397,8 @@ def clear_with_bids(system, bids):
 def comparison_system(system, retire_frac=0.0):
     """The common footing for the comparison: storage reserve excluded and
     an optional fraction of the fleet retired (capacity scaling)."""
+    if not 0.0 <= retire_frac < 1.0:
+        raise DomainError(f"retire_frac must lie in [0, 1), got {retire_frac}")
     fleet = system.fleet.scaled(1.0 - retire_frac) if retire_frac else system.fleet
     poly = system.poly
     g_max = min(system.g_max, fleet.total_capacity)

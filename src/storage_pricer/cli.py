@@ -39,9 +39,14 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_THEORY = 3
 
-# Defaults of the synthetic system's flags; a CSV source refuses any other value.
+# Defaults of the synthetic system's flags; a CSV source refuses any other
+# value of the first two.
 HORIZON = 24
 RENEWABLE_RATIO = 0.3
+STORAGE_RATIO = 0.2
+# The ratio each capacity sweep sets at every point, and its flag's default.
+SWEPT_RATIOS = {"storage-capacity": ("storage_ratio", STORAGE_RATIO),
+                "renewable": ("renewable_ratio", RENEWABLE_RATIO)}
 # The seed picks the synthetic fleet, and these commands also sample with it;
 # with a CSV source the others refuse any seed but the default.
 SEED = 0
@@ -70,7 +75,7 @@ def _add_common(parser):
     parser.add_argument("--load-csv", default=None)
     parser.add_argument("--errors-csv", default=None)
     parser.add_argument("--fit-degree", type=int, default=2)
-    parser.add_argument("--storage-ratio", type=float, default=0.2)
+    parser.add_argument("--storage-ratio", type=float, default=STORAGE_RATIO)
     parser.add_argument("--renewable-ratio", type=float, default=RENEWABLE_RATIO)
     parser.add_argument("--no-storage-reserve", action="store_true",
                         help="assign the whole reserve to the generator")
@@ -355,11 +360,18 @@ def _cmd_compare(args, outdir):
 
 
 def _cmd_sweep(args, outdir):
-    if args.axis in ("storage-capacity", "renewable") and any(
-            (args.fleet_csv, args.load_csv, args.errors_csv)):
-        raise ConfigurationError(
-            f"sweep --axis {args.axis} synthesises a system at every point; "
-            "it takes --synthetic, not a CSV source")
+    if args.points < 1:
+        raise ConfigurationError(f"--points {args.points}: a sweep needs at least one point")
+    if args.axis in SWEPT_RATIOS:
+        if any((args.fleet_csv, args.load_csv, args.errors_csv)):
+            raise ConfigurationError(
+                f"sweep --axis {args.axis} synthesises a system at every point; "
+                "it takes --synthetic, not a CSV source")
+        key, default = SWEPT_RATIOS[args.axis]
+        if getattr(args, key) != default:
+            flag = "--" + key.replace("_", "-")
+            raise ConfigurationError(
+                f"{flag} {getattr(args, key)}: sweep --axis {args.axis} sets {flag} at every point")
     system = _system_from_args(args)
     if args.axis in ("soc", "sigma"):
         _require_storage(system, f"sweep --axis {args.axis}")
@@ -371,7 +383,6 @@ def _cmd_sweep(args, outdir):
         rows = [[*(f"{v:.10g}" for v in values), label, sweep.verdict] for *values, label in zip(
             sweep.axis, sweep.theta, sweep.sup_theta, sweep.inf_theta, sweep.case_labels)]
     else:
-        key = "storage_ratio" if args.axis == "storage-capacity" else "renewable_ratio"
         header = ["axis_value", "mean_lambda", "mean_theta", "total_reserve_cost", "system_cost"]
         rows = []
         for v in np.linspace(0.1, 0.9, args.points):

@@ -18,6 +18,9 @@ from .distributions import ErrorMoments, gaussian_raw_moment
 from .errors import DomainError, UnsupportedDegreeError
 
 MAX_DEGREE = 4
+# Points of g in the convexity gate's grid, and of the merit-curve fit.
+GATE_G_POINTS = 15
+FIT_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -225,14 +228,15 @@ def expected_storage_cost(storage, p, psi, mu):
     return storage.marginal_cost * (p + psi * mu)
 
 
-def check_expected_cost_convexity(table, g_lo, g_hi, n_grid=15):
+def check_expected_cost_convexity(table, g_lo, g_hi):
     """Convexity gate: Hessian of E[G] PSD over a (g, phi) grid for each
-    period of an ``expected_cost_table``.
+    period of an ``expected_cost_table``: ``GATE_G_POINTS`` values of g
+    spanning [g_lo, g_hi] by 7 values of phi spanning [0, 1].
 
     Raises DomainError at the first failing point (period, then g, then phi);
     dispatch refuses such polynomials.
     """
-    g = np.linspace(g_lo, g_hi, n_grid)[:, None, None]
+    g = np.linspace(g_lo, g_hi, GATE_G_POINTS)[:, None, None]
     phi = np.linspace(0.0, 1.0, 7)[None, :, None]
     *_, dgg, dgp, dpp = expected_cost_derivatives(table, g, phi)
     tr = dgg + dpp
@@ -282,10 +286,10 @@ def merit_order_cost(fleet, q):
     return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
 
-def fit_polynomial_to_merit_curve(fleet, degree, n_grid=200, domain=None):
+def fit_polynomial_to_merit_curve(fleet, degree, domain=None):
     """Least-squares polynomial fit of the cumulative merit cost curve.
 
-    Uniform ``n_grid``-point grid over [0, total capacity].  ``domain``
+    Uniform ``FIT_POINTS``-point grid over [0, total capacity].  ``domain``
     declares the operating range the fit must be valid on (marginal cost
     nonnegative); it defaults to the full [0, capacity] span.  The fitted
     polynomial carries the achieved RMSE.
@@ -295,7 +299,7 @@ def fit_polynomial_to_merit_curve(fleet, degree, n_grid=200, domain=None):
     cap = fleet.total_capacity
     if cap <= 0:
         raise DomainError("degenerate fleet with zero capacity")
-    grid = np.linspace(0.0, cap, n_grid)
+    grid = np.linspace(0.0, cap, FIT_POINTS)
     y = merit_order_cost(fleet, grid)
     # Vandermonde least squares in a scaled variable for conditioning.
     scale = cap

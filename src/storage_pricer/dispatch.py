@@ -79,6 +79,9 @@ class SystemSpec:
             raise DomainError(
                 f"forecast length {len(self.net_load.forecast)} != horizon {self.horizon}")
 
+    def with_forecast(self, load):
+        return replace(self, net_load=replace(self.net_load, forecast=tuple(load)))
+
     def with_initial_soc(self, e_init):
         return replace(self, storage=replace(self.storage, e_init=float(e_init)))
 
@@ -111,7 +114,7 @@ class DispatchBuild:
 
     program: ConvexProgram
     layout: VariableLayout
-    system: SystemSpec
+    systems: tuple         # one per copy, each with its own load as forecast
     quantiles: PeriodQuantiles
     eq_rows: dict          # assemble_rows' row index of one copy's rows
     ineq_rows: dict
@@ -311,51 +314,59 @@ def build_dispatch(system, loads=None):
     program = ConvexProgram(n=k * n, value=value, grad=grad, hess=hess,
                             hess_rows=h_rows, hess_cols=h_cols, A=_block_diagonal(A, k), b=b.ravel(),
                             G=_block_diagonal(G, k), h=np.tile(h, k))
-    return DispatchBuild(program=program, layout=layout, system=system,
+    return DispatchBuild(program=program, layout=layout,
+                         systems=tuple(system.with_forecast(row) for row in loads),
                          quantiles=quantiles, eq_rows=eq_rows, ineq_rows=ineq_rows,
                          pinned=pinned, table=table)
 
 
-def solve_dispatch(system):
-    """Build and solve the dispatch; extract prices and attach audit reports."""
-    build = build_dispatch(system)
-    solution = _extract_solution(build, solve_convex(build.program))
-    if solution.status == OPTIMAL:
-        solution.complementarity = check_complementarity(solution)
-        solution.equilibrium = verify_equilibrium(solution, table=build.table)
-    return solution
+def solve_dispatch(system, loads=None):
+    """Build and solve the dispatch; extract prices and attach audit reports.
+
+    ``loads`` (k rows of T net loads) solves the k copies of
+    ``build_dispatch(system, loads)`` as one program and returns a list of k
+    solutions, copy i's with ``system.with_forecast(loads[i])`` as its system.
+    """
+    build = build_dispatch(system, loads)
+    # A stack skips the phase-1 infeasibility diagnosis (0.5 s and 100 MB on
+    # a stack of 25); one-row solves, which retry a failed stack, run it.
+    result = solve_convex(build.program, _diagnose=len(build.systems) == 1)
+    solutions = [_extract_solution(build, result, i) for i in range(len(build.systems))]
+    for solution in solutions:
+        if solution.status == OPTIMAL:
+            solution.complementarity = check_complementarity(solution)
+            solution.equilibrium = verify_equilibrium(solution, table=build.table)
+    return solutions[0] if loads is None else solutions
 
 
-def _extract_solution(build, result):
-    T = build.system.horizon
-    layout = build.layout
-    has_storage = layout.has_storage
-    x = result.x
-    periods = np.arange(1, T + 1)
-
-    def series(name):
-        return x[layout.of(name, periods)]
-
-    y, eq_rows = result.eq_duals, build.eq_rows
-    g = series("g")
-    lam = -y[eq_rows["balance"][1]]
-    if has_storage:
-        p, b = series("p"), series("b")
-        phi, psi = series("phi"), series("psi")
-        e = np.concatenate([[build.system.storage.e_init], x[layout.of("e", periods + 1)]])
-        theta, pi = y[eq_rows["soc"][1]], -y[eq_rows["reserve"][1]]
+def _extract_solution(build, result, copy=0):
+    """Copy ``copy``'s solution, read from its slices of x, y and z."""
+    system = build.systems[copy]
+    storage, rows, T = system.storage, build.eq_rows, system.horizon
+    x, y, z = (v.reshape(len(build.systems), -1)[copy]
+               for v in (result.x, result.eq_duals, result.ineq_duals))
+    # the VariableLayout blocks of T columns, in the order of VARIABLES
+    blocks = x.reshape(-1, T).copy()
+    lam = -y[rows["balance"][1]]
+    if storage is not None:
+        g, p, b, phi, psi, e_next = blocks
+        e = np.concatenate([[storage.e_init], e_next])
+        theta, pi = y[rows["soc"][1]], -y[rows["reserve"][1]]
     else:
-        p = b = psi = np.zeros(T)
-        phi = np.ones(T)
-        e = np.zeros(T + 1)
-        theta, pi = np.zeros(T), np.zeros(T)
-    duals = {kind: (t.copy(), result.ineq_duals[rows]) for kind, (t, rows) in build.ineq_rows.items()}
+        g, (p, b, psi, theta, pi) = blocks[0], np.zeros((5, T))
+        phi, e = np.ones(T), np.zeros(T + 1)
+    duals = {kind: (t.copy(), z[r]) for kind, (t, r) in build.ineq_rows.items()}
+    objective = result.objective
+    if len(build.systems) > 1:   # the stack's objective sums its copies'
+        objective = float(np.sum(expected_cost_derivatives(build.table, g, phi)[0]))
+        if storage is not None:
+            objective += storage.marginal_cost * float(np.sum(p) + np.asarray(system.net_load.mu) @ psi)
 
     return DispatchSolution(
-        system=build.system, status=result.status,
+        system=system, status=result.status,
         g=g, p=p, b=b, e=e, phi=phi, psi=psi,
         lam=lam, theta=theta, pi=pi, duals=duals,
-        objective=result.objective, residuals=dict(result.residuals),
+        objective=objective, residuals=dict(result.residuals),
         quantiles=build.quantiles,
         solver_iterations=result.iterations,
         pinned=dict(build.pinned),
@@ -430,18 +441,13 @@ def verify_equilibrium(solution, table=None):
                 "psi", M * np.asarray(net.mu) - pi - a_hi * q.power.d_hat + be_hi * q.power.d_tilde
                 + i_lo * q.soc.d_tilde / eta - i_hi * q.soc.d_hat * eta + k_psi)
 
-    threshold = 10 * max(1e-8, solution_res_floor(solution))
+    threshold = 10 * max(1e-8, solution.residuals.get("stationarity", 0.0),
+                         solution.residuals.get("primal_eq", 0.0))
     report = {"rows": rows, "threshold": threshold, "passes": {}, "max_residual": 0.0}
     for name, arr in rows.items():
-        finite = np.asarray(arr)[~np.isnan(np.asarray(arr))]
-        worst = float(np.max(np.abs(finite))) if finite.size else 0.0
+        worst = float(np.nanmax(np.abs(arr), initial=0.0))
         report["passes"][name] = worst <= threshold
         report["max_residual"] = max(report["max_residual"], worst)
     report["ok"] = all(report["passes"].values())
     return report
-
-
-def solution_res_floor(solution):
-    return max(solution.residuals.get("stationarity", 0.0),
-               solution.residuals.get("primal_eq", 0.0))
 

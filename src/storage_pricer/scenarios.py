@@ -31,6 +31,9 @@ _DIURNAL = np.array([
 ])
 _DIURNAL = _DIURNAL / _DIURNAL.mean()
 
+# Marginal costs ($/MWh) of the cheapest and the dearest synthetic unit.
+MC_LO, MC_HI = 10.0, 120.0
+
 
 @dataclass(frozen=True)
 class NetLoadModel:
@@ -74,8 +77,9 @@ def diurnal_profile(horizon):
     return prof / prof.mean()
 
 
-def synth_fleet(n_gens, total_cap_mw, seed, mc_lo=10.0, mc_hi=120.0):
-    """Merit-ordered synthetic fleet with log-spaced marginal costs.
+def synth_fleet(n_gens, total_cap_mw, seed):
+    """Merit-ordered synthetic fleet with marginal costs log-spaced from
+    ``MC_LO`` to ``MC_HI``.
 
     The log spacing makes the cumulative cost curve convex and roughly
     super-quadratic; segment quadratic terms fill half of each cost gap so
@@ -84,7 +88,7 @@ def synth_fleet(n_gens, total_cap_mw, seed, mc_lo=10.0, mc_hi=120.0):
     rng = np.random.default_rng([seed, 101])
     weights = rng.dirichlet(np.full(n_gens, 50.0))
     caps = total_cap_mw * weights
-    c1 = mc_lo * (mc_hi / mc_lo) ** (np.arange(n_gens) / max(n_gens - 1, 1))
+    c1 = MC_LO * (MC_HI / MC_LO) ** (np.arange(n_gens) / max(n_gens - 1, 1))
     gaps = np.diff(c1, append=c1[-1] + (c1[-1] - c1[-2] if n_gens > 1 else 1.0))
     segments = tuple(
         Segment(capacity=float(caps[i]), c0=0.0, c1=float(c1[i]),

@@ -33,6 +33,11 @@ IDLE = "idle"
 # order of the integer codes the classification computes.
 CASES = ("idle", "charge_interior", "charge_at_power_cap", "discharge_interior", "discharge_at_power_cap")
 
+# Relative tolerance of the coupling point formulas and one-sided bounds, and
+# the relative padding of the idle interval.
+COUPLING_REL_TOL = 1e-4
+IDLE_INTERVAL_PAD = 1e-6
+
 
 @dataclass(frozen=True)
 class CouplingResult:
@@ -193,16 +198,17 @@ def effective_reserve_prices(solution):
     return solution.pi - solution.dual("kappa_psi_hi") + solution.dual("kappa_psi_lo")
 
 
-def verify_price_coupling(solution, rel_tol=1e-4, interval_inflation=1e-6):
+def verify_price_coupling(solution):
     """Check periods 2..T of a solved dispatch against the coupling relations.
 
     Interior charging/discharging periods must match the point formulas to
-    ``rel_tol`` relative; idle periods must fall in the interval; power-
-    binding periods must respect the one-sided sup/inf bound.  Returns
-    arrays over periods 2..T (``t``, ``case``, ``theta_prev``, the discharge
-    and charge formulas ``lo`` and ``hi``, ``rel_error``, ``passed`` and
-    ``skipped``, where a zero SoC quantile leaves NaN bounds and no pass),
-    and ``ok`` and ``worst_rel_error`` over the periods not skipped.
+    ``COUPLING_REL_TOL`` relative; idle periods must fall in the interval
+    padded by ``IDLE_INTERVAL_PAD`` relative; power-binding periods must
+    respect the one-sided sup/inf bound.  Returns arrays over periods 2..T
+    (``t``, ``case``, ``theta_prev``, the discharge and charge formulas
+    ``lo`` and ``hi``, ``rel_error``, ``passed`` and ``skipped``, where a
+    zero SoC quantile leaves NaN bounds and no pass), and ``ok`` and
+    ``worst_rel_error`` over the periods not skipped.
     """
     system = solution.system
     st = system.storage
@@ -218,10 +224,11 @@ def verify_price_coupling(solution, rel_tol=1e-4, interval_inflation=1e-6):
     lo, hi = _discharge_expr(*prices), _charge_expr(*prices)
     scale = np.maximum(1.0, np.abs(theta_prev))
     below, above = lo - theta_prev, theta_prev - hi
-    pad = interval_inflation * scale
+    pad = IDLE_INTERVAL_PAD * scale
     # choices in the order of CASES
     rel_error = np.choose(codes, [np.maximum(0.0, np.maximum(below, above)), np.abs(above),
                                   np.maximum(0.0, below), np.abs(below), np.maximum(0.0, above)]) / scale
+    rel_tol = COUPLING_REL_TOL
     passed = np.choose(codes, [(lo - pad <= theta_prev) & (theta_prev <= hi + pad), rel_error <= rel_tol,
                                theta_prev >= lo - rel_tol * scale, rel_error <= rel_tol,
                                theta_prev <= hi + rel_tol * scale])
@@ -289,6 +296,14 @@ def _sweep(grid, variant, label, increasing, nu_threshold=None):
     )
 
 
+def _sweep_grid(values, what):
+    """The grid values in axis order; an empty grid is refused."""
+    grid = np.asarray(sorted(float(v) for v in values))
+    if not grid.size:
+        raise DomainError(f"{what} sweep needs at least one grid point")
+    return grid
+
+
 def soc_sweep(system, soc_grid):
     """Solve the dispatch across initial-SoC values and record the
     opportunity price at period 1.
@@ -296,7 +311,7 @@ def soc_sweep(system, soc_grid):
     Grid points solve independently, in axis order.  Verdict: the theta
     sequence is non-increasing within 1e-6 * max|theta|.
     """
-    grid = np.asarray(sorted(float(v) for v in soc_grid))
+    grid = _sweep_grid(soc_grid, "SoC")
     st = system.storage
     if st is None:
         raise DomainError("SoC sweep requires storage")
@@ -315,7 +330,7 @@ def sigma_sweep(system, scale_grid, nu_threshold=1e-4):
     non-decreasing theta over the included points (constant for quadratic
     fleets, which the caller asserts separately).
     """
-    grid = np.asarray(sorted(float(v) for v in scale_grid))
+    grid = _sweep_grid(scale_grid, "sigma")
     if system.storage is None:
         raise DomainError("sigma sweep requires storage")
     if np.any(grid < 0):

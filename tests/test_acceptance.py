@@ -27,6 +27,8 @@ from storage_pricer.reformulation import QuantileTriple
 from storage_pricer.scenarios import empirical_violation_rate, synth_test_system
 from storage_pricer.solver import solve_convex, verify_kkt
 from storage_pricer.theory import (
+    COUPLING_REL_TOL,
+    IDLE_INTERVAL_PAD,
     classify_periods,
     effective_reserve_prices,
     ideal_storage_slope_gap,
@@ -273,10 +275,11 @@ def test_criterion_4_jensen_gap():
 
 def test_criterion_5_coupling_and_bounds(battery):
     entries, _ = battery
+    assert (COUPLING_REL_TOL, IDLE_INTERVAL_PAD) == (1e-4, 1e-6)
     worst_rel = 0.0
     bound_checks = 0
     for i, (system, _, _, solution) in enumerate(entries):
-        coupling = verify_price_coupling(solution, rel_tol=1e-4, interval_inflation=1e-6)
+        coupling = verify_price_coupling(solution)
         assert coupling["ok"], (
             f"system {i}: coupling failed, worst rel {coupling['worst_rel_error']:.2e}, "
             f"{coupling['t'][~(coupling['passed'] | coupling['skipped'])][:3]}")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import storage_pricer.baseline as baseline
+import storage_pricer.dispatch as dispatch
 from storage_pricer.baseline import (
     PRICE_STACK,
     BidCurve,
@@ -101,7 +102,7 @@ def test_stacked_scenarios_match_one_by_one_on_clipped_draws():
 def fail_solves(monkeypatch, failing):
     """Make the solves numbered in ``failing`` (all when None) end at the
     iteration cap; returns the list of the sizes n of the programs solved."""
-    solve, sizes = baseline.solve_convex, []
+    solve, sizes = dispatch.solve_convex, []
 
     def patched(program, **kwargs):
         result = solve(program, **kwargs)
@@ -110,15 +111,13 @@ def fail_solves(monkeypatch, failing):
             return dataclasses.replace(result, status=ITER_LIMIT)
         return result
 
-    monkeypatch.setattr(baseline, "solve_convex", patched)
+    monkeypatch.setattr(dispatch, "solve_convex", patched)
     return sizes
 
 
 def test_every_price_stack_runs_the_convexity_gate(monkeypatch):
     """Every stack's build runs the convexity gate: 2 * PRICE_STACK + 1
     scenarios make two full stacks and one of a single scenario."""
-    import storage_pricer.dispatch as dispatch
-
     gates = []
     gate = dispatch.check_expected_cost_convexity
     monkeypatch.setattr(dispatch, "check_expected_cost_convexity",
@@ -153,6 +152,33 @@ def test_failed_stack_names_its_scenarios(monkeypatch):
     with pytest.raises(SolverError, match=f"^price scenario {PRICE_STACK} failed: iter_limit$"):
         simulate_price_scenarios(system, PRICE_STACK + 1, seed=3)
     assert len(solves) == 2
+
+
+def test_stack_with_a_failed_audit_is_solved_one_by_one(monkeypatch):
+    """A copy that fails its equilibrium audit fails its stack: the stack's
+    scenarios are solved alone, as the one-by-one loop solves them, and a
+    scenario that fails its audit alone is named."""
+    system = small_system(horizon=6)
+    verify, audits = dispatch.verify_equilibrium, []
+
+    def third_fails(solution, **kwargs):
+        audits.append(verify(solution, **kwargs))
+        return {**audits[-1], "ok": False} if len(audits) == 3 else audits[-1]
+
+    monkeypatch.setattr(dispatch, "verify_equilibrium", third_fails)
+    solves = fail_solves(monkeypatch, set())
+    prices = simulate_price_scenarios(system, PRICE_STACK + 1, seed=3)
+    assert len(solves) == 2 + PRICE_STACK and solves[0] == PRICE_STACK * solves[1]
+    assert len(audits) == 2 * PRICE_STACK + 1
+    want = loop_price_scenarios(system, PRICE_STACK, seed=3)
+    assert prices.lam[:PRICE_STACK].tobytes() == want.tobytes()
+
+    monkeypatch.setattr(dispatch, "verify_equilibrium",
+                        lambda solution, **kwargs: {**verify(solution, **kwargs), "ok": False})
+    with pytest.raises(SolverError, match=f"price scenarios 0–{PRICE_STACK - 1} failed: audit_failed; "
+                                          "scenario 0 alone: audit_failed") as err:
+        simulate_price_scenarios(system, PRICE_STACK + 1, seed=3)
+    assert err.value.status == "audit_failed"
 
 
 def test_quadratic_price_mean_matches_price_at_mean_load():
@@ -601,6 +627,12 @@ def test_per_scenario_value_function_mode():
         assert vf_scen.values[t] == pytest.approx(vf_mean.values[t], abs=1e-9)
     out = compare_mechanisms(system, n_scenarios=3, seed=5, grid_size=15, price_mode="per-scenario")
     assert out["summary"]["n_scenarios"] == 3
+
+
+@pytest.mark.parametrize("frac", [-0.5, 1.0, 1.5])
+def test_comparison_system_refuses_retire_frac_outside_unit_interval(frac):
+    with pytest.raises(DomainError, match=r"retire_frac must lie in \[0, 1\)"):
+        baseline.comparison_system(small_system(horizon=6), frac)
 
 
 def test_comparison_self_deltas_zero():

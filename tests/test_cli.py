@@ -177,6 +177,39 @@ def test_sweep_synthesis_axes_pass_system_flags(tmp_path, monkeypatch, axis, swe
     assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 3
 
 
+def refused(tmp_path, capsys, args, needle):
+    """Run ``args``: exit 1 before writing any output, with ``needle`` in the
+    message on stderr and in the manifest."""
+    out = tmp_path / "refused"
+    assert run([*args, "--out", str(out)]) == 1
+    assert needle in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 1 and needle in manifest["error"]["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("axis", ["soc", "sigma", "storage-capacity", "renewable"])
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_sweep_refuses_fewer_than_one_point(tmp_path, capsys, axis, points):
+    refused(tmp_path, capsys, ["sweep", *SMALL, "--axis", axis, "--points", points],
+            f"--points {points}")
+
+
+@pytest.mark.parametrize("axis, flag", [("storage-capacity", "--storage-ratio"),
+                                        ("renewable", "--renewable-ratio")])
+def test_sweep_refuses_a_value_for_the_swept_ratio(tmp_path, capsys, axis, flag):
+    """The sweep sets the swept ratio at every point, so a value given for it
+    would be ignored."""
+    refused(tmp_path, capsys, ["sweep", *SMALL, "--axis", axis, "--points", "2", flag, "0.5"],
+            f"{flag} 0.5: sweep --axis {axis}")
+
+
+@pytest.mark.parametrize("frac", ["-0.5", "1", "1.5"])
+def test_compare_refuses_retire_frac_outside_unit_interval(tmp_path, capsys, frac):
+    refused(tmp_path, capsys, ["compare", *SMALL, "--scenarios", "3", "--retire-frac", frac],
+            "retire_frac must lie in [0, 1)")
+
+
 def test_fit_dist_command(tmp_path):
     rng = np.random.default_rng(3)
     u = rng.random(20_000)
@@ -420,11 +453,11 @@ def test_singular_kkt_exits_two(tmp_path, monkeypatch):
 def test_failed_price_stack_exits_two(tmp_path, monkeypatch, capsys):
     import dataclasses
 
-    import storage_pricer.baseline as baseline
+    import storage_pricer.dispatch as dispatch
     from storage_pricer.solver import ITER_LIMIT
 
-    solve = baseline.solve_convex
-    monkeypatch.setattr(baseline, "solve_convex", lambda program, **kw: dataclasses.replace(
+    solve = dispatch.solve_convex
+    monkeypatch.setattr(dispatch, "solve_convex", lambda program, **kw: dataclasses.replace(
         solve(program, **kw), status=ITER_LIMIT))
     code = run(["compare", *SMALL, "--scenarios", "3", "--grid-size", "15",
                 "--out", str(tmp_path / "c")])

@@ -708,6 +708,48 @@ def test_stacked_build_rejects_loads_of_another_horizon():
         build_dispatch(system, loads=np.ones((2, 4)))
 
 
+STACK_LOAD = [80.0, 140.0, 60.0, 130.0]
+
+
+@pytest.mark.parametrize("system, k", [
+    (no_storage_system(D=100.0, T=4, sigma=5.0), 3),
+    (storage_system(STACK_LOAD, sigma=3.0, eta=0.9, M=1.0), 3),
+    (storage_system(STACK_LOAD, sigma=3.0, eta=0.9, M=1.0, e_init=0.0), 3),
+    (storage_system(STACK_LOAD, sigma=3.0, eta=0.9, M=1.0, e_init=80.0), 3),
+    (storage_system(STACK_LOAD, sigma=3.0, eta=0.9, M=1.0, terminal="free"), 3),
+    (storage_system(STACK_LOAD, sigma=3.0, eta=0.9, M=1.0), 1),
+], ids=["no-storage", "storage", "empty", "full", "free-terminal", "one-row"])
+def test_stacked_solve_matches_one_solve_per_load(system, k):
+    """Each copy of a stacked solve is the deterministic dispatch of its own
+    load: its system's forecast is that load (also for one row that differs
+    from the template's forecast), it passes its own audits, and its prices
+    and schedule match one solve per load to solver tolerance (theta on the
+    periods where it is unique)."""
+    from test_sparse_kkt import unique_eq_duals
+
+    from storage_pricer.baseline import deterministic_variant
+    from storage_pricer.solver import solve_convex
+
+    loads = np.asarray(STACK_LOAD[:system.horizon]) + np.random.default_rng(k).normal(0.0, 15.0, (k, 4))
+    stack = solve_dispatch(system.with_sigma_scale(0.0), loads=loads)
+    assert len(stack) == k
+    for load, copy in zip(loads, stack):
+        alone = solve_dispatch(deterministic_variant(system, load))
+        assert copy.status == alone.status == "optimal"
+        assert copy.system.net_load.forecast == tuple(load) != system.net_load.forecast
+        assert copy.equilibrium["ok"] and copy.complementarity is not None
+        for name in ("lam", "pi", "g", "e"):
+            got, want = getattr(copy, name), getattr(alone, name)
+            assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want))), name
+        assert copy.objective == pytest.approx(alone.objective, rel=1e-8)
+        build = build_dispatch(alone.system)
+        unique = unique_eq_duals(build.program, solve_convex(build.program))
+        if system.storage is not None:
+            theta_unique = unique[build.eq_rows["soc"][1]]
+            scale = max(1.0, np.max(np.abs(alone.theta)))
+            assert np.all(np.abs(copy.theta - alone.theta)[theta_unique] <= 1e-6 * scale)
+
+
 def test_solve_builds_expected_cost_table_once(monkeypatch):
     """One table serves the convexity gate, the objective and the audit."""
     import storage_pricer.costs as costs

@@ -430,6 +430,12 @@ def test_sigma_sweep_flags_gen_floor_binding():
     assert 0 not in sweep.excluded
 
 
+@pytest.mark.parametrize("sweep", [soc_sweep, sigma_sweep])
+def test_sweep_refuses_an_empty_grid(sweep):
+    with pytest.raises(DomainError, match="at least one grid point"):
+        sweep(small_system(fit_degree=2, horizon=6), [])
+
+
 def test_ideal_storage_slope_gap_ideal_storage():
     system = small_system(fit_degree=3, eta=1.0, marginal_cost=0.0)
     grid = np.linspace(0.1, 0.9, 5) * system.storage.e_max
