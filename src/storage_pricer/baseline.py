@@ -45,6 +45,10 @@ _EVAL_SEED_OFFSET = 1_000_003
 # 200: 262-330 MB).
 PRICE_STACK = 10
 
+# The comparison's payment win rate is taken over this many equal batches of
+# scenarios.
+PAYMENT_BATCHES = 10
+
 
 @dataclass(frozen=True)
 class PriceScenarioSet:
@@ -438,14 +442,14 @@ METRICS = ("storage_profit", "gen_cost", "system_cost", "payment")
 
 
 def compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.0,
-                       grid_size=21, n_batches=10,
-                       price_mode="mean"):
+                       grid_size=21, price_mode="mean"):
     """Welfare-priced vs profit-maximizing storage on common scenarios.
 
     ``price_mode`` is passed to ``bidding_pipeline``.  Returns per-scenario
     metric rows for both mechanisms plus a summary with scenario means,
-    paired percentage deltas, and the fraction of scenario batches where the
-    welfare mechanism's electricity payment is strictly lower.
+    paired percentage deltas, and the fraction of the ``PAYMENT_BATCHES``
+    scenario batches where the welfare mechanism's electricity payment is
+    strictly lower.
 
     ``storage_profit`` is not a per-scenario quantity: it is each schedule's
     settlement at the prices it cleared at (the welfare dispatch's lambda,
@@ -485,7 +489,7 @@ def compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.0,
         summary["delta_pct"][key] = 100.0 * (mb - mw) / abs(mb) if mb != 0 else 0.0
 
     # batched payment comparison over whole batches; a remainder is left out
-    batch = max(1, n_scenarios // n_batches)
+    batch = max(1, n_scenarios // PAYMENT_BATCHES)
     n_eff = n_scenarios // batch
     pw, pb = (per[name]["payment"][:n_eff * batch].reshape(n_eff, batch).mean(axis=1)
               for name in ("welfare", "bidding"))

@@ -409,7 +409,7 @@ def _cmd_violations(args, outdir):
     sol = solve_dispatch(system)
     if sol.status != "optimal":
         raise SolverError(f"dispatch not optimal: {sol.status}", status=sol.status)
-    report = empirical_violation_rate(sol, system.net_load, n=args.samples, seed=args.seed)
+    report = empirical_violation_rate(sol, n=args.samples, seed=args.seed)
     payload = {
         "worst_joint": report["worst_joint"],
         "epsilon": system.epsilon,

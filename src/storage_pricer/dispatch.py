@@ -46,6 +46,10 @@ TERMINAL_POLICIES = ("periodic", "fixed", "free")
 # except e, the beginning-of-period stock, over periods 2..T+1 (e[1] is data).
 VARIABLES = ("g", "p", "b", "phi", "psi", "e")
 
+# A period violates the relaxed complementarity when b_t * p_t exceeds this
+# times max(1, p_max)^2; read at call time.
+COMPLEMENTARITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -120,6 +124,7 @@ class DispatchBuild:
     ineq_rows: dict
     pinned: dict           # (variable, period) -> value fixed by the presolve
     table: tuple           # expected_cost_table of the system's moments
+    kernel: callable       # the objective's memoized kernel at a decision vector x
 
 
 @dataclass
@@ -141,6 +146,7 @@ class DispatchSolution:
     objective: float
     residuals: dict
     quantiles: PeriodQuantiles
+    table: tuple           # expected_cost_table of the system's moments
     solver_iterations: int
     pinned: dict = field(default_factory=dict)
     equilibrium: dict | None = None
@@ -317,7 +323,7 @@ def build_dispatch(system, loads=None):
     return DispatchBuild(program=program, layout=layout,
                          systems=tuple(system.with_forecast(row) for row in loads),
                          quantiles=quantiles, eq_rows=eq_rows, ineq_rows=ineq_rows,
-                         pinned=pinned, table=table)
+                         pinned=pinned, table=table, kernel=kernel)
 
 
 def solve_dispatch(system, loads=None):
@@ -326,21 +332,21 @@ def solve_dispatch(system, loads=None):
     ``loads`` (k rows of T net loads) solves the k copies of
     ``build_dispatch(system, loads)`` as one program and returns a list of k
     solutions, copy i's with ``system.with_forecast(loads[i])`` as its system.
+    Every copy carries the stack's status, residuals and iteration count.
     """
     build = build_dispatch(system, loads)
-    # A stack skips the phase-1 infeasibility diagnosis (0.5 s and 100 MB on
-    # a stack of 25); one-row solves, which retry a failed stack, run it.
-    result = solve_convex(build.program, _diagnose=len(build.systems) == 1)
+    result = solve_convex(build.program)
     solutions = [_extract_solution(build, result, i) for i in range(len(build.systems))]
     for solution in solutions:
         if solution.status == OPTIMAL:
             solution.complementarity = check_complementarity(solution)
-            solution.equilibrium = verify_equilibrium(solution, table=build.table)
+            solution.equilibrium = verify_equilibrium(solution)
     return solutions[0] if loads is None else solutions
 
 
 def _extract_solution(build, result, copy=0):
-    """Copy ``copy``'s solution, read from its slices of x, y and z."""
+    """Copy ``copy``'s solution, read from its slices of x, y and z; its
+    objective is its row of the build's kernel at x plus its storage cost."""
     system = build.systems[copy]
     storage, rows, T = system.storage, build.eq_rows, system.horizon
     x, y, z = (v.reshape(len(build.systems), -1)[copy]
@@ -356,30 +362,29 @@ def _extract_solution(build, result, copy=0):
         g, (p, b, psi, theta, pi) = blocks[0], np.zeros((5, T))
         phi, e = np.ones(T), np.zeros(T + 1)
     duals = {kind: (t.copy(), z[r]) for kind, (t, r) in build.ineq_rows.items()}
-    objective = result.objective
-    if len(build.systems) > 1:   # the stack's objective sums its copies'
-        objective = float(np.sum(expected_cost_derivatives(build.table, g, phi)[0]))
-        if storage is not None:
-            objective += storage.marginal_cost * float(np.sum(p) + np.asarray(system.net_load.mu) @ psi)
+    objective = float(np.sum(build.kernel(result.x)[0][copy]))
+    if storage is not None:
+        objective += storage.marginal_cost * float(np.sum(p) + np.asarray(system.net_load.mu) @ psi)
 
     return DispatchSolution(
         system=system, status=result.status,
         g=g, p=p, b=b, e=e, phi=phi, psi=psi,
         lam=lam, theta=theta, pi=pi, duals=duals,
         objective=objective, residuals=dict(result.residuals),
-        quantiles=build.quantiles,
+        quantiles=build.quantiles, table=build.table,
         solver_iterations=result.iterations,
         pinned=dict(build.pinned),
     )
 
 
-def check_complementarity(solution, tol=1e-6):
-    """Report periods where the relaxed b_t * p_t = 0 condition is violated."""
+def check_complementarity(solution):
+    """Report periods where the relaxed b_t * p_t = 0 condition is violated
+    (``COMPLEMENTARITY_TOL``)."""
     products = solution.b * solution.p
     scale = 1.0
     if solution.system.storage is not None:
         scale = max(1.0, solution.system.storage.p_max) ** 2
-    flagged = [t + 1 for t in range(len(products)) if products[t] > tol * scale]
+    flagged = [t + 1 for t in range(len(products)) if products[t] > COMPLEMENTARITY_TOL * scale]
     return {
         "max_product": float(np.max(products)) if products.size else 0.0,
         "flagged_periods": flagged,
@@ -387,11 +392,11 @@ def check_complementarity(solution, tol=1e-6):
     }
 
 
-def verify_equilibrium(solution, table=None):
+def verify_equilibrium(solution):
     """Re-derive every stationarity row of the dispatch Lagrangian from the
     primal/dual values and report residuals, independently of the solver.
-    ``table`` is the solution's system's ``expected_cost_table``, built here
-    if not given.
+    The cost derivatives come from the solution's own (g, phi) and its
+    build's ``expected_cost_table``.
 
     Row groups: market clearing identities, generator stationarity,
     storage charge/discharge/SoC stationarity, and reserve-split
@@ -404,9 +409,7 @@ def verify_equilibrium(solution, table=None):
     system = solution.system
     storage = system.storage
     net = system.net_load
-    if table is None:
-        table = expected_cost_table(system.poly, net.mu, net.sigma)
-    _, dE_dg, dE_dphi, *_ = expected_cost_derivatives(table, solution.g, solution.phi)
+    _, dE_dg, dE_dphi, *_ = expected_cost_derivatives(solution.table, solution.g, solution.phi)
     lam, theta, pi = solution.lam, solution.theta, solution.pi
     dual = solution.dual
     nu_lo, nu_hi = dual("nu_lo"), dual("nu_hi")

@@ -111,10 +111,6 @@ class EmpiricalModel:
         return float(np.std(self.samples))
 
 
-# Any of the four families above.
-UncertaintyModel = GaussianModel | RobustModel | VersatileModel | EmpiricalModel
-
-
 def _check_epsilon(epsilon, upper_inclusive=False):
     hi_ok = epsilon <= 1.0 if upper_inclusive else epsilon < 1.0
     if not (0.0 < epsilon and hi_ok):
@@ -227,9 +223,9 @@ def fit_versatile_mle(samples):
     """Fit a VersatileModel by maximum likelihood.
 
     Quasi-Newton (L-BFGS-B) on the closed-form log-likelihood from three
-    deterministic starts, followed by at most 40 Newton polishing steps
-    until the total log-likelihood gradient norm drops below 1e-7; a norm
-    left above 1e-6 is a FitError.
+    deterministic starts, then a root of the total log-likelihood gradient
+    from the best of them (``scipy.optimize.root``, Powell's hybrid
+    method); a gradient norm left above 1e-6 is a FitError.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 50:
@@ -257,44 +253,16 @@ def fit_versatile_mle(samples):
         if best is None or res.fun < best.fun:
             best = res
 
-    # Newton polish on the total-gradient root; the quasi-Newton optimum is
-    # close enough that a finite-difference Hessian of the analytic gradient
-    # converges in a handful of steps.
-    a, b = math.exp(best.x[0]), math.exp(best.x[1])
-    c = float(best.x[2])
-    n = x.size
-    for _ in range(40):
-        g = _versatile_total_grad(a, b, c, x)
-        if np.linalg.norm(g) <= 1e-7:
-            break
-        hstep = np.array([max(1e-7 * a, 1e-9), max(1e-7 * b, 1e-9), max(1e-7 * (1 + abs(c)), 1e-9)])
-        H = np.empty((3, 3))
-        for j, dj in enumerate(hstep):
-            p = [a, b, c]
-            q = [a, b, c]
-            p[j] += dj
-            q[j] -= dj
-            H[:, j] = (_versatile_total_grad(*p, x) - _versatile_total_grad(*q, x)) / (2.0 * dj)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        while scale > 1e-6:
-            na, nb, nc = a + scale * step[0], b + scale * step[1], c + scale * step[2]
-            if na > 0 and nb > 0:
-                if np.linalg.norm(_versatile_total_grad(na, nb, nc, x)) < np.linalg.norm(g):
-                    a, b, c = na, nb, nc
-                    break
-            scale *= 0.5
-        else:
-            break
-
+    # Polish to the root of the total log-likelihood gradient, solved for in
+    # (log a, log b, c) so that a and b stay positive.
+    root = optimize.root(lambda theta: _versatile_total_grad(*np.exp(theta[:2]), theta[2], x),
+                         best.x, method="hybr")
+    a, b, c = (float(v) for v in (*np.exp(root.x[:2]), root.x[2]))
     gnorm = float(np.linalg.norm(_versatile_total_grad(a, b, c, x)))
-    if gnorm > 1e-6:
+    if not gnorm <= 1e-6:
         raise FitError(
             "versatile MLE did not converge",
-            grad_norm=gnorm, n_samples=n, a=a, b=b, c=c,
+            grad_norm=gnorm, n_samples=x.size, a=a, b=b, c=c,
         )
     return VersatileModel(a=a, b=b, c=c)
 

@@ -124,6 +124,8 @@ def synth_test_system(
     13 GW average load, 30% renewables, 20% storage at 4 hours, 95%
     efficiency, $20/MWh storage marginal cost, 50% initial SoC, eps=0.05.
     """
+    if horizon < 1:
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
     if avg_load_mw > 0.85 * total_cap_mw:
         raise DomainError(
             f"average load {avg_load_mw} too close to fleet capacity {total_cap_mw}")
@@ -188,16 +190,16 @@ def sample_errors(net_load, n, seed):
     return sample_net_load(net_load, n, seed) - np.asarray(net_load.forecast)
 
 
-def empirical_violation_rate(solution, net_load, n=10_000, seed=0):
+def empirical_violation_rate(solution, n=10_000, seed=0):
     """Monte Carlo check of the original chance constraints at fixed
-    first-stage decisions.
+    first-stage decisions, on errors sampled from the solution's system.
 
     Returns per-constraint violation frequencies and the joint frequency of
     each two-sided group (generator bounds, SoC bounds), all per period,
     plus the worst joint rate across groups.
     """
     system = solution.system
-    d = sample_errors(net_load, n, seed)
+    d = sample_errors(system.net_load, n, seed)
     g, p, b = solution.g, solution.p, solution.b
     phi, psi, e = solution.phi, solution.psi, solution.e[:-1]
 
@@ -233,9 +235,13 @@ def empirical_violation_rate(solution, net_load, n=10_000, seed=0):
 def _read_csv(path, header, prefix=False):
     """The stripped header and the (line, stripped cells) of each non-blank row
     of a CSV file.  The header must equal ``header``, or begin with it when
-    ``prefix`` is set.  Every error names ``path:line``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [[c.strip() for c in row] for row in csv.reader(fh)]
+    ``prefix`` is set.  Every error names ``path:line``, and a file that
+    cannot be read or is not UTF-8 is refused naming ``path``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [[c.strip() for c in row] for row in csv.reader(fh)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: cannot read the file: {exc}") from None
     head = rows[0] if rows else []
     if (head[:len(header)] if prefix else head) != header:
         raise SchemaError(f"{path}:1: expected header {header}{' ...' if prefix else ''}, got {head}")

@@ -492,16 +492,32 @@ def _polish(prog, x, y, z, s, tol):
     return (xx, yy, zz, ss), rounds
 
 
-def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
-    """Solve the program to absolute KKT residuals <= tol (sup-norm).
+# Absolute KKT tolerance (sup-norm) and iteration cap of ``solve_convex``,
+# read at call time.
+TOL = 1e-8
+ITER_CAP = 200
+
+
+def solve_convex(program):
+    """Solve the program to absolute KKT residuals <= ``TOL`` (sup-norm).
 
     Optimal results certify stationarity, primal feasibility, and
-    complementarity; infeasibility is diagnosed with a phase-1 problem,
-    and hitting the iteration cap returns the best iterate with residuals.
+    complementarity.  Hitting the iteration cap ``ITER_CAP`` returns the
+    best iterate with its residuals; with inequality rows it is then
+    diagnosed with a phase-1 problem, and a program whose inequalities
+    cannot be met is reported infeasible.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be > 0")
-    prog = program
+    result = _solve(program, TOL, ITER_CAP)
+    if result.status == ITER_LIMIT and program.G.shape[0]:
+        t_star = _phase1_min_violation(program)
+        if t_star > 1e-7 * (1.0 + float(np.linalg.norm(program.h, np.inf))):
+            result.status = INFEASIBLE
+    return result
+
+
+def _solve(prog, tol, iter_cap):
+    """The interior-point loop and the polish of ``solve_convex``, to KKT
+    residuals <= tol within iter_cap iterations, without the diagnosis."""
     n, p, m = prog.n, prog.A.shape[0], prog.G.shape[0]
 
     # Equality consistency gate: if Ax = b has no solution at all, stop here.
@@ -625,7 +641,7 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
 
     if status != OPTIMAL and best is not None:
         _, x, y, z, s = best
-    report, objective = _report(prog, AT, GT, x, y, z, s), float(prog.value(x))
+    report = _report(prog, AT, GT, x, y, z, s)
 
     # Active-set polish from any near-optimal iterate: re-solving the
     # equality-constrained KKT system sidesteps the ill-conditioning of the
@@ -637,22 +653,13 @@ def solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
             r_new = _report(prog, AT, GT, *candidate)
             if max(r_new.values()) < max(report.values()):
                 (x, y, z, s), report, polished = candidate, r_new, True
-                objective = float(prog.value(x))
         if max(report.values()) <= tol:
             status = OPTIMAL
 
-    if status == ITER_LIMIT and m and _diagnose:
-        # Diagnose: is the constraint system feasible at all?
-        t_star = _phase1_min_violation(prog)
-        if t_star > 1e-7 * (1.0 + float(np.linalg.norm(prog.h, np.inf))):
-            status = INFEASIBLE
-
-    if status == OPTIMAL and max(report.values()) > 10 * tol:
-        status = ITER_LIMIT
-
+    # the objective last, so the program's last evaluation is at the returned x
     return SolveResult(
         x=x, eq_duals=y, ineq_duals=z, slacks=s, status=status,
-        residuals=report, objective=objective, iterations=it,
+        residuals=report, objective=float(prog.value(x)), iterations=it,
         polish_rounds=polish_rounds, polished=polished,
     )
 
@@ -676,7 +683,7 @@ def _phase1_min_violation(prog):
     c = np.zeros(n + 1)
     c[-1] = 1.0
     aux = quadratic_program(sp.csr_array((n + 1, n + 1)), c, A=A1, b=prog.b, G=G1, h=h1)
-    res = solve_convex(aux, tol=1e-9, iter_cap=100, _diagnose=False)
+    res = _solve(aux, 1e-9, 100)
     if res.status not in (OPTIMAL, ITER_LIMIT):
         return np.inf
     return float(res.x[-1])

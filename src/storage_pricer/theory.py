@@ -38,6 +38,10 @@ CASES = ("idle", "charge_interior", "charge_at_power_cap", "discharge_interior",
 COUPLING_REL_TOL = 1e-4
 IDLE_INTERVAL_PAD = 1e-6
 
+# A sigma-sweep point whose generator lower-bound dual (nu_lo) exceeds this
+# in any period is excluded from the monotonicity verdict.
+NU_LO_THRESHOLD = 1e-4
+
 
 @dataclass(frozen=True)
 class CouplingResult:
@@ -320,12 +324,12 @@ def soc_sweep(system, soc_grid):
     return _sweep(grid, system.with_initial_soc, "e0", increasing=False)
 
 
-def sigma_sweep(system, scale_grid, nu_threshold=1e-4):
+def sigma_sweep(system, scale_grid):
     """Solve the dispatch across sigma scale factors and record the
     opportunity price at period 1.
 
     Grid points where the generator lower bound binds (nu_lo dual above
-    ``nu_threshold`` in any period) are annotated and excluded from the
+    ``NU_LO_THRESHOLD`` in any period) are annotated and excluded from the
     monotonicity verdict; that regime legitimately breaks it.  Verdict:
     non-decreasing theta over the included points (constant for quadratic
     fleets, which the caller asserts separately).
@@ -336,7 +340,7 @@ def sigma_sweep(system, scale_grid, nu_threshold=1e-4):
     if np.any(grid < 0):
         raise DomainError("sigma scales must be >= 0")
     return _sweep(grid, system.with_sigma_scale, "scale", increasing=True,
-                  nu_threshold=nu_threshold)
+                  nu_threshold=NU_LO_THRESHOLD)
 
 
 def ideal_storage_slope_gap(system, soc_grid):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from storage_pricer.baseline import compare_mechanisms, dp_value_function
+from storage_pricer.baseline import PAYMENT_BATCHES, compare_mechanisms, dp_value_function
 from storage_pricer.costs import CostPolynomial, StorageSpec
 from storage_pricer.dispatch import _extract_solution, build_dispatch, solve_dispatch
 from storage_pricer.distributions import (
@@ -85,7 +85,7 @@ def battery():
     t0 = time.monotonic()
     for system in battery_systems():
         build = build_dispatch(system)
-        result = solve_convex(build.program, tol=1e-8)
+        result = solve_convex(build.program)
         solution = _extract_solution(build, result)
         entries.append((system, build, result, solution))
     return entries, time.monotonic() - t0
@@ -341,7 +341,7 @@ def test_criterion_7_chance_constraint_validity(battery):
     for i, (system, _, _, solution) in enumerate(entries):
         if abs(system.epsilon - 0.05) > 1e-12:
             continue
-        rep = empirical_violation_rate(solution, system.net_load, n=n, seed=1000 + i)
+        rep = empirical_violation_rate(solution, n=n, seed=1000 + i)
         se = math.sqrt(0.05 * 0.95 / n)
         assert rep["worst_joint"] <= 0.05 + 2 * se, (
             f"system {i}: joint rate {rep['worst_joint']:.4f}")
@@ -448,8 +448,8 @@ def test_criterion_10_welfare_dominance():
     # merit curve (RMSE ~14e3 vs ~3e3) would swamp the mechanism gap in
     # the ex-post evaluation
     system = synth_test_system(seed=0, fit_degree=3)
-    out = compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.2,
-                             grid_size=21, n_batches=10)
+    assert PAYMENT_BATCHES == 10
+    out = compare_mechanisms(system, n_scenarios=200, seed=0, retire_frac=0.2, grid_size=21)
     elapsed = time.monotonic() - t0
     s = out["summary"]
     cost_ok = s["welfare"]["system_cost"] <= s["bidding"]["system_cost"] * (1 + 1e-9)

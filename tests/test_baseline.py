@@ -584,8 +584,7 @@ def test_clearing_horizon_mismatch():
 @pytest.fixture(scope="module")
 def comparison():
     system = small_system(horizon=12)
-    return compare_mechanisms(system, n_scenarios=40, seed=11, retire_frac=0.2,
-                              grid_size=15, n_batches=8)
+    return compare_mechanisms(system, n_scenarios=40, seed=11, retire_frac=0.2, grid_size=15)
 
 
 def test_comparison_welfare_system_cost_not_higher(comparison):
@@ -667,13 +666,13 @@ def per_row_metrics(base, draws, schedule_p, schedule_b, lam):
 
 
 @pytest.mark.parametrize("n, n_batches", [(7, 3), (3, 10)], ids=["remainder", "batch-of-one"])
-def test_comparison_metrics_match_per_row_computation(n, n_batches):
+def test_comparison_metrics_match_per_row_computation(monkeypatch, n, n_batches):
     """The metric arrays give the per-scenario rows, their means and the
-    batch win rate of the row-by-row computation, also when ``n_batches``
-    does not divide the scenario count."""
+    batch win rate of the row-by-row computation, also when
+    ``PAYMENT_BATCHES`` does not divide the scenario count."""
+    monkeypatch.setattr(baseline, "PAYMENT_BATCHES", n_batches)
     system = small_system(horizon=6)
-    out = compare_mechanisms(system, n_scenarios=n, seed=3, retire_frac=0.2, grid_size=15,
-                             n_batches=n_batches)
+    out = compare_mechanisms(system, n_scenarios=n, seed=3, retire_frac=0.2, grid_size=15)
     base = baseline.comparison_system(system, 0.2)
     draws = np.clip(sample_net_load(base.net_load, n, 3 + baseline._EVAL_SEED_OFFSET),
                     base.g_min, base.g_max)

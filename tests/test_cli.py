@@ -210,6 +210,32 @@ def test_compare_refuses_retire_frac_outside_unit_interval(tmp_path, capsys, fra
             "retire_frac must lie in [0, 1)")
 
 
+@pytest.mark.parametrize("which", ["fleet", "load", "errors"])
+@pytest.mark.parametrize("unreadable", ["missing", "directory"])
+def test_dispatch_refuses_an_unreadable_csv(tmp_path, capsys, which, unreadable):
+    """A CSV input that cannot be read is refused naming its path."""
+    source = _csv_source(tmp_path)
+    bad = tmp_path / "unreadable"
+    if unreadable == "directory":
+        bad.mkdir()
+    source[source.index(f"--{which}-csv") + 1] = str(bad)
+    refused(tmp_path, capsys, ["dispatch", *source], f"{bad}: cannot read the file")
+
+
+@pytest.mark.parametrize("content", [None, b"error_mw\n\xff\xfe1.0\n"], ids=["missing", "not-utf8"])
+def test_fit_dist_refuses_an_unreadable_samples_csv(tmp_path, capsys, content):
+    path = tmp_path / "samples.csv"
+    if content is not None:
+        path.write_bytes(content)
+    refused(tmp_path, capsys, ["fit-dist", "--samples-csv", str(path)], f"{path}: cannot read the file")
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_dispatch_refuses_a_horizon_below_one(tmp_path, capsys, horizon):
+    refused(tmp_path, capsys, ["dispatch", "--synthetic", "--horizon", horizon],
+            f"horizon must be >= 1, got {horizon}")
+
+
 def test_fit_dist_command(tmp_path):
     rng = np.random.default_rng(3)
     u = rng.random(20_000)

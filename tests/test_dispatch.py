@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import storage_pricer.baseline as baseline
+import storage_pricer.dispatch as dispatch
 from storage_pricer.baseline import BidCurve, clear_with_bids
 from storage_pricer.costs import CostPolynomial, FleetCurve, Segment, StorageSpec
 from storage_pricer.dispatch import (
@@ -204,13 +205,14 @@ def _resolve_with_fixed_pattern(system, sol):
 
     fixed = dataclasses.replace(prog, A=scipy.sparse.vstack([prog.A, extra]),
                                 b=np.concatenate([prog.b, np.zeros(T)]))
-    return solve_convex(fixed, tol=1e-8)
+    return solve_convex(fixed)
 
 
-def test_complementarity_clean_for_lossy_storage():
+def test_complementarity_clean_for_lossy_storage(monkeypatch):
     system = storage_system([80.0, 120.0, 100.0], eta=0.9, M=5.0)
     sol = solve_dispatch(system)
-    rep = check_complementarity(sol, tol=1e-10)
+    monkeypatch.setattr(dispatch, "COMPLEMENTARITY_TOL", 1e-10)
+    rep = check_complementarity(sol)
     assert rep["clean"]
     assert rep["max_product"] <= 1e-6
     # oracle: forcing the exclusive charge/discharge pattern does not change
@@ -220,7 +222,7 @@ def test_complementarity_clean_for_lossy_storage():
     assert fixed.objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-6)
 
 
-def test_complementarity_flags_degenerate_free_storage():
+def test_complementarity_flags_degenerate_free_storage(monkeypatch):
     # eta=1, M=0 with flat prices: simultaneous charge/discharge is costless
     # and the optimal face contains it; the relaxation report must flag it
     # rather than repair it.
@@ -228,7 +230,8 @@ def test_complementarity_flags_degenerate_free_storage():
     sol = solve_dispatch(system)
     assert sol.status == "optimal"
     products = sol.b * sol.p
-    rep = check_complementarity(sol, tol=1e-10)
+    monkeypatch.setattr(dispatch, "COMPLEMENTARITY_TOL", 1e-10)
+    rep = check_complementarity(sol)
     if float(np.max(products)) > 1e-10 * system.storage.p_max**2:
         assert not rep["clean"]
     # net flows still cancel: the relaxation is harmless for prices
@@ -750,10 +753,50 @@ def test_stacked_solve_matches_one_solve_per_load(system, k):
             assert np.all(np.abs(copy.theta - alone.theta)[theta_unique] <= 1e-6 * scale)
 
 
+def test_stack_holding_an_infeasible_load_ends_infeasible():
+    """A load 10 p_max above g_max in one period cannot be served: alone it
+    is infeasible, and a stack that holds it is diagnosed the same way, its
+    copies carrying the stack's status."""
+    system = synth_test_system(horizon=6)
+    forecast = np.asarray(system.net_load.forecast)
+    unserved = forecast.copy()
+    unserved[2] = system.g_max + 10 * system.storage.p_max
+    assert solve_dispatch(system, loads=[unserved])[0].status == "infeasible"
+    assert [copy.status for copy in solve_dispatch(system, loads=[forecast, unserved])] == ["infeasible"] * 2
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_copy_objective_reads_the_kernel_at_the_solution(monkeypatch, k):
+    """Each copy's objective is its row of the build's memoized kernel at
+    the solver's x plus its storage cost.  The solver evaluated that point
+    last, so extraction evaluates no kernel: after the solve, the only
+    evaluations are the audits', one per copy.  One copy's objective is the
+    solver's byte for byte, and the copies sum to it."""
+    import storage_pricer.costs as costs
+
+    kernel_calls, audit_calls, results = [], [], []
+    kernel, audit, solve = costs.expected_cost_derivatives, dispatch.expected_cost_derivatives, dispatch.solve_convex
+    monkeypatch.setattr(costs, "expected_cost_derivatives",
+                        lambda *args: kernel_calls.append(args) or kernel(*args))
+    monkeypatch.setattr(dispatch, "expected_cost_derivatives",
+                        lambda *args: audit_calls.append(args) or audit(*args))
+    monkeypatch.setattr(dispatch, "solve_convex",
+                        lambda program: results.append((solve(program), len(kernel_calls)))
+                        or results[-1][0])
+    system = synth_test_system(horizon=6, fit_degree=3)
+    loads = np.asarray(system.net_load.forecast) * np.linspace(0.95, 1.05, k)[:, None]
+    stack = solve_dispatch(system, loads=loads)
+    (result, solver_calls), = results
+    assert all(copy.status == "optimal" and copy.equilibrium["ok"] for copy in stack)
+    assert len(kernel_calls) == solver_calls and len(audit_calls) == k
+    if k == 1:
+        assert np.float64(stack[0].objective).tobytes() == np.float64(result.objective).tobytes()
+    assert sum(copy.objective for copy in stack) == pytest.approx(result.objective, rel=1e-12)
+
+
 def test_solve_builds_expected_cost_table_once(monkeypatch):
     """One table serves the convexity gate, the objective and the audit."""
     import storage_pricer.costs as costs
-    import storage_pricer.dispatch as dispatch
 
     calls = []
     table = costs.expected_cost_table
@@ -769,7 +812,7 @@ def test_solve_builds_expected_cost_table_once(monkeypatch):
     assert solution.status == "optimal" and solution.equilibrium["ok"]
     assert len(calls) == 1
     again = verify_equilibrium(solution)
-    assert len(calls) == 2
+    assert len(calls) == 1
     for name, rows in solution.equilibrium["rows"].items():
         assert np.asarray(rows).tobytes() == np.asarray(again["rows"][name]).tobytes()
 

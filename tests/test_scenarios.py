@@ -145,14 +145,14 @@ def test_violation_zero_sigma():
     system = synth_test_system(n_gens=10, total_cap_mw=2000.0, avg_load_mw=1000.0,
                                seed=4, horizon=6, g_min_ratio=0.3).with_sigma_scale(0.0)
     sol = solve_dispatch(system)
-    report = empirical_violation_rate(sol, system.net_load, n=500, seed=1)
+    report = empirical_violation_rate(sol, n=500, seed=1)
     assert report["worst_joint"] == 0.0
 
 
 def test_violation_within_bonferroni_budget(solved_small):
     system, sol = solved_small
     n = 10_000
-    report = empirical_violation_rate(sol, system.net_load, n=n, seed=2)
+    report = empirical_violation_rate(sol, n=n, seed=2)
     se = math.sqrt(0.05 * 0.95 / n)
     assert report["worst_joint"] <= 0.05 + 2 * se
 
@@ -162,7 +162,7 @@ def test_violation_detects_deliberate_bound_breach(solved_small):
 
     system, sol = solved_small
     broken = dataclasses.replace(sol, g=sol.g + (system.g_max - sol.g) + 1.0)
-    report = empirical_violation_rate(broken, system.net_load, n=2000, seed=3)
+    report = empirical_violation_rate(broken, n=2000, seed=3)
     assert float(np.max(report["rates"]["gen_hi"])) > 0.5
 
 
@@ -217,7 +217,7 @@ def test_violation_rates_equal_per_period_loop(solved_small, case):
             e=np.linspace(0.0, st.e_max, T + 1))
     elif case == "full-reserve":
         sol = dataclasses.replace(sol, psi=np.full(system.horizon, 0.7), phi=np.full(system.horizon, 0.3))
-    report = empirical_violation_rate(sol, system.net_load, n=3000, seed=5)
+    report = empirical_violation_rate(sol, n=3000, seed=5)
     want = looped_violation_rates(sol, system.net_load, n=3000, seed=5)
     assert list(report["rates"]) == list(want)
     for key, rates in want.items():

@@ -1,6 +1,7 @@
 """Interior-point solver tests: analytic KKT points, vertex enumeration for
 LPs, dual conventions, and failure-mode reporting."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -27,8 +28,7 @@ from storage_pricer.scenarios import sample_net_load, synth_test_system
 
 
 def solve_qp(Q, c, **kw):
-    tol = kw.pop("tol", 1e-8)
-    return solve_convex(quadratic_program(Q, c, **kw), tol=tol)
+    return solve_convex(quadratic_program(Q, c, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +162,11 @@ def test_unbounded_detected():
     assert res.status == UNBOUNDED
 
 
-def test_iteration_cap_returns_best_iterate():
+def test_iteration_cap_returns_best_iterate(monkeypatch):
+    monkeypatch.setattr(solver, "ITER_CAP", 2)
     prog = quadratic_program(np.array([[2.0]]), np.array([0.0]), G=np.array([[-1.0]]), h=np.array([-1.0]))
-    res = solve_convex(prog, iter_cap=2)
+    res = solve_convex(prog)
+    assert res.iterations <= 2
     assert res.status in (ITER_LIMIT, OPTIMAL)
     assert np.isfinite(res.max_residual)
 
@@ -234,7 +236,7 @@ def test_random_qp_batch_kkt_certificates():
     rng = np.random.default_rng(17)
     for _ in range(25):
         prog = random_feasible_qp(rng)
-        res = solve_convex(prog, tol=1e-8)
+        res = solve_convex(prog)
         assert res.status == OPTIMAL
         assert res.max_residual <= 1e-8
         assert np.all(res.ineq_duals >= -1e-8)
@@ -246,7 +248,7 @@ def test_strong_duality_gap_quadratic():
     rng = np.random.default_rng(23)
     for _ in range(10):
         prog = random_feasible_qp(rng)
-        res = solve_convex(prog, tol=1e-8)
+        res = solve_convex(prog)
         # dual objective at (y, z): f(x) + y'(Ax-b) + z'(Gx-h) evaluated at
         # the primal-dual point equals primal minus the complementarity mass
         lag = res.objective + res.eq_duals @ (prog.A @ res.x - prog.b) \
@@ -257,8 +259,8 @@ def test_strong_duality_gap_quadratic():
 def test_reproducibility_bitwise():
     rng = np.random.default_rng(31)
     prog = random_feasible_qp(rng)
-    r1 = solve_convex(prog, tol=1e-8)
-    r2 = solve_convex(prog, tol=1e-8)
+    r1 = solve_convex(prog)
+    r2 = solve_convex(prog)
     assert np.all(np.abs(r1.x - r2.x) <= 1e-9)
     assert np.all(np.abs(r1.ineq_duals - r2.ineq_duals) <= 1e-9)
 
@@ -291,7 +293,7 @@ def quartic_program():
 
 def test_quartic_objective_damped_newton():
     # check against a fine grid search
-    res = solve_convex(quartic_program(), tol=1e-8)
+    res = solve_convex(quartic_program())
     assert res.status == OPTIMAL
     xs = np.linspace(-3, 1, 400001)
     ref = xs[np.argmin((xs - 2) ** 4 + xs**2)]
@@ -396,6 +398,29 @@ def test_solve_result_reports_no_polish_when_none_ran():
     res = solve_qp(np.eye(1), np.zeros(1), G=[[1.0], [-1.0]], h=[-1.0, -1.0])
     assert res.status == INFEASIBLE
     assert (res.polish_rounds, res.polished) == (0, False)
+
+
+@pytest.mark.parametrize("horizon, degree, scenarios, seed", [
+    (24, 3, 2, 2),      # the search gives up after 8 rounds
+    (12, 2, 4, 3),      # the polished iterate is found but not better
+], ids=["polish-gives-up", "polish-not-better"])
+def test_last_program_evaluation_is_at_the_returned_iterate(horizon, degree, scenarios, seed):
+    """The objective is evaluated last, at the returned x, also when the
+    polish's iterates are rejected; a memoized kernel then holds the
+    returned point."""
+    system = synth_test_system(horizon=horizon, fit_degree=degree)
+    draws = np.clip(sample_net_load(system.net_load, scenarios, seed), system.g_min, system.g_max)
+    program = build_dispatch(deterministic_variant(system, draws[0]), loads=draws).program
+    points = []
+
+    def recording(callback):
+        return lambda x: points.append(x.copy()) or callback(x)
+
+    res = solve_convex(dataclasses.replace(program, **{
+        name: recording(getattr(program, name)) for name in ("value", "grad", "hess")}))
+    assert res.status == OPTIMAL and not res.polished and res.polish_rounds
+    assert points[-1].tobytes() == res.x.tobytes()
+    assert res.objective == program.value(res.x)
 
 
 # ---------------------------------------------------------------------------

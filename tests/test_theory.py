@@ -16,6 +16,7 @@ from storage_pricer.theory import (
     CHARGING,
     DISCHARGING,
     IDLE,
+    NU_LO_THRESHOLD,
     classify_periods,
     ideal_storage_slope_gap,
     coupling_price,
@@ -425,7 +426,8 @@ def test_sigma_sweep_flags_gen_floor_binding():
     # only when the floor forces it), and inflated sigma.
     system = small_system(fit_degree=2, g_min_ratio=0.32,
                           storage_reserve=False, marginal_cost=60.0)
-    sweep = sigma_sweep(system, [0.5, 4.0], nu_threshold=1e-4)
+    assert NU_LO_THRESHOLD == 1e-4
+    sweep = sigma_sweep(system, [0.5, 4.0])
     assert 1 in sweep.excluded
     assert 0 not in sweep.excluded
 
