@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import (
+    expected_cost_objective,
     expected_cost_table,
     fit_polynomial_to_merit_curve,
-    memoized_derivatives,
     merit_order_cost,
 )
 from .dispatch import solve_dispatch
@@ -314,19 +314,8 @@ def clear_with_bids(system, bids):
     lin[p_cols] = p_price
     lin[b_cols] = -b_price
 
-    poly = system.poly
-    derivatives = memoized_derivatives(expected_cost_table(poly, net.mu, net.sigma))
-
-    def value(x):
-        return float(lin @ x) + float(np.sum(derivatives(x[:T], 1.0)[0]))
-
-    def grad(x):
-        out = lin.copy()
-        out[:T] += derivatives(x[:T], 1.0)[1]
-        return out
-
-    def hess(x):
-        return derivatives(x[:T], 1.0)[3]
+    objective, _ = expected_cost_objective(
+        expected_cost_table(system.poly, net.mu, net.sigma), np.arange(T), None, lin)
 
     # One row per period unless stated; the stock at the start of period 1
     # is data, so the SoC rows of period 1 carry it on the right-hand side.
@@ -372,8 +361,7 @@ def clear_with_bids(system, bids):
 
     A, b, eq_rows = assemble_rows(eq, n)
     G, h, _ = assemble_rows(ineq, n)
-    program = ConvexProgram(n=n, value=value, grad=grad, hess=hess,
-                            hess_rows=np.arange(T), hess_cols=np.arange(T), A=A, b=b, G=G, h=h)
+    program = ConvexProgram(**objective, A=A, b=b, G=G, h=h)
     result = solve_convex(program)
     if result.status != "optimal":
         raise SolverError(f"bid clearing failed: {result.status}", status=result.status,

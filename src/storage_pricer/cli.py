@@ -158,8 +158,12 @@ def _apply_config_file(parser, args, argv):
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction)).choices[args.command]
     options = {a.dest: a for a in sub._actions if a.dest not in ("config", "help")}
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     defaults = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

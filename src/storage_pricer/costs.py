@@ -219,6 +219,41 @@ def memoized_derivatives(table):
     return derivatives
 
 
+def expected_cost_objective(table, g, phi, linear):
+    """The program objective sum_t E[G(x[g] + x[phi] d_t)] + linear @ x.
+
+    ``g`` and ``phi`` are column indices, period axis last: (k, T) for k
+    stacked copies, (T,) for one; ``phi=None`` puts the whole reserve on the
+    generator (phi = 1).  Returns the ``ConvexProgram`` fields (n, value,
+    grad, hess, hess_rows, hess_cols; Hessian entries g/g, g/phi, phi/g,
+    phi/phi) and the memoized kernel, ``expected_cost_derivatives`` at x.
+    """
+    derivatives = memoized_derivatives(table)
+
+    def kernel(x):
+        return derivatives(x[g], 1.0 if phi is None else x[phi])
+
+    def value(x):
+        return float(linear @ x) + float(np.sum(kernel(x)[0]))
+
+    def grad(x):
+        _, dg, dp, *_ = kernel(x)
+        out = linear.copy()
+        out[g] += dg
+        if phi is not None:
+            out[phi] += dp
+        return out
+
+    def hess(x):
+        *_, dgg, dgp, dpp = kernel(x)
+        return np.concatenate([dgg] if phi is None else [dgg, dgp, dgp, dpp], axis=None)
+
+    pairs = [(g, g)] if phi is None else [(g, g), (g, phi), (phi, g), (phi, phi)]
+    rows = np.concatenate([np.ravel(r) for r, _ in pairs])
+    cols = np.concatenate([np.ravel(c) for _, c in pairs])
+    return dict(n=linear.size, value=value, grad=grad, hess=hess, hess_rows=rows, hess_cols=cols), kernel
+
+
 def expected_storage_cost(storage, p, psi, mu):
     """Expected storage cost M (p + psi mu)."""
     if not (0.0 <= psi <= 1.0):

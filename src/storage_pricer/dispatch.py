@@ -30,8 +30,8 @@ import scipy.sparse as sp
 from .costs import (
     check_expected_cost_convexity,
     expected_cost_derivatives,
+    expected_cost_objective,
     expected_cost_table,
-    memoized_derivatives,
 )
 from .errors import DomainError
 from .reformulation import PeriodQuantiles, build_deterministic_constraints, period_quantiles
@@ -271,54 +271,24 @@ def build_dispatch(system, loads=None):
         ineq.append(rows("term_lo", 2 * T + 1, end, 0.0, [("e", 0, -1.0)]))
         ineq.append(rows("term_hi", 2 * T + 1, end, storage.e_max, [("e", 0, 1.0)]))
 
-    # --- objective callbacks over the k copies: x viewed as (k, n), the
-    # kernel evaluated once on (k, T) arrays -------------------------------
-    M = storage.marginal_cost if has_storage else 0.0
-    mus = np.tile(net.mu, k)
-
+    # --- objective over the k copies: x viewed as (k, n), the kernel
+    # evaluated once on (k, T) arrays ---------------------------------------
     def cols(name):
-        """Columns of ``name`` in every copy, copy by copy, then period."""
-        return (n * np.arange(k)[:, None] + layout.of(name, periods)).ravel()
+        """Columns of ``name`` in every copy: (k, T), copy by copy."""
+        return n * np.arange(k)[:, None] + layout.of(name, periods)
 
-    g_idx = cols("g")
-    h_rows = h_cols = g_idx
+    linear = np.zeros(k * n)
     if has_storage:
-        p_idx, psi_idx, phi_idx = (cols(name) for name in ("p", "psi", "phi"))
-        # Hessian entries in the order g/g, g/phi, phi/g, phi/phi
-        h_rows = np.concatenate([g_idx, g_idx, phi_idx, phi_idx])
-        h_cols = np.concatenate([g_idx, phi_idx, g_idx, phi_idx])
-
-    derivatives = memoized_derivatives(table)
-
-    def kernel(x):
-        return derivatives(x[g_idx].reshape(k, T), x[phi_idx].reshape(k, T) if has_storage else 1.0)
-
-    def value(x):
-        total = float(np.sum(kernel(x)[0]))
-        if has_storage:
-            total += M * float(np.sum(x[p_idx]) + mus @ x[psi_idx])
-        return total
-
-    def grad(x):
-        _, dg, dp, *_ = kernel(x)
-        out = np.zeros(k * n)
-        out[g_idx] = dg.ravel()
-        if has_storage:
-            out[phi_idx] = dp.ravel()
-            out[p_idx] += M
-            out[psi_idx] += M * mus
-        return out
-
-    def hess(x):
-        *_, dgg, dgp, dpp = kernel(x)
-        return np.concatenate([dgg, dgp, dgp, dpp] if has_storage else [dgg], axis=None)
+        linear[cols("p")] = storage.marginal_cost
+        linear[cols("psi")] = storage.marginal_cost * np.asarray(net.mu)
+    objective, kernel = expected_cost_objective(
+        table, cols("g"), cols("phi") if has_storage else None, linear)
 
     A, b, eq_rows = assemble_rows(eq, n)
     G, h, ineq_rows = assemble_rows(ineq, n)
     b = np.tile(b, (k, 1))
     b[:, eq_rows["balance"][1]] = loads
-    program = ConvexProgram(n=k * n, value=value, grad=grad, hess=hess,
-                            hess_rows=h_rows, hess_cols=h_cols, A=_block_diagonal(A, k), b=b.ravel(),
+    program = ConvexProgram(**objective, A=_block_diagonal(A, k), b=b.ravel(),
                             G=_block_diagonal(G, k), h=np.tile(h, k))
     return DispatchBuild(program=program, layout=layout,
                          systems=tuple(system.with_forecast(row) for row in loads),

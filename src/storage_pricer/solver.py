@@ -26,13 +26,13 @@ Everything is sparse.  The constraint matrices are CSR arrays, and each
 Newton system is the statically regularised (quasi-definite) KKT matrix in
 CSC form, factored with ``scipy.sparse.linalg.splu`` and solved with
 iterative refinement by one routine (``_kkt_solver``).  A program declares
-the positions of its Hessian's entries once, so the sparsity pattern
-(``_KKTPattern``) is built once per solve and once per polish, over every
-row, and each polish round restricts it to the active rows without a sort;
-each step refills just the values, equal bit for bit to assembling the
-matrix from sparse products and sums.  Multi-period dispatches couple
-periods only through the SoC recursion, so the factor stays banded and the
-cost grows about linearly with the horizon.
+the positions of its Hessian's entries once, so each solve builds one KKT
+pattern (``_KKTPattern``) over every row, restricted without a sort for
+the start point, each Newton step and each polish round; each step refills
+just the values, equal bit for bit to assembling the matrix from sparse
+products and sums.  Multi-period dispatches couple periods only through
+the SoC recursion, so the factor stays banded and the cost grows about
+linearly with the horizon.
 """
 
 from __future__ import annotations
@@ -216,9 +216,9 @@ class _KKTPattern:
 
     built once from the structure of H (its entries' positions ``hess_rows``
     and ``hess_cols``), G and B.  Each Newton step then only refills one data
-    vector (``fill``) in the pattern's order.  The polish builds one pattern
-    over B = [A; G] and takes the pattern of each active set's rows from it
-    (``restrict``).
+    vector (``fill``) in the pattern's order.  A solve builds one over
+    B = [A; G] and restricts it (``restrict``) to A's rows, for the start
+    point and the Newton steps, and to each polish round's active rows.
 
     The values are those that assembling the matrix from scipy.sparse
     operations gives, bit for bit, so ``splu`` sees the same matrix and
@@ -226,7 +226,8 @@ class _KKTPattern:
     (G_ik w_i) G_il over the rows i of G in descending order, the order
     scipy's sparse product accumulates them in; H comes first and the
     regularisation last; and ``matrix`` drops exact zeros of the top-left
-    block, as scipy's sparse sums do.
+    block, as scipy's sparse sums do, which drops G's barrier pairs from the
+    start point's and the polish's matrices, filled without weights ``w``.
     """
 
     def __init__(self, n, B, G=None, hess_rows=(), hess_cols=()):
@@ -381,14 +382,14 @@ def _kkt_solver(pattern, data, refine=None, rounds=1, drop_all=False):
     return solve
 
 
-def _min_norm_point(A, b):
+def _min_norm_point(pattern, b):
     """Least-norm x minimising ||A x - b||, or None when the factorisation fails.
 
-    Factors the regularised system [I A^T; A -1e-12 I] and refines against
-    the pure one, so rank-deficient and inconsistent A are handled alike.
+    Factors the regularised system [I A^T; A -1e-12 I] in ``pattern``, the
+    solve's pattern restricted to A's rows, and refines against the pure
+    one, so rank-deficient and inconsistent A are handled alike.
     """
-    n = A.shape[1]
-    pattern = _KKTPattern(n, A)
+    n = pattern.n
     solve = _kkt_solver(pattern, pattern.fill(reg=1.0, delta=1e-12), pattern.fill(reg=1.0), rounds=3)
     if solve is None:
         return None
@@ -435,7 +436,7 @@ def _polish_solve(prog, pattern, x0, active, start):
         yield xx, sol[n : n + p], sol[n + p :]
 
 
-def _polish(prog, x, y, z, s, tol):
+def _polish(prog, pattern, x, y, z, s, tol):
     """Active-set refinement from a near-optimal interior-point iterate.
 
     Starts from a complementarity-based guess and searches: a round takes one
@@ -445,7 +446,7 @@ def _polish(prog, x, y, z, s, tol):
     Newton run and checks the three-step iterate the same way; if that asks
     for a change too, the search goes on, for at most 8 rounds.  Degenerate
     faces leave weakly-active rows with near-zero multipliers, which is fine.
-    Every round restricts one pattern over [A; G], built once per polish.
+    Every round restricts ``pattern``, the solve's pattern over [A; G].
     Returns (improved iterate or None when no consistent active set is
     found, rounds taken).
 
@@ -457,8 +458,6 @@ def _polish(prog, x, y, z, s, tol):
     """
     m = prog.h.size
     start = (prog.hess(x), prog.grad(x))
-    pattern = _KKTPattern(prog.n, sp.vstack([prog.A, prog.G], format="csr"),
-                          hess_rows=prog.hess_rows, hess_cols=prog.hess_cols)
     scale_h = 1.0 + np.abs(prog.h)
     active = (z > s) | (s <= 1e3 * tol * scale_h)
 
@@ -519,11 +518,14 @@ def _solve(prog, tol, iter_cap):
     """The interior-point loop and the polish of ``solve_convex``, to KKT
     residuals <= tol within iter_cap iterations, without the diagnosis."""
     n, p, m = prog.n, prog.A.shape[0], prog.G.shape[0]
+    # one pattern per solve; its rows of A serve the start point and the Newton steps
+    full = _KKTPattern(n, sp.vstack([prog.A, prog.G], format="csr"), prog.G, prog.hess_rows, prog.hess_cols)
+    pattern = full.restrict(np.arange(p + m) < p)
 
     # Equality consistency gate: if Ax = b has no solution at all, stop here.
     # A failed factorisation of the start-point system ends the solve too.
     if p:
-        x = _min_norm_point(prog.A, prog.b)
+        x = _min_norm_point(pattern, prog.b)
         if x is None or np.linalg.norm(prog.A @ x - prog.b, np.inf) > 1e-8 * (1.0 + np.linalg.norm(prog.b, np.inf)):
             return SolveResult(np.zeros(n) if x is None else x, np.zeros(p), np.zeros(m), np.zeros(m),
                                ITER_LIMIT if x is None else INFEASIBLE,
@@ -541,7 +543,6 @@ def _solve(prog, tol, iter_cap):
         z = np.zeros(0)
     y = np.zeros(p)
     AT, GT = prog.A.T.tocsr(), prog.G.T.tocsr()
-    pattern = _KKTPattern(n, prog.A, prog.G, prog.hess_rows, prog.hess_cols)
 
     best = None
     best_mu = np.inf
@@ -648,7 +649,7 @@ def _solve(prog, tol, iter_cap):
     # barrier system at small mu.
     polish_rounds, polished = 0, False
     if status in (OPTIMAL, ITER_LIMIT) and best is not None and best[0] <= np.sqrt(tol):
-        candidate, polish_rounds = _polish(prog, x, y, z, s, tol)
+        candidate, polish_rounds = _polish(prog, full, x, y, z, s, tol)
         if candidate is not None:
             r_new = _report(prog, AT, GT, *candidate)
             if max(r_new.values()) < max(report.values()):

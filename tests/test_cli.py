@@ -368,6 +368,23 @@ def test_config_file_checks_keys_and_values_like_flags(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("make, needle", [
+    (lambda path: None, "config file not found"),
+    (lambda path: path.mkdir(), "cannot read config file"),
+    (lambda path: path.write_bytes(b"horizon = 6\n\xff\xfe = 1\n"), "can't decode byte 0xff"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_exits_one(tmp_path, capsys, make, needle):
+    """A config path that cannot be read as text is refused before the run:
+    exit 1, an error naming the path and no output directory."""
+    cfg = tmp_path / "run.cfg"
+    make(cfg)
+    out = tmp_path / "a"
+    assert run(["dispatch", *SMALL, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and str(cfg) in err
+    assert not out.exists()
+
+
 def test_abbreviated_flag_beats_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("horizon = 6\nsynthetic = yes\n")

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 import storage_pricer.baseline as baseline
 import storage_pricer.dispatch as dispatch
 from storage_pricer.baseline import BidCurve, clear_with_bids
-from storage_pricer.costs import CostPolynomial, FleetCurve, Segment, StorageSpec
+from storage_pricer.costs import (
+    CostPolynomial,
+    FleetCurve,
+    Segment,
+    StorageSpec,
+    expected_cost_table,
+    memoized_derivatives,
+)
 from storage_pricer.dispatch import (
     TERMINAL_POLICIES,
     SystemSpec,
@@ -667,6 +674,130 @@ def test_clearing_rows_equal_hand_offset_assembly(system, data):
     eq, ineq = oracle_clearing_rows(system, bids, quantiles)
     assert_same_bits((program.A, program.b), eq)
     assert_same_bits((program.G, program.h), ineq)
+
+
+# ---------------------------------------------------------------------------
+# the objective of the dispatch and of bid clearing against the closures
+# each built before ``expected_cost_objective``, frozen here as the oracle
+# ---------------------------------------------------------------------------
+
+
+def frozen_dispatch_objective(build, k):
+    """(value, grad, hess, hess_rows, hess_cols) of k stacked copies."""
+    system, layout = build.systems[0], build.layout
+    T, n, has_storage = layout.horizon, layout.n, layout.has_storage
+    periods = np.arange(1, T + 1)
+    M = system.storage.marginal_cost if has_storage else 0.0
+    mus = np.tile(system.net_load.mu, k)
+
+    def cols(name):
+        return (n * np.arange(k)[:, None] + layout.of(name, periods)).ravel()
+
+    g_idx = cols("g")
+    h_rows = h_cols = g_idx
+    if has_storage:
+        p_idx, psi_idx, phi_idx = (cols(name) for name in ("p", "psi", "phi"))
+        h_rows = np.concatenate([g_idx, g_idx, phi_idx, phi_idx])
+        h_cols = np.concatenate([g_idx, phi_idx, g_idx, phi_idx])
+    derivatives = memoized_derivatives(build.table)
+
+    def kernel(x):
+        return derivatives(x[g_idx].reshape(k, T), x[phi_idx].reshape(k, T) if has_storage else 1.0)
+
+    def value(x):
+        total = float(np.sum(kernel(x)[0]))
+        if has_storage:
+            total += M * float(np.sum(x[p_idx]) + mus @ x[psi_idx])
+        return total
+
+    def grad(x):
+        _, dg, dp, *_ = kernel(x)
+        out = np.zeros(k * n)
+        out[g_idx] = dg.ravel()
+        if has_storage:
+            out[phi_idx] = dp.ravel()
+            out[p_idx] += M
+            out[psi_idx] += M * mus
+        return out
+
+    def hess(x):
+        *_, dgg, dgp, dpp = kernel(x)
+        return np.concatenate([dgg, dgp, dgp, dpp] if has_storage else [dgg], axis=None)
+
+    return value, grad, hess, h_rows, h_cols
+
+
+def frozen_clearing_objective(system, bids):
+    """(value, grad, hess, hess_rows, hess_cols) of the bid clearing."""
+    T, net = system.horizon, system.net_load
+    p_price = [price for segs in bids.discharge for _, price in segs]
+    b_price = [price for segs in bids.charge for _, price in segs]
+    lin = np.zeros(2 * T + len(p_price) + len(b_price))
+    lin[T: T + len(p_price)] = p_price
+    lin[T + len(p_price): T + len(p_price) + len(b_price)] = -np.array(b_price)
+    derivatives = memoized_derivatives(expected_cost_table(system.poly, net.mu, net.sigma))
+
+    def value(x):
+        return float(lin @ x) + float(np.sum(derivatives(x[:T], 1.0)[0]))
+
+    def grad(x):
+        out = lin.copy()
+        out[:T] += derivatives(x[:T], 1.0)[1]
+        return out
+
+    def hess(x):
+        return derivatives(x[:T], 1.0)[3]
+
+    return value, grad, hess, np.arange(T), np.arange(T)
+
+
+def with_mu(system, mu):
+    return dataclasses.replace(system, net_load=dataclasses.replace(system.net_load, mu=tuple(mu)))
+
+
+OBJECTIVE_MU = (30.0, -45.0, 12.5, 0.0, -7.25, 60.0)
+
+
+@pytest.mark.parametrize("storage_ratio, k", [(0.2, 1), (0.2, 3), (0.0, 1), (0.0, 3)],
+                         ids=["storage-k1", "storage-k3", "no-storage-k1", "no-storage-k3"])
+def test_dispatch_objective_equals_frozen_closures(storage_ratio, k):
+    """The cubic T=6 dispatch with nonzero error means: the gradient, the
+    Hessian and its positions bit for bit, the value (summed in another
+    order) to 1e-13, at points with phi inside and outside [0, 1]."""
+    system = with_mu(synth_test_system(horizon=6, fit_degree=3, storage_ratio=storage_ratio), OBJECTIVE_MU)
+    loads = np.asarray(system.net_load.forecast) + np.random.default_rng(k).normal(0.0, 200.0, (k, 6))
+    build = build_dispatch(system, loads=loads)
+    prog = build.program
+    value, grad, hess, h_rows, h_cols = frozen_dispatch_objective(build, k)
+    assert prog.hess_rows.tobytes() == h_rows.tobytes() and prog.hess_cols.tobytes() == h_cols.tobytes()
+    g = (build.layout.n * np.arange(k)[:, None] + build.layout.of("g", np.arange(1, 7))).ravel()
+    rng = np.random.default_rng(k)
+    for lo, hi in ((0.0, 1.0), (-0.5, 1.5)):
+        x = rng.uniform(lo, hi, prog.n)
+        x[g] *= system.g_max
+        assert prog.value(x) == pytest.approx(value(x), rel=1e-13, abs=0.0)
+        assert prog.grad(x).tobytes() == grad(x).tobytes()
+        assert prog.hess(x).tobytes() == hess(x).tobytes()
+
+
+def test_clearing_objective_equals_frozen_closures():
+    """Bid clearing of a cubic T=4 system with nonzero error means and one to
+    three segments per period: value, gradient, Hessian and its positions
+    bit for bit."""
+    system = with_mu(synth_test_system(horizon=4, fit_degree=3), OBJECTIVE_MU[:4])
+    bids = BidCurve(discharge=(((300.0, 40.0), (200.0, 55.5)), ((500.0, 38.0),),
+                               ((100.0, 41.0), (100.0, 47.0), (250.0, 70.0)), ((400.0, 52.0),)),
+                    charge=(((250.0, 20.0),), ((300.0, 25.0), (150.0, 12.0)),
+                            ((200.0, 30.0),), ((100.0, 18.0), (100.0, 9.5), (300.0, 4.0))))
+    prog = clearing_program(system, bids)
+    value, grad, hess, h_rows, h_cols = frozen_clearing_objective(system, bids)
+    assert prog.hess_rows.tobytes() == h_rows.tobytes() and prog.hess_cols.tobytes() == h_cols.tobytes()
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x = rng.uniform(0.0, 1.0, prog.n) * system.g_max
+        assert prog.value(x) == value(x)
+        assert prog.grad(x).tobytes() == grad(x).tobytes()
+        assert prog.hess(x).tobytes() == hess(x).tobytes()
 
 
 def with_load(system, load):

@@ -302,9 +302,10 @@ def test_quartic_objective_damped_newton():
 
 
 def polish_pattern(prog):
-    """The polish's pattern over [A; G], as ``_polish`` builds it."""
-    return solver._KKTPattern(prog.n, scipy.sparse.vstack([prog.A, prog.G], format="csr"),
-                              hess_rows=prog.hess_rows, hess_cols=prog.hess_cols)
+    """The solve's pattern over [A; G] that the polish restricts, as
+    ``_solve`` builds it."""
+    return solver._KKTPattern(prog.n, scipy.sparse.vstack([prog.A, prog.G], format="csr"), prog.G,
+                              prog.hess_rows, prog.hess_cols)
 
 
 @pytest.mark.parametrize("make, active, x0, factorisations", [
@@ -330,9 +331,10 @@ def test_polish_factors_again_only_when_the_hessian_changes(monkeypatch, make, a
 
 
 def count_in_polish(monkeypatch):
-    """Count, per ``_polish`` call, its factorisations and the patterns it
-    builds; returns the list the counts go to."""
-    counts, current = [], {"factors": 0, "patterns": 0}
+    """Count the patterns built in all, and per ``_polish`` call its
+    factorisations and the patterns it builds; returns the total and the
+    list the per-polish counts go to."""
+    built, counts, current = {"patterns": 0}, [], {"factors": 0, "patterns": 0}
     factor, init, polish = solver._factor, solver._KKTPattern.__init__, solver._polish
 
     def counting_factor(K):
@@ -341,6 +343,7 @@ def count_in_polish(monkeypatch):
 
     def counting_init(self, *args, **kwargs):
         current["patterns"] += 1
+        built["patterns"] += 1
         init(self, *args, **kwargs)
 
     def counting_polish(*args, **kwargs):
@@ -352,21 +355,23 @@ def count_in_polish(monkeypatch):
     monkeypatch.setattr(solver, "_factor", counting_factor)
     monkeypatch.setattr(solver._KKTPattern, "__init__", counting_init)
     monkeypatch.setattr(solver, "_polish", counting_polish)
-    return counts
+    return built, counts
 
 
 def test_polish_factors_once_per_search_round(monkeypatch):
     """A cubic T=6 dispatch polishes in r = 2 rounds.  Each search round
     factors once, at the start point, and the round that settles takes two
     more steps of the same Newton run: r + 2 factorisations, not the 3r of
-    three full steps per round, on one pattern whatever r is."""
+    three full steps per round, whatever r is.  The solve builds one
+    pattern, and the polish restricts it without building another."""
     program = build_dispatch(synth_test_system(horizon=6, fit_degree=3)).program
-    counts = count_in_polish(monkeypatch)
+    built, counts = count_in_polish(monkeypatch)
     res = solve_convex(program)
     assert res.status == OPTIMAL and res.polished
     rounds = res.polish_rounds
     assert rounds > 1
-    assert counts == [{"factors": rounds + 2, "patterns": 1}]
+    assert counts == [{"factors": rounds + 2, "patterns": 0}]
+    assert built == {"patterns": 1}
 
 
 @pytest.mark.parametrize("scenarios, seed, rounds, polished", [
@@ -378,19 +383,20 @@ def test_solve_result_reports_polish_outcome(monkeypatch, scenarios, seed, round
     """The cubic default system (T=24) alone and as stacked price scenarios.
     An accepted polish ends at rounding level; a rejected one returns the
     interior-point iterate, still within tolerance.  Whatever the number of
-    rounds, the polish builds one pattern."""
+    rounds, the solve builds one pattern and the polish builds none."""
     system = synth_test_system(fit_degree=3)
     if scenarios is None:
         program = build_dispatch(system).program
     else:
         draws = np.clip(sample_net_load(system.net_load, scenarios, seed), system.g_min, system.g_max)
         program = build_dispatch(deterministic_variant(system, draws[0]), loads=draws).program
-    counts = count_in_polish(monkeypatch)
+    built, counts = count_in_polish(monkeypatch)
     res = solve_convex(program)
     assert res.status == OPTIMAL
     assert (res.polish_rounds, res.polished) == (rounds, polished)
     assert (res.max_residual <= 1e-10) == polished
-    assert [count["patterns"] for count in counts] == [1]
+    assert [count["patterns"] for count in counts] == [0]
+    assert built == {"patterns": 1}
 
 
 def test_solve_result_reports_no_polish_when_none_ran():

@@ -613,6 +613,53 @@ def test_restricted_pattern_equals_pattern_of_kept_rows(seed, n, p, m, g_rows, m
                            want.matrix(want.fill(hv_want, reg=reg, delta=delta)))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), p=st.integers(0, 5),
+       m=st.integers(0, 14), g_rows=st.sampled_from(["random", "dense", "single"]),
+       mask=st.sampled_from(["all", "none", "random"]))
+def test_solve_pattern_serves_every_matrix_of_a_solve(seed, n, p, m, g_rows, mask):
+    """The one pattern a solve builds, over [A; G] with G's barrier pairs.
+    Restricted to A's rows it is the interior-point pattern built from A and
+    G: the same keys, rows, column starts, diagonal and pair positions, and
+    bit for bit the same Newton matrix and 1e-6 retry; and it gives the
+    start point's matrices of the pattern of A alone.  Restricted to A and
+    some rows of G it gives the matrices of the pattern built from those
+    rows without pairs, as the polish factors them."""
+    A, G, H, w = refill_case(seed, n, p, m, g_rows)
+    rows, cols, values, _, _ = declared_hessian(seed, n, H)
+    full = _KKTPattern(n, scipy.sparse.vstack([A, G], format="csr"), G, rows, cols)
+
+    got, want = full.restrict(np.arange(p + m) < p), _KKTPattern(n, A, G, rows, cols)
+    for name in ("keys", "rows", "indptr", "diag", "pair_pos"):
+        got_v, want_v = getattr(got, name), getattr(want, name)
+        assert (got_v is None and want_v is None) or np.array_equal(got_v, want_v), name
+    (hv, scale), (hv_want, scale_want) = got.hessian(values), want.hessian(values)
+    assert hv.tobytes() == hv_want.tobytes() and scale == scale_want
+    data = got.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
+    data_want = want.fill(hv_want, w, reg=1e-11 * scale, delta=1e-12)
+    assert_same_matrix(got.matrix(data), want.matrix(data_want))
+    data[got.diag[:n]] += 1e-6
+    data_want[want.diag[:n]] += 1e-6
+    assert_same_matrix(got.matrix(data, drop_all=True), want.matrix(data_want, drop_all=True))
+
+    start = _KKTPattern(n, A)
+    for delta in (0.0, 1e-12):
+        assert_same_matrix(got.matrix(got.fill(reg=1.0, delta=delta)),
+                           start.matrix(start.fill(reg=1.0, delta=delta)))
+
+    rng = np.random.default_rng([seed, 2])
+    active = {"all": np.ones(m, dtype=bool), "none": np.zeros(m, dtype=bool),
+              "random": rng.random(m) < 0.5}[mask]
+    got = full.restrict(np.concatenate([np.ones(p, dtype=bool), active]))
+    polish = _KKTPattern(n, scipy.sparse.vstack([A, G[active]], format="csr"),
+                         hess_rows=rows, hess_cols=cols)
+    (hv, scale), (hv_want, scale_want) = got.hessian(values), polish.hessian(values)
+    assert scale == scale_want
+    for reg, delta in ((0.0, 0.0), (1e-14 * scale, 1e-13)):
+        assert_same_matrix(got.matrix(got.fill(hv, reg=reg, delta=delta)),
+                           polish.matrix(polish.fill(hv_want, reg=reg, delta=delta)))
+
+
 # ---------------------------------------------------------------------------
 # the factor-and-solve routine
 # ---------------------------------------------------------------------------
