@@ -180,10 +180,10 @@ def _apply_config_file(parser, args, argv):
 
 def _system_from_args(args):
     csv_given = [args.fleet_csv, args.load_csv, args.errors_csv]
+    if any(csv_given) and args.synthetic:
+        raise ConfigurationError("choose exactly one system source (synthetic or CSV)")
     if any(csv_given) and not all(csv_given):
         raise ConfigurationError("CSV source needs --fleet-csv, --load-csv, and --errors-csv")
-    if all(csv_given) and args.synthetic:
-        raise ConfigurationError("choose exactly one system source (synthetic or CSV)")
     if all(csv_given):
         from .costs import StorageSpec
 
@@ -409,6 +409,8 @@ def _cmd_sweep(args, outdir):
 
 
 def _cmd_violations(args, outdir):
+    if args.samples < 1:
+        raise ConfigurationError(f"--samples {args.samples}: a violation check needs at least one sample")
     system = _system_from_args(args)
     sol = solve_dispatch(system)
     if sol.status != "optimal":

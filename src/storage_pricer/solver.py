@@ -23,27 +23,36 @@ Hessian's values change, so a quadratic objective is factored once per
 round.
 
 Everything is sparse.  The constraint matrices are CSR arrays, and each
-Newton system is the statically regularised (quasi-definite) KKT matrix in
-CSC form, factored with ``scipy.sparse.linalg.splu`` and solved with
-iterative refinement by one routine (``_kkt_solver``).  A program declares
-the positions of its Hessian's entries once, so each solve builds one KKT
-pattern (``_KKTPattern``) over every row, restricted without a sort for
-the start point, each Newton step and each polish round; each step refills
-just the values, equal bit for bit to assembling the matrix from sparse
-products and sums.  Multi-period dispatches couple periods only through
-the SoC recursion, so the factor stays banded and the cost grows about
-linearly with the horizon.
+Newton system is the statically regularised (quasi-definite) KKT matrix,
+factored and solved with iterative refinement by one routine
+(``_kkt_solver``).  A program declares the positions of its Hessian's
+entries once, so each solve builds one KKT pattern (``_KKTPattern``) over
+every row, restricted without a sort for the start point, each Newton step
+and each polish round; each step refills just the values, equal bit for bit
+to assembling the matrix from sparse products and sums.
+
+Multi-period dispatches couple periods only through the SoC recursion, so
+in the Cuthill–McKee order of its own graph each pattern that is factored
+is a band of half-width 5 to 30, whatever the horizon.  Such a pattern is
+factored by LAPACK's band LU (``dgbtrf``, solved by ``dgbtrs``), and the
+cost grows linearly with the horizon.  A pattern whose band is wide, as
+phase-1's dense column makes it, is factored by ``scipy.sparse.linalg.splu``
+in CSC form instead; the pattern's structure alone decides
+(``_KKTPattern.band``).
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DomainError
 
@@ -208,6 +217,13 @@ def _step_to_boundary(v, dv, cap=1.0):
     return min(cap, float(np.min(-v[neg] / dv[neg])))
 
 
+def _sorted_unique(v):
+    """The distinct values of v, sorted: ``np.unique`` without its hashing,
+    which on the 622k keys of a T=8760 pattern is 20 times slower."""
+    v = np.sort(v)
+    return v[np.r_[True, v[1:] != v[:-1]]] if v.size else v
+
+
 class _KKTPattern:
     """CSC sparsity pattern of the statically regularised KKT matrix
 
@@ -228,6 +244,8 @@ class _KKTPattern:
     regularisation last; and ``matrix`` drops exact zeros of the top-left
     block, as scipy's sparse sums do, which drops G's barrier pairs from the
     start point's and the polish's matrices, filled without weights ``w``.
+
+    A pattern that is factored orders itself for the band LU (``band``).
     """
 
     def __init__(self, n, B, G=None, hess_rows=(), hess_cols=()):
@@ -250,7 +268,7 @@ class _KKTPattern:
             pair_keys = G.indices[b].astype(np.int64) * N + G.indices[a]
             parts.append(pair_keys)
             self.pair_row, self.pair_a, self.pair_b = row[a], G.data[a], G.data[b]
-        self.keys = np.unique(np.concatenate(parts))
+        self.keys = _sorted_unique(np.concatenate(parts))
         self.rows = (self.keys % N).astype(np.int32)
         self.indptr = np.searchsorted(self.keys, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
         self.top_left = (self.keys < n * N) & (self.rows < n)
@@ -262,7 +280,7 @@ class _KKTPattern:
         # H's entries in the pattern, and its distinct entries in CSR order
         # with the start of each row, for the row sums of |H|
         self.h_pos = np.searchsorted(self.keys, h_keys)
-        distinct = np.unique(self.h_pos)
+        distinct = _sorted_unique(self.h_pos)
         self.h_csr = distinct[np.lexsort((self.keys[distinct] // N, self.rows[distinct]))]
         csr_rows = self.rows[self.h_csr]
         self.h_starts = np.flatnonzero(np.r_[True, csr_rows[1:] != csr_rows[:-1]])
@@ -295,7 +313,45 @@ class _KKTPattern:
         out.b_data, out.b_row = self.b_data[b_kept], index[n + self.b_row[b_kept]] - n
         out.pair_pos = None if self.pair_pos is None else position[self.pair_pos]
         out.h_pos, out.h_csr = position[self.h_pos], position[self.h_csr]
+        out.__dict__.pop("band", None)      # the kept rows take an order of their own
         return out
+
+    @cached_property
+    def band(self):
+        """(order, half-bandwidth bw, each entry's position in the band
+        array) for the band LU, or None when the band is too wide for it.
+
+        The order is the Cuthill–McKee order of the pattern's own graph, over
+        all of its entries.  (Reversed, the textbook RCM, it leaves day24's
+        dual-degenerate polishes without a solution, and iterative refinement
+        oscillates on a regularised singular matrix.)  The band array has
+        3 bw + 1 rows in Fortran order, as ``dgbtrf`` takes it, and entry
+        (i, j) at row 2 bw + rank(i) - rank(j) of column rank(j).
+
+        Each step of the band LU updates a dense block of about bw x 2 bw
+        entries.  Where one bw x bw block holds more than the whole pattern,
+        bw^2 > nnz, the band has lost the sparsity: phase-1's dense column
+        gives bw = 1005 at N = 1514 for a T=168 dispatch, against bw <= 30
+        for a dispatch's own Newton and polish patterns.
+        """
+        N = self.N
+        graph = sp.csc_array((np.ones(self.keys.size), self.rows, self.indptr), shape=(N, N))
+        order = reverse_cuthill_mckee(graph, symmetric_mode=True)[::-1]
+        rank = np.empty(N, dtype=np.int64)
+        rank[order] = np.arange(N)
+        col_rank = rank[self.keys // N]
+        offset = rank[self.rows] - col_rank
+        bw = int(np.max(np.abs(offset), initial=0))
+        if bw * bw > self.keys.size:
+            return None
+        return order, bw, col_rank * (3 * bw + 1) + 2 * bw + offset
+
+    def band_array(self, data):
+        """``data`` in the band array of ``band``, as ``dgbtrf`` takes it."""
+        order, bw, position = self.band
+        ab = np.zeros((self.N, 3 * bw + 1))
+        ab.ravel()[position] = data
+        return ab.T
 
     def hessian(self, values):
         """H's values scattered into the pattern (duplicates summed) and the
@@ -339,22 +395,44 @@ class _KKTPattern:
         return sp.csc_array((data, rows, indptr), shape=(self.N, self.N))
 
 
-def _factor(K):
-    """Sparse LU factors of the CSC matrix K, or None when an entry of K is
-    not finite or the factors do not give a finite solve.
+def _band_lu(pattern, data):
+    """``solve(rhs)`` with the band LU of the matrix with values ``data``,
+    or None when a pivot is exactly zero."""
+    order, bw, _ = pattern.band
+    lu, piv, info = lapack.dgbtrf(pattern.band_array(data), bw, bw, overwrite_ab=1)
+    if info:
+        return None
 
-    ``splu`` raises on an exactly singular matrix (a zero or NaN pivot), but
-    it factors a matrix with an infinite entry, and solves with factors of
+    def solve(rhs):
+        sol = np.empty(pattern.N)
+        sol[order] = lapack.dgbtrs(lu, bw, bw, rhs[order], piv, overwrite_b=1)[0]
+        return sol
+
+    return solve
+
+
+def _factor(pattern, data, drop_all=False):
+    """``solve(rhs)`` with LU factors of the matrix with values ``data`` in
+    ``pattern``: the band LU when the pattern's band is narrow, else
+    ``splu`` of its CSC form (``drop_all`` as in ``_kkt_solver``).  None
+    when an entry is not finite, a pivot is exactly zero, or the factors do
+    not give a finite solve.
+
+    Neither routine refuses every such matrix (``splu`` factors one with an
+    infinite entry, ``dgbtrf`` one with any), and solves with factors of
     tiny pivots overflow; so the entries are checked first and one probe
     solve checks the factors.
     """
-    if not np.all(np.isfinite(K.data)):
+    if not np.all(np.isfinite(data)):
         return None
-    try:
-        lu = scipy.sparse.linalg.splu(K)
-    except RuntimeError:
-        return None
-    return lu if np.all(np.isfinite(lu.solve(np.ones(K.shape[0])))) else None
+    if pattern.band is not None:
+        solve = _band_lu(pattern, data)
+    else:
+        try:
+            solve = scipy.sparse.linalg.splu(pattern.matrix(data, drop_all)).solve
+        except RuntimeError:    # exactly singular: a zero or NaN pivot
+            return None
+    return solve if solve is not None and np.all(np.isfinite(solve(np.ones(pattern.N)))) else None
 
 
 def _kkt_solver(pattern, data, refine=None, rounds=1, drop_all=False):
@@ -365,18 +443,17 @@ def _kkt_solver(pattern, data, refine=None, rounds=1, drop_all=False):
     matrix with values ``refine`` (default: the factored one), so a
     regularised factorisation can serve the pure system.  ``drop_all``
     drops every exact zero of ``data`` before factoring, not only those of
-    the top-left block.
+    the top-left block; the band LU stores zeros either way.
     """
-    K = pattern.matrix(data, drop_all)
-    lu = _factor(K)
-    if lu is None:
+    lu_solve = _factor(pattern, data, drop_all)
+    if lu_solve is None:
         return None
-    K0 = K if refine is None else pattern.matrix(refine)
+    K0 = pattern.matrix(data, drop_all) if refine is None else pattern.matrix(refine)
 
     def solve(rhs):
-        sol = lu.solve(rhs)
+        sol = lu_solve(rhs)
         for _ in range(rounds):
-            sol += lu.solve(rhs - K0 @ sol)
+            sol += lu_solve(rhs - K0 @ sol)
         return sol
 
     return solve

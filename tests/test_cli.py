@@ -236,6 +236,21 @@ def test_dispatch_refuses_a_horizon_below_one(tmp_path, capsys, horizon):
             f"horizon must be >= 1, got {horizon}")
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_violations_refuses_fewer_than_one_sample(tmp_path, capsys, samples):
+    refused(tmp_path, capsys, ["violations", *SMALL, "--samples", samples],
+            f"--samples {samples}: a violation check needs at least one sample")
+
+
+@pytest.mark.parametrize("given", [1, 2, 3])
+def test_synthetic_with_csv_files_refuses_two_sources(tmp_path, capsys, given):
+    """--synthetic with any of the CSV trio names two sources, whether the
+    trio is complete or not."""
+    source = _csv_source(tmp_path)[: 2 * given]
+    refused(tmp_path, capsys, ["dispatch", "--synthetic", *source],
+            "choose exactly one system source (synthetic or CSV)")
+
+
 def test_fit_dist_command(tmp_path):
     rng = np.random.default_rng(3)
     u = rng.random(20_000)
@@ -479,17 +494,12 @@ def test_compare_reads_seed_with_csv_source(tmp_path):
 
 def test_singular_kkt_exits_two(tmp_path, monkeypatch):
     """A KKT matrix that stays singular after the regularised retry ends the
-    solve with a status, reported as a solver failure, not a raw scipy error."""
-    import scipy.sparse.linalg
+    solve with a status, reported as a solver failure, not a raw scipy error.
+    Every solve with the band LU's factors is NaN, as with an exactly zero
+    pivot."""
+    from scipy.linalg import lapack
 
-    class ZeroPivotLU:
-        def __init__(self, K):
-            pass
-
-        def solve(self, rhs):
-            return np.full_like(rhs, np.nan)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", ZeroPivotLU)
+    monkeypatch.setattr(lapack, "dgbtrs", lambda lu, kl, ku, b, ipiv, **kwargs: (np.full_like(b, np.nan), 0))
     assert run(["dispatch", *SMALL, "--out", str(tmp_path / "s")]) == 2
 
 

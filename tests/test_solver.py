@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from storage_pricer import solver
 from storage_pricer.baseline import deterministic_variant
@@ -171,27 +172,31 @@ def test_iteration_cap_returns_best_iterate(monkeypatch):
     assert np.isfinite(res.max_residual)
 
 
-class ZeroPivotLU:
-    """Stand-in for splu factors with an exactly zero pivot: every solve
-    with them is NaN."""
+def zero_pivot_solve(lu, kl, ku, b, ipiv, **kwargs):
+    """Stand-in for ``dgbtrs`` with band factors of an exactly zero pivot:
+    every solve with them is NaN."""
+    return np.full_like(b, np.nan), 0
 
-    def __init__(self, K):
-        pass
 
-    def solve(self, rhs):
-        return np.full_like(rhs, np.nan)
+def count_band_factorisations(monkeypatch, info=None):
+    """Count the calls of ``dgbtrf``; with ``info``, each reports that
+    status instead of factoring (``info`` = 1: an exactly zero pivot)."""
+    calls = []
+    dgbtrf = lapack.dgbtrf
+
+    def counting(ab, kl, ku, **kwargs):
+        calls.append(ab.shape)
+        return dgbtrf(ab, kl, ku, **kwargs) if info is None else (ab, np.zeros(ab.shape[1], np.int32), info)
+
+    monkeypatch.setattr(lapack, "dgbtrf", counting)
+    return calls
 
 
 def test_singular_kkt_ends_with_status(monkeypatch):
     """Factors with a zero pivot in both the factorisation and its
     regularised retry end the solve with a status instead of a NaN step."""
-    calls = []
-
-    def singular(K, *args, **kwargs):
-        calls.append(K.shape)
-        return ZeroPivotLU(K)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    calls = count_band_factorisations(monkeypatch)
+    monkeypatch.setattr(lapack, "dgbtrs", zero_pivot_solve)
     prog = quadratic_program(np.eye(2), np.ones(2), G=-np.eye(2), h=np.zeros(2))
     res = solve_convex(prog)
     assert res.status in (ITER_LIMIT, INFEASIBLE)
@@ -199,8 +204,20 @@ def test_singular_kkt_ends_with_status(monkeypatch):
 
 
 def test_exactly_singular_kkt_ends_with_status(monkeypatch):
-    """splu raises on an exactly singular matrix, in the start-point solve as
+    """dgbtrf reports an exactly zero pivot, in the start-point solve as
     well as in the Newton system; either way the solve ends with a status."""
+    calls = count_band_factorisations(monkeypatch, info=1)
+    ineq = quadratic_program(np.eye(2), np.ones(2), G=-np.eye(2), h=np.zeros(2))
+    assert solve_convex(ineq).status in (ITER_LIMIT, INFEASIBLE)
+    assert len(calls) >= 2
+    eq = quadratic_program(np.eye(2), np.ones(2), A=[[1.0, 1.0]], b=[1.0])
+    assert solve_convex(eq).status == ITER_LIMIT
+
+
+def test_exactly_singular_wide_kkt_ends_with_status(monkeypatch):
+    """A row over all 20 variables makes the KKT pattern an arrow, too wide
+    for the band LU, so splu factors it; when splu raises on an exactly
+    singular matrix, the solve ends with a status too."""
     calls = []
 
     def singular(K, *args, **kwargs):
@@ -208,11 +225,11 @@ def test_exactly_singular_kkt_ends_with_status(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    ineq = quadratic_program(np.eye(2), np.ones(2), G=-np.eye(2), h=np.zeros(2))
-    assert solve_convex(ineq).status in (ITER_LIMIT, INFEASIBLE)
-    assert len(calls) >= 2
-    eq = quadratic_program(np.eye(2), np.ones(2), A=[[1.0, 1.0]], b=[1.0])
-    assert solve_convex(eq).status == ITER_LIMIT
+    band = count_band_factorisations(monkeypatch)
+    prog = quadratic_program(np.eye(20), np.ones(20), A=np.ones((1, 20)), b=[1.0],
+                             G=-np.eye(20), h=np.zeros(20))
+    assert solve_convex(prog).status == ITER_LIMIT
+    assert calls and not band
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +338,7 @@ def polish_pattern(prog):
 def test_polish_factors_again_only_when_the_hessian_changes(monkeypatch, make, active, x0,
                                                             factorisations):
     prog, x = make(), np.array([x0])
-    calls = []
-    factor = solver._factor
-    monkeypatch.setattr(solver, "_factor", lambda K: calls.append(K.shape) or factor(K))
+    calls = count_band_factorisations(monkeypatch)
     steps = list(solver._polish_solve(prog, polish_pattern(prog), x, np.array(active),
                                       (prog.hess(x), prog.grad(x))))
     assert len(steps) == 3 and None not in steps
@@ -332,14 +347,14 @@ def test_polish_factors_again_only_when_the_hessian_changes(monkeypatch, make, a
 
 def count_in_polish(monkeypatch):
     """Count the patterns built in all, and per ``_polish`` call its
-    factorisations and the patterns it builds; returns the total and the
-    list the per-polish counts go to."""
+    factorisations (band LUs: its patterns are narrow) and the patterns it
+    builds; returns the total and the list the per-polish counts go to."""
     built, counts, current = {"patterns": 0}, [], {"factors": 0, "patterns": 0}
-    factor, init, polish = solver._factor, solver._KKTPattern.__init__, solver._polish
+    dgbtrf, init, polish = lapack.dgbtrf, solver._KKTPattern.__init__, solver._polish
 
-    def counting_factor(K):
+    def counting_factor(*args, **kwargs):
         current["factors"] += 1
-        return factor(K)
+        return dgbtrf(*args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
         current["patterns"] += 1
@@ -352,7 +367,7 @@ def count_in_polish(monkeypatch):
         counts.append(dict(current))
         return out
 
-    monkeypatch.setattr(solver, "_factor", counting_factor)
+    monkeypatch.setattr(lapack, "dgbtrf", counting_factor)
     monkeypatch.setattr(solver._KKTPattern, "__init__", counting_init)
     monkeypatch.setattr(solver, "_polish", counting_polish)
     return built, counts

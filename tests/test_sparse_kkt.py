@@ -12,8 +12,9 @@ active rows whose multiplier is negative beyond rounding, like the solver's.
 ``block_kkt`` and ``block_ipm_kkt`` assemble the KKT matrices the way the
 solver did before it built each pattern once and refilled its values: sparse
 products, sums and ``block_array``.  The refill must reproduce them exactly,
-values and stored pattern alike, because ``splu``'s ordering follows the
-pattern and the prices of dual-degenerate dispatches follow the factors.
+values and stored pattern alike, because the factorisation's ordering
+follows the pattern and the prices of dual-degenerate dispatches follow the
+factors.
 """
 
 import dataclasses
@@ -486,7 +487,8 @@ def block_ipm_kkt(H, A, G, w):
 
 
 def assert_same_matrix(got, want):
-    """Equal entries and the same stored pattern, so splu gets the same input."""
+    """Equal entries and the same stored pattern, so the factorisation gets
+    the same input."""
     assert np.array_equal(got.toarray(), want.toarray())
     want = want.tocsc()
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
@@ -680,8 +682,9 @@ def test_kkt_solver_refuses_singular_matrix():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["b_pos", "diag"])
 def test_kkt_solver_refuses_matrix_with_entry_not_finite(bad, where):
-    """splu itself refuses the NaN entries but factors the infinite ones,
-    into factors whose probe solve is finite."""
+    """The band LU factors NaN and infinite entries alike, and the probe
+    solve with an infinite entry's factors is finite, so the entries are
+    checked before factoring."""
     pattern = kkt_case()
     data = pattern.fill(reg=1.0, delta=1e-12)
     data[getattr(pattern, where)[0]] = bad
