@@ -260,6 +260,8 @@ def _cmd_dispatch(args, outdir):
                   for kind, (periods, values) in sol.duals.items()},
         "equilibrium_ok": sol.equilibrium["ok"],
         "complementarity": sol.complementarity,
+        "solver": {"iterations": sol.solver_iterations, "polish_rounds": sol.polish_rounds,
+                   "polished": sol.polished},
     })
     print(f"dispatch: optimal, objective {sol.objective:.2f} $, "
           f"mean lambda {float(np.mean(sol.lam)):.2f} $/MWh, "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,33 +148,59 @@ class StorageSpec:
 DERIVATIVES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
+class ExpectedCostTable(NamedTuple):
+    """Everything ``expected_cost_derivatives`` needs besides the point.
+
+    The term plan lists the terms of the six outputs one output after the
+    other, each term as a coefficient and the powers of g, phi and d it
+    multiplies; ``counts`` holds each output's number of terms.  Entry l of
+    ``positions`` holds the index of every output's l-th term, for the
+    outputs that have one: a leading run of outputs, as the counts never
+    grow along ``DERIVATIVES``.
+    """
+
+    coef: np.ndarray
+    g_power: np.ndarray
+    phi_power: np.ndarray
+    moment: np.ndarray
+    counts: tuple
+    positions: tuple
+    raw: np.ndarray         # raw[t, k] = E[d_t^k]
+
+
 def expected_cost_table(poly, mu, sigma):
-    """Everything ``expected_cost_derivatives`` needs besides the point, for
-    errors d_t with per-period means ``mu`` and spreads ``sigma``.
+    """The ``ExpectedCostTable`` of ``poly`` for errors d_t with per-period
+    means ``mu`` and spreads ``sigma``.
 
     E[G(g + phi d)] = sum_i c_i sum_k C(i,k) g^(i-k) phi^k E[d^k], and each
-    derivative lowers the powers with falling factorials.  For every output
-    the table lists the terms (coefficient, power of g, power of phi, moment
-    order) in that order, plus raw[t, k] = E[d_t^k] for every period.
+    derivative lowers the powers with falling factorials.  Every output's
+    terms are listed in that order.
     """
-    terms = tuple(
-        tuple((c * math.comb(i, k) * math.perm(i - k, dg) * math.perm(k, dphi), i - k - dg, k - dphi, k)
+    terms = [[(c * math.comb(i, k) * math.perm(i - k, dg) * math.perm(k, dphi), i - k - dg, k - dphi, k)
               for i, c in enumerate(poly.coeffs) if c != 0.0
-              for k in range(i + 1) if math.perm(i - k, dg) and math.perm(k, dphi))
-        for dg, dphi in DERIVATIVES)
+              for k in range(i + 1) if math.perm(i - k, dg) and math.perm(k, dphi)]
+             for dg, dphi in DERIVATIVES]
+    counts = tuple(map(len, terms))
+    assert all(a >= b for a, b in zip(counts, counts[1:])), counts
+    starts = np.cumsum((0,) + counts[:-1])
+    positions = tuple(starts[: sum(c > l for c in counts)] + l for l in range(max(counts)))
+    flat = [term for output in terms for term in output]
+    coef = np.array([term[0] for term in flat], dtype=float)
+    g_power, phi_power, moment = np.array([term[1:] for term in flat], dtype=np.intp).reshape(-1, 3).T
     # each moment from Python floats by the scalar formula: numpy's power can differ in the last bit
     raw = np.array([[gaussian_raw_moment(ErrorMoments(m, s), k) for k in range(MAX_DEGREE + 1)]
                     for m, s in zip(np.asarray(mu, float).tolist(), np.asarray(sigma, float).tolist())])
-    return terms, raw
+    return ExpectedCostTable(coef, g_power, phi_power, moment, counts, positions, raw)
 
 
 def _powers(v):
-    """v**0 .. v**MAX_DEGREE elementwise with Python's float power: numpy's
-    vectorised power differs from it in the last bit on a few percent of
-    inputs, and dispatch duals on degenerate systems follow the last bit."""
+    """v**0 .. v**MAX_DEGREE elementwise, stacked on a new first axis, with
+    Python's float power: numpy's vectorised power differs from it in the
+    last bit on a few percent of inputs, and dispatch duals on degenerate
+    systems follow the last bit."""
     flat = v.ravel().tolist()
-    return [np.ones_like(v), v] + [np.array([x**k for x in flat]).reshape(v.shape)
-                                   for k in range(2, MAX_DEGREE + 1)]
+    high = np.array([[x**k for x in flat] for k in range(2, MAX_DEGREE + 1)]).reshape((MAX_DEGREE - 1,) + v.shape)
+    return np.concatenate([np.ones((1,) + v.shape), v[None], high])
 
 
 def expected_cost_derivatives(table, g, phi):
@@ -185,16 +212,31 @@ def expected_cost_derivatives(table, g, phi):
     are summed in the closed form's order, so every output equals the
     scalar formula bit for bit.
     """
-    terms, raw = table
+    return _derivatives(table, g, phi)
+
+
+def _derivatives(table, g, phi, first=0):
+    """``expected_cost_derivatives`` from output ``first`` on.
+
+    Every term ((coef g^a) phi^b) E[d^k] is one slice of one array, and each
+    output sums its terms left to right from zero, as a loop over them
+    would; the outputs share the additions of one term position.
+    """
     g, phi = np.broadcast_arrays(np.asarray(g, float), np.clip(phi, 0.0, 1.0))
-    gp, pp = _powers(g), _powers(phi)
+    raw = table.raw
     shape = np.broadcast_shapes(g.shape, raw.shape[:1])
-    out = []
-    for output_terms in terms:
-        total = np.zeros(shape)
-        for coef, a, b, k in output_terms:
-            total += coef * gp[a] * pp[b] * raw[:, k]
-        out.append(total)
+    ones = (1,) * len(shape)
+    # the powers on the point's axes, the moments on the period axis
+    gp, pp = (_powers(v).reshape((-1,) + ones[v.ndim:] + v.shape) for v in (g, phi))
+    moments = raw.T.reshape(raw.shape[1:] + ones[1:] + raw.shape[:1])
+    start = sum(table.counts[:first])
+    rows = slice(start, None)
+    terms = ((table.coef[rows].reshape((-1,) + ones) * gp[table.g_power[rows]])
+             * pp[table.phi_power[rows]]) * moments[table.moment[rows]]
+    out = np.zeros((len(DERIVATIVES) - first,) + shape)
+    for position in table.positions:
+        position = position[first:]
+        out[: position.size] += terms[position - start]
     return tuple(out)
 
 
@@ -273,7 +315,7 @@ def check_expected_cost_convexity(table, g_lo, g_hi):
     """
     g = np.linspace(g_lo, g_hi, GATE_G_POINTS)[:, None, None]
     phi = np.linspace(0.0, 1.0, 7)[None, :, None]
-    *_, dgg, dgp, dpp = expected_cost_derivatives(table, g, phi)
+    dgg, dgp, dpp = _derivatives(table, g, phi, first=3)     # the Hessian's outputs alone
     tr = dgg + dpp
     det = dgg * dpp - dgp * dgp
     scale = np.maximum(1.0, np.maximum(np.abs(dgg), np.abs(dpp)))

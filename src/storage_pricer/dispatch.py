@@ -148,6 +148,8 @@ class DispatchSolution:
     quantiles: PeriodQuantiles
     table: tuple           # expected_cost_table of the system's moments
     solver_iterations: int
+    polish_rounds: int = 0      # the solve's active-set polish, as ``SolveResult`` reports it
+    polished: bool = False
     pinned: dict = field(default_factory=dict)
     equilibrium: dict | None = None
     complementarity: dict | None = None
@@ -302,7 +304,8 @@ def solve_dispatch(system, loads=None):
     ``loads`` (k rows of T net loads) solves the k copies of
     ``build_dispatch(system, loads)`` as one program and returns a list of k
     solutions, copy i's with ``system.with_forecast(loads[i])`` as its system.
-    Every copy carries the stack's status, residuals and iteration count.
+    Every copy carries the stack's status, residuals, iteration count and
+    polish outcome; a stack of more than one copy is not polished.
     """
     build = build_dispatch(system, loads)
     result = solve_convex(build.program)
@@ -343,6 +346,7 @@ def _extract_solution(build, result, copy=0):
         objective=objective, residuals=dict(result.residuals),
         quantiles=build.quantiles, table=build.table,
         solver_iterations=result.iterations,
+        polish_rounds=result.polish_rounds, polished=result.polished,
         pinned=dict(build.pinned),
     )
 

@@ -20,7 +20,11 @@ and pushes residuals toward machine precision.  Its search for the active
 set decides each round from one Newton step, and only the round that
 settles takes two more; it factors again only when the active set or the
 Hessian's values change, so a quadratic objective is factored once per
-round.
+round.  Only a connected program is polished: one whose columns form a
+single block of the graph of [A; G] and the Hessian's entries.  The
+polished iterate is accepted only as a whole, so a program of independent
+blocks, such as stacked dispatch copies, would need every block to settle
+in the same rounds; on measured stacks none ever did.
 
 Everything is sparse.  The constraint matrices are CSR arrays, and each
 Newton system is the statically regularised (quasi-definite) KKT matrix,
@@ -29,7 +33,11 @@ factored and solved with iterative refinement by one routine
 entries once, so each solve builds one KKT pattern (``_KKTPattern``) over
 every row, restricted without a sort for the start point, each Newton step
 and each polish round; each step refills just the values, equal bit for bit
-to assembling the matrix from sparse products and sums.
+to assembling the matrix from sparse products and sums.  ``_kkt_solver``
+takes the first right-hand side with the values, and the finiteness of
+that first solution is what checks the factors; the iterative refinement's
+products use the pattern's one CSC array (``_KKTPattern.operator``) with
+the values swapped in, explicit zeros and all.
 
 Multi-period dispatches couple periods only through the SoC recursion, so
 in the Cuthill–McKee order of its own graph each pattern that is factored
@@ -52,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import DomainError
 
@@ -313,8 +321,20 @@ class _KKTPattern:
         out.b_data, out.b_row = self.b_data[b_kept], index[n + self.b_row[b_kept]] - n
         out.pair_pos = None if self.pair_pos is None else position[self.pair_pos]
         out.h_pos, out.h_csr = position[self.h_pos], position[self.h_csr]
-        out.__dict__.pop("band", None)      # the kept rows take an order of their own
+        for name in ("band", "csc"):        # of the kept rows alone
+            out.__dict__.pop(name, None)
         return out
+
+    def graph(self):
+        """The pattern as an adjacency matrix: one node per row, an edge per entry."""
+        return sp.csc_array((np.ones(self.keys.size), self.rows, self.indptr), shape=(self.N, self.N))
+
+    def blocks(self):
+        """The number of independent column blocks: the connected components
+        of ``graph`` that hold a column of the program.  A row without
+        entries is a component of its own, and no block."""
+        _, labels = connected_components(self.graph(), directed=False)
+        return _sorted_unique(labels[: self.n]).size
 
     @cached_property
     def band(self):
@@ -335,8 +355,7 @@ class _KKTPattern:
         for a dispatch's own Newton and polish patterns.
         """
         N = self.N
-        graph = sp.csc_array((np.ones(self.keys.size), self.rows, self.indptr), shape=(N, N))
-        order = reverse_cuthill_mckee(graph, symmetric_mode=True)[::-1]
+        order = reverse_cuthill_mckee(self.graph(), symmetric_mode=True)[::-1]
         rank = np.empty(N, dtype=np.int64)
         rank[order] = np.arange(N)
         col_rank = rank[self.keys // N]
@@ -381,9 +400,23 @@ class _KKTPattern:
         data[self.bt_pos] = self.b_data
         return data
 
+    @cached_property
+    def csc(self):
+        """The pattern as a CSC array, every entry stored; see ``operator``."""
+        return sp.csc_array((np.zeros(self.keys.size), self.rows, self.indptr), shape=(self.N, self.N))
+
+    def operator(self, data):
+        """The matrix with values ``data`` for products: a shallow copy of
+        ``csc`` with the values swapped in.  It keeps the exact zeros that
+        ``matrix`` drops, which leave a product with a finite vector
+        unchanged."""
+        K = copy.copy(self.csc)
+        K.data = data
+        return K
+
     def matrix(self, data, drop_all=False):
         """CSC array of ``data``, without its exact zeros in the top-left
-        block (or anywhere when ``drop_all``)."""
+        block (or anywhere when ``drop_all``), as ``splu`` factors it."""
         zero = data == 0.0
         if not drop_all:
             zero &= self.top_left
@@ -415,40 +448,41 @@ def _factor(pattern, data, drop_all=False):
     """``solve(rhs)`` with LU factors of the matrix with values ``data`` in
     ``pattern``: the band LU when the pattern's band is narrow, else
     ``splu`` of its CSC form (``drop_all`` as in ``_kkt_solver``).  None
-    when an entry is not finite, a pivot is exactly zero, or the factors do
-    not give a finite solve.
-
-    Neither routine refuses every such matrix (``splu`` factors one with an
-    infinite entry, ``dgbtrf`` one with any), and solves with factors of
-    tiny pivots overflow; so the entries are checked first and one probe
-    solve checks the factors.
+    when an entry is not finite or a pivot is exactly zero.  Neither
+    routine refuses every such matrix (``splu`` factors one with an
+    infinite entry, ``dgbtrf`` one with any), so the entries are checked
+    first.
     """
     if not np.all(np.isfinite(data)):
         return None
     if pattern.band is not None:
-        solve = _band_lu(pattern, data)
-    else:
-        try:
-            solve = scipy.sparse.linalg.splu(pattern.matrix(data, drop_all)).solve
-        except RuntimeError:    # exactly singular: a zero or NaN pivot
-            return None
-    return solve if solve is not None and np.all(np.isfinite(solve(np.ones(pattern.N)))) else None
+        return _band_lu(pattern, data)
+    try:
+        return scipy.sparse.linalg.splu(pattern.matrix(data, drop_all)).solve
+    except RuntimeError:    # exactly singular: a zero or NaN pivot
+        return None
 
 
-def _kkt_solver(pattern, data, refine=None, rounds=1, drop_all=False):
+def _kkt_solver(pattern, data, rhs=None, refine=None, rounds=1, drop_all=False):
     """Factor the matrix with values ``data`` in ``pattern`` and return
-    ``solve(rhs)``, or None when the factorisation fails.
+    (the solution of ``rhs``, ``solve``), or None when the factorisation
+    fails or that solution is not finite.
+
+    Factors of tiny pivots are neither refused nor infinite, but solves
+    with them overflow; the first solve, which the caller needs anyway,
+    checks them.  Without ``rhs`` it returns ``solve`` alone, on factors
+    that no solve has checked.
 
     Each solve takes ``rounds`` steps of iterative refinement against the
     matrix with values ``refine`` (default: the factored one), so a
     regularised factorisation can serve the pure system.  ``drop_all``
-    drops every exact zero of ``data`` before factoring, not only those of
-    the top-left block; the band LU stores zeros either way.
+    drops every exact zero of ``data`` before ``splu`` factors it, not only
+    those of the top-left block; the band LU stores zeros either way.
     """
     lu_solve = _factor(pattern, data, drop_all)
     if lu_solve is None:
         return None
-    K0 = pattern.matrix(data, drop_all) if refine is None else pattern.matrix(refine)
+    K0 = pattern.operator(data if refine is None else refine)
 
     def solve(rhs):
         sol = lu_solve(rhs)
@@ -456,7 +490,11 @@ def _kkt_solver(pattern, data, refine=None, rounds=1, drop_all=False):
             sol += lu_solve(rhs - K0 @ sol)
         return sol
 
-    return solve
+    if rhs is None:
+        return solve
+    with np.errstate(all="ignore"):     # a solution that is not finite is refused here
+        sol = solve(rhs)
+    return (sol, solve) if np.all(np.isfinite(sol)) else None
 
 
 def _min_norm_point(pattern, b):
@@ -467,11 +505,9 @@ def _min_norm_point(pattern, b):
     one, so rank-deficient and inconsistent A are handled alike.
     """
     n = pattern.n
-    solve = _kkt_solver(pattern, pattern.fill(reg=1.0, delta=1e-12), pattern.fill(reg=1.0), rounds=3)
-    if solve is None:
-        return None
-    x = solve(np.concatenate([np.zeros(n), b]))[:n]
-    return x if np.all(np.isfinite(x)) else None
+    first = _kkt_solver(pattern, pattern.fill(reg=1.0, delta=1e-12), np.concatenate([np.zeros(n), b]),
+                        pattern.fill(reg=1.0), rounds=3)
+    return None if first is None else first[0][:n]
 
 
 def _polish_solve(prog, pattern, x0, active, start):
@@ -494,19 +530,19 @@ def _polish_solve(prog, pattern, x0, active, start):
         if k:
             H = prog.hess(xx)
             gx = prog.grad(xx)
+        kkt_rhs = np.concatenate([-gx, rhs - np.concatenate([prog.A @ xx, (prog.G @ xx)[active]])])
         if factored is None or not np.array_equal(H, factored):
             factored = np.array(H, dtype=float)
             hv, scale = pattern.hessian(factored)
             # Factor a lightly regularized copy (redundant active rows make the
             # pure system singular), then refine against the pure system so
             # the regularization does not leak into the active-row residuals.
-            solve = _kkt_solver(pattern, pattern.fill(hv, reg=1e-14 * scale, delta=1e-13),
+            first = _kkt_solver(pattern, pattern.fill(hv, reg=1e-14 * scale, delta=1e-13), kkt_rhs,
                                 pattern.fill(hv), rounds=3)
-            if solve is None:
-                yield None
-                return
-        sol = solve(np.concatenate([-gx, rhs - np.concatenate([prog.A @ xx, (prog.G @ xx)[active]])]))
-        if not np.all(np.isfinite(sol)):
+            sol, solve = first or (None, None)
+        else:
+            sol = solve(kkt_rhs)
+        if sol is None or not np.all(np.isfinite(sol)):
             yield None
             return
         xx = xx + sol[:n]
@@ -664,37 +700,44 @@ def _solve(prog, tol, iter_cap):
         # meant to be stiff near active rows and must not inflate reg
         hv, scale = pattern.hessian(prog.hess(x))
         data = pattern.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
-        # one round of iterative refinement on the reduced system
-        solve = _kkt_solver(pattern, data)
-        if solve is None:
-            data[pattern.diag[:n]] += 1e-6
-            solve = _kkt_solver(pattern, data, drop_all=True)
-        if solve is None:
-            break
 
-        def newton(r_c):
-            # non-finite steps surface as a non-finite iterate, which ends
-            # the loop at the next finiteness check
-            sol = solve(np.concatenate([-r_d - GT @ ((-r_c + z * r_g) / s), -r_p]))
+        def newton_rhs(r_c):
+            return np.concatenate([-r_d - GT @ ((-r_c + z * r_g) / s), -r_p])
+
+        def newton(r_c, sol):
             dx, dy = sol[:n], sol[n:]
             ds = -r_g - prog.G @ dx
             return dx, dy, (-r_c - z * ds) / s, ds
 
+        # one round of iterative refinement on the reduced system; the
+        # factorisation comes with the predictor's step (without inequality
+        # rows, comp is empty and that is the only step)
+        predictor = newton_rhs(comp)
+        factored = _kkt_solver(pattern, data, predictor)
+        if factored is None:
+            data[pattern.diag[:n]] += 1e-6
+            factored = _kkt_solver(pattern, data, predictor, drop_all=True)
+        if factored is None:
+            break
+        first, solve = factored
+
         if m:
             # Mehrotra: affine predictor sets the centering weight.
-            dxa, dya, dza, dsa = newton(comp)
+            dxa, dya, dza, dsa = newton(comp, first)
             ap = _step_to_boundary(s, dsa)
             ad = _step_to_boundary(z, dza)
             mu_aff = float((s + ap * dsa) @ (z + ad * dza)) / m
             sigma = np.clip((mu_aff / mu) ** 3 if mu > 0 else 0.1, 1e-8, 0.9999)
             r_c = comp + dsa * dza - sigma * mu
-            dx, dy, dz, ds = newton(r_c)
+            # a non-finite corrector step surfaces as a non-finite iterate,
+            # which ends the loop at the next finiteness check
+            dx, dy, dz, ds = newton(r_c, solve(newton_rhs(r_c)))
             frac = min(0.9999, max(0.995, 1.0 - 10.0 * mu))
             ap = _step_to_boundary(s, ds, cap=1.0) * frac if np.any(ds < 0) else 1.0
             ad = _step_to_boundary(z, dz, cap=1.0) * frac if np.any(dz < 0) else 1.0
             ap, ad = min(ap, 1.0), min(ad, 1.0)
         else:
-            dx, dy, dz, ds = newton(np.zeros(0))
+            dx, dy, dz, ds = newton(comp, first)
             ap = ad = 1.0
             sigma = 0.0
 
@@ -721,11 +764,12 @@ def _solve(prog, tol, iter_cap):
         _, x, y, z, s = best
     report = _report(prog, AT, GT, x, y, z, s)
 
-    # Active-set polish from any near-optimal iterate: re-solving the
-    # equality-constrained KKT system sidesteps the ill-conditioning of the
-    # barrier system at small mu.
+    # Active-set polish from any near-optimal iterate of a connected program
+    # (see the module notes): re-solving the equality-constrained KKT system
+    # sidesteps the ill-conditioning of the barrier system at small mu.
     polish_rounds, polished = 0, False
-    if status in (OPTIMAL, ITER_LIMIT) and best is not None and best[0] <= np.sqrt(tol):
+    if status in (OPTIMAL, ITER_LIMIT) and best is not None and best[0] <= np.sqrt(tol) \
+            and full.blocks() == 1:
         candidate, polish_rounds = _polish(prog, full, x, y, z, s, tol)
         if candidate is not None:
             r_new = _report(prog, AT, GT, *candidate)

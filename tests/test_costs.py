@@ -99,8 +99,9 @@ moments_st = st.builds(ErrorMoments, st.floats(-5.0, 5.0),
 @given(degree=st.integers(1, 4), data=st.data())
 def test_kernel_matches_scalar_oracle(degree, data):
     """All six outputs for every period, on g outside the polynomial's
-    domain [0, 20] and phi outside [0, 1] (clamped), over one extra axis.
-    The kernel sums the same terms in the same order, so it is exact."""
+    domain [0, 20] and phi outside [0, 1] (clamped), over one extra axis and
+    at 0-d points.  The kernel sums the same terms in the same order, so it
+    is exact."""
     coeffs = [data.draw(st.floats(0.0, 10.0)) * 10.0**-i for i in range(degree + 1)]
     p = CostPolynomial(tuple(coeffs), g_min=0.0, g_max=20.0)
     T = data.draw(st.integers(1, 4))
@@ -116,6 +117,15 @@ def test_kernel_matches_scalar_oracle(degree, data):
                 phi_c = min(max(float(phi[r, t]), 0.0), 1.0)
                 ref = oracle(p.coeffs, float(g[r, t]), phi_c, moments[t], dg, dphi)
                 assert out[k][r, t] == ref, (k, r, t)
+    # 0-d g and phi, as interior_charging_theta passes them, against every
+    # period of the table and against a one-period table
+    g0, phi0 = g[0, 0], phi[0, 0]
+    phi_c = min(max(float(phi0), 0.0), 1.0)
+    for table, periods in ((table_of(p, moments), moments), (table_of(p, moments[:1]), moments[:1])):
+        out = expected_cost_derivatives(table, g0, phi0)
+        for k, (dg, dphi) in enumerate(DERIVATIVES):
+            assert out[k].shape == (len(periods),)
+            assert out[k].tolist() == [oracle(p.coeffs, float(g0), phi_c, m, dg, dphi) for m in periods], k
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -313,6 +313,34 @@ def test_solution_export_round_trip(tmp_path, monkeypatch):
     assert "alpha_hi" in audit["duals"]
 
 
+def test_solution_reports_polish_outcome():
+    """A T=24 dispatch is polished and its solution says so.  A stack of
+    copies is a program of independent blocks and is not polished, so every
+    copy reports that no polish ran."""
+    system = synth_test_system(fit_degree=3)
+    sol = solve_dispatch(system)
+    assert sol.status == "optimal" and sol.polished and sol.polish_rounds >= 1
+    loads = np.asarray(system.net_load.forecast) * np.linspace(0.95, 1.05, 3)[:, None]
+    stack = solve_dispatch(system, loads=loads)
+    assert [(copy.status, copy.polish_rounds, copy.polished) for copy in stack] == [("optimal", 0, False)] * 3
+
+
+def test_dual_audit_reports_solver_outcome(tmp_path, monkeypatch):
+    """dual_audit.json carries the solve's iteration count and polish outcome
+    under ``solver``."""
+    import json
+
+    import storage_pricer.cli as cli
+
+    system = synth_test_system(fit_degree=3)
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: system)
+    assert cli.main(["dispatch", "--synthetic", "--out", str(tmp_path)]) == 0
+    sol = solve_dispatch(system)
+    audit = json.loads((tmp_path / "dual_audit.json").read_text())
+    assert audit["solver"] == {"iterations": sol.solver_iterations, "polish_rounds": sol.polish_rounds,
+                               "polished": True}
+
+
 @pytest.mark.parametrize("variant", [
     {}, {"storage_reserve": False}, {"storage_ratio": 0.0}, {"terminal": "free"},
     {"e_init_ratio": 0.0}, {"e_init_ratio": 1.0},

@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 
 from storage_pricer import solver
 from storage_pricer.baseline import deterministic_variant
-from storage_pricer.dispatch import build_dispatch
+from storage_pricer.dispatch import _extract_solution, build_dispatch, solve_dispatch
 from storage_pricer.errors import DomainError
 from storage_pricer.solver import (
     INFEASIBLE,
@@ -391,27 +391,35 @@ def test_polish_factors_once_per_search_round(monkeypatch):
 
 @pytest.mark.parametrize("scenarios, seed, rounds, polished", [
     (None, None, 2, True),      # one T=24 dispatch
-    (4, 2, 6, True),            # a stack that polishes after 6 rounds
-    (2, 2, 8, False),           # a stack whose search gives up after 8
+    # two stacks, not polished; the ids keep the outcomes a whole-stack
+    # polish had: settled after 6 rounds, and gave up after 8
+    (4, 2, 0, False),
+    (2, 2, 0, False),
 ], ids=["dispatch", "stack-polished", "stack-gives-up"])
 def test_solve_result_reports_polish_outcome(monkeypatch, scenarios, seed, rounds, polished):
     """The cubic default system (T=24) alone and as stacked price scenarios.
-    An accepted polish ends at rounding level; a rejected one returns the
-    interior-point iterate, still within tolerance.  Whatever the number of
-    rounds, the solve builds one pattern and the polish builds none."""
+    An accepted polish ends at rounding level, and the solve builds one
+    pattern and the polish builds none.  A stack is a program of
+    independent copies and is not polished: it returns the interior-point
+    iterate, within tolerance, and each copy's lambda is the one that copy
+    has solved alone."""
     system = synth_test_system(fit_degree=3)
     if scenarios is None:
-        program = build_dispatch(system).program
+        build = build_dispatch(system)
     else:
         draws = np.clip(sample_net_load(system.net_load, scenarios, seed), system.g_min, system.g_max)
-        program = build_dispatch(deterministic_variant(system, draws[0]), loads=draws).program
+        build = build_dispatch(deterministic_variant(system, draws[0]), loads=draws)
+        alone = [solve_dispatch(copy).lam for copy in build.systems]
     built, counts = count_in_polish(monkeypatch)
-    res = solve_convex(program)
+    res = solve_convex(build.program)
     assert res.status == OPTIMAL
     assert (res.polish_rounds, res.polished) == (rounds, polished)
     assert (res.max_residual <= 1e-10) == polished
-    assert [count["patterns"] for count in counts] == [0]
+    assert [count["patterns"] for count in counts] == ([0] if rounds else [])
     assert built == {"patterns": 1}
+    if scenarios is not None:
+        for copy, lam in enumerate(alone):
+            np.testing.assert_allclose(_extract_solution(build, res, copy).lam, lam, rtol=1e-12, atol=0)
 
 
 def test_solve_result_reports_no_polish_when_none_ran():
@@ -421,17 +429,38 @@ def test_solve_result_reports_no_polish_when_none_ran():
     assert (res.polish_rounds, res.polished) == (0, False)
 
 
-@pytest.mark.parametrize("horizon, degree, scenarios, seed", [
-    (24, 3, 2, 2),      # the search gives up after 8 rounds
-    (12, 2, 4, 3),      # the polished iterate is found but not better
+def day24_recipe(index):
+    """The 24-period system the day24 benchmark pool draws as ``index``
+    (master seed 2024), as ``test_sparse_kkt.pool_system`` draws it."""
+    rng = np.random.default_rng([2024, index])
+    total_cap = float(rng.uniform(8_000, 25_000))
+    return synth_test_system(
+        n_gens=int(rng.integers(16, 77)), total_cap_mw=total_cap,
+        avg_load_mw=float(rng.uniform(0.45, 0.65)) * total_cap,
+        renewable_ratio=float(rng.uniform(0.1, 0.5)), storage_ratio=float(rng.uniform(0.1, 0.3)),
+        duration_h=float(rng.uniform(2.0, 8.0)), eta=float(rng.uniform(0.85, 0.999)),
+        marginal_cost=float(rng.uniform(5.0, 40.0)), e_init_ratio=float(rng.uniform(0.2, 0.8)),
+        epsilon=(0.01, 0.05, 0.1)[index % 3], horizon=24, seed=int(rng.integers(0, 10_000)),
+        fit_degree=(2, 2, 2, 3, 3)[index % 5], g_min_ratio=float(rng.uniform(0.25, 0.35)))
+
+
+def price_scenario(horizon, degree, seed, copy):
+    """Price scenario ``copy`` of 4 drawn with ``seed``, as one deterministic dispatch."""
+    system = synth_test_system(horizon=horizon, fit_degree=degree)
+    draws = np.clip(sample_net_load(system.net_load, 4, seed), system.g_min, system.g_max)
+    return deterministic_variant(system, draws[copy])
+
+
+@pytest.mark.parametrize("system", [
+    lambda: day24_recipe(85),               # the search gives up after 8 rounds
+    lambda: price_scenario(6, 2, 0, 1),     # the polished iterate is found but not better
 ], ids=["polish-gives-up", "polish-not-better"])
-def test_last_program_evaluation_is_at_the_returned_iterate(horizon, degree, scenarios, seed):
+def test_last_program_evaluation_is_at_the_returned_iterate(system):
     """The objective is evaluated last, at the returned x, also when the
     polish's iterates are rejected; a memoized kernel then holds the
-    returned point."""
-    system = synth_test_system(horizon=horizon, fit_degree=degree)
-    draws = np.clip(sample_net_load(system.net_load, scenarios, seed), system.g_min, system.g_max)
-    program = build_dispatch(deterministic_variant(system, draws[0]), loads=draws).program
+    returned point.  Both programs are single dispatches, which are
+    connected and so polished."""
+    program = build_dispatch(system()).program
     points = []
 
     def recording(callback):

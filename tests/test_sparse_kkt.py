@@ -662,6 +662,42 @@ def test_solve_pattern_serves_every_matrix_of_a_solve(seed, n, p, m, g_rows, mas
                            polish.matrix(polish.fill(hv_want, reg=reg, delta=delta)))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), p=st.integers(0, 5),
+       m=st.integers(0, 14), g_rows=st.sampled_from(["random", "dense", "single"]),
+       mask=st.sampled_from(["all", "none", "random"]))
+def test_operator_product_equals_matrix_product(seed, n, p, m, g_rows, mask):
+    """The refinement's products use the pattern's one CSC array with the
+    values swapped in, exact zeros kept; each equals the product with
+    ``matrix``'s array bit for bit.  Covered: the interior-point matrix and
+    its ``drop_all`` retry, and the start point's and the polish's
+    matrices, whose top-left blocks hold exact zeros (G's barrier pairs
+    without weights, a declared zero, zero weights), on patterns restricted
+    from the solve's one pattern; the vectors hold zeros of both signs."""
+    A, G, H, w = refill_case(seed, n, p, m, g_rows)
+    rows, cols, values, _, _ = declared_hessian(seed, n, H)
+    full = _KKTPattern(n, scipy.sparse.vstack([A, G], format="csr"), G, rows, cols)
+    rng = np.random.default_rng([seed, 3])
+    ipm = full.restrict(np.arange(p + m) < p)
+    hv, scale = ipm.hessian(values)
+    data = ipm.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
+    retry = data.copy()
+    retry[ipm.diag[:n]] += 1e-6
+    active = {"all": np.ones(m, dtype=bool), "none": np.zeros(m, dtype=bool),
+              "random": rng.random(m) < 0.5}[mask]
+    polish = full.restrict(np.concatenate([np.ones(p, dtype=bool), active]))
+    hv, scale = polish.hessian(values)
+    cases = [(ipm, data, False), (ipm, retry, True), (ipm, ipm.fill(reg=1.0), False),
+             (ipm, ipm.fill(reg=1.0, delta=1e-12), False), (polish, polish.fill(hv), False),
+             (polish, polish.fill(hv, reg=1e-14 * scale, delta=1e-13), False)]
+    for pattern, entries, drop_all in cases:
+        v = rng.standard_normal(pattern.N) * 10.0 ** rng.uniform(-3, 3, pattern.N)
+        v[rng.random(pattern.N) < 0.2] = 0.0
+        v[rng.random(pattern.N) < 0.1] = -0.0
+        got = pattern.operator(entries) @ v
+        assert got.tobytes() == (pattern.matrix(entries, drop_all) @ v).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the factor-and-solve routine
 # ---------------------------------------------------------------------------
@@ -693,10 +729,13 @@ def test_kkt_solver_refuses_matrix_with_entry_not_finite(bad, where):
 
 def test_kkt_solver_refuses_factors_whose_solves_overflow():
     """Pivots of 1e-310 are neither zero nor infinite, but every solve with
-    them overflows."""
+    them overflows; the first solve, of the caller's right-hand side,
+    refuses them."""
     pattern = _KKTPattern(2, scipy.sparse.csr_array((0, 2)))
-    assert _kkt_solver(pattern, pattern.fill(reg=1e-310)) is None
-    assert _kkt_solver(pattern, pattern.fill(reg=1e-300)) is not None
+    rhs = np.ones(2)
+    assert _kkt_solver(pattern, pattern.fill(reg=1e-310), rhs) is None
+    sol, solve = _kkt_solver(pattern, pattern.fill(reg=1e-300), rhs)
+    assert np.array_equal(sol, np.full(2, 1e300)) and np.array_equal(solve(rhs), sol)
 
 
 def test_kkt_solver_solves_regularised_matrix():
