@@ -41,12 +41,11 @@ the values swapped in, explicit zeros and all.
 
 Multi-period dispatches couple periods only through the SoC recursion, so
 in the Cuthill–McKee order of its own graph each pattern that is factored
-is a band of half-width 5 to 30, whatever the horizon.  Such a pattern is
+is a band of half-width 5 to 30, whatever the horizon.  Every pattern is
 factored by LAPACK's band LU (``dgbtrf``, solved by ``dgbtrs``), and the
-cost grows linearly with the horizon.  A pattern whose band is wide, as
-phase-1's dense column makes it, is factored by ``scipy.sparse.linalg.splu``
-in CSC form instead; the pattern's structure alone decides
-(``_KKTPattern.band``).
+cost grows linearly with the horizon.  A solve that hits the iteration cap
+is diagnosed by HiGHS (``scipy.optimize.linprog``), so no auxiliary program
+of the solver's own, with a dense column, is factored.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
+from scipy import optimize
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
@@ -245,13 +244,12 @@ class _KKTPattern:
     point and the Newton steps, and to each polish round's active rows.
 
     The values are those that assembling the matrix from scipy.sparse
-    operations gives, bit for bit, so ``splu`` sees the same matrix and
-    returns the same factors: every G^T W G entry sums its terms
+    operations gives, bit for bit: every G^T W G entry sums its terms
     (G_ik w_i) G_il over the rows i of G in descending order, the order
     scipy's sparse product accumulates them in; H comes first and the
-    regularisation last; and ``matrix`` drops exact zeros of the top-left
-    block, as scipy's sparse sums do, which drops G's barrier pairs from the
-    start point's and the polish's matrices, filled without weights ``w``.
+    regularisation last.  Where scipy's sparse sums drop an exact zero of
+    the top-left block, as G's barrier pairs of the start point's and the
+    polish's matrices (filled without weights ``w``), the pattern stores it.
 
     A pattern that is factored orders itself for the band LU (``band``).
     """
@@ -279,7 +277,6 @@ class _KKTPattern:
         self.keys = _sorted_unique(np.concatenate(parts))
         self.rows = (self.keys % N).astype(np.int32)
         self.indptr = np.searchsorted(self.keys, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
-        self.top_left = (self.keys < n * N) & (self.rows < n)
         self.diag = np.searchsorted(self.keys, np.arange(N, dtype=np.int64) * (N + 1))
         self.b_pos = np.searchsorted(self.keys, bcol * N + n + brow)
         self.bt_pos = np.searchsorted(self.keys, (n + brow) * N + bcol)
@@ -315,7 +312,6 @@ class _KKTPattern:
         out.keys = index[cols[entries]] * N + index[self.rows[entries]]
         out.rows = index[self.rows[entries]].astype(np.int32)
         out.indptr = np.searchsorted(out.keys, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
-        out.top_left = self.top_left[entries]
         out.diag = position[self.diag[kept]]
         out.b_pos, out.bt_pos = position[self.b_pos[b_kept]], position[self.bt_pos[b_kept]]
         out.b_data, out.b_row = self.b_data[b_kept], index[n + self.b_row[b_kept]] - n
@@ -339,7 +335,7 @@ class _KKTPattern:
     @cached_property
     def band(self):
         """(order, half-bandwidth bw, each entry's position in the band
-        array) for the band LU, or None when the band is too wide for it.
+        array) for the band LU.
 
         The order is the Cuthill–McKee order of the pattern's own graph, over
         all of its entries.  (Reversed, the textbook RCM, it leaves day24's
@@ -349,10 +345,10 @@ class _KKTPattern:
         (i, j) at row 2 bw + rank(i) - rank(j) of column rank(j).
 
         Each step of the band LU updates a dense block of about bw x 2 bw
-        entries.  Where one bw x bw block holds more than the whole pattern,
-        bw^2 > nnz, the band has lost the sparsity: phase-1's dense column
-        gives bw = 1005 at N = 1514 for a T=168 dispatch, against bw <= 30
-        for a dispatch's own Newton and polish patterns.
+        entries.  A dispatch's Newton and polish patterns have bw <= 30 at
+        any horizon, so bw^2 stays far below their entry count; a row over
+        every variable gives bw near N, and such a pattern is factored as a
+        dense matrix would be.
         """
         N = self.N
         order = reverse_cuthill_mckee(self.graph(), symmetric_mode=True)[::-1]
@@ -361,8 +357,6 @@ class _KKTPattern:
         col_rank = rank[self.keys // N]
         offset = rank[self.rows] - col_rank
         bw = int(np.max(np.abs(offset), initial=0))
-        if bw * bw > self.keys.size:
-            return None
         return order, bw, col_rank * (3 * bw + 1) + 2 * bw + offset
 
     def band_array(self, data):
@@ -408,29 +402,21 @@ class _KKTPattern:
     def operator(self, data):
         """The matrix with values ``data`` for products: a shallow copy of
         ``csc`` with the values swapped in.  It keeps the exact zeros that
-        ``matrix`` drops, which leave a product with a finite vector
+        scipy's sparse sums drop, which leave a product with a finite vector
         unchanged."""
         K = copy.copy(self.csc)
         K.data = data
         return K
 
-    def matrix(self, data, drop_all=False):
-        """CSC array of ``data``, without its exact zeros in the top-left
-        block (or anywhere when ``drop_all``), as ``splu`` factors it."""
-        zero = data == 0.0
-        if not drop_all:
-            zero &= self.top_left
-        rows, indptr = self.rows, self.indptr
-        if zero.any():
-            keep = ~zero
-            data, rows = data[keep], rows[keep]
-            indptr = np.concatenate([[0], np.cumsum(keep)])[indptr].astype(np.int32)
-        return sp.csc_array((data, rows, indptr), shape=(self.N, self.N))
 
-
-def _band_lu(pattern, data):
-    """``solve(rhs)`` with the band LU of the matrix with values ``data``,
-    or None when a pivot is exactly zero."""
+def _factor(pattern, data):
+    """``solve(rhs)`` with the band LU of the matrix with values ``data`` in
+    ``pattern``, or None when an entry is not finite or a pivot is exactly
+    zero.  ``dgbtrf`` factors a matrix with entries that are not finite, so
+    the entries are checked first.
+    """
+    if not np.all(np.isfinite(data)):
+        return None
     order, bw, _ = pattern.band
     lu, piv, info = lapack.dgbtrf(pattern.band_array(data), bw, bw, overwrite_ab=1)
     if info:
@@ -444,26 +430,7 @@ def _band_lu(pattern, data):
     return solve
 
 
-def _factor(pattern, data, drop_all=False):
-    """``solve(rhs)`` with LU factors of the matrix with values ``data`` in
-    ``pattern``: the band LU when the pattern's band is narrow, else
-    ``splu`` of its CSC form (``drop_all`` as in ``_kkt_solver``).  None
-    when an entry is not finite or a pivot is exactly zero.  Neither
-    routine refuses every such matrix (``splu`` factors one with an
-    infinite entry, ``dgbtrf`` one with any), so the entries are checked
-    first.
-    """
-    if not np.all(np.isfinite(data)):
-        return None
-    if pattern.band is not None:
-        return _band_lu(pattern, data)
-    try:
-        return scipy.sparse.linalg.splu(pattern.matrix(data, drop_all)).solve
-    except RuntimeError:    # exactly singular: a zero or NaN pivot
-        return None
-
-
-def _kkt_solver(pattern, data, rhs=None, refine=None, rounds=1, drop_all=False):
+def _kkt_solver(pattern, data, rhs=None, refine=None, rounds=1):
     """Factor the matrix with values ``data`` in ``pattern`` and return
     (the solution of ``rhs``, ``solve``), or None when the factorisation
     fails or that solution is not finite.
@@ -475,11 +442,9 @@ def _kkt_solver(pattern, data, rhs=None, refine=None, rounds=1, drop_all=False):
 
     Each solve takes ``rounds`` steps of iterative refinement against the
     matrix with values ``refine`` (default: the factored one), so a
-    regularised factorisation can serve the pure system.  ``drop_all``
-    drops every exact zero of ``data`` before ``splu`` factors it, not only
-    those of the top-left block; the band LU stores zeros either way.
+    regularised factorisation can serve the pure system.
     """
-    lu_solve = _factor(pattern, data, drop_all)
+    lu_solve = _factor(pattern, data)
     if lu_solve is None:
         return None
     K0 = pattern.operator(data if refine is None else refine)
@@ -616,20 +581,23 @@ def solve_convex(program):
     Optimal results certify stationarity, primal feasibility, and
     complementarity.  Hitting the iteration cap ``ITER_CAP`` returns the
     best iterate with its residuals; with inequality rows it is then
-    diagnosed with a phase-1 problem, and a program whose inequalities
-    cannot be met is reported infeasible.
+    diagnosed by HiGHS (``_phase1_min_violation``), and a program whose
+    inequalities cannot be met is reported infeasible.  When HiGHS reaches
+    no verdict the status stays ``iter_limit``.
     """
-    result = _solve(program, TOL, ITER_CAP)
+    result = _solve(program)
     if result.status == ITER_LIMIT and program.G.shape[0]:
         t_star = _phase1_min_violation(program)
-        if t_star > 1e-7 * (1.0 + float(np.linalg.norm(program.h, np.inf))):
+        if t_star is not None and t_star > 1e-7 * (1.0 + float(np.linalg.norm(program.h, np.inf))):
             result.status = INFEASIBLE
     return result
 
 
-def _solve(prog, tol, iter_cap):
+def _solve(prog):
     """The interior-point loop and the polish of ``solve_convex``, to KKT
-    residuals <= tol within iter_cap iterations, without the diagnosis."""
+    residuals <= ``TOL`` within ``ITER_CAP`` iterations, without the
+    diagnosis."""
+    tol = TOL
     n, p, m = prog.n, prog.A.shape[0], prog.G.shape[0]
     # one pattern per solve; its rows of A serve the start point and the Newton steps
     full = _KKTPattern(n, sp.vstack([prog.A, prog.G], format="csr"), prog.G, prog.hess_rows, prog.hess_cols)
@@ -663,7 +631,7 @@ def _solve(prog, tol, iter_cap):
     stall = 0
     it = 0
     residuals = None     # of (x, y, z, s) when a line search has formed them
-    for it in range(1, iter_cap + 1):
+    for it in range(1, ITER_CAP + 1):
         if residuals is None:
             residuals = _residuals(prog, AT, GT, x, y, z, s)
         r_d, r_p, r_g, comp = residuals
@@ -716,7 +684,7 @@ def _solve(prog, tol, iter_cap):
         factored = _kkt_solver(pattern, data, predictor)
         if factored is None:
             data[pattern.diag[:n]] += 1e-6
-            factored = _kkt_solver(pattern, data, predictor, drop_all=True)
+            factored = _kkt_solver(pattern, data, predictor)
         if factored is None:
             break
         first, solve = factored
@@ -794,21 +762,22 @@ def _report(prog, AT, GT, x, y, z, s):
 def _phase1_min_violation(prog):
     """Minimize the worst inequality violation subject to the equalities.
 
-    Returns the optimal t of  min t  s.t.  A x = b,  G x - h <= t,  t >= -1.
-    Strictly feasible by construction, so the IPM always converges on it.
+    Returns the optimal t of  min t  s.t.  A x = b,  G x - h <= t,  t >= -1
+    (x free), a linear program solved by HiGHS: inf when HiGHS finds it
+    infeasible, which only A x = b can make it, and None when HiGHS reaches
+    no verdict (an iteration or time limit, numerical trouble).
     """
     n, m, p = prog.n, prog.G.shape[0], prog.A.shape[0]
-    G1 = sp.block_array([[prog.G, np.full((m, 1), -1.0)],
-                         [None, sp.csr_array(([-1.0], ([0], [0])), shape=(1, 1))]], format="csr")
-    h1 = np.concatenate([prog.h, [1.0]])
-    A1 = sp.hstack([prog.A, sp.csr_array((p, 1))], format="csr")
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    aux = quadratic_program(sp.csr_array((n + 1, n + 1)), c, A=A1, b=prog.b, G=G1, h=h1)
-    res = _solve(aux, 1e-9, 100)
-    if res.status not in (OPTIMAL, ITER_LIMIT):
-        return np.inf
-    return float(res.x[-1])
+    bounds = np.full((n + 1, 2), [-np.inf, np.inf])
+    bounds[-1, 0] = -1.0
+    res = optimize.linprog(c, A_ub=sp.hstack([prog.G, np.full((m, 1), -1.0)]), b_ub=prog.h,
+                           A_eq=sp.hstack([prog.A, sp.csr_array((p, 1))]), b_eq=prog.b,
+                           bounds=bounds, method="highs")
+    if res.status == 0:
+        return float(res.x[-1])
+    return np.inf if res.status == 2 else None
 
 
 def verify_kkt(program, result):

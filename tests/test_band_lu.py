@@ -1,23 +1,23 @@
-"""The band LU against splu, differentially.
+"""The band LU against splu, and the phase-1 diagnosis against the dense
+interior-point phase-1, differentially.
 
 Random programs whose rows couple only neighbouring periods, as a
 dispatch's SoC recursion does, alone and stacked block by block as price
 scenarios are: their KKT patterns, restricted for the Newton steps and for a
-polish round, are narrow in Cuthill–McKee order and take the band LU.  The
-band array must hold every entry of the matrix and nothing else, and both
-routes must solve to the same backward error.  Phase-1's extra column is
-dense, so its patterns take splu, and its t* must still be the LP optimum.
+polish round, are narrow in Cuthill–McKee order.  The band array must hold
+every entry of the matrix and nothing else, and the band LU must solve to
+the backward error that ``scipy.sparse.linalg.splu`` reaches on the same
+matrix.  On the same programs, HiGHS's t* of the phase-1 LP must be the
+optimum the dense interior-point phase-1 of ``test_sparse_kkt`` finds.
 """
 
-import copy
-from unittest import mock
-
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_sparse_kkt import DenseProgram
+from test_sparse_kkt import _phase1_min_violation as dense_phase1
 
 from storage_pricer import solver
 from storage_pricer.solver import _kkt_solver, _KKTPattern, quadratic_program
@@ -84,11 +84,9 @@ def backward_error(K, sol, rhs):
        copies=st.integers(1, 4))
 def test_band_lu_matches_splu_on_narrow_patterns(seed, periods, width, copies):
     """The interior-point pattern and a polish round's, of a chain program
-    and of its stacked copies: narrow, in a band array that reproduces
-    pattern.matrix(data) entry for entry, and solved by the band LU to the
-    backward error splu reaches on the same matrix.  (Below about 8
-    periods a chain's band can hold more than its pattern, bw^2 > nnz, and
-    splu takes it.)"""
+    and of its stacked copies: narrow, bw^2 <= nnz, in a band array that
+    reproduces the matrix entry for entry, and solved by the band LU to the
+    backward error splu reaches on the same matrix."""
     prog = stacked(seed, periods, width, copies)
     n, p, m = prog.n, prog.A.shape[0], prog.G.shape[0]
     rng = np.random.default_rng([seed, 1])
@@ -101,10 +99,9 @@ def test_band_lu_matches_splu_on_narrow_patterns(seed, periods, width, copies):
     cases = [(newton, newton.fill(hv, w, reg=1e-11 * scale, delta=1e-12)),
              (polish, polish.fill(polish.hessian(prog.hess(None))[0], reg=1e-14 * scale, delta=1e-13))]
     for pattern, data in cases:
-        assert pattern.band is not None
         _, bw, _ = pattern.band
         assert bw * bw <= pattern.keys.size
-        K = pattern.matrix(data)
+        K = pattern.operator(data)
         ab = pattern.band_array(data)
         assert ab.shape == (3 * bw + 1, pattern.N) and ab.flags.f_contiguous
         assert np.array_equal(from_band(pattern, ab), K.toarray())
@@ -112,40 +109,21 @@ def test_band_lu_matches_splu_on_narrow_patterns(seed, periods, width, copies):
         assert not ab[:bw].any()
         assert np.count_nonzero(ab) == np.count_nonzero(data)
 
-        wide = copy.copy(pattern)
-        wide.band = None            # the same matrix through splu
         rhs = rng.standard_normal(pattern.N)
-        errors = []
-        for route in (pattern, wide):
-            solve = _kkt_solver(route, data)
-            assert solve is not None
-            errors.append(backward_error(K, solve(rhs), rhs))
+        solve = _kkt_solver(pattern, data)
+        assert solve is not None
+        errors = [backward_error(K, solve(rhs), rhs),
+                  backward_error(K, scipy.sparse.linalg.splu(K).solve(rhs), rhs)]
         assert max(errors) <= 1e-14, errors
-
-
-def phase1_lp(prog):
-    """min t  s.t.  A x = b,  G x - h <= t,  t >= -1, by HiGHS."""
-    n, m, p = prog.n, prog.G.shape[0], prog.A.shape[0]
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    res = scipy.optimize.linprog(
-        c, A_ub=scipy.sparse.hstack([prog.G, -np.ones((m, 1))]), b_ub=prog.h,
-        A_eq=scipy.sparse.hstack([prog.A, scipy.sparse.csr_array((p, 1))]), b_eq=prog.b,
-        bounds=[(None, None)] * n + [(-1.0, None)], method="highs")
-    assert res.status == 0
-    return res.fun
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), periods=st.integers(12, 30), width=st.integers(1, 3),
        copies=st.integers(1, 2))
-def test_phase1_takes_splu_and_returns_its_optimum(seed, periods, width, copies):
-    """Phase-1's extra column meets every inequality row, so from about a
-    dozen variables on its patterns are too wide for the band LU and splu
-    factors them; its t* is still the LP's."""
+def test_phase1_returns_the_dense_oracles_optimum(seed, periods, width, copies):
+    """HiGHS's t* of the phase-1 LP, on chain programs alone and stacked, is
+    the optimum the dense interior-point phase-1 reaches."""
     prog = stacked(seed, periods, width, copies)
-    with mock.patch.object(scipy.sparse.linalg, "splu", wraps=scipy.sparse.linalg.splu) as splu:
-        t_star = solver._phase1_min_violation(prog)
-    assert splu.called
-    want = phase1_lp(prog)
+    t_star = solver._phase1_min_violation(prog)
+    want = dense_phase1(DenseProgram(prog))
     assert abs(t_star - want) <= 1e-6 * (1.0 + abs(want))

@@ -6,7 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
+import scipy.optimize
+import scipy.sparse
 from scipy.linalg import lapack
 
 from storage_pricer import solver
@@ -215,21 +216,96 @@ def test_exactly_singular_kkt_ends_with_status(monkeypatch):
 
 
 def test_exactly_singular_wide_kkt_ends_with_status(monkeypatch):
-    """A row over all 20 variables makes the KKT pattern an arrow, too wide
-    for the band LU, so splu factors it; when splu raises on an exactly
-    singular matrix, the solve ends with a status too."""
-    calls = []
-
-    def singular(K, *args, **kwargs):
-        calls.append(K.shape)
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    band = count_band_factorisations(monkeypatch)
+    """A row over all 20 variables makes the start point's KKT pattern an
+    arrow whose band holds more than the pattern, bw^2 > nnz = 61 (21
+    diagonal entries and the row twice); the band LU factors it all the
+    same, and an exactly zero pivot there ends the solve with a status."""
+    calls = count_band_factorisations(monkeypatch, info=1)
     prog = quadratic_program(np.eye(20), np.ones(20), A=np.ones((1, 20)), b=[1.0],
                              G=-np.eye(20), h=np.zeros(20))
     assert solve_convex(prog).status == ITER_LIMIT
-    assert calls and not band
+    [(rows, N)] = calls
+    bw = (rows - 1) // 3
+    assert N == 21 and bw * bw > 61
+
+
+# ---------------------------------------------------------------------------
+# the diagnosis of a capped solve
+# ---------------------------------------------------------------------------
+
+
+def record_linprog(monkeypatch, status=None):
+    """Record the status of each HiGHS call; with ``status``, each call
+    returns that status, and no solution, instead of solving."""
+    statuses = []
+    linprog = scipy.optimize.linprog
+
+    def recording(*args, **kwargs):
+        res = scipy.optimize.OptimizeResult(status=status, x=None) if status is not None \
+            else linprog(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    return statuses
+
+
+INFEASIBLE_ROWS = {
+    "inequalities-only": dict(G=[[1.0], [-1.0]], h=[0.0, -1.0]),           # x <= 0, x >= 1
+    "both-kinds": dict(A=[[1.0, 1.0]], b=[1.0], G=np.eye(2), h=np.zeros(2)),  # x1 + x2 = 1, x <= 0
+}
+
+
+def infeasible_program(kind):
+    rows = INFEASIBLE_ROWS[kind]
+    n = np.shape(rows["G"])[1]
+    return quadratic_program(np.eye(n), np.zeros(n), **rows)
+
+
+@pytest.mark.parametrize("kind", INFEASIBLE_ROWS)
+def test_highs_optimum_diagnoses_infeasible_program(monkeypatch, kind):
+    """The interior-point method does not certify an infeasible program;
+    HiGHS solves the phase-1 LP to its optimum, t* = 0.5 for both programs
+    here, and a t* > 0 is the verdict."""
+    statuses = record_linprog(monkeypatch)
+    prog = infeasible_program(kind)
+    assert solve_convex(prog).status == INFEASIBLE
+    assert statuses == [0]
+    assert solver._phase1_min_violation(prog) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("status", [1, 3, 4])
+@pytest.mark.parametrize("kind", INFEASIBLE_ROWS)
+def test_no_highs_verdict_leaves_iter_limit(monkeypatch, kind, status):
+    """A HiGHS status other than optimal or infeasible (1: a limit reached,
+    3: unbounded, 4: numerical trouble) is no verdict: the result stays
+    ``iter_limit``, even for a program that is infeasible."""
+    statuses = record_linprog(monkeypatch, status)
+    assert solve_convex(infeasible_program(kind)).status == ITER_LIMIT
+    assert statuses == [status]
+
+
+def test_highs_infeasible_status_is_the_infeasible_verdict(monkeypatch):
+    """A start-point factorisation that fails leaves inconsistent equalities
+    undiagnosed by the interior-point method; HiGHS finds the phase-1 LP
+    infeasible (status 2), and the program is reported infeasible."""
+    count_band_factorisations(monkeypatch, info=1)
+    statuses = record_linprog(monkeypatch)
+    prog = quadratic_program(np.eye(1), np.zeros(1), A=[[1.0], [1.0]], b=[0.0, 1.0], G=[[-1.0]], h=[0.0])
+    assert solve_convex(prog).status == INFEASIBLE
+    assert statuses == [2]
+
+
+@pytest.mark.parametrize("degree, horizon, terminal, e0", [
+    (2, 12, "periodic", 0.0), (3, 6, "free", 0.999), (3, 6, "periodic", 0.0), (3, 12, "periodic", 0.0),
+    (3, 24, "periodic", 0.0), (3, 24, "periodic", 1.0), (3, 168, "periodic", 0.0), (3, 168, "periodic", 1.0),
+])
+def test_feasible_soc_extremes_are_not_diagnosed_infeasible(degree, horizon, terminal, e0):
+    """Dispatches at the SoC extremes that are feasible but whose
+    interior-point solve ends at the cap, so the diagnosis runs; it must not
+    call them infeasible, whatever status they end with."""
+    system = synth_test_system(horizon=horizon, fit_degree=degree, terminal=terminal, e_init_ratio=e0)
+    assert solve_dispatch(system).status != INFEASIBLE
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ active rows whose multiplier is negative beyond rounding, like the solver's.
 
 ``block_kkt`` and ``block_ipm_kkt`` assemble the KKT matrices the way the
 solver did before it built each pattern once and refilled its values: sparse
-products, sums and ``block_array``.  The refill must reproduce them exactly,
-values and stored pattern alike, because the factorisation's ordering
-follows the pattern and the prices of dual-degenerate dispatches follow the
-factors.
+products, sums and ``block_array``.  The refill must reproduce their values
+exactly, because the prices of dual-degenerate dispatches follow the
+factors.  The pattern may store more: the exact zeros that scipy's sums
+drop, which neither the band LU nor a product sees.
 """
 
 import dataclasses
@@ -486,13 +486,10 @@ def block_ipm_kkt(H, A, G, w):
     return K, retry, scale
 
 
-def assert_same_matrix(got, want):
-    """Equal entries and the same stored pattern, so the factorisation gets
-    the same input."""
-    assert np.array_equal(got.toarray(), want.toarray())
-    want = want.tocsc()
-    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
-    assert got.data.tobytes() == want.data.tobytes()
+def assert_same_values(pattern, data, want):
+    """The matrix with values ``data`` in ``pattern`` equals ``want`` value
+    for value, in dense form."""
+    assert np.array_equal(pattern.operator(data).toarray(), want.toarray())
 
 
 def random_csr(rng, rows, cols, density, zeros):
@@ -557,30 +554,28 @@ def test_refilled_kkt_equals_block_assembly(seed, n, p, m, g_rows):
     hv, scale = pattern.hessian(values)
     assert scale == scale_want
     data = pattern.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
-    assert_same_matrix(pattern.matrix(data), K_want)
+    assert_same_values(pattern, data, K_want)
     data[pattern.diag[:n]] += 1e-6
-    assert_same_matrix(pattern.matrix(data, drop_all=True), retry_want)
+    assert_same_values(pattern, data, retry_want)
 
     # active-set polish: no barrier term, A stacked over some rows of G
     B = scipy.sparse.vstack([A, G[: m // 2]], format="csr")
     polish = _KKTPattern(n, B, hess_rows=rows, hess_cols=cols)
     hv, scale = polish.hessian(values)
     Hc = scipy.sparse.csr_array(H)
-    K = polish.matrix(polish.fill(hv))
-    assert np.array_equal(K.toarray(), block_kkt(Hc, B, 0.0).toarray())
-    assert_same_matrix(polish.matrix(polish.fill(hv, reg=1e-14 * scale, delta=1e-13)),
+    assert_same_values(polish, polish.fill(hv), block_kkt(Hc, B, 0.0))
+    assert_same_values(polish, polish.fill(hv, reg=1e-14 * scale, delta=1e-13),
                        block_kkt(Hc + 1e-14 * scale * scipy.sparse.eye_array(n), B, 1e-13))
     if zero:
-        # the zero entry is in the pattern, and matrix drops it
+        # the declared zero entry is in the pattern
         r, c = zero
         assert c * polish.N + r in polish.keys
-        assert r not in K.indices[K.indptr[c]:K.indptr[c + 1]]
 
     # minimum-norm start point: identity Hessian
     start = _KKTPattern(n, A)
     eye = scipy.sparse.eye_array(n, format="csr")
-    assert np.array_equal(start.matrix(start.fill(reg=1.0)).toarray(), block_kkt(eye, A, 0.0).toarray())
-    assert_same_matrix(start.matrix(start.fill(reg=1.0, delta=1e-12)), block_kkt(eye, A, 1e-12))
+    assert_same_values(start, start.fill(reg=1.0), block_kkt(eye, A, 0.0))
+    assert_same_values(start, start.fill(reg=1.0, delta=1e-12), block_kkt(eye, A, 1e-12))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -611,8 +606,7 @@ def test_restricted_pattern_equals_pattern_of_kept_rows(seed, n, p, m, g_rows, m
     (hv, scale), (hv_want, scale_want) = got.hessian(values), want.hessian(values)
     assert hv.tobytes() == hv_want.tobytes() and scale == scale_want
     for reg, delta in ((0.0, 0.0), (1e-14 * scale, 1e-13)):
-        assert_same_matrix(got.matrix(got.fill(hv, reg=reg, delta=delta)),
-                           want.matrix(want.fill(hv_want, reg=reg, delta=delta)))
+        assert got.fill(hv, reg=reg, delta=delta).tobytes() == want.fill(hv_want, reg=reg, delta=delta).tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -623,12 +617,11 @@ def test_solve_pattern_serves_every_matrix_of_a_solve(seed, n, p, m, g_rows, mas
     """The one pattern a solve builds, over [A; G] with G's barrier pairs.
     Restricted to A's rows it is the interior-point pattern built from A and
     G: the same keys, rows, column starts, diagonal and pair positions, and
-    bit for bit the same Newton matrix and 1e-6 retry; and it gives the
-    start point's matrices of the pattern of A alone.  Restricted to A and
-    some rows of G it gives the matrices of the pattern built from those
-    rows without pairs, as the polish factors them."""
+    bit for bit the same Newton values; and it gives the start point's
+    matrices.  Restricted to A and some rows of G it gives the matrices of
+    those rows without barrier terms, as the polish factors them."""
     A, G, H, w = refill_case(seed, n, p, m, g_rows)
-    rows, cols, values, _, _ = declared_hessian(seed, n, H)
+    rows, cols, values, _, H = declared_hessian(seed, n, H)
     full = _KKTPattern(n, scipy.sparse.vstack([A, G], format="csr"), G, rows, cols)
 
     got, want = full.restrict(np.arange(p + m) < p), _KKTPattern(n, A, G, rows, cols)
@@ -638,28 +631,23 @@ def test_solve_pattern_serves_every_matrix_of_a_solve(seed, n, p, m, g_rows, mas
     (hv, scale), (hv_want, scale_want) = got.hessian(values), want.hessian(values)
     assert hv.tobytes() == hv_want.tobytes() and scale == scale_want
     data = got.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
-    data_want = want.fill(hv_want, w, reg=1e-11 * scale, delta=1e-12)
-    assert_same_matrix(got.matrix(data), want.matrix(data_want))
-    data[got.diag[:n]] += 1e-6
-    data_want[want.diag[:n]] += 1e-6
-    assert_same_matrix(got.matrix(data, drop_all=True), want.matrix(data_want, drop_all=True))
+    assert data.tobytes() == want.fill(hv_want, w, reg=1e-11 * scale, delta=1e-12).tobytes()
 
-    start = _KKTPattern(n, A)
+    eye = scipy.sparse.eye_array(n, format="csr")
     for delta in (0.0, 1e-12):
-        assert_same_matrix(got.matrix(got.fill(reg=1.0, delta=delta)),
-                           start.matrix(start.fill(reg=1.0, delta=delta)))
+        assert_same_values(got, got.fill(reg=1.0, delta=delta), block_kkt(eye, A, delta))
 
     rng = np.random.default_rng([seed, 2])
     active = {"all": np.ones(m, dtype=bool), "none": np.zeros(m, dtype=bool),
               "random": rng.random(m) < 0.5}[mask]
     got = full.restrict(np.concatenate([np.ones(p, dtype=bool), active]))
-    polish = _KKTPattern(n, scipy.sparse.vstack([A, G[active]], format="csr"),
-                         hess_rows=rows, hess_cols=cols)
-    (hv, scale), (hv_want, scale_want) = got.hessian(values), polish.hessian(values)
-    assert scale == scale_want
+    B = scipy.sparse.vstack([A, G[active]], format="csr")
+    Hc = scipy.sparse.csr_array(H)
+    hv, scale = got.hessian(values)
+    assert scale == max(1.0, float(scipy.sparse.linalg.norm(Hc, np.inf)))
     for reg, delta in ((0.0, 0.0), (1e-14 * scale, 1e-13)):
-        assert_same_matrix(got.matrix(got.fill(hv, reg=reg, delta=delta)),
-                           polish.matrix(polish.fill(hv_want, reg=reg, delta=delta)))
+        assert_same_values(got, got.fill(hv, reg=reg, delta=delta),
+                           block_kkt(Hc + reg * scipy.sparse.eye_array(n), B, delta))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -668,14 +656,15 @@ def test_solve_pattern_serves_every_matrix_of_a_solve(seed, n, p, m, g_rows, mas
        mask=st.sampled_from(["all", "none", "random"]))
 def test_operator_product_equals_matrix_product(seed, n, p, m, g_rows, mask):
     """The refinement's products use the pattern's one CSC array with the
-    values swapped in, exact zeros kept; each equals the product with
-    ``matrix``'s array bit for bit.  Covered: the interior-point matrix and
-    its ``drop_all`` retry, and the start point's and the polish's
-    matrices, whose top-left blocks hold exact zeros (G's barrier pairs
-    without weights, a declared zero, zero weights), on patterns restricted
-    from the solve's one pattern; the vectors hold zeros of both signs."""
+    values swapped in, exact zeros kept; each equals the product with the
+    block-assembled matrix bit for bit.  Covered: the interior-point matrix
+    and its 1e-6 retry, and the start point's and the polish's matrices,
+    whose top-left blocks hold exact zeros (G's barrier pairs without
+    weights, a declared zero, zero weights), on patterns restricted from the
+    solve's one pattern; the vectors hold zeros of both signs."""
     A, G, H, w = refill_case(seed, n, p, m, g_rows)
-    rows, cols, values, _, _ = declared_hessian(seed, n, H)
+    rows, cols, values, _, H = declared_hessian(seed, n, H)
+    K_ipm, K_retry, _ = block_ipm_kkt(H, A, G, w)
     full = _KKTPattern(n, scipy.sparse.vstack([A, G], format="csr"), G, rows, cols)
     rng = np.random.default_rng([seed, 3])
     ipm = full.restrict(np.arange(p + m) < p)
@@ -687,15 +676,19 @@ def test_operator_product_equals_matrix_product(seed, n, p, m, g_rows, mask):
               "random": rng.random(m) < 0.5}[mask]
     polish = full.restrict(np.concatenate([np.ones(p, dtype=bool), active]))
     hv, scale = polish.hessian(values)
-    cases = [(ipm, data, False), (ipm, retry, True), (ipm, ipm.fill(reg=1.0), False),
-             (ipm, ipm.fill(reg=1.0, delta=1e-12), False), (polish, polish.fill(hv), False),
-             (polish, polish.fill(hv, reg=1e-14 * scale, delta=1e-13), False)]
-    for pattern, entries, drop_all in cases:
+    B = scipy.sparse.vstack([A, G[active]], format="csr")
+    Hc, eye = scipy.sparse.csr_array(H), scipy.sparse.eye_array(n, format="csr")
+    cases = [(ipm, data, K_ipm), (ipm, retry, K_retry), (ipm, ipm.fill(reg=1.0), block_kkt(eye, A, 0.0)),
+             (ipm, ipm.fill(reg=1.0, delta=1e-12), block_kkt(eye, A, 1e-12)),
+             (polish, polish.fill(hv), block_kkt(Hc, B, 0.0)),
+             (polish, polish.fill(hv, reg=1e-14 * scale, delta=1e-13),
+              block_kkt(Hc + 1e-14 * scale * eye, B, 1e-13))]
+    for pattern, entries, want in cases:
         v = rng.standard_normal(pattern.N) * 10.0 ** rng.uniform(-3, 3, pattern.N)
         v[rng.random(pattern.N) < 0.2] = 0.0
         v[rng.random(pattern.N) < 0.1] = -0.0
         got = pattern.operator(entries) @ v
-        assert got.tobytes() == (pattern.matrix(entries, drop_all) @ v).tobytes()
+        assert got.tobytes() == (want @ v).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +696,13 @@ def test_operator_product_equals_matrix_product(seed, n, p, m, g_rows, mask):
 # ---------------------------------------------------------------------------
 
 
+# an A with a repeated row, so the unregularised [[0, A^T], [A, 0]] is exactly singular
+REPEATED_ROW = scipy.sparse.csr_array(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]]))
+
+
 def kkt_case():
-    """A pattern of [[0, A^T], [A, 0]] whose A has a repeated row, so the
-    unregularised matrix is exactly singular."""
-    A = scipy.sparse.csr_array(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]]))
-    return _KKTPattern(3, A)
+    """The pattern of [[0, A^T], [A, 0]] for ``REPEATED_ROW``."""
+    return _KKTPattern(3, REPEATED_ROW)
 
 
 def test_kkt_solver_refuses_singular_matrix():
@@ -744,5 +739,6 @@ def test_kkt_solver_solves_regularised_matrix():
     solve = _kkt_solver(pattern, data)
     assert solve is not None
     rhs = np.arange(1.0, 6.0)
-    K = pattern.matrix(data)
+    K = block_kkt(scipy.sparse.eye_array(3, format="csr"), REPEATED_ROW, 1e-12)
+    assert_same_values(pattern, data, K)
     np.testing.assert_allclose(K @ solve(rhs), rhs, atol=1e-9)
