@@ -5,17 +5,26 @@ piecewise curve built from per-generator segments (used for ex-post metric
 evaluation) and a fitted polynomial of degree <= 4 (used inside dispatch,
 where the expectation of a polynomial of an affine-Gaussian argument has a
 closed form).
+
+The closed form is one kernel (``expected_cost_derivatives``) over an
+``ExpectedCostTable``: a term plan stored position-major, so each output's
+l-th terms are one contiguous block, and the error moments per period.
+Dispatches, stacks of dispatches and the convexity gate's grid all reach
+it as a (k, T) point; it takes Python's float powers of g and phi up to the
+polynomial's degree in one pass and sums each output's terms left to
+right, equal bit for bit to the scalar formula.  A program's objective
+(``expected_cost_objective``) reuses the kernel's outputs while x is
+unchanged, comparing x alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import ErrorMoments, gaussian_raw_moment
+from .distributions import check_moments, raw_moment
 from .errors import DomainError, UnsupportedDegreeError
 
 MAX_DEGREE = 4
@@ -148,24 +157,25 @@ class StorageSpec:
 DERIVATIVES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-class ExpectedCostTable(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class ExpectedCostTable:
     """Everything ``expected_cost_derivatives`` needs besides the point.
 
-    The term plan lists the terms of the six outputs one output after the
-    other, each term as a coefficient and the powers of g, phi and d it
-    multiplies; ``counts`` holds each output's number of terms.  Entry l of
-    ``positions`` holds the index of every output's l-th term, for the
-    outputs that have one: a leading run of outputs, as the counts never
-    grow along ``DERIVATIVES``.
+    The term plan lists each term as a coefficient and the powers of g, phi
+    and d it multiplies, and the ``output`` it belongs to.  Terms are listed
+    position-major: the first term of every output that has one, then the
+    second, and so on.  The outputs that have an l-th term are a leading
+    run of ``widths[l]`` outputs, as the term counts never grow along
+    ``DERIVATIVES``, so each position is one contiguous block of the plan.
     """
 
     coef: np.ndarray
     g_power: np.ndarray
     phi_power: np.ndarray
     moment: np.ndarray
-    counts: tuple
-    positions: tuple
-    raw: np.ndarray         # raw[t, k] = E[d_t^k]
+    output: np.ndarray
+    widths: tuple
+    raw: np.ndarray         # raw[t, k] = E[d_t^k], k up to the polynomial's degree
 
 
 def expected_cost_table(poly, mu, sigma):
@@ -176,31 +186,23 @@ def expected_cost_table(poly, mu, sigma):
     derivative lowers the powers with falling factorials.  Every output's
     terms are listed in that order.
     """
-    terms = [[(c * math.comb(i, k) * math.perm(i - k, dg) * math.perm(k, dphi), i - k - dg, k - dphi, k)
+    terms = [[(c * math.comb(i, k) * math.perm(i - k, dg) * math.perm(k, dphi), i - k - dg, k - dphi, k, j)
               for i, c in enumerate(poly.coeffs) if c != 0.0
               for k in range(i + 1) if math.perm(i - k, dg) and math.perm(k, dphi)]
-             for dg, dphi in DERIVATIVES]
+             for j, (dg, dphi) in enumerate(DERIVATIVES)]
     counts = tuple(map(len, terms))
     assert all(a >= b for a, b in zip(counts, counts[1:])), counts
-    starts = np.cumsum((0,) + counts[:-1])
-    positions = tuple(starts[: sum(c > l for c in counts)] + l for l in range(max(counts)))
-    flat = [term for output in terms for term in output]
-    coef = np.array([term[0] for term in flat], dtype=float)
-    g_power, phi_power, moment = np.array([term[1:] for term in flat], dtype=np.intp).reshape(-1, 3).T
+    widths = tuple(sum(c > l for c in counts) for l in range(max(counts)))
+    plan = [terms[j][l] for l, width in enumerate(widths) for j in range(width)]
+    coef = np.array([term[0] for term in plan], dtype=float)
+    g_power, phi_power, moment, output = np.array([term[1:] for term in plan], dtype=np.intp).reshape(-1, 4).T
     # each moment from Python floats by the scalar formula: numpy's power can differ in the last bit
-    raw = np.array([[gaussian_raw_moment(ErrorMoments(m, s), k) for k in range(MAX_DEGREE + 1)]
-                    for m, s in zip(np.asarray(mu, float).tolist(), np.asarray(sigma, float).tolist())])
-    return ExpectedCostTable(coef, g_power, phi_power, moment, counts, positions, raw)
-
-
-def _powers(v):
-    """v**0 .. v**MAX_DEGREE elementwise, stacked on a new first axis, with
-    Python's float power: numpy's vectorised power differs from it in the
-    last bit on a few percent of inputs, and dispatch duals on degenerate
-    systems follow the last bit."""
-    flat = v.ravel().tolist()
-    high = np.array([[x**k for x in flat] for k in range(2, MAX_DEGREE + 1)]).reshape((MAX_DEGREE - 1,) + v.shape)
-    return np.concatenate([np.ones((1,) + v.shape), v[None], high])
+    mu, sigma = np.asarray(mu, float).tolist(), np.asarray(sigma, float).tolist()
+    for m, s in zip(mu, sigma):
+        check_moments(m, s)
+    degree = len(poly.coeffs) - 1
+    raw = np.array([[raw_moment(m, s, k) for k in range(degree + 1)] for m, s in zip(mu, sigma)])
+    return ExpectedCostTable(coef, g_power, phi_power, moment, output, widths, raw)
 
 
 def expected_cost_derivatives(table, g, phi):
@@ -218,36 +220,46 @@ def expected_cost_derivatives(table, g, phi):
 def _derivatives(table, g, phi, first=0):
     """``expected_cost_derivatives`` from output ``first`` on.
 
-    Every term ((coef g^a) phi^b) E[d^k] is one slice of one array, and each
-    output sums its terms left to right from zero, as a loop over them
-    would; the outputs share the additions of one term position.
+    The point's leading axes are flattened, so (g, phi) is a (k, T) stack,
+    or (k, 1) for a point that is the same in every period, as the
+    convexity gate's grid is.  Their powers, up to the polynomial's degree,
+    are Python's float powers, taken in one pass: numpy's power, and even
+    x * x, differ from them in the last bit on a few inputs, and dispatch
+    duals on degenerate systems follow the last bit.  Every term
+    ((coef g^a) phi^b) E[d^k] is one slice of one array, and each output
+    sums its terms left to right from zero, as a loop over them would; the
+    outputs share the additions of one term position, a contiguous block.
     """
-    g, phi = np.broadcast_arrays(np.asarray(g, float), np.clip(phi, 0.0, 1.0))
-    raw = table.raw
-    shape = np.broadcast_shapes(g.shape, raw.shape[:1])
-    ones = (1,) * len(shape)
-    # the powers on the point's axes, the moments on the period axis
-    gp, pp = (_powers(v).reshape((-1,) + ones[v.ndim:] + v.shape) for v in (g, phi))
-    moments = raw.T.reshape(raw.shape[1:] + ones[1:] + raw.shape[:1])
-    start = sum(table.counts[:first])
-    rows = slice(start, None)
-    terms = ((table.coef[rows].reshape((-1,) + ones) * gp[table.g_power[rows]])
-             * pp[table.phi_power[rows]]) * moments[table.moment[rows]]
-    out = np.zeros((len(DERIVATIVES) - first,) + shape)
-    for position in table.positions:
-        position = position[first:]
-        out[: position.size] += terms[position - start]
-    return tuple(out)
+    g, phi, raw = np.asarray(g, dtype=float), np.clip(phi, 0.0, 1.0), table.raw
+    shape = np.broadcast(g, phi, raw[:, 0]).shape
+    point_shape = np.broadcast(g, phi).shape
+    point = np.empty((2,) + point_shape)
+    point[0], point[1] = g, phi
+    point = point.reshape(2, -1, point_shape[-1] if point_shape else 1)
+    flat = point.ravel().tolist()
+    powers = np.array([1.0] * len(flat) + flat + [v**k for k in range(2, raw.shape[1]) for v in flat])
+    g_powers, phi_powers = powers.reshape((-1,) + point.shape).swapaxes(0, 1)
+    rows = table.output >= first
+    terms = ((table.coef[rows, None, None] * g_powers[table.g_power[rows]])
+             * phi_powers[table.phi_power[rows]]) * raw.T[table.moment[rows], None, :]
+    out = np.zeros((len(DERIVATIVES) - first, point.shape[1], shape[-1]))
+    start = 0
+    for width in table.widths:
+        width -= first
+        if width <= 0:
+            break
+        out[:width] += terms[start : start + width]
+        start += width
+    return tuple(out.reshape((len(DERIVATIVES) - first,) + shape))
 
 
 def memoized_derivatives(table):
     """``expected_cost_derivatives`` of ``table`` as a function of (g, phi)
     that reuses its last outputs while the point is unchanged.
 
-    A solver asks for the value, gradient and Hessian at the same iterate;
-    all three then come from one evaluation.  The last point is kept as a
-    copy, so changing the caller's array in place gives fresh values.  The
-    outputs are shared between calls and must not be modified.
+    The last point is kept as a copy, so changing the caller's array in
+    place gives fresh values.  The outputs are shared between calls and
+    must not be modified.
     """
     last = None
 
@@ -268,12 +280,23 @@ def expected_cost_objective(table, g, phi, linear):
     stacked copies, (T,) for one; ``phi=None`` puts the whole reserve on the
     generator (phi = 1).  Returns the ``ConvexProgram`` fields (n, value,
     grad, hess, hess_rows, hess_cols; Hessian entries g/g, g/phi, phi/g,
-    phi/phi) and the memoized kernel, ``expected_cost_derivatives`` at x.
+    phi/phi) and the kernel, ``expected_cost_derivatives`` at x.
+
+    A solver asks for the value, gradient and Hessian at the same iterate;
+    all three come from one evaluation.  The kernel keeps a copy of the
+    last x and reuses its outputs while x is unchanged, so a repeated
+    request compares x once.  A new x goes to ``memoized_derivatives``,
+    which still evaluates no (g, phi) twice in a row, as when a step moves
+    only columns other than g and phi.
     """
     derivatives = memoized_derivatives(table)
+    last = None     # (a copy of the last x, the kernel's outputs there)
 
     def kernel(x):
-        return derivatives(x[g], 1.0 if phi is None else x[phi])
+        nonlocal last
+        if last is None or not np.array_equal(x, last[0]):
+            last = (np.array(x, dtype=float), derivatives(x[g], 1.0 if phi is None else x[phi]))
+        return last[1]
 
     def value(x):
         return float(linear @ x) + float(np.sum(kernel(x)[0]))

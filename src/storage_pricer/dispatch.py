@@ -28,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .costs import (
+    ExpectedCostTable,
     check_expected_cost_convexity,
     expected_cost_derivatives,
     expected_cost_objective,
@@ -123,7 +124,7 @@ class DispatchBuild:
     eq_rows: dict          # assemble_rows' row index of one copy's rows
     ineq_rows: dict
     pinned: dict           # (variable, period) -> value fixed by the presolve
-    table: tuple           # expected_cost_table of the system's moments
+    table: ExpectedCostTable    # of the system's moments
     kernel: callable       # the objective's memoized kernel at a decision vector x
 
 
@@ -146,7 +147,7 @@ class DispatchSolution:
     objective: float
     residuals: dict
     quantiles: PeriodQuantiles
-    table: tuple           # expected_cost_table of the system's moments
+    table: ExpectedCostTable    # of the system's moments
     solver_iterations: int
     polish_rounds: int = 0      # the solve's active-set polish, as ``SolveResult`` reports it
     polished: bool = False

@@ -26,6 +26,14 @@ _SQRT2 = math.sqrt(2.0)
 ROBUST_SHAPES = ("NA", "S", "U", "SU")
 
 
+def check_moments(mu, sigma):
+    """Refuse a mean or spread that is not finite, and a negative spread."""
+    if not math.isfinite(mu) or not math.isfinite(sigma):
+        raise DomainError("moments must be finite")
+    if sigma < 0.0:
+        raise DomainError(f"sigma must be >= 0, got {sigma}")
+
+
 @dataclass(frozen=True)
 class ErrorMoments:
     """First two moments of a forecast error, in MW."""
@@ -34,10 +42,7 @@ class ErrorMoments:
     sigma: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mu) or not math.isfinite(self.sigma):
-            raise DomainError("moments must be finite")
-        if self.sigma < 0.0:
-            raise DomainError(f"sigma must be >= 0, got {self.sigma}")
+        check_moments(self.mu, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -268,10 +273,15 @@ def fit_versatile_mle(samples):
 
 
 def gaussian_raw_moment(moments, k):
-    """E[d^k] for d ~ N(mu, sigma^2); only even powers of sigma contribute."""
+    """E[d^k] for d ~ N(mu, sigma^2) of ``moments`` (``raw_moment``)."""
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise DomainError(f"moment order must be a nonnegative integer, got {k}")
-    mu, sigma = moments.mu, moments.sigma
+    return raw_moment(moments.mu, moments.sigma, k)
+
+
+def raw_moment(mu, sigma, k):
+    """E[d^k] for d ~ N(mu, sigma^2), from Python floats that ``check_moments``
+    accepts and an order k >= 0; only even powers of sigma contribute."""
     total = 0.0
     for j in range(0, k + 1, 2):
         # (j-1)!! with the empty-product convention for j = 0.

@@ -39,6 +39,14 @@ that first solution is what checks the factors; the iterative refinement's
 products use the pattern's one CSC array (``_KKTPattern.operator``) with
 the values swapped in, explicit zeros and all.
 
+A Newton step should cost its arithmetic, not its calls.  Every sparse
+product of a solve, with A, G, A^T, G^T and the patterns' CSC arrays, goes
+through one routine (``_matvec``) bound to the arrays once: it calls the
+kernel that scipy's ``@`` calls, so the products are the same bytes,
+without the dispatch that takes longer than a product at T = 24.  Each
+iteration's bookkeeping reads one vector, the iterate and its residuals
+concatenated: one finiteness test and one sup-norm (``_measure``).
+
 Multi-period dispatches couple periods only through the SoC recursion, so
 in the Cuthill–McKee order of its own graph each pattern that is factored
 is a band of half-width 5 to 30, whatever the horizon.  Every pattern is
@@ -51,6 +59,7 @@ of the solver's own, with a dense column, is factored.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -59,13 +68,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import optimize
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import DomainError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 ITER_LIMIT = "iter_limit"
 
 
@@ -202,26 +211,82 @@ def _sup(v):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _residuals(prog, AT, GT, x, y, z, s):
-    """KKT residuals; ``AT`` and ``GT`` are A^T and G^T, formed once per solve."""
-    gx = prog.grad(x)
-    r_d = gx + AT @ y + GT @ z
-    r_p = prog.A @ x - prog.b
-    r_g = prog.G @ x + s - prog.h
+def _matvec(M, data=None):
+    """The product v -> M @ v for a CSR or CSC array ``M``, with the values
+    ``data`` in place of M's when given.
+
+    It calls the kernel that scipy's ``@`` calls (``csr_matvec`` or
+    ``csc_matvec`` of ``scipy.sparse._sparsetools``) on the same arrays, so
+    the product is the same byte for byte, without the dispatch of ``@``,
+    which takes longer than the product itself on a day's dispatch.  The
+    kernel converts v to a contiguous float array but reads as many
+    entries as M has columns, so the length of v is checked here.
+    """
+    rows, cols = M.shape
+    matvec = _sparsetools.csr_matvec if M.format == "csr" else _sparsetools.csc_matvec
+    indptr, indices, data = M.indptr, M.indices, M.data if data is None else data
+
+    def product(v):
+        if v.shape != (cols,):
+            raise ValueError(f"product of a matrix of {cols} columns with a vector of shape {v.shape}")
+        out = np.zeros(rows)
+        matvec(rows, cols, indptr, indices, data, v, out)
+        return out
+
+    return product
+
+
+class _Products(NamedTuple):
+    """The products with A, G, A^T and G^T of one program (``_matvec``).
+
+    A^T of the CSR array A is the CSC array on A's own arrays, so no
+    transpose is formed: ``csc_matvec`` adds each output's terms in the
+    order of A's rows, as ``csr_matvec`` does on A^T in CSR form, and the
+    products are the same bytes."""
+
+    A: callable
+    G: callable
+    AT: callable
+    GT: callable
+
+    @classmethod
+    def of(cls, prog):
+        return cls(_matvec(prog.A), _matvec(prog.G), _matvec(prog.A.T), _matvec(prog.G.T))
+
+
+def _residuals(prog, ops, x, y, z, s):
+    """KKT residuals, with the products ``ops`` of the program's matrices."""
+    r_d = prog.grad(x) + ops.AT(y) + ops.GT(z)
+    r_p = ops.A(x) - prog.b
+    r_g = ops.G(x) + s - prog.h
     return r_d, r_p, r_g, s * z
 
 
 def _merit(residuals, mu):
     """Residual norm of ``_residuals`` output, complementarity taken against mu."""
     r_d, r_p, r_g, comp = residuals
-    return float(np.sqrt(sum(float(v @ v) for v in (r_d, r_p, r_g, comp - mu))))
+    c = comp - mu
+    return math.sqrt(float(r_d @ r_d) + float(r_p @ r_p) + float(r_g @ r_g) + float(c @ c))
 
 
-def _step_to_boundary(v, dv, cap=1.0):
+def _measure(iterate, residuals):
+    """(whether the iterate and the residuals are finite, the residuals'
+    sup-norm), from one vector of them all.  Complementarity, the last
+    residual, is not tested: s z of a finite s and z can only overflow,
+    which the sup-norm shows."""
+    v = np.concatenate(iterate + residuals)
+    comp_from, residuals_from = v.size - residuals[-1].size, sum(map(len, iterate))
+    return np.isfinite(v[:comp_from]).all(), float(np.abs(v[residuals_from:]).max(initial=0.0))
+
+
+def _step_to_boundary(v, dv, frac=1.0):
+    """``frac`` times the largest step a <= 1 with v + a dv >= 0, or 1 when
+    no entry of dv is negative."""
     neg = dv < 0
-    if not np.any(neg):
-        return cap
-    return min(cap, float(np.min(-v[neg] / dv[neg])))
+    if not neg.any():
+        return 1.0
+    ratio = np.divide(-v, dv, out=np.full(v.size, np.inf), where=neg)     # inf off neg
+    return min(1.0, float(ratio.min())) * frac
 
 
 def _sorted_unique(v):
@@ -317,19 +382,22 @@ class _KKTPattern:
         out.b_data, out.b_row = self.b_data[b_kept], index[n + self.b_row[b_kept]] - n
         out.pair_pos = None if self.pair_pos is None else position[self.pair_pos]
         out.h_pos, out.h_csr = position[self.h_pos], position[self.h_csr]
-        for name in ("band", "csc"):        # of the kept rows alone
+        for name in ("band", "graph"):      # of the kept rows alone
             out.__dict__.pop(name, None)
         return out
 
+    @cached_property
     def graph(self):
-        """The pattern as an adjacency matrix: one node per row, an edge per entry."""
+        """The pattern as an adjacency matrix, one node per row and an edge
+        per entry: a CSC array of ones, every entry stored.  Products with
+        the matrix take its structure (``operator``)."""
         return sp.csc_array((np.ones(self.keys.size), self.rows, self.indptr), shape=(self.N, self.N))
 
     def blocks(self):
         """The number of independent column blocks: the connected components
         of ``graph`` that hold a column of the program.  A row without
         entries is a component of its own, and no block."""
-        _, labels = connected_components(self.graph(), directed=False)
+        _, labels = connected_components(self.graph, directed=False)
         return _sorted_unique(labels[: self.n]).size
 
     @cached_property
@@ -351,7 +419,7 @@ class _KKTPattern:
         dense matrix would be.
         """
         N = self.N
-        order = reverse_cuthill_mckee(self.graph(), symmetric_mode=True)[::-1]
+        order = reverse_cuthill_mckee(self.graph, symmetric_mode=True)[::-1]
         rank = np.empty(N, dtype=np.int64)
         rank[order] = np.arange(N)
         col_rank = rank[self.keys // N]
@@ -394,19 +462,12 @@ class _KKTPattern:
         data[self.bt_pos] = self.b_data
         return data
 
-    @cached_property
-    def csc(self):
-        """The pattern as a CSC array, every entry stored; see ``operator``."""
-        return sp.csc_array((np.zeros(self.keys.size), self.rows, self.indptr), shape=(self.N, self.N))
-
     def operator(self, data):
-        """The matrix with values ``data`` for products: a shallow copy of
-        ``csc`` with the values swapped in.  It keeps the exact zeros that
-        scipy's sparse sums drop, which leave a product with a finite vector
-        unchanged."""
-        K = copy.copy(self.csc)
-        K.data = data
-        return K
+        """The product v -> K v with the matrix K of values ``data``:
+        ``_matvec`` of ``graph`` with the values swapped in.  K keeps the
+        exact zeros that scipy's sparse sums drop, which leave a product
+        with a finite vector unchanged."""
+        return _matvec(self.graph, data)
 
 
 def _factor(pattern, data):
@@ -415,7 +476,7 @@ def _factor(pattern, data):
     zero.  ``dgbtrf`` factors a matrix with entries that are not finite, so
     the entries are checked first.
     """
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         return None
     order, bw, _ = pattern.band
     lu, piv, info = lapack.dgbtrf(pattern.band_array(data), bw, bw, overwrite_ab=1)
@@ -452,14 +513,14 @@ def _kkt_solver(pattern, data, rhs=None, refine=None, rounds=1):
     def solve(rhs):
         sol = lu_solve(rhs)
         for _ in range(rounds):
-            sol += lu_solve(rhs - K0 @ sol)
+            sol += lu_solve(rhs - K0(sol))
         return sol
 
     if rhs is None:
         return solve
     with np.errstate(all="ignore"):     # a solution that is not finite is refused here
         sol = solve(rhs)
-    return (sol, solve) if np.all(np.isfinite(sol)) else None
+    return (sol, solve) if np.isfinite(sol).all() else None
 
 
 def _min_norm_point(pattern, b):
@@ -475,7 +536,7 @@ def _min_norm_point(pattern, b):
     return None if first is None else first[0][:n]
 
 
-def _polish_solve(prog, pattern, x0, active, start):
+def _polish_solve(prog, ops, pattern, x0, active, start):
     """Newton steps on the equality-constrained KKT system of a fixed active
     set, from ``x0``: yields (x, y, z of the active rows) after each of three
     steps, or None and stops when a factorisation or a solve fails.
@@ -495,7 +556,7 @@ def _polish_solve(prog, pattern, x0, active, start):
         if k:
             H = prog.hess(xx)
             gx = prog.grad(xx)
-        kkt_rhs = np.concatenate([-gx, rhs - np.concatenate([prog.A @ xx, (prog.G @ xx)[active]])])
+        kkt_rhs = np.concatenate([-gx, rhs - np.concatenate([ops.A(xx), ops.G(xx)[active]])])
         if factored is None or not np.array_equal(H, factored):
             factored = np.array(H, dtype=float)
             hv, scale = pattern.hessian(factored)
@@ -507,14 +568,14 @@ def _polish_solve(prog, pattern, x0, active, start):
             sol, solve = first or (None, None)
         else:
             sol = solve(kkt_rhs)
-        if sol is None or not np.all(np.isfinite(sol)):
+        if sol is None or not np.isfinite(sol).all():
             yield None
             return
         xx = xx + sol[:n]
         yield xx, sol[n : n + p], sol[n + p :]
 
 
-def _polish(prog, pattern, x, y, z, s, tol):
+def _polish(prog, ops, pattern, x, y, z, s, tol):
     """Active-set refinement from a near-optimal interior-point iterate.
 
     Starts from a complementarity-based guess and searches: a round takes one
@@ -542,12 +603,12 @@ def _polish(prog, pattern, x, y, z, s, tol):
     def flips(out):
         """The rows an iterate adds to or drops from the active set."""
         xx, _, za = out
-        flip = (prog.G @ xx - prog.h > 10 * tol * scale_h) & ~active
+        flip = (ops.G(xx) - prog.h > 10 * tol * scale_h) & ~active
         flip[active] = za < -1e-12
         return flip
 
     for rounds in range(1, 9):
-        steps = _polish_solve(prog, pattern, x, active, start)
+        steps = _polish_solve(prog, ops, pattern, x, active, start)
         out = next(steps)
         if out is not None and not flips(out).any():
             *_, out = steps     # steps 2 and 3 of the same Newton run
@@ -562,7 +623,7 @@ def _polish(prog, pattern, x, y, z, s, tol):
     xx, yy, za = out
     zz = np.zeros(m)
     zz[active] = np.maximum(za, 0.0)
-    ss = prog.h - prog.G @ xx
+    ss = prog.h - ops.G(xx)
     if np.any(ss < -10 * tol):
         return None, rounds
     ss = np.maximum(ss, 0.0)
@@ -599,6 +660,7 @@ def _solve(prog):
     diagnosis."""
     tol = TOL
     n, p, m = prog.n, prog.A.shape[0], prog.G.shape[0]
+    ops = _Products.of(prog)
     # one pattern per solve; its rows of A serve the start point and the Newton steps
     full = _KKTPattern(n, sp.vstack([prog.A, prog.G], format="csr"), prog.G, prog.hess_rows, prog.hess_cols)
     pattern = full.restrict(np.arange(p + m) < p)
@@ -607,7 +669,7 @@ def _solve(prog):
     # A failed factorisation of the start-point system ends the solve too.
     if p:
         x = _min_norm_point(pattern, prog.b)
-        if x is None or np.linalg.norm(prog.A @ x - prog.b, np.inf) > 1e-8 * (1.0 + np.linalg.norm(prog.b, np.inf)):
+        if x is None or np.linalg.norm(ops.A(x) - prog.b, np.inf) > 1e-8 * (1.0 + np.linalg.norm(prog.b, np.inf)):
             return SolveResult(np.zeros(n) if x is None else x, np.zeros(p), np.zeros(m), np.zeros(m),
                                ITER_LIMIT if x is None else INFEASIBLE,
                                dict.fromkeys(RESIDUALS, np.inf), np.nan, 0)
@@ -615,7 +677,7 @@ def _solve(prog):
         x = np.zeros(n)
 
     if m:
-        raw = prog.h - prog.G @ x
+        raw = prog.h - ops.G(x)
         shift = max(0.0, -float(np.min(raw))) + max(1.0, 0.01 * float(np.linalg.norm(prog.h, np.inf)))
         s = raw + shift
         z = np.ones(m)
@@ -623,9 +685,8 @@ def _solve(prog):
         s = np.zeros(0)
         z = np.zeros(0)
     y = np.zeros(p)
-    AT, GT = prog.A.T.tocsr(), prog.G.T.tocsr()
 
-    best = None
+    best = None     # (sup-norm of the residuals, x, y, z, s); no step changes an iterate in place
     best_mu = np.inf
     status = ITER_LIMIT
     stall = 0
@@ -633,16 +694,16 @@ def _solve(prog):
     residuals = None     # of (x, y, z, s) when a line search has formed them
     for it in range(1, ITER_CAP + 1):
         if residuals is None:
-            residuals = _residuals(prog, AT, GT, x, y, z, s)
+            residuals = _residuals(prog, ops, x, y, z, s)
         r_d, r_p, r_g, comp = residuals
+        finite, res_now = _measure((x, y, z, s), residuals)
         residuals = None
-        if not all(np.all(np.isfinite(v)) for v in (x, y, z, s, r_d, r_p, r_g)):
+        if not finite:
             break
-        mu = float(np.mean(comp)) if m else 0.0
-        res_now = max(map(_sup, (r_d, r_p, r_g, comp)))
+        mu = float(np.add.reduce(comp)) / m if m else 0.0
         improved = False
         if best is None or res_now < 0.999 * best[0]:
-            best = (res_now, x.copy(), y.copy(), z.copy(), s.copy())
+            best = (res_now, x, y, z, s)
             improved = True
         if mu < 0.999 * best_mu:
             best_mu = mu
@@ -656,12 +717,6 @@ def _solve(prog):
         if res_now <= tol:
             status = OPTIMAL
             break
-        # Divergence heuristics.
-        if np.linalg.norm(x, np.inf) > 1e13 or prog.value(x) < -1e18:
-            feas = max(_sup(r_p), _sup(np.maximum(prog.G @ x - prog.h, 0.0)))
-            if feas <= 1e-5 * (1.0 + float(np.linalg.norm(prog.h, np.inf)) if m else 1.0):
-                status = UNBOUNDED
-                break
 
         w = np.minimum(z / np.maximum(s, 1e-300), 1e18)
         # regularize on the objective scale only; the barrier term GtWG is
@@ -670,11 +725,11 @@ def _solve(prog):
         data = pattern.fill(hv, w, reg=1e-11 * scale, delta=1e-12)
 
         def newton_rhs(r_c):
-            return np.concatenate([-r_d - GT @ ((-r_c + z * r_g) / s), -r_p])
+            return np.concatenate([-r_d - ops.GT((-r_c + z * r_g) / s), -r_p])
 
         def newton(r_c, sol):
             dx, dy = sol[:n], sol[n:]
-            ds = -r_g - prog.G @ dx
+            ds = -r_g - ops.G(dx)
             return dx, dy, (-r_c - z * ds) / s, ds
 
         # one round of iterative refinement on the reduced system; the
@@ -695,15 +750,14 @@ def _solve(prog):
             ap = _step_to_boundary(s, dsa)
             ad = _step_to_boundary(z, dza)
             mu_aff = float((s + ap * dsa) @ (z + ad * dza)) / m
-            sigma = np.clip((mu_aff / mu) ** 3 if mu > 0 else 0.1, 1e-8, 0.9999)
+            sigma = min(max((mu_aff / mu) ** 3 if mu > 0 else 0.1, 1e-8), 0.9999)
             r_c = comp + dsa * dza - sigma * mu
             # a non-finite corrector step surfaces as a non-finite iterate,
             # which ends the loop at the next finiteness check
             dx, dy, dz, ds = newton(r_c, solve(newton_rhs(r_c)))
             frac = min(0.9999, max(0.995, 1.0 - 10.0 * mu))
-            ap = _step_to_boundary(s, ds, cap=1.0) * frac if np.any(ds < 0) else 1.0
-            ad = _step_to_boundary(z, dz, cap=1.0) * frac if np.any(dz < 0) else 1.0
-            ap, ad = min(ap, 1.0), min(ad, 1.0)
+            ap = _step_to_boundary(s, ds, frac)
+            ad = _step_to_boundary(z, dz, frac)
         else:
             dx, dy, dz, ds = newton(comp, first)
             ap = ad = 1.0
@@ -720,8 +774,8 @@ def _solve(prog):
         for _ in range(16):
             cand = (x + scale_k * ap * dx, y + scale_k * ad * dy,
                     z + scale_k * ad * dz, s + scale_k * ap * ds)
-            if not m or (np.min(cand[3]) > 0 and np.min(cand[2]) > 0):
-                residuals = _residuals(prog, AT, GT, *cand)
+            if not m or (cand[3].min() > 0 and cand[2].min() > 0):
+                residuals = _residuals(prog, ops, *cand)
                 if _merit(residuals, target_mu) <= 10.0 * m0:
                     break
                 residuals = None
@@ -730,7 +784,7 @@ def _solve(prog):
 
     if status != OPTIMAL and best is not None:
         _, x, y, z, s = best
-    report = _report(prog, AT, GT, x, y, z, s)
+    report = _report(prog, ops, x, y, z, s)
 
     # Active-set polish from any near-optimal iterate of a connected program
     # (see the module notes): re-solving the equality-constrained KKT system
@@ -738,9 +792,9 @@ def _solve(prog):
     polish_rounds, polished = 0, False
     if status in (OPTIMAL, ITER_LIMIT) and best is not None and best[0] <= np.sqrt(tol) \
             and full.blocks() == 1:
-        candidate, polish_rounds = _polish(prog, full, x, y, z, s, tol)
+        candidate, polish_rounds = _polish(prog, ops, full, x, y, z, s, tol)
         if candidate is not None:
-            r_new = _report(prog, AT, GT, *candidate)
+            r_new = _report(prog, ops, *candidate)
             if max(r_new.values()) < max(report.values()):
                 (x, y, z, s), report, polished = candidate, r_new, True
         if max(report.values()) <= tol:
@@ -754,9 +808,9 @@ def _solve(prog):
     )
 
 
-def _report(prog, AT, GT, x, y, z, s):
+def _report(prog, ops, x, y, z, s):
     """The sup-norms of the KKT residuals, by name."""
-    return dict(zip(RESIDUALS, map(_sup, _residuals(prog, AT, GT, x, y, z, s))))
+    return dict(zip(RESIDUALS, map(_sup, _residuals(prog, ops, x, y, z, s))))
 
 
 def _phase1_min_violation(prog):

@@ -16,7 +16,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_sparse_kkt import DenseProgram
+from test_sparse_kkt import DenseProgram, pattern_matrix
 from test_sparse_kkt import _phase1_min_violation as dense_phase1
 
 from storage_pricer import solver
@@ -101,7 +101,7 @@ def test_band_lu_matches_splu_on_narrow_patterns(seed, periods, width, copies):
     for pattern, data in cases:
         _, bw, _ = pattern.band
         assert bw * bw <= pattern.keys.size
-        K = pattern.operator(data)
+        K = pattern_matrix(pattern, data)
         ab = pattern.band_array(data)
         assert ab.shape == (3 * bw + 1, pattern.N) and ab.flags.f_contiguous
         assert np.array_equal(from_band(pattern, ab), K.toarray())

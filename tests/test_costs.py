@@ -4,6 +4,7 @@ segment loop), polynomial fitting, and the kernel memo."""
 
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storage_pricer import costs
 from storage_pricer.costs import (
     DERIVATIVES,
     CostPolynomial,
@@ -99,33 +101,44 @@ moments_st = st.builds(ErrorMoments, st.floats(-5.0, 5.0),
 @given(degree=st.integers(1, 4), data=st.data())
 def test_kernel_matches_scalar_oracle(degree, data):
     """All six outputs for every period, on g outside the polynomial's
-    domain [0, 20] and phi outside [0, 1] (clamped), over one extra axis and
-    at 0-d points.  The kernel sums the same terms in the same order, so it
-    is exact."""
-    coeffs = [data.draw(st.floats(0.0, 10.0)) * 10.0**-i for i in range(degree + 1)]
+    domain [0, 20] and phi outside [0, 1] (clamped), for polynomials of
+    degree 1 to 4 with some coefficients zero: on (k, T) stacks of 1 to 3
+    rows, on (k, 1) points that are the same in every period with the
+    Hessian's outputs alone (the convexity gate's path), and at 0-d points.
+    The kernel sums the same terms in the same order, so it is exact."""
+    coeffs = [data.draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))) * 10.0**-i for i in range(degree + 1)]
     p = CostPolynomial(tuple(coeffs), g_min=0.0, g_max=20.0)
-    T = data.draw(st.integers(1, 4))
+    T, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
     moments = [data.draw(moments_st) for _ in range(T)]
-    g = np.array(data.draw(st.lists(st.floats(-40.0, 60.0), min_size=2 * T, max_size=2 * T)))
-    phi = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=2 * T, max_size=2 * T)))
-    g, phi = g.reshape(2, T), phi.reshape(2, T)
-    out = expected_cost_derivatives(table_of(p, moments), g, phi)
-    for k, (dg, dphi) in enumerate(DERIVATIVES):
-        assert out[k].shape == (2, T)
-        for r in range(2):
-            for t in range(T):
-                phi_c = min(max(float(phi[r, t]), 0.0), 1.0)
-                ref = oracle(p.coeffs, float(g[r, t]), phi_c, moments[t], dg, dphi)
-                assert out[k][r, t] == ref, (k, r, t)
+    g = np.array(data.draw(st.lists(st.floats(-40.0, 60.0), min_size=k * T, max_size=k * T)))
+    phi = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=k * T, max_size=k * T)))
+    g, phi = g.reshape(k, T), phi.reshape(k, T)
+    table = table_of(p, moments)
+
+    def ref(r, column, t, derivative):
+        """The oracle at the point in row r and ``column``, for period t's moments."""
+        phi_c = min(max(float(phi[r, column]), 0.0), 1.0)
+        return oracle(p.coeffs, float(g[r, column]), phi_c, moments[t], *derivative)
+
+    out = expected_cost_derivatives(table, g, phi)
+    for i, derivative in enumerate(DERIVATIVES):
+        assert out[i].shape == (k, T)
+        for r, t in itertools.product(range(k), range(T)):
+            assert out[i][r, t] == ref(r, t, t, derivative), (i, r, t)
+    hessian = costs._derivatives(table, g[:, :1], phi[:, :1], first=3)
+    for i, derivative in enumerate(DERIVATIVES[3:]):
+        assert hessian[i].shape == (k, T)
+        for r, t in itertools.product(range(k), range(T)):
+            assert hessian[i][r, t] == ref(r, 0, t, derivative), (i, r, t)
     # 0-d g and phi, as interior_charging_theta passes them, against every
     # period of the table and against a one-period table
     g0, phi0 = g[0, 0], phi[0, 0]
     phi_c = min(max(float(phi0), 0.0), 1.0)
-    for table, periods in ((table_of(p, moments), moments), (table_of(p, moments[:1]), moments[:1])):
+    for table, periods in ((table, moments), (table_of(p, moments[:1]), moments[:1])):
         out = expected_cost_derivatives(table, g0, phi0)
-        for k, (dg, dphi) in enumerate(DERIVATIVES):
-            assert out[k].shape == (len(periods),)
-            assert out[k].tolist() == [oracle(p.coeffs, float(g0), phi_c, m, dg, dphi) for m in periods], k
+        for i, (dg, dphi) in enumerate(DERIVATIVES):
+            assert out[i].shape == (len(periods),)
+            assert out[i].tolist() == [oracle(p.coeffs, float(g0), phi_c, m, dg, dphi) for m in periods], i
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -142,6 +155,18 @@ def test_convexity_gate_matches_looped_oracle(c, degree, moments):
 # ---------------------------------------------------------------------------
 # expected cost
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mu, sigma", [([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.inf]),
+                                       ([0.0, 0.0], [1.0, -1.0]), ([0.0, np.nan], [-2.0, 1.0])])
+def test_table_refuses_moments_as_error_moments_does(mu, sigma):
+    """The table checks each period's moments without an ``ErrorMoments``;
+    the first period that ``ErrorMoments`` refuses is refused with its
+    message."""
+    with pytest.raises(DomainError) as want:
+        [ErrorMoments(m, s) for m, s in zip(mu, sigma)]
+    with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+        expected_cost_table(poly([1.0, 2.0, 0.1]), mu, sigma)
 
 
 def test_expected_cost_deterministic_collapse():

@@ -2,7 +2,9 @@
 solution invariants."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -974,6 +976,31 @@ def test_solve_builds_expected_cost_table_once(monkeypatch):
     assert len(calls) == 1
     for name, rows in solution.equilibrium["rows"].items():
         assert np.asarray(rows).tobytes() == np.asarray(again["rows"][name]).tobytes()
+
+
+def test_no_module_state_keeps_programs_alive(monkeypatch):
+    """Solving keeps nothing of a program at module level: after 20 day24
+    systems (T = 24, quadratic and cubic fits) are built, solved, audited
+    and dropped, each one's ``ExpectedCostTable`` and ``ConvexProgram`` are
+    gone.  A per-table plan kept in a module dict would hold them, and their
+    memory, for the life of the process."""
+    refs = []
+    solve = dispatch.solve_convex
+
+    def recording(program):
+        refs.append(weakref.ref(program))
+        return solve(program)
+
+    monkeypatch.setattr(dispatch, "solve_convex", recording)
+    # fleet seeds 5, 9 and 10 fit cubics that the convexity gate refuses
+    for degree, seed in [(2, seed) for seed in range(10)] + [(3, seed) for seed in (0, 1, 2, 3, 4, 6, 7, 8, 11, 12)]:
+        solution = solve_dispatch(synth_test_system(horizon=24, fit_degree=degree, seed=seed))
+        assert solution.status == "optimal" and solution.equilibrium["ok"]
+        refs.append(weakref.ref(solution.table))
+    del solution
+    gc.collect()
+    assert len(refs) == 40
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 def oracle_equilibrium_rows(solution, system):
