@@ -27,7 +27,7 @@ from .costs import (
     fit_polynomial_to_merit_curve,
     merit_order_cost,
 )
-from .dispatch import solve_dispatch
+from .dispatch import PeriodColumns, chain_rows, solve_dispatch
 from .errors import ConfigurationError, DomainError, SolverError
 from .reformulation import period_quantiles
 from .scenarios import sample_net_load
@@ -287,22 +287,18 @@ def clear_with_bids(system, bids):
     two-period system, a 3e-15 change in one bid width moved it by 1% with
     the same lambda).
     """
-    T = system.horizon
-    st = system.storage
+    T, st = system.horizon, system.storage
     if st is None:
         raise DomainError("bid-based clearing requires storage")
     if bids.horizon != T:
         raise DomainError(f"bid horizon {bids.horizon} != system horizon {T}")
 
-    net = system.net_load
-    gen = period_quantiles(net.mu, net.sigma, net.model, system.epsilon, system.risk_policy).gen
-
     # variable layout: g (T) | p segments | b segments | e (T), the segments
-    # in period order; e column e_of + t - 1 is the stock after period t + 1
-    local = np.arange(T)
-    p_count = [len(segs) for segs in bids.discharge]
-    b_count = [len(segs) for segs in bids.charge]
-    p_t, b_t = np.repeat(local, p_count), np.repeat(local, b_count)   # 0-based periods
+    # in period order; column e_of + t - 1 holds e_{t+1}, the stock after
+    # period t (e_1 is data)
+    periods = np.arange(1, T + 1)
+    p_t = np.repeat(periods, [len(segs) for segs in bids.discharge])
+    b_t = np.repeat(periods, [len(segs) for segs in bids.charge])
     p_width, p_price = np.array([s for segs in bids.discharge for s in segs], dtype=float).reshape(-1, 2).T
     b_width, b_price = np.array([s for segs in bids.charge for s in segs], dtype=float).reshape(-1, 2).T
     p_cols = T + np.arange(p_t.size)
@@ -310,54 +306,28 @@ def clear_with_bids(system, bids):
     e_of = T + p_t.size + b_t.size
     n = e_of + T
 
-    lin = np.zeros(n)
-    lin[p_cols] = p_price
-    lin[b_cols] = -b_price
-
+    net = system.net_load
     objective, _ = expected_cost_objective(
-        expected_cost_table(system.poly, net.mu, net.sigma), np.arange(T), None, lin)
+        expected_cost_table(system.poly, net.mu, net.sigma), np.arange(T), None,
+        np.concatenate([np.zeros(T), p_price, -b_price, np.zeros(T)]))
 
-    # One row per period unless stated; the stock at the start of period 1
-    # is data, so the SoC rows of period 1 carry it on the right-hand side.
-    periods = local + 1
-    e_prev = (local[1:], e_of + local[1:] - 1)     # e_t, for periods 2..T
-    eta = st.eta
-    D = np.asarray(net.forecast, dtype=float)
-    end = np.array([T + 1])
-    eq = [
-        RowBlock("balance", periods, 0, D,
-                  [(local, local, 1.0), (p_t, p_cols, 1.0), (b_t, b_cols, -1.0)]),
-        RowBlock("soc", periods, 0, np.where(local == 0, st.e_init, 0.0),
-                  [(local, e_of + local, 1.0), (*e_prev, -1.0),
-                   (p_t, p_cols, 1.0 / eta), (b_t, b_cols, -eta)]),
-    ]
-    if system.terminal in ("periodic", "fixed"):
-        e_end = st.e_init if system.terminal == "periodic" else float(system.terminal_value)
-        eq.append(RowBlock("terminal", end, 0, [e_end], [([0], [e_of + T - 1], 1.0)]))
+    # The dispatch's chain rows over the segment columns (phi = 1, psi = 0,
+    # the terminal box under every terminal policy), and after each period's
+    # generator bounds its segment boxes, upper then lower per segment.
+    columns = PeriodColumns(system, {"g": (periods, periods - 1), "p": (p_t, p_cols),
+                                     "b": (b_t, b_cols), "e": (periods + 1, e_of + periods - 1)})
+    spec = chain_rows(system, period_quantiles(net.mu, net.sigma, net.model, system.epsilon,
+                                               system.risk_policy))
 
-    # Inequalities period by period: generator bounds with the whole reserve
-    # (phi = 1), segment boxes (upper, then lower, per segment), aggregate
-    # power caps and the SoC band with psi = 0; then the terminal box.
     def boxes(kind, seg_t, cols, width):
-        pair = np.arange(2 * cols.size)
-        return RowBlock(kind, np.repeat(seg_t + 1, 2), np.repeat(seg_t, 2),
-                         np.column_stack([width, np.zeros(cols.size)]).ravel(),
-                         [(pair, np.repeat(cols, 2), np.tile([1.0, -1.0], cols.size))])
+        return RowBlock(kind, np.repeat(seg_t, 2), np.repeat(seg_t, 2),
+                        np.column_stack([width, np.zeros(cols.size)]).ravel(),
+                        [(np.arange(2 * cols.size), np.repeat(cols, 2), np.tile([1.0, -1.0], cols.size))])
 
-    ineq = [
-        RowBlock("nu_lo", periods, local, -(system.g_min - gen.d_hat), [(local, local, -1.0)]),
-        RowBlock("nu_hi", periods, local, system.g_max - gen.d_tilde, [(local, local, 1.0)]),
-        boxes("p_seg", p_t, p_cols, p_width),
-        boxes("b_seg", b_t, b_cols, b_width),
-        RowBlock("beta_hi", periods, local, np.full(T, st.p_max), [(p_t, p_cols, 1.0)]),
-        RowBlock("alpha_hi", periods, local, np.full(T, st.p_max), [(b_t, b_cols, 1.0)]),
-        RowBlock("iota_lo", periods, local, np.where(local == 0, st.e_init, 0.0),
-                  [(p_t, p_cols, 1.0 / eta), (*e_prev, -1.0)]),
-        RowBlock("iota_hi", periods, local, np.where(local == 0, st.e_max - st.e_init, st.e_max),
-                  [(b_t, b_cols, eta), (*e_prev, 1.0)]),
-        RowBlock("term_lo", end, T, [0.0], [([0], [e_of + T - 1], -1.0)]),
-        RowBlock("term_hi", end, T, [st.e_max], [([0], [e_of + T - 1], 1.0)]),
-    ]
+    eq = columns.blocks(spec, ("balance", "soc", "terminal"))
+    ineq = [*columns.blocks(spec, ("nu_lo", "nu_hi")),
+            boxes("p_seg", p_t, p_cols, p_width), boxes("b_seg", b_t, b_cols, b_width),
+            *columns.blocks(spec, ("beta_hi", "alpha_hi", "iota_lo", "iota_hi", "term_lo", "term_hi"))]
 
     A, b, eq_rows = assemble_rows(eq, n)
     G, h, _ = assemble_rows(ineq, n)
@@ -370,8 +340,8 @@ def clear_with_bids(system, bids):
     lam = -result.eq_duals[eq_rows["balance"][1]]
     theta = result.eq_duals[eq_rows["soc"][1]]
     p, b = np.zeros(T), np.zeros(T)
-    np.add.at(p, p_t, x[p_cols])
-    np.add.at(b, b_t, x[b_cols])
+    np.add.at(p, p_t - 1, x[p_cols])
+    np.add.at(b, b_t - 1, x[b_cols])
     e = np.concatenate([[st.e_init], x[e_of: e_of + T]])
     return {
         "g": x[:T].copy(), "p": p, "b": b, "e": e,

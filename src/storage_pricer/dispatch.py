@@ -35,7 +35,7 @@ from .costs import (
     expected_cost_table,
 )
 from .errors import DomainError
-from .reformulation import PeriodQuantiles, build_deterministic_constraints, period_quantiles
+from .reformulation import ROW_STRUCTURE, PeriodQuantiles, build_deterministic_constraints, period_quantiles
 from .solver import OPTIMAL, ConvexProgram, RowBlock, assemble_rows, solve_convex
 
 if TYPE_CHECKING:
@@ -175,6 +175,67 @@ def _block_diagonal(M, k):
                         shape=(k * rows, k * cols))
 
 
+class PeriodColumns:
+    """Each variable's columns by period, in tables built once per program,
+    and the rows over them.  ``columns`` maps a variable to its (periods,
+    columns) in period order, any number per period.  Where a variable has
+    no column it is data: e[1] = e_init, phi = 1, and any other is 0."""
+
+    def __init__(self, system, columns):
+        self.data = {"phi": 1.0, "e": system.storage.e_init if system.storage else 0.0}
+        none = np.zeros(0, dtype=np.intp)
+        self.tables = dict.fromkeys(VARIABLES, (none, none, np.zeros(system.horizon + 3, dtype=np.intp)))
+        for var, (periods, cols) in columns.items():
+            start = np.concatenate([[0], np.cumsum(np.bincount(periods, minlength=system.horizon + 2))])
+            self.tables[var] = periods, cols, start   # period t: cols[start[t]:start[t + 1]]
+
+    def rows(self, kind, key, t, rhs, terms):
+        """One row per period of ``t``, consecutive periods: the sum of
+        coef * var[t + shift] over the (var, shift, coef) terms, the data
+        moved to the right-hand side."""
+        rhs = np.full(len(t), rhs, dtype=float)
+        entries = []
+        for var, shift, coef in terms if len(t) else ():
+            periods, cols, start = self.tables[var]
+            coef, at = np.full(len(t), coef, dtype=float), t + shift
+            if var in self.data:
+                data = start[at] == start[at + 1]
+                rhs[data] -= coef[data] * self.data[var]
+            span = slice(start[at[0]], start[at[-1] + 1])
+            row = periods[span] - at[0]
+            entries.append((row, cols[span], coef[row]))
+        return RowBlock(kind, t, key, rhs, entries)
+
+    def blocks(self, spec, kinds):
+        """The blocks of the ``kinds`` in ``spec``, in the order of ``kinds``."""
+        return [self.rows(kind, *spec[kind]) for kind in kinds if kind in spec]
+
+
+def chain_rows(system, quantiles, dropped=()):
+    """The rows the dispatch and bid clearing share, {kind: (key, periods,
+    rhs, terms)} for ``PeriodColumns.rows``: the balance, the SoC recursion,
+    the terminal row and box, and the families of
+    ``build_deterministic_constraints`` less period 1 of the ``dropped``."""
+    T, storage = system.horizon, system.storage
+    periods, end = np.arange(1, T + 1), np.array([T + 1])
+    spec = {"balance": (0, periods, np.asarray(system.net_load.forecast, dtype=float),
+                        [("g", 0, 1.0), ("p", 0, 1.0), ("b", 0, -1.0)])}
+    if storage is not None:
+        eta = storage.eta
+        spec["soc"] = (0, periods, 0.0, [("e", 1, 1.0), ("p", 0, 1.0 / eta), ("b", 0, -eta), ("e", 0, -1.0)])
+        if system.terminal != "free":
+            e_end = storage.e_init if system.terminal == "periodic" else float(system.terminal_value)
+            spec["terminal"] = (0, end, e_end, [("e", 0, 1.0)])
+        spec["term_lo"] = (2 * T + 1, end, 0.0, [("e", 0, -1.0)])
+        spec["term_hi"] = (2 * T + 1, end, storage.e_max, [("e", 0, 1.0)])
+    families = build_deterministic_constraints(T, (system.g_min, system.g_max), storage, quantiles)
+    for kind, fam in families.items():
+        keep = slice(1, None) if kind in dropped else slice(None)
+        spec[kind] = (periods[keep], periods[keep], fam.rhs[keep],
+                      [(var, 0, coef[keep]) for var, coef in fam.coeffs.items()])
+    return spec
+
+
 def build_dispatch(system, loads=None):
     """Assemble the dispatch convex program for a system.
 
@@ -213,66 +274,35 @@ def build_dispatch(system, loads=None):
             if quantiles.soc.d_tilde[0] > 0.0 and system.storage_reserve:
                 pinned[("psi", 1)] = 0.0
             dropped.add("iota_lo")
-    # Pins are in period 1 only.  A pinned psi[1] fixes phi[1] = 1 through
-    # the reserve row, so period 1 has no interior reserve box to keep.
-    unpinned_psi = slice(1, None) if ("psi", 1) in pinned else slice(None)
 
     n = layout.n
-    D = np.asarray(net.forecast, dtype=float)
-    loads = D[None, :] if loads is None else np.atleast_2d(np.asarray(loads, dtype=float))
+    loads = np.atleast_2d(np.asarray(net.forecast if loads is None else loads, dtype=float))
     if loads.ndim != 2 or loads.shape[1] != T or not loads.shape[0]:
         raise DomainError(f"loads must be k >= 1 rows of {T} periods, got shape {loads.shape}")
     k = loads.shape[0]
 
-    def rows(kind, key, t, rhs, terms):
-        """One row per period in ``t``: the sum of coef * var[t + shift] over
-        the (var, shift, coef) terms.  The data e[1], and phi = 1 without
-        storage, move to the right-hand side."""
-        local = np.arange(len(t))
-        rhs = np.array(np.broadcast_to(rhs, local.shape), dtype=float)
-        entries = []
-        for var, shift, coef in terms:
-            at = t + shift
-            coef = np.broadcast_to(np.asarray(coef, dtype=float), local.shape)
-            data = at == 1 if var == "e" else np.full(local.shape, var == "phi" and not has_storage)
-            rhs[data] -= coef[data] * (storage.e_init if var == "e" else 1.0)
-            entries.append((local[~data], layout.of(var, at[~data]), coef[~data]))
-        return RowBlock(kind, t, key, rhs, entries)
-
-    # --- equalities: family by family (equal keys keep the blocks' order) ---
-    eq = [rows("balance", 0, periods, D,
-               [("g", 0, 1.0)] + ([("p", 0, 1.0), ("b", 0, -1.0)] if has_storage else []))]
+    # --- the chain rows and the reserve split's: equalities kind by kind,
+    # inequalities by period, then the reserve boxes, then the terminal box.
+    # Pins are in period 1 only; a pinned psi[1] fixes phi[1] = 1 through the
+    # reserve row, so period 1 has no interior reserve box to keep.
+    columns = PeriodColumns(system, {var: (periods + (var == "e"), layout.of(var, periods + (var == "e")))
+                                     for var in (VARIABLES if has_storage else ("g",))})
+    spec = chain_rows(system, quantiles, dropped)
+    unpinned = periods[1:] if ("psi", 1) in pinned else periods
+    spec |= {f"pin_{var}": (0, np.array([period]), value, [(var, 0, 1.0)])
+             for (var, period), value in pinned.items()}
     if has_storage:
-        eta = storage.eta
-        eq.append(rows("soc", 0, periods, 0.0,
-                       [("e", 1, 1.0), ("p", 0, 1.0 / eta), ("b", 0, -eta), ("e", 0, -1.0)]))
-        eq.append(rows("reserve", 0, periods, 1.0, [("phi", 0, 1.0), ("psi", 0, 1.0)]))
-        if not system.storage_reserve:
-            eq.append(rows("psi_fix", 0, periods[unpinned_psi], 0.0, [("psi", 0, 1.0)]))
-        if system.terminal != "free":
-            e_end = storage.e_init if system.terminal == "periodic" else float(system.terminal_value)
-            eq.append(rows("terminal", 0, np.array([T + 1]), e_end, [("e", 0, 1.0)]))
-        for (var, t), value in pinned.items():
-            eq.append(rows(f"pin_{var}", 0, np.array([t]), value, [(var, 0, 1.0)]))
-
-    # --- inequalities: the reformulated rows period by period, then the
-    # reserve boxes period by period, then the free terminal box ------------
-    families = build_deterministic_constraints(
-        T, (system.g_min, system.g_max), storage, quantiles)
-    ineq = []
-    for kind, fam in families.items():
-        keep = slice(1, None) if kind in dropped else slice(None)
-        ineq.append(rows(kind, periods[keep], periods[keep], fam.rhs[keep],
-                         [(var, 0, coef[keep]) for var, coef in fam.coeffs.items()]))
+        spec["reserve"] = (0, periods, 1.0, [("phi", 0, 1.0), ("psi", 0, 1.0)])
+    if has_storage and not system.storage_reserve:
+        spec["psi_fix"] = (0, unpinned, 0.0, [("psi", 0, 1.0)])
     if has_storage and system.storage_reserve:
-        t = periods[unpinned_psi]
-        for var in ("phi", "psi"):
-            ineq.append(rows(f"kappa_{var}_lo", T + t, t, 0.0, [(var, 0, -1.0)]))
-            ineq.append(rows(f"kappa_{var}_hi", T + t, t, 1.0, [(var, 0, 1.0)]))
-    if has_storage and system.terminal == "free":
-        end = np.array([T + 1])
-        ineq.append(rows("term_lo", 2 * T + 1, end, 0.0, [("e", 0, -1.0)]))
-        ineq.append(rows("term_hi", 2 * T + 1, end, storage.e_max, [("e", 0, 1.0)]))
+        spec |= {f"kappa_{var}_{side}": (T + unpinned, unpinned, bound, [(var, 0, sign)])
+                 for var in ("phi", "psi") for side, bound, sign in (("lo", 0.0, -1.0), ("hi", 1.0, 1.0))}
+    eq = columns.blocks(spec, ["balance", "soc", "reserve", "psi_fix", "terminal",
+                               *(f"pin_{var}" for var, _ in pinned)])
+    ineq = columns.blocks(spec, [*ROW_STRUCTURE, *(f"kappa_{var}_{side}" for var in ("phi", "psi")
+                                                   for side in ("lo", "hi")),
+                                 *(("term_lo", "term_hi") if system.terminal == "free" else ())])
 
     # --- objective over the k copies: x viewed as (k, n), the kernel
     # evaluated once on (k, T) arrays ---------------------------------------

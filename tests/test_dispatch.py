@@ -602,7 +602,7 @@ def oracle_clearing_rows(system, bids, quantiles):
             stg.e_init if system.terminal == "periodic" else float(system.terminal_value))
     for t in range(T):
         q = period_of(quantiles, t + 1)
-        add(ineq, [([t], -1.0)], -(system.g_min - q.gen.d_hat))
+        add(ineq, [([t], -1.0)], -system.g_min - (-q.gen.d_hat))
         add(ineq, [([t], 1.0)], system.g_max - q.gen.d_tilde)
         for segs, ofs in ((p_segs[t], p_ofs[t]), (b_segs[t], b_ofs[t])):
             for s, (width, _) in enumerate(segs):
@@ -704,6 +704,28 @@ def test_clearing_rows_equal_hand_offset_assembly(system, data):
     eq, ineq = oracle_clearing_rows(system, bids, quantiles)
     assert_same_bits((program.A, program.b), eq)
     assert_same_bits((program.G, program.h), ineq)
+
+
+def test_clearing_chain_rows_come_from_the_reformulation(monkeypatch):
+    """A change to the reformulated nu_hi and iota_hi rows reaches the
+    clearing's h in exactly those 2T entries."""
+    from test_baseline import toy_system
+
+    system = toy_system()
+    bids = BidCurve(discharge=(((5.0, 30.0),),) * 3, charge=(((5.0, 1.0),),) * 3)
+    before = clearing_program(system, bids).h
+    emit = dispatch.build_deterministic_constraints
+
+    def shifted(*args):
+        families = emit(*args)
+        for kind in ("nu_hi", "iota_hi"):
+            families[kind] = dataclasses.replace(families[kind], rhs=families[kind].rhs + 1.0)
+        return families
+
+    monkeypatch.setattr(dispatch, "build_deterministic_constraints", shifted)
+    moved = clearing_program(system, bids).h - before
+    assert np.count_nonzero(moved) == 2 * system.horizon
+    assert np.all(moved[moved != 0.0] == 1.0)
 
 
 # ---------------------------------------------------------------------------
