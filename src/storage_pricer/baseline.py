@@ -293,29 +293,22 @@ def clear_with_bids(system, bids):
     if bids.horizon != T:
         raise DomainError(f"bid horizon {bids.horizon} != system horizon {T}")
 
-    # variable layout: g (T) | p segments | b segments | e (T), the segments
-    # in period order; column e_of + t - 1 holds e_{t+1}, the stock after
-    # period t (e_1 is data)
+    # columns: g, the discharge and the charge segments in period order, e over periods 2..T+1
     periods = np.arange(1, T + 1)
-    p_t = np.repeat(periods, [len(segs) for segs in bids.discharge])
-    b_t = np.repeat(periods, [len(segs) for segs in bids.charge])
+    p_t, b_t = (np.repeat(periods, [len(segs) for segs in side]) for side in (bids.discharge, bids.charge))
+    columns = PeriodColumns(system, [("g", periods), ("p", p_t), ("b", b_t), ("e", periods + 1)])
     p_width, p_price = np.array([s for segs in bids.discharge for s in segs], dtype=float).reshape(-1, 2).T
     b_width, b_price = np.array([s for segs in bids.charge for s in segs], dtype=float).reshape(-1, 2).T
-    p_cols = T + np.arange(p_t.size)
-    b_cols = T + p_t.size + np.arange(b_t.size)
-    e_of = T + p_t.size + b_t.size
-    n = e_of + T
+    linear = np.zeros(columns.n)
+    linear[columns.of("p")], linear[columns.of("b")] = p_price, -b_price
 
     net = system.net_load
     objective, _ = expected_cost_objective(
-        expected_cost_table(system.poly, net.mu, net.sigma), np.arange(T), None,
-        np.concatenate([np.zeros(T), p_price, -b_price, np.zeros(T)]))
+        expected_cost_table(system.poly, net.mu, net.sigma), columns.of("g"), None, linear)
 
     # The dispatch's chain rows over the segment columns (phi = 1, psi = 0,
     # the terminal box under every terminal policy), and after each period's
     # generator bounds its segment boxes, upper then lower per segment.
-    columns = PeriodColumns(system, {"g": (periods, periods - 1), "p": (p_t, p_cols),
-                                     "b": (b_t, b_cols), "e": (periods + 1, e_of + periods - 1)})
     spec = chain_rows(system, period_quantiles(net.mu, net.sigma, net.model, system.epsilon,
                                                system.risk_policy))
 
@@ -326,26 +319,20 @@ def clear_with_bids(system, bids):
 
     eq = columns.blocks(spec, ("balance", "soc", "terminal"))
     ineq = [*columns.blocks(spec, ("nu_lo", "nu_hi")),
-            boxes("p_seg", p_t, p_cols, p_width), boxes("b_seg", b_t, b_cols, b_width),
+            boxes("p_seg", p_t, columns.of("p"), p_width), boxes("b_seg", b_t, columns.of("b"), b_width),
             *columns.blocks(spec, ("beta_hi", "alpha_hi", "iota_lo", "iota_hi", "term_lo", "term_hi"))]
 
-    A, b, eq_rows = assemble_rows(eq, n)
-    G, h, _ = assemble_rows(ineq, n)
+    A, b, eq_rows = assemble_rows(eq, columns.n)
+    G, h, _ = assemble_rows(ineq, columns.n)
     program = ConvexProgram(**objective, A=A, b=b, G=G, h=h)
     result = solve_convex(program)
     if result.status != "optimal":
         raise SolverError(f"bid clearing failed: {result.status}", status=result.status,
                           result=result)
-    x = result.x
-    lam = -result.eq_duals[eq_rows["balance"][1]]
-    theta = result.eq_duals[eq_rows["soc"][1]]
-    p, b = np.zeros(T), np.zeros(T)
-    np.add.at(p, p_t - 1, x[p_cols])
-    np.add.at(b, b_t - 1, x[b_cols])
-    e = np.concatenate([[st.e_init], x[e_of: e_of + T]])
+    primal = columns.values(result.x)
     return {
-        "g": x[:T].copy(), "p": p, "b": b, "e": e,
-        "lam": lam, "theta": theta,
+        **{var: primal[var] for var in ("g", "p", "b", "e")},
+        "lam": -result.eq_duals[eq_rows["balance"][1]], "theta": result.eq_duals[eq_rows["soc"][1]],
         "objective": result.objective, "residuals": result.residuals,
         "status": result.status,
     }

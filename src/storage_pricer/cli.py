@@ -226,6 +226,13 @@ def _require_storage(system, what):
         raise DomainError(f"{what} needs storage: the system has none (--storage-ratio 0)")
 
 
+def _fixed(value):
+    """A CSV cell of ``value`` to six decimals; one that rounds to zero reads
+    0.000000 whatever its sign."""
+    cell = f"{value:.6f}"
+    return cell[1:] if cell == "-0.000000" else cell
+
+
 def _write_json(path, payload):
     """Write ``payload`` in the one JSON layout of every file the CLI writes."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -342,9 +349,9 @@ def _cmd_baseline(args, outdir):
     prices, cleared = out["price_scenarios"], out["cleared"]
     write_csv(outdir / "price_scenarios.csv",
               ["scenario", *(f"lambda_{t}" for t in range(1, system.horizon + 1))],
-              ([i, *(f"{v:.6f}" for v in lam)] for i, lam in enumerate(prices.lam)))
+              ([i, *map(_fixed, lam)] for i, lam in enumerate(prices.lam)))
     write_csv(outdir / "cleared.csv", ["t", "g", "p", "b", "e", "lambda", "theta"],
-              ([t + 1, *(f"{cleared[k][t]:.6f}" for k in ("g", "p", "b", "e", "lam", "theta"))]
+              ([t + 1, *(_fixed(cleared[k][t]) for k in ("g", "p", "b", "e", "lam", "theta"))]
                for t in range(system.horizon)))
     print(f"baseline: {args.scenarios} price scenarios, cleared objective "
           f"{cleared['objective']:.2f} $")
@@ -356,7 +363,7 @@ def _cmd_compare(args, outdir):
                              retire_frac=args.retire_frac, grid_size=args.grid_size,
                              price_mode=args.price_mode)
     write_csv(outdir / "metrics.csv", ["mechanism", "scenario", *METRICS],
-              ([row["mechanism"], row["scenario"], *(f"{row[key]:.6f}" for key in METRICS)]
+              ([row["mechanism"], row["scenario"], *(_fixed(row[key]) for key in METRICS)]
                for row in out["table"]))
     _write_json(outdir / "summary.json", out["summary"])
     s = out["summary"]
@@ -401,10 +408,8 @@ def _cmd_sweep(args, outdir):
             sol = solve_dispatch(sysv)
             if sol.status != "optimal":
                 raise SolverError(f"sweep point {v} failed: {sol.status}", status=sol.status)
-            rows.append([f"{v:.4f}", f"{float(np.mean(sol.lam)):.6f}",
-                         f"{float(np.mean(sol.theta)):.6f}",
-                         f"{float(np.sum(sol.pi)):.6f}",
-                         f"{sol.objective:.4f}"])
+            rows.append([f"{v:.4f}", _fixed(np.mean(sol.lam)), _fixed(np.mean(sol.theta)),
+                         _fixed(np.sum(sol.pi)), f"{sol.objective:.4f}"])
     # written only once every point has solved
     write_csv(outdir / "sweep.csv", header, rows)
     print(f"sweep: axis {args.axis} written to sweep.csv")

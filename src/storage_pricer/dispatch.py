@@ -43,8 +43,8 @@ if TYPE_CHECKING:
 
 TERMINAL_POLICIES = ("periodic", "fixed", "free")
 
-# Column blocks of the flat decision vector, T columns each: periods 1..T,
-# except e, the beginning-of-period stock, over periods 2..T+1 (e[1] is data).
+# The dispatch's column blocks in order, T columns each: periods 1..T, except
+# e, the beginning-of-period stock, over periods 2..T+1 (e[1] is data).
 VARIABLES = ("g", "p", "b", "phi", "psi", "e")
 
 # A period violates the relaxed complementarity when b_t * p_t exceeds this
@@ -96,29 +96,12 @@ class SystemSpec:
         return replace(self, net_load=self.net_load.scaled_sigma(scale))
 
 
-@dataclass(frozen=True)
-class VariableLayout:
-    """Column indices of the flat decision vector: g alone without storage,
-    else one block per entry of VARIABLES."""
-
-    horizon: int
-    has_storage: bool
-
-    @property
-    def n(self):
-        return self.horizon * (len(VARIABLES) if self.has_storage else 1)
-
-    def of(self, name, t):
-        """Column of variable ``name`` in period ``t`` (an int or an array)."""
-        return VARIABLES.index(name) * self.horizon + t - (2 if name == "e" else 1)
-
-
 @dataclass
 class DispatchBuild:
     """Assembled program plus the bookkeeping needed to read prices back."""
 
     program: ConvexProgram
-    layout: VariableLayout
+    columns: PeriodColumns
     systems: tuple         # one per copy, each with its own load as forecast
     quantiles: PeriodQuantiles
     eq_rows: dict          # assemble_rows' row index of one copy's rows
@@ -176,18 +159,43 @@ def _block_diagonal(M, k):
 
 
 class PeriodColumns:
-    """Each variable's columns by period, in tables built once per program,
-    and the rows over them.  ``columns`` maps a variable to its (periods,
-    columns) in period order, any number per period.  Where a variable has
-    no column it is data: e[1] = e_init, phi = 1, and any other is 0."""
+    """A program's columns, the rows over them and the read-back of its
+    solution.  ``blocks`` lists (variable, periods) in column order: each
+    takes the next len(periods) columns, its periods in order, any number
+    per period.  A variable is data where it has no column: e[1] = e_init,
+    phi = 1, and any other is 0."""
 
-    def __init__(self, system, columns):
+    def __init__(self, system, blocks):
+        T = system.horizon
         self.data = {"phi": 1.0, "e": system.storage.e_init if system.storage else 0.0}
         none = np.zeros(0, dtype=np.intp)
-        self.tables = dict.fromkeys(VARIABLES, (none, none, np.zeros(system.horizon + 3, dtype=np.intp)))
-        for var, (periods, cols) in columns.items():
-            start = np.concatenate([[0], np.cumsum(np.bincount(periods, minlength=system.horizon + 2))])
-            self.tables[var] = periods, cols, start   # period t: cols[start[t]:start[t + 1]]
+        self.tables = dict.fromkeys(VARIABLES, (none, none, np.zeros(T + 3, dtype=np.intp)))
+        # The read-back: slots into x and then the fill, a row a variable and
+        # period (e, the last, over 1..T+1), led by the data where there is no
+        # column and padded with -0.0, which leaves a sum as it is.
+        self.fill = np.array([-0.0, *(self.data.get(var, 0.0) for var in VARIABLES)])
+        self.spans = {var: slice(i * T, (i + 1) * T + (var == "e")) for i, var in enumerate(VARIABLES)}
+        width = max([np.bincount(periods).max() for _, periods in blocks if len(periods)], default=1)
+        self.slots = np.full((width, len(VARIABLES) * T + 1), -len(self.fill))
+        self.slots[0] = np.arange(1 - len(self.fill), 0).repeat([T] * (len(VARIABLES) - 1) + [T + 1])
+        self.n = 0
+        for var, periods in blocks:   # period t: cols[start[t]:start[t + 1]]
+            start = np.concatenate([[0], np.cumsum(np.bincount(periods, minlength=T + 2))])
+            pos = np.arange(len(periods))   # in the block; pos - start[periods] in the period
+            self.tables[var] = periods, self.n + pos, start
+            self.slots[pos - start[periods], self.spans[var].start + periods - 1] = self.n + pos
+            self.n += len(periods)
+
+    def of(self, var):
+        """The columns of ``var``, in period order."""
+        return self.tables[var][1]
+
+    def values(self, x):
+        """Every variable by period at the solution ``x``: the sum of its
+        columns in each period, in column order, or its data where it has none."""
+        padded = np.concatenate([x, self.fill])
+        flat = sum((padded[slots] for slots in self.slots[1:]), padded[self.slots[0]])
+        return {var: flat[span] for var, span in self.spans.items()}
 
     def rows(self, kind, key, t, rhs, terms):
         """One row per period of ``t``, consecutive periods: the sum of
@@ -247,7 +255,6 @@ def build_dispatch(system, loads=None):
     T = system.horizon
     storage = system.storage
     has_storage = storage is not None
-    layout = VariableLayout(T, has_storage)
     periods = np.arange(1, T + 1)
 
     net = system.net_load
@@ -275,7 +282,6 @@ def build_dispatch(system, loads=None):
                 pinned[("psi", 1)] = 0.0
             dropped.add("iota_lo")
 
-    n = layout.n
     loads = np.atleast_2d(np.asarray(net.forecast if loads is None else loads, dtype=float))
     if loads.ndim != 2 or loads.shape[1] != T or not loads.shape[0]:
         raise DomainError(f"loads must be k >= 1 rows of {T} periods, got shape {loads.shape}")
@@ -285,8 +291,9 @@ def build_dispatch(system, loads=None):
     # inequalities by period, then the reserve boxes, then the terminal box.
     # Pins are in period 1 only; a pinned psi[1] fixes phi[1] = 1 through the
     # reserve row, so period 1 has no interior reserve box to keep.
-    columns = PeriodColumns(system, {var: (periods + (var == "e"), layout.of(var, periods + (var == "e")))
-                                     for var in (VARIABLES if has_storage else ("g",))})
+    columns = PeriodColumns(system, [(var, periods + (var == "e"))
+                                     for var in (VARIABLES if has_storage else ("g",))])
+    n = columns.n
     spec = chain_rows(system, quantiles, dropped)
     unpinned = periods[1:] if ("psi", 1) in pinned else periods
     spec |= {f"pin_{var}": (0, np.array([period]), value, [(var, 0, 1.0)])
@@ -308,7 +315,7 @@ def build_dispatch(system, loads=None):
     # evaluated once on (k, T) arrays ---------------------------------------
     def cols(name):
         """Columns of ``name`` in every copy: (k, T), copy by copy."""
-        return n * np.arange(k)[:, None] + layout.of(name, periods)
+        return n * np.arange(k)[:, None] + columns.of(name)
 
     linear = np.zeros(k * n)
     if has_storage:
@@ -323,7 +330,7 @@ def build_dispatch(system, loads=None):
     b[:, eq_rows["balance"][1]] = loads
     program = ConvexProgram(**objective, A=_block_diagonal(A, k), b=b.ravel(),
                             G=_block_diagonal(G, k), h=np.tile(h, k))
-    return DispatchBuild(program=program, layout=layout,
+    return DispatchBuild(program=program, columns=columns,
                          systems=tuple(system.with_forecast(row) for row in loads),
                          quantiles=quantiles, eq_rows=eq_rows, ineq_rows=ineq_rows,
                          pinned=pinned, table=table, kernel=kernel)
@@ -355,24 +362,17 @@ def _extract_solution(build, result, copy=0):
     storage, rows, T = system.storage, build.eq_rows, system.horizon
     x, y, z = (v.reshape(len(build.systems), -1)[copy]
                for v in (result.x, result.eq_duals, result.ineq_duals))
-    # the VariableLayout blocks of T columns, in the order of VARIABLES
-    blocks = x.reshape(-1, T).copy()
+    primal = build.columns.values(x)
     lam = -y[rows["balance"][1]]
-    if storage is not None:
-        g, p, b, phi, psi, e_next = blocks
-        e = np.concatenate([[storage.e_init], e_next])
-        theta, pi = y[rows["soc"][1]], -y[rows["reserve"][1]]
-    else:
-        g, (p, b, psi, theta, pi) = blocks[0], np.zeros((5, T))
-        phi, e = np.ones(T), np.zeros(T + 1)
+    theta, pi = (y[rows["soc"][1]], -y[rows["reserve"][1]]) if "soc" in rows else np.zeros((2, T))
     duals = {kind: (t.copy(), z[r]) for kind, (t, r) in build.ineq_rows.items()}
     objective = float(np.sum(build.kernel(result.x)[0][copy]))
     if storage is not None:
-        objective += storage.marginal_cost * float(np.sum(p) + np.asarray(system.net_load.mu) @ psi)
+        objective += storage.marginal_cost * float(np.sum(primal["p"])
+                                                   + np.asarray(system.net_load.mu) @ primal["psi"])
 
     return DispatchSolution(
-        system=system, status=result.status,
-        g=g, p=p, b=b, e=e, phi=phi, psi=psi,
+        system=system, status=result.status, **primal,
         lam=lam, theta=theta, pi=pi, duals=duals,
         objective=objective, residuals=dict(result.residuals),
         quantiles=build.quantiles, table=build.table,
@@ -404,10 +404,11 @@ def verify_equilibrium(solution):
     build's ``expected_cost_table``.
 
     Row groups: market clearing identities, generator stationarity,
-    storage charge/discharge/SoC stationarity, and reserve-split
-    stationarity for both the generator and the storage ratios.  Each row is
-    one array over the periods; a row that does not exist (a pinned
-    variable, the fixed stock e_1) is NaN.  A row passes within ten times
+    storage charge/discharge/SoC stationarity (that of the last stock
+    e_{T+1} under the free terminal only), and reserve-split stationarity
+    for both the generator and the storage ratios.  Each row is one array
+    over the periods; a row that does not exist (a pinned variable, the
+    fixed stock e_1) is NaN.  A row passes within ten times
     the solver's 1e-8 tolerance or its reported residuals, whichever is
     larger.
     """
@@ -440,6 +441,11 @@ def verify_equilibrium(solution):
             "p", M + theta / eta - lam - be_lo + be_hi + i_lo / eta)
         rows["soc_stationarity"] = np.concatenate(
             [[np.nan], -theta[1:] + theta[:-1] - i_lo[1:] + i_hi[1:]])
+        if system.terminal == "free":
+            # the last stock, e[T+1]; under the other terminal policies the
+            # terminal row's free dual absorbs this row
+            (_, lo), (_, hi) = solution.duals["term_lo"], solution.duals["term_hi"]
+            rows["terminal_stationarity"] = theta[-1:] - lo + hi
         if system.storage_reserve:
             k_phi = dual("kappa_phi_hi") - dual("kappa_phi_lo")
             k_psi = dual("kappa_psi_hi") - dual("kappa_psi_lo")

@@ -62,6 +62,29 @@ def test_baseline_writes_artifacts(tmp_path):
     assert list(cleared[0]) == ["t", "g", "p", "b", "e", "lambda", "theta"]
 
 
+def test_baseline_cells_that_round_to_zero_read_unsigned(tmp_path):
+    """On the CSV trio the cleared charge is -3e-16 in both periods: its
+    cells read 0.000000, as do those of every cell that rounds to zero, and
+    every other cell is the value at 6 decimals."""
+    import storage_pricer.cli as cli
+    from storage_pricer.baseline import bidding_pipeline
+
+    flags = ["baseline", *_csv_source(tmp_path), "--scenarios", "3"]
+    out = tmp_path / "b"
+    assert run([*flags, "--out", str(out)]) == 0
+    args = cli.build_parser().parse_args(flags)
+    cleared = bidding_pipeline(cli._system_from_args(args), 3, 0)["cleared"]
+    assert np.all((cleared["b"] < 0.0) & (cleared["b"] > -1e-12))
+    rows = read_rows(out / "cleared.csv")
+    assert [r["b"] for r in rows] == ["0.000000"] * 2
+    for name, key in (("g", "g"), ("p", "p"), ("e", "e"), ("lambda", "lam"), ("theta", "theta")):
+        assert [r[name] for r in rows] == [f"{v:.6f}".replace("-0.000000", "0.000000")
+                                           for v in cleared[key][:2]], name
+    cells = [cell for name in ("cleared.csv", "price_scenarios.csv")
+             for row in read_rows(out / name) for cell in row.values()]
+    assert "-0.000000" not in cells
+
+
 def test_unknown_flag_exits_one(tmp_path, capsys):
     code = run(["dispatch", "--synthetic", "--no-such-flag"])
     assert code == 1

@@ -208,7 +208,7 @@ def _resolve_with_fixed_pattern(system, sol):
     build = build_dispatch(system)
     prog = build.program
     T = system.horizon
-    cols = [build.layout.of("p" if sol.b[t - 1] > sol.p[t - 1] else "b", t) for t in range(1, T + 1)]
+    cols = [build.columns.of("p" if sol.b[t - 1] > sol.p[t - 1] else "b")[t - 1] for t in range(1, T + 1)]
     extra = scipy.sparse.csr_array((np.ones(T), (np.arange(T), cols)), shape=(T, prog.n))
     from storage_pricer.solver import solve_convex
 
@@ -441,8 +441,8 @@ def test_program_callbacks_follow_in_place_changes():
     build = build_dispatch(system)
     prog, fresh = build.program, build_dispatch(system).program
     x = np.full(prog.n, 0.5)
-    x[[build.layout.of("g", t) for t in range(1, 7)]] = 9000.0
-    for index, change in ((build.layout.of("g", 2), 100.0), (build.layout.of("phi", 5), -0.25)):
+    x[build.columns.of("g")] = 9000.0
+    for index, change in ((build.columns.of("g")[1], 100.0), (build.columns.of("phi")[4], -0.25)):
         prog.value(x), prog.grad(x), prog.hess(x)
         x[index] += change
         assert prog.value(x) == fresh.value(x)
@@ -736,14 +736,13 @@ def test_clearing_chain_rows_come_from_the_reformulation(monkeypatch):
 
 def frozen_dispatch_objective(build, k):
     """(value, grad, hess, hess_rows, hess_cols) of k stacked copies."""
-    system, layout = build.systems[0], build.layout
-    T, n, has_storage = layout.horizon, layout.n, layout.has_storage
-    periods = np.arange(1, T + 1)
+    system, columns = build.systems[0], build.columns
+    T, n, has_storage = system.horizon, columns.n, system.storage is not None
     M = system.storage.marginal_cost if has_storage else 0.0
     mus = np.tile(system.net_load.mu, k)
 
     def cols(name):
-        return (n * np.arange(k)[:, None] + layout.of(name, periods)).ravel()
+        return (n * np.arange(k)[:, None] + columns.of(name)).ravel()
 
     g_idx = cols("g")
     h_rows = h_cols = g_idx
@@ -822,7 +821,7 @@ def test_dispatch_objective_equals_frozen_closures(storage_ratio, k):
     prog = build.program
     value, grad, hess, h_rows, h_cols = frozen_dispatch_objective(build, k)
     assert prog.hess_rows.tobytes() == h_rows.tobytes() and prog.hess_cols.tobytes() == h_cols.tobytes()
-    g = (build.layout.n * np.arange(k)[:, None] + build.layout.of("g", np.arange(1, 7))).ravel()
+    g = (build.columns.n * np.arange(k)[:, None] + build.columns.of("g")).ravel()
     rng = np.random.default_rng(k)
     for lo, hi in ((0.0, 1.0), (-0.5, 1.5)):
         x = rng.uniform(lo, hi, prog.n)
@@ -1079,6 +1078,12 @@ def oracle_equilibrium_rows(solution, system):
         rows["charge_stationarity"] = b_rows
         rows["discharge_stationarity"] = p_rows
         rows["soc_stationarity"] = e_rows
+        if system.terminal == "free":
+            def last(kind):
+                periods, values = solution.duals[kind]
+                return values[periods.tolist().index(T + 1)]
+
+            rows["terminal_stationarity"] = np.array([solution.theta[T - 1] - last("term_lo") + last("term_hi")])
         if system.storage_reserve:
             rows["reserve_stationarity_gen"] = phi_rows
             rows["reserve_stationarity_storage"] = psi_rows
@@ -1094,12 +1099,120 @@ def oracle_equilibrium_rows(solution, system):
 ], ids=["empty", "full", "no-storage", "no-storage-reserve", "free-terminal"])
 def test_equilibrium_rows_equal_per_period_loop(variant, pinned):
     """The array audit gives the loop's rows bit for bit, NaN where a row
-    does not exist (pinned variables, the fixed first stock)."""
+    does not exist (pinned variables, the fixed first stock), and passes."""
     system = synth_test_system(horizon=24, **variant)
     solution = solve_dispatch(system)
     assert solution.status == "optimal" and set(solution.pinned) == pinned
+    assert solution.equilibrium["ok"]
     want = oracle_equilibrium_rows(solution, system)
     got = solution.equilibrium["rows"]
     assert list(got) == list(want)
     for name, rows in want.items():
         assert got[name].tobytes() == rows.tobytes(), name
+
+
+@pytest.mark.parametrize("terminal", TERMINAL_POLICIES)
+def test_last_stock_stationarity_only_under_free_terminal(terminal):
+    """Under the free terminal the audit re-derives the stationarity row of
+    e[T+1], theta_T - term_lo + term_hi at T + 1; on the default system
+    theta_T is some 32 $/MWh and the term_lo dual carries all of it.  Under
+    the other policies the terminal row's free dual absorbs that row, so it
+    is absent."""
+    system = synth_test_system(terminal=terminal, terminal_value=100.0 if terminal == "fixed" else None)
+    solution = solve_dispatch(system)
+    assert solution.status == "optimal" and solution.equilibrium["ok"]
+    rows = solution.equilibrium["rows"]
+    assert ("terminal_stationarity" in rows) == (terminal == "free")
+    if terminal == "free":
+        assert rows["terminal_stationarity"].shape == (1,)
+        assert abs(rows["terminal_stationarity"][0]) <= solution.equilibrium["threshold"]
+        assert solution.theta[-1] > 1.0 and solution.duals["term_lo"][1][0] == pytest.approx(solution.theta[-1])
+
+
+# ---------------------------------------------------------------------------
+# the read-back of both programs against the readers each had before
+# ``PeriodColumns.values``, frozen here as the oracle
+# ---------------------------------------------------------------------------
+
+PRIMAL = ("g", "p", "b", "phi", "psi", "e")
+
+
+def frozen_dispatch_primal(build, x):
+    """One copy's primal from its x: the blocks of T columns in the order of
+    ``PRIMAL``, e[1] prepended; without storage g alone, the rest data."""
+    system = build.systems[0]
+    T = system.horizon
+    blocks = x.reshape(-1, T).copy()
+    if system.storage is None:
+        g, (p, b, psi) = blocks[0], np.zeros((3, T))
+        return dict(g=g, p=p, b=b, phi=np.ones(T), psi=psi, e=np.zeros(T + 1))
+    g, p, b, phi, psi, e_next = blocks
+    return dict(g=g, p=p, b=b, phi=phi, psi=psi, e=np.concatenate([[system.storage.e_init], e_next]))
+
+
+def frozen_clearing_primal(system, bids, x):
+    """g, p, b and e of the bid clearing from its x, at the hand offsets:
+    g | discharge segments | charge segments | e[2..T+1]."""
+    T = system.horizon
+    p_t = np.repeat(np.arange(T), [len(segs) for segs in bids.discharge])
+    b_t = np.repeat(np.arange(T), [len(segs) for segs in bids.charge])
+    p_cols = T + np.arange(p_t.size)
+    b_cols = T + p_t.size + np.arange(b_t.size)
+    e_of = T + p_t.size + b_t.size
+    p, b = np.zeros(T), np.zeros(T)
+    np.add.at(p, p_t, x[p_cols])
+    np.add.at(b, b_t, x[b_cols])
+    return dict(g=x[:T].copy(), p=p, b=b, e=np.concatenate([[system.storage.e_init], x[e_of:e_of + T]]))
+
+
+@pytest.mark.parametrize("variant, k", [
+    ({"e_init_ratio": 0.0}, 1), ({"e_init_ratio": 1.0}, 1), ({"storage_ratio": 0.0}, 1),
+    ({"storage_reserve": False}, 1), ({"terminal": "free"}, 1), ({}, 3),
+], ids=["empty", "full", "no-storage", "no-storage-reserve", "free-terminal", "stack-of-3"])
+def test_dispatch_read_back_equals_frozen_reader(variant, k):
+    """Every copy's g, p, b, phi, psi and e, byte for byte, signed zeros
+    included."""
+    from storage_pricer.dispatch import _extract_solution
+    from storage_pricer.solver import solve_convex
+
+    system = synth_test_system(horizon=24, **variant)
+    loads = np.asarray(system.net_load.forecast) * np.linspace(0.97, 1.03, k)[:, None]
+    build = build_dispatch(system, loads=loads)
+    result = solve_convex(build.program)
+    assert result.status == "optimal"
+    for copy, x in enumerate(result.x.reshape(k, -1)):
+        want = frozen_dispatch_primal(build, x)
+        got = _extract_solution(build, result, copy)
+        for name in PRIMAL:
+            assert getattr(got, name).tobytes() == want[name].tobytes(), (copy, name)
+
+
+def clearing_bid_sets(system):
+    """One step a period; none to nine steps a period; the DP's bids on the
+    forecast's prices."""
+    from storage_pricer.baseline import bids_from_value, dp_value_function
+
+    storage, T = system.storage, system.horizon
+    prices = solve_dispatch(system).lam
+    vf = dp_value_function(prices, storage)
+    return [
+        BidCurve(discharge=(((storage.p_max, 12.0),),) * T, charge=(((storage.p_max, 11.0),),) * T),
+        BidCurve(discharge=(((10.0, 30.0), (20.0, 35.0)), (), tuple((4.0, 20.0 + 2.5 * i) for i in range(9))),
+                 charge=((), ((15.0, 32.0),), ((10.0, 8.0), (25.0, 1.0)))),
+        bids_from_value(vf, storage, prices=prices),
+    ]
+
+
+def test_clearing_read_back_equals_frozen_reader(monkeypatch):
+    """clear_with_bids' g, p, b and e, byte for byte, on three bid sets."""
+    from test_baseline import toy_system
+
+    system = toy_system()
+    results = []
+    solve = baseline.solve_convex
+    monkeypatch.setattr(baseline, "solve_convex", lambda program: results.append(solve(program)) or results[-1])
+    for bids in clearing_bid_sets(system):
+        cleared = clear_with_bids(system, bids)
+        want = frozen_clearing_primal(system, bids, results[-1].x)
+        for name in ("g", "p", "b", "e"):
+            assert cleared[name].tobytes() == want[name].tobytes(), name
