@@ -32,7 +32,14 @@ from .scenarios import (
     synth_test_system,
     write_csv,
 )
-from .theory import ideal_storage_slope_gap, jensen_gap, sigma_sweep, soc_sweep, verify_price_coupling
+from .theory import (
+    ideal_storage_slope_gap,
+    jensen_gap,
+    sigma_sweep,
+    soc_sweep,
+    verify_price_bounds,
+    verify_price_coupling,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -331,6 +338,9 @@ def _theory_checks(args):
         "ok": bool(sol.status == "optimal" and coupling["ok"]),
         "worst_rel_error": coupling["worst_rel_error"],
     }
+    bounds = verify_price_bounds(sol)
+    checks["price_bounds"] = {"ok": bool(sol.status == "optimal" and bounds["ok"]),
+                              "periods_checked": int(np.count_nonzero(~bounds["skipped"]))}
     return checks
 
 

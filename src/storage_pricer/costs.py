@@ -319,15 +319,6 @@ def expected_cost_objective(table, g, phi, linear):
     return dict(n=linear.size, value=value, grad=grad, hess=hess, hess_rows=rows, hess_cols=cols), kernel
 
 
-def expected_storage_cost(storage, p, psi, mu):
-    """Expected storage cost M (p + psi mu)."""
-    if not (0.0 <= psi <= 1.0):
-        raise DomainError(f"reserve ratio must lie in [0, 1], got {psi}")
-    if p < 0:
-        raise DomainError("discharge power must be >= 0")
-    return storage.marginal_cost * (p + psi * mu)
-
-
 def check_expected_cost_convexity(table, g_lo, g_hi):
     """Convexity gate: Hessian of E[G] PSD over a (g, phi) grid for each
     period of an ``expected_cost_table``: ``GATE_G_POINTS`` values of g

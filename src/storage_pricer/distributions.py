@@ -272,13 +272,6 @@ def fit_versatile_mle(samples):
     return VersatileModel(a=a, b=b, c=c)
 
 
-def gaussian_raw_moment(moments, k):
-    """E[d^k] for d ~ N(mu, sigma^2) of ``moments`` (``raw_moment``)."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"moment order must be a nonnegative integer, got {k}")
-    return raw_moment(moments.mu, moments.sigma, k)
-
-
 def raw_moment(mu, sigma, k):
     """E[d^k] for d ~ N(mu, sigma^2), from Python floats that ``check_moments``
     accepts and an order k >= 0; only even powers of sigma contribute."""
@@ -305,20 +298,14 @@ def _standardized_levels(model, epsilon):
     raise DomainError(f"no standardized levels for model {type(model).__name__}")
 
 
-def quantile_pair(moments, epsilon_i, model):
-    """Lower/upper dispatch quantiles (d_hat, d_tilde) at risk level epsilon_i.
+def quantile_map(model, epsilon_i):
+    """The map (mu, sigma) -> (d_hat, d_tilde), the lower and upper dispatch
+    quantiles at risk level epsilon_i, for scalars or arrays of periods.  The
+    model's own quantile is evaluated once, here, not per period.
 
     Gaussian and robust families are symmetric factors around mu; versatile
     and empirical families keep their own asymmetric quantile shape, mapped
     affinely onto the per-period (mu, sigma).
-    """
-    return quantile_map(model, epsilon_i)(moments.mu, moments.sigma)
-
-
-def quantile_map(model, epsilon_i):
-    """The map (mu, sigma) -> (d_hat, d_tilde) of ``quantile_pair`` at one risk
-    level, for scalars or arrays of periods.  The model's own quantile is
-    evaluated once, here, not per period.
     """
     _check_epsilon(epsilon_i)
     if isinstance(model, GaussianModel):

@@ -1,6 +1,6 @@
 """Sparse primal-dual interior-point solver with certified KKT residuals.
 
-Solves   min f(x)  s.t.  A x = b,  G x <= h
+Solves   min f(x)  s.t.  A x = b,  G x <= h,  with at least one row in G,
 for smooth convex f supplied as (value, gradient, Hessian) callbacks.
 
 Duals follow the fixed Lagrangian convention
@@ -134,7 +134,8 @@ class ConvexProgram:
     ``hess(x)`` returns their values at x in that order (an entry listed
     twice is summed).  Whether the objective is quadratic is not declared:
     the solver sees it from Hessian values that do not change.  ``A`` and
-    ``G`` are stored as CSR arrays; dense input is converted once here.
+    ``G`` are stored as CSR arrays; dense input is converted once here.  ``G``
+    has at least one row: the interior-point method follows its central path.
     """
 
     n: int
@@ -166,22 +167,8 @@ class ConvexProgram:
             raise DomainError(f"equality block shape mismatch: A {self.A.shape}, b {self.b.shape}")
         if self.G.shape != (self.h.size, self.n):
             raise DomainError(f"inequality block shape mismatch: G {self.G.shape}, h {self.h.shape}")
-
-
-def quadratic_program(Q, c, A=None, b=None, G=None, h=None):
-    """Convenience constructor for min 0.5 x^T Q x + c^T x (Q dense or sparse)."""
-    Q = _csr(Q)
-    entries = Q.tocoo()
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    return ConvexProgram(
-        n=n,
-        value=lambda x: float(0.5 * x @ (Q @ x) + c @ x),
-        grad=lambda x: Q @ x + c,
-        hess=lambda x: entries.data,
-        hess_rows=entries.row, hess_cols=entries.col,
-        A=A, b=b, G=G, h=h,
-    )
+        if not self.h.size:
+            raise DomainError("a program needs at least one inequality row")
 
 
 @dataclass
@@ -641,13 +628,12 @@ def solve_convex(program):
 
     Optimal results certify stationarity, primal feasibility, and
     complementarity.  Hitting the iteration cap ``ITER_CAP`` returns the
-    best iterate with its residuals; with inequality rows it is then
-    diagnosed by HiGHS (``_phase1_min_violation``), and a program whose
-    inequalities cannot be met is reported infeasible.  When HiGHS reaches
-    no verdict the status stays ``iter_limit``.
+    best iterate with its residuals, and HiGHS (``_phase1_min_violation``)
+    reports a program whose inequalities cannot be met infeasible; when it
+    reaches no verdict the status stays ``iter_limit``.
     """
     result = _solve(program)
-    if result.status == ITER_LIMIT and program.G.shape[0]:
+    if result.status == ITER_LIMIT:
         t_star = _phase1_min_violation(program)
         if t_star is not None and t_star > 1e-7 * (1.0 + float(np.linalg.norm(program.h, np.inf))):
             result.status = INFEASIBLE
@@ -676,14 +662,10 @@ def _solve(prog):
     else:
         x = np.zeros(n)
 
-    if m:
-        raw = prog.h - ops.G(x)
-        shift = max(0.0, -float(np.min(raw))) + max(1.0, 0.01 * float(np.linalg.norm(prog.h, np.inf)))
-        s = raw + shift
-        z = np.ones(m)
-    else:
-        s = np.zeros(0)
-        z = np.zeros(0)
+    raw = prog.h - ops.G(x)
+    shift = max(0.0, -float(np.min(raw))) + max(1.0, 0.01 * float(np.linalg.norm(prog.h, np.inf)))
+    s = raw + shift
+    z = np.ones(m)
     y = np.zeros(p)
 
     best = None     # (sup-norm of the residuals, x, y, z, s); no step changes an iterate in place
@@ -700,7 +682,7 @@ def _solve(prog):
         residuals = None
         if not finite:
             break
-        mu = float(np.add.reduce(comp)) / m if m else 0.0
+        mu = float(np.add.reduce(comp)) / m
         improved = False
         if best is None or res_now < 0.999 * best[0]:
             best = (res_now, x, y, z, s)
@@ -716,6 +698,9 @@ def _solve(prog):
                 break
         if res_now <= tol:
             status = OPTIMAL
+            break
+        # stop walking away from an iterate that the polish will take
+        if best[0] <= np.sqrt(tol) and res_now > 100 * best[0]:
             break
 
         w = np.minimum(z / np.maximum(s, 1e-300), 1e18)
@@ -733,8 +718,7 @@ def _solve(prog):
             return dx, dy, (-r_c - z * ds) / s, ds
 
         # one round of iterative refinement on the reduced system; the
-        # factorisation comes with the predictor's step (without inequality
-        # rows, comp is empty and that is the only step)
+        # factorisation comes with the predictor's step
         predictor = newton_rhs(comp)
         factored = _kkt_solver(pattern, data, predictor)
         if factored is None:
@@ -744,24 +728,19 @@ def _solve(prog):
             break
         first, solve = factored
 
-        if m:
-            # Mehrotra: affine predictor sets the centering weight.
-            dxa, dya, dza, dsa = newton(comp, first)
-            ap = _step_to_boundary(s, dsa)
-            ad = _step_to_boundary(z, dza)
-            mu_aff = float((s + ap * dsa) @ (z + ad * dza)) / m
-            sigma = min(max((mu_aff / mu) ** 3 if mu > 0 else 0.1, 1e-8), 0.9999)
-            r_c = comp + dsa * dza - sigma * mu
-            # a non-finite corrector step surfaces as a non-finite iterate,
-            # which ends the loop at the next finiteness check
-            dx, dy, dz, ds = newton(r_c, solve(newton_rhs(r_c)))
-            frac = min(0.9999, max(0.995, 1.0 - 10.0 * mu))
-            ap = _step_to_boundary(s, ds, frac)
-            ad = _step_to_boundary(z, dz, frac)
-        else:
-            dx, dy, dz, ds = newton(comp, first)
-            ap = ad = 1.0
-            sigma = 0.0
+        # Mehrotra: affine predictor sets the centering weight.
+        dxa, dya, dza, dsa = newton(comp, first)
+        ap = _step_to_boundary(s, dsa)
+        ad = _step_to_boundary(z, dza)
+        mu_aff = float((s + ap * dsa) @ (z + ad * dza)) / m
+        sigma = min(max((mu_aff / mu) ** 3 if mu > 0 else 0.1, 1e-8), 0.9999)
+        r_c = comp + dsa * dza - sigma * mu
+        # a non-finite corrector step surfaces as a non-finite iterate,
+        # which ends the loop at the next finiteness check
+        dx, dy, dz, ds = newton(r_c, solve(newton_rhs(r_c)))
+        frac = min(0.9999, max(0.995, 1.0 - 10.0 * mu))
+        ap = _step_to_boundary(s, ds, frac)
+        ad = _step_to_boundary(z, dz, frac)
 
         # The Mehrotra step is not a descent direction for the residual norm
         # (it tracks the central path), so damp it only against outright
@@ -774,7 +753,7 @@ def _solve(prog):
         for _ in range(16):
             cand = (x + scale_k * ap * dx, y + scale_k * ad * dy,
                     z + scale_k * ad * dz, s + scale_k * ap * ds)
-            if not m or (cand[3].min() > 0 and cand[2].min() > 0):
+            if cand[3].min() > 0 and cand[2].min() > 0:
                 residuals = _residuals(prog, ops, *cand)
                 if _merit(residuals, target_mu) <= 10.0 * m0:
                     break
@@ -833,20 +812,3 @@ def _phase1_min_violation(prog):
         return float(res.x[-1])
     return np.inf if res.status == 2 else None
 
-
-def verify_kkt(program, result):
-    """Recompute the KKT residuals of a result from scratch.
-
-    Returns per-row stationarity residuals plus feasibility and
-    complementarity figures, independent of the solver's internal state.
-    """
-    x, y, z = result.x, result.eq_duals, result.ineq_duals
-    if x.size != program.n or y.size != program.A.shape[0] or z.size != program.G.shape[0]:
-        raise DomainError("result dimensions do not match the program")
-    rows = (program.grad(x) + program.A.T @ y + program.G.T @ z,
-            program.A @ x - program.b,
-            np.maximum(program.G @ x - program.h, 0.0),
-            z * (program.h - program.G @ x))
-    report = dict(zip(("stationarity_rows", "eq_rows", "ineq_violation_rows", "complementarity_rows"), rows))
-    report.update(zip(RESIDUALS, map(_sup, rows)))
-    return report

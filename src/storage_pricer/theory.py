@@ -3,8 +3,9 @@
 Implements the price-coupling relations between consecutive opportunity
 prices (charging / discharging / idle, with sup/inf variants when storage
 power binds), the opportunity-price bounds from energy/reserve price boxes,
-the closed-form sensitivity of the opportunity price to forecast-error
-spread, the SoC and sigma sweep experiments, and the Jensen-gap estimator.
+the audits of a solved dispatch against both, the closed-form sensitivity of
+the opportunity price to forecast-error spread, the SoC and sigma sweeps, and
+the Jensen-gap estimator.
 
 All coupling formulas consume the SoC-row quantile pair of the period and
 the reserve price net of the reserve-ratio box rents (pi_eff below): when
@@ -17,7 +18,7 @@ the coupling relations are stated in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,37 +26,18 @@ from .costs import expected_cost_derivatives, expected_cost_table
 from .dispatch import solve_dispatch
 from .errors import DegenerateQuantileError, DomainError, SolverError, UnsupportedDegreeError
 
-CHARGING = "charging"
-DISCHARGING = "discharging"
-IDLE = "idle"
-
 # Five-way period classification by storage flow and power binding, in the
 # order of the integer codes the classification computes.
 CASES = ("idle", "charge_interior", "charge_at_power_cap", "discharge_interior", "discharge_at_power_cap")
 
 # Relative tolerance of the coupling point formulas and one-sided bounds, and
-# the relative padding of the idle interval.
+# the relative padding of the idle interval and of the price-bound intervals.
 COUPLING_REL_TOL = 1e-4
 IDLE_INTERVAL_PAD = 1e-6
 
 # A sigma-sweep point whose generator lower-bound dual (nu_lo) exceeds this
 # in any period is excluded from the monotonicity verdict.
 NU_LO_THRESHOLD = 1e-4
-
-
-@dataclass(frozen=True)
-class CouplingResult:
-    """Predicted previous-period opportunity price.
-
-    ``point`` is set for the interior charging/discharging cases; ``lo`` /
-    ``hi`` bound the idle case; power-binding cases set exactly one of the
-    bounds (sup for discharging at the cap, inf for charging at the cap).
-    """
-
-    state: str
-    point: float | None = None
-    lo: float | None = None
-    hi: float | None = None
 
 
 def _charge_expr(theta_t, lam, pi, eta, M, d_hat, d_tilde, mu):
@@ -73,40 +55,18 @@ def _discharge_expr(theta_t, lam, pi, eta, M, d_hat, d_tilde, mu):
                                     + pi + M * (d_tilde - eta**2 * d_hat - mu))
 
 
-def coupling_price(state, theta_t, lam, pi, storage, quantiles, mu):
-    """Previous-period opportunity price implied by period-t prices.
-
-    ``quantiles`` is the period's SoC-row quantile pair: any object with
-    scalar d_hat and d_tilde.  ``state`` is one of the module constants CHARGING,
-    DISCHARGING, IDLE.
-    """
-    eta, M = storage.eta, storage.marginal_cost
-    if not (0.0 < eta <= 1.0):
-        raise DomainError(f"efficiency must lie in (0, 1], got {eta}")
-    d_hat, d_tilde = quantiles.d_hat, quantiles.d_tilde
-    if state == CHARGING:
-        return CouplingResult(state, point=_charge_expr(theta_t, lam, pi, eta, M, d_hat, d_tilde, mu))
-    if state == DISCHARGING:
-        return CouplingResult(state, point=_discharge_expr(theta_t, lam, pi, eta, M, d_hat, d_tilde, mu))
-    if state == IDLE:
-        lo = _discharge_expr(theta_t, lam, pi, eta, M, d_hat, d_tilde, mu)
-        hi = _charge_expr(theta_t, lam, pi, eta, M, d_hat, d_tilde, mu)
-        return CouplingResult(state, lo=lo, hi=hi)
-    raise DomainError(f"unknown state {state!r}")
-
-
 def price_bounds(lam_bounds, pi_bounds, storage, quantiles, mu):
-    """Opportunity-price intervals implied by energy/reserve price boxes.
-
-    Returns (charge_interval, discharge_interval), each a (lo, hi) pair.
-    """
+    """Opportunity-price intervals implied by energy/reserve price boxes at
+    the SoC-row quantiles ``quantiles`` (d_hat, d_tilde) and mean ``mu``,
+    scalars or arrays of periods.  Returns (charge_interval,
+    discharge_interval), each a (lo, hi) pair."""
     lam_lo, lam_hi = lam_bounds
     pi_lo, pi_hi = pi_bounds
     if lam_lo > lam_hi or pi_lo > pi_hi:
         raise DomainError("price bounds reversed")
     eta, M = storage.eta, storage.marginal_cost
     d_hat, d_tilde = quantiles.d_hat, quantiles.d_tilde
-    if d_tilde == 0.0 or d_hat == 0.0:
+    if np.any(d_tilde == 0.0) or np.any(d_hat == 0.0):
         raise DegenerateQuantileError("price bounds undefined for zero quantiles")
     spread = d_tilde / eta**2 - d_hat
     charge_lo = (eta / d_tilde) * (lam_lo * spread + pi_lo - M * mu)
@@ -240,6 +200,36 @@ def verify_price_coupling(solution):
             "lo": lo, "hi": hi, "rel_error": rel_error, "passed": passed, "skipped": skipped,
             "ok": bool(np.all(passed | skipped)),
             "worst_rel_error": float(np.max(rel_error, where=~skipped, initial=0.0))}
+
+
+def verify_price_bounds(solution):
+    """Check periods 2..T of a solved dispatch against ``price_bounds``, with
+    price boxes from min(0, lowest) to the highest lambda and effective
+    reserve price.  theta_prev must lie in the charge interval in an interior
+    charging period, in the discharge interval in an interior discharging
+    one, and in their hull with 0 otherwise, each to ``IDLE_INTERVAL_PAD``
+    relative.  Returns arrays over periods 2..T as ``verify_price_coupling``
+    does (``t``, ``case``, ``theta_prev``, ``lo``, ``hi``, ``passed``,
+    ``skipped``) and ``ok`` over the periods not skipped."""
+    st = solution.system.storage
+    if st is None:
+        raise DomainError("price bounds need storage")
+    boxes = [(min(0.0, float(np.min(v))), float(np.max(v)))
+             for v in (solution.lam, effective_reserve_prices(solution))]
+    q = solution.quantiles.soc
+    skipped = (q.d_hat[1:] == 0.0) | (q.d_tilde[1:] == 0.0)
+    d_hat, d_tilde = (np.where(skipped, np.nan, d[1:]) for d in (q.d_hat, q.d_tilde))
+    (c_lo, c_hi), (d_lo, d_hi) = price_bounds(*boxes, st, replace(q, d_hat=d_hat, d_tilde=d_tilde),
+                                              np.asarray(solution.system.net_load.mu)[1:])
+    codes = _case_codes(solution)[1:]
+    interior = [codes == CASES.index("charge_interior"), codes == CASES.index("discharge_interior")]
+    lo = np.select(interior, [c_lo, d_lo], np.minimum(np.minimum(c_lo, d_lo), 0.0))
+    hi = np.select(interior, [c_hi, d_hi], np.maximum(c_hi, d_hi))
+    theta_prev = solution.theta[:-1].copy()
+    pad = IDLE_INTERVAL_PAD * np.maximum(1.0, np.abs(theta_prev))
+    passed = (lo - pad <= theta_prev) & (theta_prev <= hi + pad)
+    return {"t": np.arange(2, codes.size + 2), "case": np.array(CASES)[codes], "theta_prev": theta_prev,
+            "lo": lo, "hi": hi, "passed": passed, "skipped": skipped, "ok": bool(np.all(passed | skipped))}
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from qp import verify_kkt
 
 from storage_pricer.baseline import PAYMENT_BATCHES, compare_mechanisms, dp_value_function
 from storage_pricer.costs import CostPolynomial, StorageSpec
@@ -25,7 +26,7 @@ from storage_pricer.distributions import (
 )
 from storage_pricer.reformulation import QuantileTriple
 from storage_pricer.scenarios import empirical_violation_rate, synth_test_system
-from storage_pricer.solver import solve_convex, verify_kkt
+from storage_pricer.solver import solve_convex
 from storage_pricer.theory import (
     COUPLING_REL_TOL,
     IDLE_INTERVAL_PAD,

@@ -16,11 +16,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qp import quadratic_program
 from test_sparse_kkt import DenseProgram, pattern_matrix
 from test_sparse_kkt import _phase1_min_violation as dense_phase1
 
 from storage_pricer import solver
-from storage_pricer.solver import _kkt_solver, _KKTPattern, quadratic_program
+from storage_pricer.solver import _kkt_solver, _KKTPattern
 
 
 def chain(rng, periods, width):

@@ -557,6 +557,8 @@ def test_inputs_not_mutated(tmp_path):
 
 
 def test_verify_theory_deterministic(tmp_path):
+    """Two runs write the same bytes: one passing check per analytic result,
+    the price bounds included."""
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     code1 = run(["verify-theory", "--seed", "7", "--horizon", "12",
                  "--out", str(out1)])
@@ -564,3 +566,8 @@ def test_verify_theory_deterministic(tmp_path):
                  "--out", str(out2)])
     assert code1 == code2 == 0
     assert (out1 / "verify_theory.json").read_bytes() == (out2 / "verify_theory.json").read_bytes()
+    checks = json.loads((out1 / "verify_theory.json").read_text())
+    assert set(checks) == {"soc_monotonicity", "sigma_constant_quadratic", "sigma_increasing_cubic",
+                           "jensen_gap_sign", "ideal_slope_gap", "price_coupling", "price_bounds"}
+    assert all(check["ok"] for check in checks.values())
+    assert checks["price_bounds"]["periods_checked"] == 11

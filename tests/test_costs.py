@@ -22,11 +22,10 @@ from storage_pricer.costs import (
     check_expected_cost_convexity,
     expected_cost_derivatives,
     expected_cost_table,
-    expected_storage_cost,
     fit_polynomial_to_merit_curve,
     merit_order_cost,
 )
-from storage_pricer.distributions import ErrorMoments, gaussian_raw_moment
+from storage_pricer.distributions import ErrorMoments, raw_moment
 from storage_pricer.errors import DomainError, SchemaError, UnsupportedDegreeError
 from storage_pricer.scenarios import load_fleet_csv
 from storage_pricer.theory import interior_charging_theta
@@ -64,7 +63,7 @@ def oracle(coeffs, g, phi, moments, dg=0, dphi=0):
             if fg == 0 or fp == 0:
                 continue
             total += (c * math.comb(i, k) * fg * fp * g ** (i - k - dg) * phi ** (k - dphi)
-                      * gaussian_raw_moment(moments, k))
+                      * raw_moment(moments.mu, moments.sigma, k))
     return total
 
 
@@ -215,19 +214,6 @@ def test_expected_cost_rejects_bad_phi():
 def test_degree_cap_enforced():
     with pytest.raises(UnsupportedDegreeError):
         CostPolynomial((0, 1, 0, 0, 0, 1e-6), g_min=0, g_max=1)
-
-
-# ---------------------------------------------------------------------------
-# expected_storage_cost
-# ---------------------------------------------------------------------------
-
-
-def test_storage_cost_examples():
-    free = StorageSpec(p_max=10, e_max=40, eta=1.0, marginal_cost=0.0, e_init=20)
-    paid = StorageSpec(p_max=10, e_max=40, eta=0.9, marginal_cost=20.0, e_init=20)
-    assert expected_storage_cost(free, 5.0, 0.5, 2.0) == 0.0
-    assert expected_storage_cost(paid, 5.0, 0.5, 2.0) == pytest.approx(120.0)
-    assert expected_storage_cost(paid, 0.0, 0.0, 7.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from storage_pricer.distributions import (
     empirical_quantile,
     fit_versatile_mle,
     gaussian_quantile,
-    gaussian_raw_moment,
-    quantile_pair,
+    quantile_map,
+    raw_moment,
     robust_quantile,
     standardized_draws,
     versatile_inverse_cdf,
@@ -231,8 +231,13 @@ def test_empirical_quantile_empty():
 
 
 # ---------------------------------------------------------------------------
-# quantile_pair
+# quantile_map at one period
 # ---------------------------------------------------------------------------
+
+
+def quantile_pair(moments, epsilon, model):
+    """(d_hat, d_tilde) of ``quantile_map`` at one period's moments."""
+    return quantile_map(model, epsilon)(moments.mu, moments.sigma)
 
 
 def test_quantile_pair_degenerate_sigma():
@@ -291,7 +296,7 @@ def test_quantile_pair_ordering_property():
 
 
 # ---------------------------------------------------------------------------
-# gaussian_raw_moment
+# raw_moment
 # ---------------------------------------------------------------------------
 
 
@@ -302,15 +307,15 @@ def quadrature_raw_moment(mu, sigma, k):
 
 
 def test_raw_moment_first_is_mean():
-    assert gaussian_raw_moment(ErrorMoments(3.5, 2.0), 1) == pytest.approx(3.5)
+    assert raw_moment(3.5, 2.0, 1) == pytest.approx(3.5)
 
 
 def test_raw_moment_against_quadrature():
     # Oracle: quadrature_raw_moment(1, 2, 2) = 5, quadrature_raw_moment(0, 1, 4) = 3.
-    assert gaussian_raw_moment(ErrorMoments(1.0, 2.0), 2) == pytest.approx(5.0, rel=1e-12)
-    assert gaussian_raw_moment(ErrorMoments(0.0, 1.0), 4) == pytest.approx(3.0, rel=1e-12)
+    assert raw_moment(1.0, 2.0, 2) == pytest.approx(5.0, rel=1e-12)
+    assert raw_moment(0.0, 1.0, 4) == pytest.approx(3.0, rel=1e-12)
     for k in range(0, 7):
-        got = gaussian_raw_moment(ErrorMoments(0.7, 1.3), k)
+        got = raw_moment(0.7, 1.3, k)
         assert got == pytest.approx(quadrature_raw_moment(0.7, 1.3, k), rel=1e-8)
 
 
@@ -321,12 +326,7 @@ def test_raw_moment_monte_carlo_consistency():
     for k in range(1, 7):
         sample = d**k
         se = float(np.std(sample)) / math.sqrt(n)
-        assert abs(gaussian_raw_moment(ErrorMoments(mu, sigma), k) - float(np.mean(sample))) <= 3 * se
-
-
-def test_raw_moment_rejects_negative_order():
-    with pytest.raises(DomainError):
-        gaussian_raw_moment(ErrorMoments(0.0, 1.0), -1)
+        assert abs(raw_moment(mu, sigma, k) - float(np.mean(sample))) <= 3 * se
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
+from qp import quadratic_program, verify_kkt
 from scipy.linalg import lapack
 
 from storage_pricer import solver
@@ -21,9 +22,7 @@ from storage_pricer.solver import (
     ConvexProgram,
     RowBlock,
     assemble_rows,
-    quadratic_program,
     solve_convex,
-    verify_kkt,
 )
 from storage_pricer.scenarios import sample_net_load, synth_test_system
 
@@ -47,9 +46,11 @@ def test_min_x_squared_above_one():
 
 
 def test_equality_dual_sign_convention():
-    # min (x-1)^2 s.t. x = 3: grad 2(x-1) = 4, so y = -4 under
-    # L = f + y (x - 3); the optimal-value derivative d f*/d rhs = -y = +4.
-    res = solve_qp(np.array([[2.0]]), np.array([-2.0]), A=np.array([[1.0]]), b=np.array([3.0]))
+    # min (x-1)^2 s.t. x = 3 (and an inactive x <= 10): grad 2(x-1) = 4, so
+    # y = -4 under L = f + y (x - 3); the optimal-value derivative
+    # d f*/d rhs = -y = +4.
+    res = solve_qp(np.array([[2.0]]), np.array([-2.0]), A=np.array([[1.0]]), b=np.array([3.0]),
+                   G=[[1.0]], h=[10.0])
     assert res.status == OPTIMAL
     assert res.x[0] == pytest.approx(3.0, abs=1e-9)
     assert res.eq_duals[0] == pytest.approx(-4.0, abs=1e-7)
@@ -132,7 +133,7 @@ def test_verify_kkt_zero_duals_interior_optimum():
 
 
 def test_verify_kkt_dimension_mismatch():
-    prog = quadratic_program(np.eye(2), np.zeros(2))
+    prog = quadratic_program(np.eye(2), np.zeros(2), G=[[1.0, 0.0]], h=[10.0])
     res = solve_convex(prog)
     res.x = np.zeros(3)
     with pytest.raises(DomainError):
@@ -153,7 +154,7 @@ def test_infeasible_detected():
 
 def test_inconsistent_equalities_detected():
     res = solve_qp(np.array([[2.0]]), np.array([0.0]),
-                   A=np.array([[1.0], [1.0]]), b=np.array([0.0, 1.0]))
+                   A=np.array([[1.0], [1.0]]), b=np.array([0.0, 1.0]), G=[[1.0]], h=[10.0])
     assert res.status == INFEASIBLE
 
 
@@ -204,7 +205,7 @@ def test_exactly_singular_kkt_ends_with_status(monkeypatch):
     ineq = quadratic_program(np.eye(2), np.ones(2), G=-np.eye(2), h=np.zeros(2))
     assert solve_convex(ineq).status in (ITER_LIMIT, INFEASIBLE)
     assert len(calls) >= 2
-    eq = quadratic_program(np.eye(2), np.ones(2), A=[[1.0, 1.0]], b=[1.0])
+    eq = quadratic_program(np.eye(2), np.ones(2), A=[[1.0, 1.0]], b=[1.0], G=[[1.0, 0.0]], h=[10.0])
     assert solve_convex(eq).status == ITER_LIMIT
 
 
@@ -562,6 +563,14 @@ def one_variable(hess_rows=(0,), hess_cols=(0,), hess=lambda x: np.array([2.0]))
 def test_program_refuses_bad_hessian_positions(rows, cols, needle):
     with pytest.raises(DomainError, match=needle):
         one_variable(rows, cols)
+
+
+@pytest.mark.parametrize("rows", [{}, dict(A=[[1.0]], b=[1.0]), dict(G=np.zeros((0, 1)), h=[])],
+                         ids=["no-rows", "equalities-only", "empty-inequality-block"])
+def test_program_without_inequality_rows_is_refused(rows):
+    with pytest.raises(DomainError, match="at least one inequality row"):
+        ConvexProgram(n=1, value=lambda x: float(x[0] ** 2), grad=lambda x: 2.0 * x,
+                      hess=lambda x: np.array([2.0]), hess_rows=[0], hess_cols=[0], **rows)
 
 
 def test_program_without_hessian_entries_is_linear():

@@ -28,6 +28,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from qp import quadratic_program
 
 from storage_pricer.dispatch import _extract_solution, build_dispatch, solve_dispatch
 from storage_pricer.scenarios import synth_test_system
@@ -39,7 +40,6 @@ from storage_pricer.solver import (
     _kkt_solver,
     _KKTPattern,
     _matvec,
-    quadratic_program,
     solve_convex,
 )
 from storage_pricer.theory import verify_price_coupling
@@ -205,8 +205,7 @@ def dense_solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
             inf = {k: np.inf for k in ("stationarity", "primal_eq", "primal_ineq", "complementarity")}
             return SolveResult(x, np.zeros(p), np.zeros(m), np.zeros(m), INFEASIBLE, inf, np.nan, 0)
     raw = prog.h - prog.G @ x
-    s = raw + max(0.0, -float(np.min(raw))) + max(1.0, 0.01 * float(np.linalg.norm(prog.h, np.inf))) \
-        if m else np.zeros(0)
+    s = raw + max(0.0, -float(np.min(raw))) + max(1.0, 0.01 * float(np.linalg.norm(prog.h, np.inf)))
     z, y = np.ones(m), np.zeros(p)
     best, best_mu, status, stall, it, damped = None, np.inf, ITER_LIMIT, 0, 0, 0
     for it in range(1, iter_cap + 1):
@@ -214,11 +213,10 @@ def dense_solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
         r_d, r_p, r_g, comp = _residuals(prog, x, y, z, s)
         if not all(np.all(np.isfinite(v)) for v in (x, y, z, s, r_d, r_p, r_g)):
             break
-        mu = float(np.mean(comp)) if m else 0.0
+        mu = float(np.mean(comp))
         res_now = max(float(np.linalg.norm(r_d, np.inf)),
                       float(np.linalg.norm(r_p, np.inf)) if p else 0.0,
-                      float(np.linalg.norm(r_g, np.inf)) if m else 0.0,
-                      float(np.max(comp)) if m else 0.0)
+                      float(np.linalg.norm(r_g, np.inf)), float(np.max(comp)))
         improved = False
         if best is None or res_now < 0.999 * best[0]:
             best, improved = (res_now, x.copy(), y.copy(), z.copy(), s.copy()), True
@@ -246,33 +244,28 @@ def dense_solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
             break
 
         def newton(r_c):
-            rhs = np.concatenate([-r_d - prog.G.T @ ((-r_c + z * r_g) / s) if m else -r_d, -r_p])
+            rhs = np.concatenate([-r_d - prog.G.T @ ((-r_c + z * r_g) / s), -r_p])
             sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
             sol -= scipy.linalg.lu_solve(lu, K @ sol - rhs, check_finite=False)
             dx, dy = sol[:n], sol[n:]
             ds = -r_g - prog.G @ dx
-            return dx, dy, (-r_c - z * ds) / s if m else np.zeros(0), ds
+            return dx, dy, (-r_c - z * ds) / s, ds
 
-        if m:
-            dxa, dya, dza, dsa = newton(comp)
-            ap, ad = _step_to_boundary(s, dsa), _step_to_boundary(z, dza)
-            mu_aff = float((s + ap * dsa) @ (z + ad * dza)) / m
-            sigma = np.clip((mu_aff / mu) ** 3 if mu > 0 else 0.1, 1e-8, 0.9999)
-            dx, dy, dz, ds = newton(comp + dsa * dza - sigma * mu)
-            frac = min(0.9999, max(0.995, 1.0 - 10.0 * mu))
-            ap = _step_to_boundary(s, ds) * frac if np.any(ds < 0) else 1.0
-            ad = _step_to_boundary(z, dz) * frac if np.any(dz < 0) else 1.0
-        else:
-            dx, dy, dz, ds = newton(np.zeros(0))
-            ap = ad = 1.0
-            sigma, mu = 0.0, 0.0
-        target_mu = sigma * mu if m else 0.0
+        dxa, dya, dza, dsa = newton(comp)
+        ap, ad = _step_to_boundary(s, dsa), _step_to_boundary(z, dza)
+        mu_aff = float((s + ap * dsa) @ (z + ad * dza)) / m
+        sigma = np.clip((mu_aff / mu) ** 3 if mu > 0 else 0.1, 1e-8, 0.9999)
+        dx, dy, dz, ds = newton(comp + dsa * dza - sigma * mu)
+        frac = min(0.9999, max(0.995, 1.0 - 10.0 * mu))
+        ap = _step_to_boundary(s, ds) * frac if np.any(ds < 0) else 1.0
+        ad = _step_to_boundary(z, dz) * frac if np.any(dz < 0) else 1.0
+        target_mu = sigma * mu
         m0 = _merit(prog, x, y, z, s, target_mu)
         scale_k, cand = 1.0, None
         for _ in range(16):
             cand = (x + scale_k * ap * dx, y + scale_k * ad * dy,
                     z + scale_k * ad * dz, s + scale_k * ap * ds)
-            if not m or (np.min(cand[3]) > 0 and np.min(cand[2]) > 0):
+            if np.min(cand[3]) > 0 and np.min(cand[2]) > 0:
                 if _merit(prog, *cand, target_mu) <= 10.0 * m0:
                     break
             scale_k *= 0.5
@@ -286,7 +279,7 @@ def dense_solve_convex(program, tol=1e-8, iter_cap=200, _diagnose=True):
             x, y, z, s = polished
         if max(_report(prog, x, y, z, s).values()) <= tol:
             status = OPTIMAL
-    if status == ITER_LIMIT and m and _diagnose:
+    if status == ITER_LIMIT and _diagnose:
         if _phase1_min_violation(prog) > 1e-7 * (1.0 + float(np.linalg.norm(prog.h, np.inf))):
             status = INFEASIBLE
     report = _report(prog, x, y, z, s)
@@ -336,7 +329,7 @@ EXPECTED_STATUS = {"feasible": OPTIMAL, "rank_deficient": OPTIMAL,
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(QP_KINDS), n=st.integers(1, 6), p=st.integers(0, 3),
-       m=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+       m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_small_qp_matches_dense_oracle(kind, n, p, m, seed):
     prog = small_qp(kind, n, min(p, n), m, seed)
     got, want = solve_convex(prog), dense_solve_convex(prog)
@@ -437,6 +430,34 @@ def test_polish_on_dependent_reserve_rows(index):
     assert sol.status == OPTIMAL
     assert max(sol.residuals.values()) <= 1e-10
     assert sol.equilibrium["ok"]
+
+
+# ---------------------------------------------------------------------------
+# a free-terminal solve that walks away from its best iterate
+# ---------------------------------------------------------------------------
+
+
+def test_drifting_solve_stops_at_its_polishable_iterate():
+    """Criterion 2's free-terminal system at e0 = 0.35 E_max: the residual
+    falls below sqrt(TOL), then grows more than a hundredfold, and a loop
+    that ran on took 101 iterations to return that best iterate.  The solve
+    stops once the residual has grown, polishes the best iterate and ends
+    optimal in at most 35 iterations; lambda and every theta that is unique
+    equal the dense oracle's, which runs on, to 1e-6 of their scale."""
+    system = dataclasses.replace(synth_test_system(seed=0, fit_degree=3), terminal="free")
+    build = build_dispatch(system.with_initial_soc(0.35 * system.storage.e_max))
+    result = solve_convex(build.program)
+    assert result.status == OPTIMAL and result.polished
+    assert result.iterations <= 35
+    raw = dense_solve_convex(build.program)
+    assert raw.status == OPTIMAL and raw.iterations > 35
+    got, want = _extract_solution(build, result), _extract_solution(build, raw)
+    unique = unique_eq_duals(build.program, raw)
+    for name, kind in (("lam", "balance"), ("theta", "soc")):
+        rows = unique[build.eq_rows[kind][1]]
+        a, b = getattr(got, name), getattr(want, name)
+        assert rows.any() and (name != "lam" or rows.all())
+        assert np.all(np.abs(a - b)[rows] <= 1e-6 * max(1.0, float(np.max(np.abs(b))))), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Pricing-theory tests: coupling relations, bounds, sigma sensitivity,
 Jensen gap, and the SoC / sigma sweep experiments."""
 
+import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_acceptance import battery_systems
 
 from storage_pricer.costs import CostPolynomial, StorageSpec
 from storage_pricer.dispatch import solve_dispatch
@@ -13,18 +16,18 @@ from storage_pricer.errors import DegenerateQuantileError, DomainError, Unsuppor
 from storage_pricer.reformulation import QuantileTriple
 from storage_pricer.scenarios import synth_test_system
 from storage_pricer.theory import (
-    CHARGING,
-    DISCHARGING,
-    IDLE,
     NU_LO_THRESHOLD,
+    _charge_expr,
+    _discharge_expr,
     classify_periods,
+    effective_reserve_prices,
     ideal_storage_slope_gap,
-    coupling_price,
     jensen_gap,
     price_bounds,
     sigma_sweep,
     soc_sweep,
     theta_sigma_derivative,
+    verify_price_bounds,
     verify_price_coupling,
 )
 
@@ -37,8 +40,20 @@ def triple(d_hat, d_tilde):
 
 
 # ---------------------------------------------------------------------------
-# coupling_price
+# the coupling formulas at one period
 # ---------------------------------------------------------------------------
+
+CHARGING, DISCHARGING, IDLE = "charging", "discharging", "idle"
+
+
+def coupling_price(state, theta_t, lam, pi, storage, quantiles, mu):
+    """The previous-period opportunity price that period-t prices imply, by
+    the formulas ``verify_price_coupling`` evaluates over arrays: a ``point``
+    when charging or discharging, the interval (``lo``, ``hi``) when idle."""
+    args = (theta_t, lam, pi, storage.eta, storage.marginal_cost, quantiles.d_hat, quantiles.d_tilde, mu)
+    if state == IDLE:
+        return SimpleNamespace(lo=_discharge_expr(*args), hi=_charge_expr(*args))
+    return SimpleNamespace(point=(_charge_expr if state == CHARGING else _discharge_expr)(*args))
 
 
 def test_coupling_symmetric_collapse():
@@ -357,6 +372,64 @@ def test_coupling_report_equals_per_period_loop(cubic_solution):
     assert report["skipped"].all() and report["ok"] and report["worst_rel_error"] == 0.0
     assert seen == {"charge_interior", "discharge_interior", "idle",
                     "charge_at_power_cap", "discharge_at_power_cap"}
+
+
+def loop_price_bounds(solution):
+    """Criterion 5's bound containment, one period at a time through the
+    scalar ``price_bounds``: (t, lo, hi, passed) per period 2..T, or
+    (t, None) for a period with a zero SoC quantile."""
+    system = solution.system
+    lam_box = (min(0.0, float(np.min(solution.lam))), float(np.max(solution.lam)))
+    pi_eff = effective_reserve_prices(solution)
+    pi_box = (min(0.0, float(np.min(pi_eff))), float(np.max(pi_eff)))
+    cases = classify_periods(solution)
+    soc = solution.quantiles.soc
+    rows = []
+    for t in range(2, system.horizon + 1):
+        q = QuantileTriple(float(soc.d_hat[t - 1]), float(soc.d_tilde[t - 1]), soc.epsilon)
+        if q.d_hat == 0.0 or q.d_tilde == 0.0:
+            rows.append((t, None))
+            continue
+        (c_lo, c_hi), (d_lo, d_hi) = price_bounds(lam_box, pi_box, system.storage, q, system.net_load.mu[t - 1])
+        th = solution.theta[t - 2]
+        pad = 1e-6 * max(1.0, abs(th))
+        if cases[t - 1] == "charge_interior":
+            lo, hi = c_lo, c_hi
+        elif cases[t - 1] == "discharge_interior":
+            lo, hi = d_lo, d_hi
+        else:
+            lo, hi = min(c_lo, d_lo, 0.0), max(c_hi, d_hi)
+        rows.append((t, lo, hi, lo - pad <= th <= hi + pad))
+    return rows
+
+
+def test_price_bounds_report_equals_criterion_5_loop():
+    """On the acceptance battery the array audit gives the scalar loop's
+    bounds and verdict on every period, and every period passes; at
+    sigma = 0 every period is skipped."""
+    solutions = [solve_dispatch(system) for system in battery_systems()]
+    solutions.append(solve_dispatch(synth_test_system().with_sigma_scale(0.0)))
+    for solution in solutions:
+        report = verify_price_bounds(solution)
+        want = loop_price_bounds(solution)
+        assert report["t"].tolist() == [row[0] for row in want]
+        for i, row in enumerate(want):
+            assert report["skipped"][i] == (row[1] is None)
+            if row[1] is not None:
+                assert (report["lo"][i], report["hi"][i], report["passed"][i]) == row[1:]
+        assert report["ok"]
+    assert report["skipped"].all()
+
+
+def test_price_bounds_fail_for_theta_past_hi(cubic_solution):
+    report = verify_price_bounds(cubic_solution)
+    assert report["ok"]
+    i = int(np.flatnonzero(~report["skipped"])[0])
+    theta = cubic_solution.theta.copy()
+    theta[i] = report["hi"][i] + 1e-3 * max(1.0, abs(report["hi"][i]))
+    moved = verify_price_bounds(dataclasses.replace(cubic_solution, theta=theta))
+    assert not moved["passed"][i] and not moved["ok"]
+    assert (moved["passed"] == (np.arange(moved["passed"].size) != i) & report["passed"]).all()
 
 
 def test_coupling_refuses_system_without_storage():
