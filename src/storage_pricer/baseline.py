@@ -134,20 +134,20 @@ class ValueFunction:
         return np.diff(self.values[t - 1]) / np.diff(self.grid)
 
 
-def _stage_values(stock, grid, next_values, lam, storage):
-    """Stage payoff plus continuation value of every candidate action, with
-    the candidates' (p, b, next stock) tables; one row per stock.
+def _candidates(stock, grid, discharge, storage):
+    """The candidate actions from each of the stocks ``stock``: the tables of
+    their next stock, feasibility, p - b and M p, one row per stock.
 
     The stage payoff is linear in the action and the continuation value is
     piecewise-linear concave, so the continuous-action optimum lands on a
     power bound or on an action that maps the stock onto a grid knot.  The
     columns are: idle, full discharge, each knot as a discharge target, full
-    charge, each knot as a charge target.  A candidate that is not feasible
-    from a stock is valued -inf.
+    charge, each knot as a charge target.  ``discharge`` is false at a
+    negative price, where only idling and charging are feasible.
     """
     e = np.asarray(stock, dtype=float)[:, None]
     eta = storage.eta
-    p_max = np.minimum(storage.p_max if lam >= 0.0 else 0.0, e * eta)
+    p_max = np.minimum(storage.p_max if discharge else 0.0, e * eta)
     b_max = np.minimum(storage.p_max, (grid[-1] - e) / eta)
     knots = np.broadcast_to(grid, (e.shape[0], grid.size))
     zero, zeros = np.zeros_like(e), np.zeros_like(knots)
@@ -160,8 +160,14 @@ def _stage_values(stock, grid, next_values, lam, storage):
         b_max > 0,
         (b_max > 0) & (grid > e) & ((grid - e) / eta <= b_max + 1e-12),
     ])
-    values = lam * (p - b) - storage.marginal_cost * p + np.interp(e_next, grid, next_values)
-    return np.where(valid, values, -np.inf), p, b, e_next
+    return e_next, valid, p - b, storage.marginal_cost * p
+
+
+def _stage_values(candidates, grid, next_values, lam):
+    """Stage payoff plus continuation value of every candidate of
+    ``_candidates``, -inf where it is not feasible."""
+    e_next, valid, p_minus_b, cost = candidates
+    return np.where(valid, lam * p_minus_b - cost + np.interp(e_next, grid, next_values), -np.inf)
 
 
 def dp_value_function(prices, storage, grid_size=21, terminal_value=0.0):
@@ -169,7 +175,9 @@ def dp_value_function(prices, storage, grid_size=21, terminal_value=0.0):
 
     ``prices`` is the energy-price path the price-taker plans against.
     Discharging is forbidden at negative prices.  Raises ConfigurationError
-    when the grid cannot resolve a full-power move.
+    when the grid cannot resolve a full-power move.  The candidates from the
+    knots depend on the price only through its sign, so their tables are
+    built once per sign.
     """
     prices = np.asarray(prices, dtype=float)
     T = prices.size
@@ -180,11 +188,12 @@ def dp_value_function(prices, storage, grid_size=21, terminal_value=0.0):
     if de > storage.p_max * min(storage.eta, 1.0 / storage.eta) + 1e-12:
         raise ConfigurationError(
             f"grid spacing {de:.4g} too coarse for the {storage.p_max:.4g} MW power step")
+    tables = {sign: _candidates(grid, grid, sign, storage) for sign in set((prices >= 0.0).tolist())}
     values = [None] * (T + 1)
     values[T] = np.full(grid_size, float(terminal_value))
     for t in range(T, 0, -1):
-        cur = np.max(_stage_values(grid, grid, values[t], float(prices[t - 1]), storage)[0],
-                     axis=1)
+        lam = float(prices[t - 1])
+        cur = np.max(_stage_values(tables[lam >= 0.0], grid, values[t], lam), axis=1)
         slopes = np.diff(cur) / de
         if np.any(np.diff(slopes) > 1e-7 * (1.0 + float(np.max(np.abs(cur))))):
             raise RuntimeError(f"value function lost concavity at stage {t}")
@@ -211,12 +220,27 @@ def dp_forward_schedule(vf, storage, prices):
     if prices.shape != (vf.horizon,):
         raise DomainError(f"price path has {prices.size} periods, the value function "
                           f"{vf.horizon}")
-    path = [(0.0, 0.0, storage.e_init)]   # (p, b, e) of each period, e_init first
-    for t in range(1, vf.horizon + 1):
-        values, *table = _stage_values([path[-1][2]], vf.grid, vf.values[t],
-                                       float(prices[t - 1]), storage)
-        k = int(np.argmax(values[0]))
-        path.append(tuple(float(column[0, k]) for column in table))
+    grid, eta, G = vf.grid, storage.eta, vf.grid.size
+    # the candidates' columns of ``_candidates`` for one stock, valued by
+    # the same expressions; the knots' entries are the same in every period
+    p, b, e_next = np.zeros((3, 2 * G + 3))
+    e_next[2:G + 2] = e_next[G + 3:] = grid
+    valid = np.ones(2 * G + 3, dtype=bool)
+    path = [(0.0, 0.0, float(storage.e_init))]   # (p, b, e) of each period, e_init first
+    for t, lam in enumerate(prices.tolist(), start=1):
+        e = path[-1][2]
+        p_max = min(storage.p_max if lam >= 0.0 else 0.0, e * eta)
+        b_max = min(storage.p_max, (grid[-1] - e) / eta)
+        discharge, charge = (e - grid) * eta, (grid - e) / eta
+        p[1], p[2:G + 2] = p_max, np.minimum(discharge, p_max)
+        b[G + 2], b[G + 3:] = b_max, np.minimum(charge, b_max)
+        e_next[0], e_next[1], e_next[G + 2] = e, e - p_max / eta, e + b_max * eta
+        valid[1], valid[G + 2] = p_max > 0, b_max > 0
+        valid[2:G + 2] = (p_max > 0) & (grid < e) & (discharge <= p_max + 1e-12)
+        valid[G + 3:] = (b_max > 0) & (grid > e) & (charge <= b_max + 1e-12)
+        values = lam * (p - b) - storage.marginal_cost * p + np.interp(e_next, grid, vf.values[t])
+        k = int(np.argmax(np.where(valid, values, -np.inf)))
+        path.append((float(p[k]), float(b[k]), float(e_next[k])))
     p, b, e = np.array(path, dtype=float).T
     return p[1:], b[1:], e
 

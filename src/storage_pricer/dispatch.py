@@ -9,6 +9,9 @@ equality duals:
 * opportunity price theta_t — dual of the SoC recursion, the marginal value
   of stored energy;
 * reserve cost  pi_t — dual of the unit-sum reserve-allocation row, in $/h.
+  Without the storage reserve the split is data (phi = 1, psi = 0), and pi_t
+  is read from the generator's reserve stationarity,
+  dE/dphi - nu_lo * d_hat + nu_hi * d_tilde, the value that row's dual takes.
 
 The charge/discharge complementarity is always relaxed (never enforced with
 binaries); violations are reported, not repaired, since the equilibrium
@@ -45,6 +48,8 @@ TERMINAL_POLICIES = ("periodic", "fixed", "free")
 
 # The dispatch's column blocks in order, T columns each: periods 1..T, except
 # e, the beginning-of-period stock, over periods 2..T+1 (e[1] is data).
+# Without storage only g has columns; without the storage reserve phi and
+# psi have none.
 VARIABLES = ("g", "p", "b", "phi", "psi", "e")
 
 # A period violates the relaxed complementarity when b_t * p_t exceeds this
@@ -200,9 +205,12 @@ class PeriodColumns:
     def rows(self, kind, key, t, rhs, terms):
         """One row per period of ``t``, consecutive periods: the sum of
         coef * var[t + shift] over the (var, shift, coef) terms, the data
-        moved to the right-hand side."""
+        moved to the right-hand side.  A row without entries, 0 <= rhs, is
+        left out; one whose right-hand side is negative cannot hold and
+        raises DomainError."""
         rhs = np.full(len(t), rhs, dtype=float)
         entries = []
+        filled = np.zeros(len(t), dtype=bool)
         for var, shift, coef in terms if len(t) else ():
             periods, cols, start = self.tables[var]
             coef, at = np.full(len(t), coef, dtype=float), t + shift
@@ -211,7 +219,17 @@ class PeriodColumns:
                 rhs[data] -= coef[data] * self.data[var]
             span = slice(start[at[0]], start[at[-1] + 1])
             row = periods[span] - at[0]
+            filled[row] = True
             entries.append((row, cols[span], coef[row]))
+        if not filled.all():
+            infeasible = ~filled & (rhs < 0.0)
+            if infeasible.any():
+                i = np.flatnonzero(infeasible)[0]
+                raise DomainError(f"the {kind} row of period {t[i]} has no entries and "
+                                  f"right-hand side {rhs[i]:.6g} < 0")
+            number = np.cumsum(filled) - 1
+            t, key, rhs = t[filled], key[filled] if np.ndim(key) else key, rhs[filled]
+            entries = [(number[row], cols, coef) for row, cols, coef in entries]
         return RowBlock(kind, t, key, rhs, entries)
 
     def blocks(self, spec, kinds):
@@ -290,22 +308,21 @@ def build_dispatch(system, loads=None):
     # --- the chain rows and the reserve split's: equalities kind by kind,
     # inequalities by period, then the reserve boxes, then the terminal box.
     # Pins are in period 1 only; a pinned psi[1] fixes phi[1] = 1 through the
-    # reserve row, so period 1 has no interior reserve box to keep.
-    columns = PeriodColumns(system, [(var, periods + (var == "e"))
-                                     for var in (VARIABLES if has_storage else ("g",))])
+    # reserve row, so period 1 has no interior reserve box to keep.  Without
+    # the storage reserve the split is data, and there is no reserve row.
+    reserve = has_storage and system.storage_reserve
+    variables = VARIABLES if reserve else ("g", "p", "b", "e") if has_storage else ("g",)
+    columns = PeriodColumns(system, [(var, periods + (var == "e")) for var in variables])
     n = columns.n
     spec = chain_rows(system, quantiles, dropped)
     unpinned = periods[1:] if ("psi", 1) in pinned else periods
     spec |= {f"pin_{var}": (0, np.array([period]), value, [(var, 0, 1.0)])
              for (var, period), value in pinned.items()}
-    if has_storage:
+    if reserve:
         spec["reserve"] = (0, periods, 1.0, [("phi", 0, 1.0), ("psi", 0, 1.0)])
-    if has_storage and not system.storage_reserve:
-        spec["psi_fix"] = (0, unpinned, 0.0, [("psi", 0, 1.0)])
-    if has_storage and system.storage_reserve:
         spec |= {f"kappa_{var}_{side}": (T + unpinned, unpinned, bound, [(var, 0, sign)])
                  for var in ("phi", "psi") for side, bound, sign in (("lo", 0.0, -1.0), ("hi", 1.0, 1.0))}
-    eq = columns.blocks(spec, ["balance", "soc", "reserve", "psi_fix", "terminal",
+    eq = columns.blocks(spec, ["balance", "soc", "reserve", "terminal",
                                *(f"pin_{var}" for var, _ in pinned)])
     ineq = columns.blocks(spec, [*ROW_STRUCTURE, *(f"kappa_{var}_{side}" for var in ("phi", "psi")
                                                    for side in ("lo", "hi")),
@@ -320,9 +337,9 @@ def build_dispatch(system, loads=None):
     linear = np.zeros(k * n)
     if has_storage:
         linear[cols("p")] = storage.marginal_cost
+    if reserve:
         linear[cols("psi")] = storage.marginal_cost * np.asarray(net.mu)
-    objective, kernel = expected_cost_objective(
-        table, cols("g"), cols("phi") if has_storage else None, linear)
+    objective, kernel = expected_cost_objective(table, cols("g"), cols("phi") if reserve else None, linear)
 
     A, b, eq_rows = assemble_rows(eq, n)
     G, h, ineq_rows = assemble_rows(ineq, n)
@@ -364,9 +381,20 @@ def _extract_solution(build, result, copy=0):
                for v in (result.x, result.eq_duals, result.ineq_duals))
     primal = build.columns.values(x)
     lam = -y[rows["balance"][1]]
-    theta, pi = (y[rows["soc"][1]], -y[rows["reserve"][1]]) if "soc" in rows else np.zeros((2, T))
+    theta = y[rows["soc"][1]] if "soc" in rows else np.zeros(T)
     duals = {kind: (t.copy(), z[r]) for kind, (t, r) in build.ineq_rows.items()}
-    objective = float(np.sum(build.kernel(result.x)[0][copy]))
+    value, _, dE_dphi, *_ = (out[copy] for out in build.kernel(result.x))
+    if "reserve" in rows:
+        pi = -y[rows["reserve"][1]]
+    elif storage is not None:
+        # phi = 1 is data: the reserve row's dual from phi's stationarity,
+        # with the nu rows' duals, every period in order
+        gen = build.quantiles.gen
+        (_, nu_lo), (_, nu_hi) = duals["nu_lo"], duals["nu_hi"]
+        pi = dE_dphi - nu_lo * gen.d_hat + nu_hi * gen.d_tilde
+    else:
+        pi = np.zeros(T)
+    objective = float(np.sum(value))
     if storage is not None:
         objective += storage.marginal_cost * float(np.sum(primal["p"])
                                                    + np.asarray(system.net_load.mu) @ primal["psi"])
@@ -406,9 +434,10 @@ def verify_equilibrium(solution):
     Row groups: market clearing identities, generator stationarity,
     storage charge/discharge/SoC stationarity (that of the last stock
     e_{T+1} under the free terminal only), and reserve-split stationarity
-    for both the generator and the storage ratios.  Each row is one array
-    over the periods; a row that does not exist (a pinned variable, the
-    fixed stock e_1) is NaN.  A row passes within ten times
+    for both the generator and the storage ratios (under the storage
+    reserve only: without it, pi is read from the generator's row).  Each
+    row is one array over the periods; a row that does not exist (a pinned
+    variable, the fixed stock e_1) is NaN.  A row passes within ten times
     the solver's 1e-8 tolerance or its reported residuals, whichever is
     larger.
     """

@@ -36,14 +36,16 @@ and each polish round; each step refills just the values, equal bit for bit
 to assembling the matrix from sparse products and sums.  ``_kkt_solver``
 takes the first right-hand side with the values, and the finiteness of
 that first solution is what checks the factors; the iterative refinement's
-products use the pattern's one CSC array (``_KKTPattern.operator``) with
+products use the pattern's own CSC arrays (``_KKTPattern.operator``) with
 the values swapped in, explicit zeros and all.
 
 A Newton step should cost its arithmetic, not its calls.  Every sparse
 product of a solve, with A, G, A^T, G^T and the patterns' CSC arrays, goes
-through one routine (``_matvec``) bound to the arrays once: it calls the
-kernel that scipy's ``@`` calls, so the products are the same bytes,
-without the dispatch that takes longer than a product at T = 24.  Each
+through one routine (``_kernel_product``, which ``_matvec`` binds to a
+sparse array's arrays) bound to the arrays once: it calls the kernel that
+scipy's ``@`` calls, so the products are the same bytes, without the
+dispatch that takes longer than a product at T = 24.  The patterns' graph
+kernels are called the same way (``_KKTPattern.blocks`` and ``band``).  Each
 iteration's bookkeeping reads one vector, the iterate and its residuals
 concatenated: one finiteness test and one sup-norm (``_measure``).
 
@@ -69,7 +71,8 @@ import scipy.sparse as sp
 from scipy import optimize
 from scipy.linalg import lapack
 from scipy.sparse import _sparsetools
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph._reordering import _reverse_cuthill_mckee
+from scipy.sparse.csgraph._traversal import _connected_components_undirected
 
 from .errors import DomainError
 
@@ -209,9 +212,14 @@ def _matvec(M, data=None):
     kernel converts v to a contiguous float array but reads as many
     entries as M has columns, so the length of v is checked here.
     """
-    rows, cols = M.shape
     matvec = _sparsetools.csr_matvec if M.format == "csr" else _sparsetools.csc_matvec
-    indptr, indices, data = M.indptr, M.indices, M.data if data is None else data
+    return _kernel_product(matvec, M.shape, M.indptr, M.indices, M.data if data is None else data)
+
+
+def _kernel_product(matvec, shape, indptr, indices, data):
+    """``_matvec`` on the arrays of a matrix of ``shape``, with the kernel
+    ``matvec`` (``csr_matvec`` or ``csc_matvec``)."""
+    rows, cols = shape
 
     def product(v):
         if v.shape != (cols,):
@@ -369,22 +377,19 @@ class _KKTPattern:
         out.b_data, out.b_row = self.b_data[b_kept], index[n + self.b_row[b_kept]] - n
         out.pair_pos = None if self.pair_pos is None else position[self.pair_pos]
         out.h_pos, out.h_csr = position[self.h_pos], position[self.h_csr]
-        for name in ("band", "graph"):      # of the kept rows alone
-            out.__dict__.pop(name, None)
+        out.__dict__.pop("band", None)      # of the kept rows alone
         return out
-
-    @cached_property
-    def graph(self):
-        """The pattern as an adjacency matrix, one node per row and an edge
-        per entry: a CSC array of ones, every entry stored.  Products with
-        the matrix take its structure (``operator``)."""
-        return sp.csc_array((np.ones(self.keys.size), self.rows, self.indptr), shape=(self.N, self.N))
 
     def blocks(self):
         """The number of independent column blocks: the connected components
-        of ``graph`` that hold a column of the program.  A row without
-        entries is a component of its own, and no block."""
-        _, labels = connected_components(self.graph, directed=False)
+        of the pattern's graph (a node per row, an edge per entry) that hold
+        a column of the program.  A row without entries is a component of
+        its own, and no block.  The pattern is symmetric, so its CSC arrays
+        are its graph's CSR arrays too, and the kernel of scipy's
+        ``connected_components`` takes them without a sparse array to
+        validate; ``band`` calls ``reverse_cuthill_mckee``'s the same way."""
+        labels = np.empty(self.N, dtype=np.int32)
+        _connected_components_undirected(self.rows, self.indptr, self.rows, self.indptr, labels)
         return _sorted_unique(labels[: self.n]).size
 
     @cached_property
@@ -406,7 +411,7 @@ class _KKTPattern:
         dense matrix would be.
         """
         N = self.N
-        order = reverse_cuthill_mckee(self.graph, symmetric_mode=True)[::-1]
+        order = _reverse_cuthill_mckee(self.rows, self.indptr, N)[::-1]
         rank = np.empty(N, dtype=np.int64)
         rank[order] = np.arange(N)
         col_rank = rank[self.keys // N]
@@ -451,10 +456,10 @@ class _KKTPattern:
 
     def operator(self, data):
         """The product v -> K v with the matrix K of values ``data``:
-        ``_matvec`` of ``graph`` with the values swapped in.  K keeps the
-        exact zeros that scipy's sparse sums drop, which leave a product
-        with a finite vector unchanged."""
-        return _matvec(self.graph, data)
+        ``csc_matvec`` on the pattern's arrays, as ``_matvec`` calls it.  K
+        keeps the exact zeros that scipy's sparse sums drop, which leave a
+        product with a finite vector unchanged."""
+        return _kernel_product(_sparsetools.csc_matvec, (self.N, self.N), self.indptr, self.rows, data)
 
 
 def _factor(pattern, data):

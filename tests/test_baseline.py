@@ -444,6 +444,81 @@ def test_bids_match_knot_walk():
                                        rtol=1e-12, atol=0.0), (seed, side, t)
 
 
+def frozen_stage_values(stock, grid, next_values, lam, storage):
+    """The stage values and the candidates' (p, b, next stock) tables, built
+    for every stage from its stocks (frozen oracle of the candidate tables
+    that the DP now builds once per price sign)."""
+    e = np.asarray(stock, dtype=float)[:, None]
+    eta = storage.eta
+    p_max = np.minimum(storage.p_max if lam >= 0.0 else 0.0, e * eta)
+    b_max = np.minimum(storage.p_max, (grid[-1] - e) / eta)
+    knots = np.broadcast_to(grid, (e.shape[0], grid.size))
+    zero, zeros = np.zeros_like(e), np.zeros_like(knots)
+    p = np.hstack([zero, p_max, np.minimum((e - grid) * eta, p_max), zero, zeros])
+    b = np.hstack([zero, zero, zeros, b_max, np.minimum((grid - e) / eta, b_max)])
+    e_next = np.hstack([e, e - p_max / eta, knots, e + b_max * eta, knots])
+    valid = np.hstack([
+        np.ones_like(e, dtype=bool), p_max > 0,
+        (p_max > 0) & (grid < e) & ((e - grid) * eta <= p_max + 1e-12),
+        b_max > 0,
+        (b_max > 0) & (grid > e) & ((grid - e) / eta <= b_max + 1e-12),
+    ])
+    values = lam * (p - b) - storage.marginal_cost * p + np.interp(e_next, grid, next_values)
+    return np.where(valid, values, -np.inf), p, b, e_next
+
+
+def frozen_value_function(prices, storage, grid_size, terminal_value):
+    grid = np.linspace(0.0, storage.e_max, grid_size)
+    values = [None] * (len(prices) + 1)
+    values[-1] = np.full(grid_size, float(terminal_value))
+    for t in range(len(prices), 0, -1):
+        values[t - 1] = np.max(frozen_stage_values(grid, grid, values[t], float(prices[t - 1]), storage)[0],
+                               axis=1)
+    return values
+
+
+def frozen_forward_schedule(vf, storage, prices):
+    path = [(0.0, 0.0, storage.e_init)]
+    for t in range(1, vf.horizon + 1):
+        values, *table = frozen_stage_values([path[-1][2]], vf.grid, vf.values[t],
+                                             float(prices[t - 1]), storage)
+        k = int(np.argmax(values[0]))
+        path.append(tuple(float(column[0, k]) for column in table))
+    p, b, e = np.array(path, dtype=float).T
+    return p[1:], b[1:], e
+
+
+def test_dp_tables_built_once_equal_tables_built_per_stage(monkeypatch):
+    """Value functions, forward schedules and bids, byte for byte, against
+    the tables built stage by stage: random storage with eta in [0.7, 1],
+    11 to 40 knots, the initial stock on a bound, on a knot or anywhere, and
+    price paths that go negative."""
+    negative = 0
+    for seed in range(200):
+        rng = np.random.default_rng([seed, 32])
+        grid_size = int(rng.integers(11, 41))
+        eta = 1.0 if seed % 5 == 0 else float(rng.uniform(0.7, 1.0))
+        p_max = float(rng.uniform(5.0, 50.0))
+        e_max = p_max * eta * float(rng.uniform(0.2, 1.0)) * (grid_size - 1)
+        e_init = (0.0, e_max, float(np.linspace(0.0, e_max, grid_size)[rng.integers(grid_size)]),
+                  float(rng.uniform(0.0, e_max)))[seed % 4]
+        st = StorageSpec(p_max=p_max, e_max=e_max, eta=eta, marginal_cost=float(rng.uniform(0, 30)),
+                         e_init=e_init)
+        prices = rng.uniform(-30.0, 90.0, size=int(rng.integers(1, 30)))
+        terminal = float(rng.uniform(0.0, 100.0))
+        vf = dp_value_function(prices, st, grid_size=grid_size, terminal_value=terminal)
+        want = frozen_value_function(prices, st, grid_size, terminal)
+        assert [v.tobytes() for v in vf.values] == [v.tobytes() for v in want], seed
+        got, frozen = dp_forward_schedule(vf, st, prices), frozen_forward_schedule(vf, st, prices)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in frozen], seed
+        bids = bids_from_value(vf, st, prices=prices)
+        with monkeypatch.context() as mp:
+            mp.setattr(baseline, "dp_forward_schedule", frozen_forward_schedule)
+            assert repr(bids) == repr(bids_from_value(vf, st, prices=prices)), seed
+        negative += int(np.any(prices < 0))
+    assert negative >= 100
+
+
 @pytest.mark.parametrize("n", [2, 4], ids=["short", "long"])
 @pytest.mark.parametrize("call", [
     dp_forward_schedule,

@@ -2,6 +2,7 @@
 solution invariants."""
 
 import dataclasses
+import functools
 import gc
 import itertools
 import weakref
@@ -14,27 +15,32 @@ from hypothesis import strategies as st
 
 import storage_pricer.baseline as baseline
 import storage_pricer.dispatch as dispatch
-from storage_pricer.baseline import BidCurve, clear_with_bids
+from storage_pricer.baseline import BidCurve, clear_with_bids, comparison_system
 from storage_pricer.costs import (
     CostPolynomial,
     FleetCurve,
     Segment,
     StorageSpec,
+    expected_cost_objective,
     expected_cost_table,
     memoized_derivatives,
 )
 from storage_pricer.dispatch import (
     TERMINAL_POLICIES,
+    VARIABLES,
+    PeriodColumns,
     SystemSpec,
     build_dispatch,
+    chain_rows,
     check_complementarity,
     solve_dispatch,
     verify_equilibrium,
 )
 from storage_pricer.distributions import GaussianModel
 from storage_pricer.errors import DomainError
-from storage_pricer.reformulation import PeriodQuantiles, QuantileTriple, period_quantiles
+from storage_pricer.reformulation import ROW_STRUCTURE, PeriodQuantiles, QuantileTriple, period_quantiles
 from storage_pricer.scenarios import NetLoadModel, synth_test_system
+from storage_pricer.solver import TOL, ConvexProgram, assemble_rows, solve_convex
 
 
 def flat_model(D, sigma=0.0, T=None):
@@ -489,9 +495,11 @@ def period_of(quantiles, t):
 
 
 def oracle_dispatch_rows(system, quantiles):
-    """(A, b, eq tags) and (G, h, ineq tags) of the string-keyed build_dispatch."""
+    """(A, b, eq tags) and (G, h, ineq tags) of the string-keyed build_dispatch.
+    Without the storage reserve phi = 1 and psi = 0 are data, as without storage."""
     T, stg = system.horizon, system.storage
-    names = [f"{v}[{t}]" for v in (("g", "p", "b", "phi", "psi") if stg else ("g",))
+    split = stg is not None and system.storage_reserve
+    names = [f"{v}[{t}]" for v in (("g", "p", "b", "phi", "psi") if split else ("g", "p", "b") if stg else ("g",))
              for t in range(1, T + 1)]
     index = {k: i for i, k in enumerate(names + ([f"e[{t}]" for t in range(2, T + 2)] if stg else []))}
     pinned, dropped = {}, set()
@@ -517,8 +525,10 @@ def oracle_dispatch_rows(system, quantiles):
         for k, c in coeffs.items():
             if k == "e[1]":
                 rhs = rhs - c * stg.e_init
-            elif k.startswith("phi[") and not stg:
+            elif k.startswith("phi[") and not split:
                 rhs -= c  # phi == 1 substituted as a constant
+            elif k.startswith("psi[") and not split:
+                pass      # psi == 0
             else:
                 terms.append((index[k], c))
         ineq.add(terms, rhs, tag)
@@ -534,12 +544,9 @@ def oracle_dispatch_rows(system, quantiles):
             if t > 1:
                 coeffs[f"e[{t}]"] = -1.0
             add_eq(coeffs, stg.e_init if t == 1 else 0.0, ("soc", t))
-        for t in range(1, T + 1):
-            add_eq({f"phi[{t}]": 1.0, f"psi[{t}]": 1.0}, 1.0, ("reserve", t))
-        if not system.storage_reserve:
+        if split:
             for t in range(1, T + 1):
-                if f"psi[{t}]" not in pinned:
-                    add_eq({f"psi[{t}]": 1.0}, 0.0, ("psi_fix", t))
+                add_eq({f"phi[{t}]": 1.0, f"psi[{t}]": 1.0}, 1.0, ("reserve", t))
         if system.terminal != "free":
             e_end = stg.e_init if system.terminal == "periodic" else float(system.terminal_value)
             add_eq({f"e[{T + 1}]": 1.0}, e_end, ("terminal", T + 1))
@@ -563,7 +570,7 @@ def oracle_dispatch_rows(system, quantiles):
         for kind, coeffs, rhs in rows:
             if (kind, t) not in dropped:
                 add_ineq(coeffs, rhs, (kind, t))
-    if stg and system.storage_reserve:
+    if split:
         for t in range(1, T + 1):
             if f"psi[{t}]" not in pinned:
                 for v in ("phi", "psi"):
@@ -590,7 +597,9 @@ def oracle_clearing_rows(system, bids, quantiles):
     eq, ineq = OracleRows(), OracleRows()
 
     def add(rows, terms, rhs):
-        rows.add([(j, c) for cols, c in terms for j in cols], rhs)
+        entries = [(j, c) for cols, c in terms for j in cols]
+        if entries:     # a row without entries is left out
+            rows.add(entries, rhs)
 
     for t in range(T):
         add(eq, [([t], 1.0), (p_cols[t], 1.0), (b_cols[t], -1.0)], float(system.net_load.forecast[t]))
@@ -693,7 +702,8 @@ def clearing_program(system, bids):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(system=row_systems(with_storage=True), data=st.data())
 def test_clearing_rows_equal_hand_offset_assembly(system, data):
-    """Including periods with no offer or no bid, whose cap rows are empty."""
+    """Including periods with no offer or no bid, whose cap rows have no
+    entries and are left out."""
     steps = st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-20.0, 80.0)), max_size=3)
     bids = BidCurve(
         discharge=tuple(tuple(data.draw(steps)) for _ in range(system.horizon)),
@@ -726,6 +736,29 @@ def test_clearing_chain_rows_come_from_the_reformulation(monkeypatch):
     moved = clearing_program(system, bids).h - before
     assert np.count_nonzero(moved) == 2 * system.horizon
     assert np.all(moved[moved != 0.0] == 1.0)
+
+
+def test_row_without_entries_is_left_out():
+    """Rows of periods 1 and 3 have no column of p: they are left out, and
+    period 2's row keeps its key, right-hand side and entry."""
+    system = storage_system([100.0, 120.0, 90.0])
+    periods = np.arange(1, 4)
+    columns = PeriodColumns(system, [("g", periods), ("p", np.array([2]))])
+    block = columns.rows("beta_hi", periods + 10, periods, np.array([5.0, 6.0, 0.0]), [("p", 0, 2.0)])
+    assert block.period.tolist() == [2] and block.key.tolist() == [12] and block.rhs.tolist() == [6.0]
+    (row, cols, coef), = block.terms
+    assert row.tolist() == [0] and cols.tolist() == [3] and coef.tolist() == [2.0]
+    A, b, index = assemble_rows([block], columns.n)
+    assert A.shape == (1, columns.n) and b.tolist() == [6.0] and index["beta_hi"][0].tolist() == [2]
+
+
+def test_row_without_entries_and_negative_rhs_is_refused():
+    """0 <= -1 cannot hold: the error names the row's kind and period."""
+    system = storage_system([100.0, 120.0, 90.0])
+    periods = np.arange(1, 4)
+    columns = PeriodColumns(system, [("g", periods), ("p", np.array([2]))])
+    with pytest.raises(DomainError, match="the alpha_hi row of period 3 has no entries"):
+        columns.rows("alpha_hi", 0, periods, np.array([1.0, 1.0, -1.0]), [("p", 0, 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -1130,6 +1163,82 @@ def test_last_stock_stationarity_only_under_free_terminal(terminal):
 
 
 # ---------------------------------------------------------------------------
+# without the storage reserve, phi = 1 and psi = 0 are data: against the
+# build that held them as 2T columns pinned by the reserve and psi_fix rows,
+# frozen here as the oracle
+# ---------------------------------------------------------------------------
+
+
+def reserve_pinned_dispatch(system):
+    """(program, columns, eq row index) of the no-reserve dispatch with phi
+    and psi as columns, pinned to 1 and 0 by the reserve and psi_fix rows.
+    Its systems pin nothing in period 1."""
+    T, storage, net = system.horizon, system.storage, system.net_load
+    periods = np.arange(1, T + 1)
+    quantiles = period_quantiles(net.mu, net.sigma, net.model, system.epsilon, system.risk_policy)
+    columns = PeriodColumns(system, [(var, periods + (var == "e")) for var in VARIABLES])
+    spec = chain_rows(system, quantiles)
+    spec["reserve"] = (0, periods, 1.0, [("phi", 0, 1.0), ("psi", 0, 1.0)])
+    spec["psi_fix"] = (0, periods, 0.0, [("psi", 0, 1.0)])
+    linear = np.zeros(columns.n)
+    linear[columns.of("p")] = storage.marginal_cost
+    linear[columns.of("psi")] = storage.marginal_cost * np.asarray(net.mu)
+    objective, _ = expected_cost_objective(expected_cost_table(system.poly, net.mu, net.sigma),
+                                           columns.of("g"), columns.of("phi"), linear)
+    A, b, eq_rows = assemble_rows(columns.blocks(spec, ("balance", "soc", "reserve", "psi_fix", "terminal")),
+                                  columns.n)
+    G, h, _ = assemble_rows(columns.blocks(spec, [*ROW_STRUCTURE, "term_lo", "term_hi"] if system.terminal == "free"
+                                           else ROW_STRUCTURE), columns.n)
+    return ConvexProgram(**objective, A=A, b=b, G=G, h=h), columns, eq_rows
+
+
+NO_RESERVE_SYSTEMS = {
+    **{f"degree{degree}-T{T}-{terminal}": functools.partial(
+        synth_test_system, fit_degree=degree, horizon=T, terminal=terminal, storage_reserve=False)
+       for degree in (2, 3) for T in (6, 24, 168) for terminal in ("periodic", "free")},
+    "comparison": lambda: comparison_system(synth_test_system(fit_degree=3), retire_frac=0.2),
+    # a forced charge holds g at its lower bound in period 1, a forced
+    # discharge at its upper bound in period 2: nu_lo and nu_hi enter pi
+    "generator-bounds": lambda: dataclasses.replace(storage_system(
+        [20.0, 510.0, 300.0, 300.0], sigma=3.0, eta=0.9, M=100.0, terminal="free", storage_reserve=False),
+        g_min=20.0),
+}
+
+
+@pytest.mark.parametrize("name", list(NO_RESERVE_SYSTEMS))
+def test_no_reserve_dispatch_equals_reserve_pinned_build(name):
+    """Without phi's and psi's 2T columns and rows the dispatch ends optimal
+    with its audit ok and a residual within TOL, and lambda, pi, the
+    objective and g, p, b are the pinned build's to 1e-9 of their scale;
+    theta is where the pinned build's is unique.  pi is the reserve row's
+    dual there, and phi's stationarity here."""
+    from test_sparse_kkt import unique_eq_duals
+
+    system = NO_RESERVE_SYSTEMS[name]()
+    T = system.horizon
+    solution = solve_dispatch(system)
+    assert solution.status == "optimal" and solution.equilibrium["ok"] and not solution.pinned
+    assert max(solution.residuals.values()) <= TOL
+    assert solution.phi.tolist() == [1.0] * T and solution.psi.tolist() == [0.0] * T
+    assert build_dispatch(system).program.A.shape == (2 * T + (system.terminal != "free"), 4 * T)
+
+    program, columns, rows = reserve_pinned_dispatch(system)
+    result = solve_convex(program)
+    assert result.status == "optimal"
+    y, primal = result.eq_duals, columns.values(result.x)
+    want = {"lam": -y[rows["balance"][1]], "pi": -y[rows["reserve"][1]],
+            **{var: primal[var] for var in ("g", "p", "b")}}
+    for key, value in want.items():
+        scale = max(1.0, float(np.max(np.abs(value))))
+        assert np.max(np.abs(getattr(solution, key) - value)) <= 1e-9 * scale, key
+    assert abs(solution.objective - result.objective) <= 1e-9 * max(1.0, abs(result.objective))
+    theta, unique = y[rows["soc"][1]], unique_eq_duals(program, result)[rows["soc"][1]]
+    assert unique.any()
+    scale = max(1.0, float(np.max(np.abs(theta))))
+    assert np.all(np.abs(solution.theta - theta)[unique] <= 1e-9 * scale)
+
+
+# ---------------------------------------------------------------------------
 # the read-back of both programs against the readers each had before
 # ``PeriodColumns.values``, frozen here as the oracle
 # ---------------------------------------------------------------------------
@@ -1139,14 +1248,18 @@ PRIMAL = ("g", "p", "b", "phi", "psi", "e")
 
 def frozen_dispatch_primal(build, x):
     """One copy's primal from its x: the blocks of T columns in the order of
-    ``PRIMAL``, e[1] prepended; without storage g alone, the rest data."""
+    ``PRIMAL``, e[1] prepended; without storage g alone, the rest data, and
+    without the storage reserve phi = 1 and psi = 0 data."""
     system = build.systems[0]
     T = system.horizon
     blocks = x.reshape(-1, T).copy()
     if system.storage is None:
         g, (p, b, psi) = blocks[0], np.zeros((3, T))
         return dict(g=g, p=p, b=b, phi=np.ones(T), psi=psi, e=np.zeros(T + 1))
-    g, p, b, phi, psi, e_next = blocks
+    if system.storage_reserve:
+        g, p, b, phi, psi, e_next = blocks
+    else:
+        (g, p, b, e_next), phi, psi = blocks, np.ones(T), np.zeros(T)
     return dict(g=g, p=p, b=b, phi=phi, psi=psi, e=np.concatenate([[system.storage.e_init], e_next]))
 
 
